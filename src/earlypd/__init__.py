@@ -34,7 +34,7 @@ from .data import (
     validate_file,
 )
 from .errors import ConfigError, DataError, EarlyPdError
-from .forest import DecisionTree, ForestConfig, ForestModel, forest_score, forest_score_batch, forest_train
+from .forest import DecisionTree, ForestConfig, ForestModel, forest_score_batch, forest_train
 from .metrics import (
     ConfusionMatrix,
     EvaluationReport,
@@ -44,7 +44,7 @@ from .metrics import (
     roc,
     summary_metrics,
 )
-from .mlp import MlpConfig, MlpModel, mlp_gradient_check, mlp_score, mlp_score_batch, mlp_train
+from .mlp import MlpConfig, MlpModel, mlp_gradient_check, mlp_score_batch, mlp_train
 from .pipeline import (
     DISPLAY_NAMES,
     MODEL_ORDER,
@@ -76,11 +76,10 @@ __all__ = [
     "CSV_COLUMNS", "FEATURE_NAMES", "HEALTHY", "PD", "Dataset", "SubjectRecord",
     "compute_ratios", "dataset_from_records", "export_csv", "ingest_csv", "validate_file",
     "ConfigError", "DataError", "EarlyPdError",
-    "DecisionTree", "ForestConfig", "ForestModel", "forest_score",
-    "forest_score_batch", "forest_train",
+    "DecisionTree", "ForestConfig", "ForestModel", "forest_score_batch", "forest_train",
     "ConfusionMatrix", "EvaluationReport", "RocCurve", "confusion",
     "evaluate_scores", "roc", "summary_metrics",
-    "MlpConfig", "MlpModel", "mlp_gradient_check", "mlp_score", "mlp_score_batch", "mlp_train",
+    "MlpConfig", "MlpModel", "mlp_gradient_check", "mlp_score_batch", "mlp_train",
     "DISPLAY_NAMES", "MODEL_ORDER", "BoostConfig", "ExperimentResult",
     "GenerateConfig", "PipelineConfig", "run_and_write", "run_experiment", "write_artifacts",
     "DiscretizationMap", "NormalizationStats", "SplitSpec", "discretize_fit",

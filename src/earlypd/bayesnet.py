@@ -14,7 +14,6 @@ unseen parent configurations fall back to the uniform prior.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -271,14 +270,3 @@ def bn_score_batch(model: BayesNetModel, features) -> np.ndarray:
         weights = np.exp(logs - np.where(both_zero[:, None], 0.0, peak))
     weights[both_zero] = 1.0
     return weights[:, 1] / weights.sum(axis=1)
-
-
-def save_model(model: BayesNetModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_model(path) -> BayesNetModel:
-    with open(path, encoding="utf-8") as fh:
-        return BayesNetModel.from_json_dict(json.load(fh))

@@ -11,7 +11,6 @@ by alpha-weighted hard votes.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -246,14 +245,3 @@ def boosted_score_batch(model: BoostedModel, features) -> np.ndarray:
     for r in model.rounds:
         pd_mass += r.alpha * (logistic_score_batch(r.model, X) > 0.5)
     return pd_mass / total
-
-
-def save_model(model: BoostedModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_model(path) -> BoostedModel:
-    with open(path, encoding="utf-8") as fh:
-        return BoostedModel.from_json_dict(json.load(fh))

@@ -37,17 +37,14 @@ from .pipeline import (
     DISPLAY_NAMES,
     MODEL_ORDER,
     PipelineConfig,
-    acquire_dataset,
     config_from_dict,
     load_config,
     load_model_file,
-    prepare_splits,
     run_and_write,
-    save_model_file,
     score_batch,
-    train_models,
+    train_and_write,
 )
-from .preprocess import load_sidecar, normalize_apply, save_sidecar
+from .preprocess import load_sidecar, normalize_apply
 from .synth import CohortSpec, generate, load_params
 
 
@@ -149,33 +146,14 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    ds = acquire_dataset(config)
-    train, _test, stats = prepare_splits(config, ds)
-    models = train_models(config, train)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "models").mkdir(exist_ok=True)
-    if config.input is None:
-        export_csv(ds, out / "cohort.csv")
-    dmap = models["bayesnet"].dmap if "bayesnet" in models else None
-    save_sidecar(out / "preprocess.json", stats, dmap)
-    for name, model in models.items():
-        save_model_file(name, model, out / "models" / f"{name}.json")
-    (out / "run_config.json").write_text(
-        json.dumps(config.to_json_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+    train, models = train_and_write(config, args.out)
     print(f"trained {', '.join(models)} on {len(train)} records; "
-          f"models under {out / 'models'}")
+          f"models under {Path(args.out) / 'models'}")
     return 0
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    with open(args.model, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    kind = obj.get("kind") if isinstance(obj, dict) else None
-    if kind not in MODEL_ORDER:
-        raise ConfigError(f"{args.model} is not a saved model file")
-    model = load_model_file(kind, args.model)
+    kind, model = load_model_file(args.model)
     ds = ingest_csv(args.input, strict=True)
     stats, _dmap = load_sidecar(args.preprocess)
     scaled = normalize_apply(ds, stats)

@@ -30,7 +30,6 @@ from .errors import (
 
 HEALTHY = 0
 PD = 1
-LABEL_NAMES = {HEALTHY: "Healthy", PD: "PD"}
 
 FEATURE_NAMES = (
     "upsit_total",
@@ -228,10 +227,6 @@ def dataset_from_records(records: Iterable[SubjectRecord]) -> Dataset:
         feats = np.empty((0, N_FEATURES))
         labels = np.empty((0,), dtype=np.int64)
     return Dataset(tuple(r.subject_id for r in records), feats, labels)
-
-
-def class_counts(ds: Dataset) -> tuple:
-    return ds.class_counts()
 
 
 def _parse_number(cell: str, row: int, column: str) -> float:

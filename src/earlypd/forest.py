@@ -12,7 +12,6 @@ counts. The forest votes: score = fraction of trees predicting PD.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -265,28 +264,11 @@ def forest_train(train: Dataset, config: ForestConfig = ForestConfig(),
     return ForestModel(tuple(trees), config, seed, m)
 
 
-def forest_score(model: ForestModel, features) -> float:
+def forest_score_batch(model: ForestModel, features) -> np.ndarray:
     """Fraction of trees voting PD. A 0.5 tie is resolved to healthy by the
     caller's strict > 0.5 decision rule."""
-    x = np.asarray(features, dtype=np.float64)
-    votes = sum(t.predict(x) == PD for t in model.trees)
-    return votes / len(model.trees)
-
-
-def forest_score_batch(model: ForestModel, features) -> np.ndarray:
     X = np.asarray(features, dtype=np.float64)
     votes = np.zeros(X.shape[0])
     for tree in model.trees:
         votes += tree.predict_batch(X) == PD
     return votes / len(model.trees)
-
-
-def save_model(model: ForestModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_model(path) -> ForestModel:
-    with open(path, encoding="utf-8") as fh:
-        return ForestModel.from_json_dict(json.load(fh))

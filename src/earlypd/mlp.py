@@ -9,7 +9,6 @@ derived from (seed, "mlp"), so training is bit-reproducible.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,14 +143,8 @@ def mlp_train(train: Dataset, config: MlpConfig = MlpConfig(), seed: int = 42) -
     return MlpModel(w1, w2, config, seed, tuple(epoch_mse))
 
 
-def mlp_score(model: MlpModel, features) -> float:
-    """PD share of the output activations; inputs are clamped into [0, 1]."""
-    x = np.clip(np.asarray(features, dtype=np.float64), 0.0, 1.0)
-    out = _forward_batch(model.w_hidden, model.w_output, x.reshape(1, -1))[0]
-    return float(out[1] / (out[0] + out[1]))
-
-
 def mlp_score_batch(model: MlpModel, features) -> np.ndarray:
+    """PD share of the output activations; inputs are clamped into [0, 1]."""
     x = np.clip(np.asarray(features, dtype=np.float64), 0.0, 1.0)
     out = _forward_batch(model.w_hidden, model.w_output, x)
     return out[:, 1] / out.sum(axis=1)
@@ -184,14 +177,3 @@ def mlp_gradient_check(model: MlpModel, features, target, step: float = 1e-5) ->
             rel = abs(bp - fd) / max(1e-12, abs(bp) + abs(fd))
             worst = max(worst, rel)
     return worst
-
-
-def save_model(model: MlpModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_model(path) -> MlpModel:
-    with open(path, encoding="utf-8") as fh:
-        return MlpModel.from_json_dict(json.load(fh))

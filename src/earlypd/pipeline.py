@@ -11,49 +11,33 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 from ._version import __version__
-from .bayesnet import BayesNetConfig, bn_score_batch, bn_train
-from .bayesnet import load_model as load_bayesnet
-from .bayesnet import save_model as save_bayesnet
-from .boostlr import adaboost_train, boosted_score_batch
-from .boostlr import load_model as load_boostlr
-from .boostlr import save_model as save_boostlr
+from .bayesnet import BayesNetConfig, BayesNetModel, bn_score_batch, bn_train
+from .boostlr import BoostedModel, adaboost_train, boosted_score_batch
 from .data import Dataset, export_csv, ingest_csv
 from .errors import ConfigError
-from .forest import ForestConfig, forest_score_batch, forest_train
-from .forest import load_model as load_forest
-from .forest import save_model as save_forest
+from .forest import ForestConfig, ForestModel, forest_score_batch, forest_train
 from .metrics import (
-    EvaluationReport,
     evaluate_scores,
     render_report_csv,
     render_report_text,
     roc_csv,
     roc_svg,
 )
-from .mlp import MlpConfig, mlp_score_batch, mlp_train
-from .mlp import load_model as load_mlp
-from .mlp import save_model as save_mlp
+from .mlp import MlpConfig, MlpModel, mlp_score_batch, mlp_train
 from .preprocess import (
     SplitSpec,
-    discretize_fit,
     normalize_apply,
     normalize_fit_transform,
     save_sidecar,
     stratified_split,
 )
 from .synth import CohortSpec, generate, load_params
-
-MODEL_ORDER = ("mlp", "bayesnet", "forest", "boostlr")
-DISPLAY_NAMES = {
-    "mlp": "Multilayer Perceptron",
-    "bayesnet": "BayesNet",
-    "forest": "Random Forest",
-    "boostlr": "Boosted Logistic Regression",
-}
 
 
 @dataclass(frozen=True)
@@ -68,6 +52,46 @@ class GenerateConfig:
     n_pd: int = 402
     separation: float = 1.0
     params_path: str | None = None
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """One of the experiment's classifiers.
+
+    The trainer and scorer call the model module's functions through this
+    module's names at call time, so a wrapper put on such a name (a profiler,
+    a test's monkeypatch) sees every call.
+    """
+
+    display_name: str
+    config: type  # settings dataclass, held in the PipelineConfig field named after the model
+    train: Callable  # (training Dataset, PipelineConfig) -> model
+    score: Callable  # (model, feature matrix) -> PD scores
+    model: type  # to_json_dict() / from_json_dict() for the saved model file
+
+
+# Canonical order: training, report rows and artifact files all follow it.
+MODELS = {
+    "mlp": ModelSpec(
+        "Multilayer Perceptron", MlpConfig,
+        lambda train, config: mlp_train(train, config.mlp, config.seed),
+        lambda model, features: mlp_score_batch(model, features), MlpModel),
+    "bayesnet": ModelSpec(
+        "BayesNet", BayesNetConfig,
+        lambda train, config: bn_train(train, config.bayesnet),
+        lambda model, features: bn_score_batch(model, features), BayesNetModel),
+    "forest": ModelSpec(
+        "Random Forest", ForestConfig,
+        lambda train, config: forest_train(train, config.forest, config.seed),
+        lambda model, features: forest_score_batch(model, features), ForestModel),
+    "boostlr": ModelSpec(
+        "Boosted Logistic Regression", BoostConfig,
+        lambda train, config: adaboost_train(train, config.boostlr.max_rounds,
+                                             config.boostlr.ridge),
+        lambda model, features: boosted_score_batch(model, features), BoostedModel),
+}
+MODEL_ORDER = tuple(MODELS)
+DISPLAY_NAMES = {name: spec.display_name for name, spec in MODELS.items()}
 
 
 @dataclass(frozen=True)
@@ -99,31 +123,7 @@ class PipelineConfig:
         return tuple(m for m in MODEL_ORDER if m in self.models)
 
     def to_json_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "input": self.input,
-            "generate": {
-                "n_healthy": self.generate.n_healthy,
-                "n_pd": self.generate.n_pd,
-                "separation": self.generate.separation,
-                "params_path": self.generate.params_path,
-            },
-            "train_fraction": self.train_fraction,
-            "models": list(self.models),
-            "normalize_on": self.normalize_on,
-            "mlp": {"hidden_units": self.mlp.hidden_units,
-                    "learning_rate": self.mlp.learning_rate,
-                    "momentum": self.mlp.momentum, "epochs": self.mlp.epochs},
-            "bayesnet": {"bins": self.bayesnet.bins,
-                         "strategy": self.bayesnet.strategy,
-                         "max_parents": self.bayesnet.max_parents,
-                         "alpha": self.bayesnet.alpha},
-            "forest": {"trees": self.forest.trees,
-                       "feature_subset": self.forest.feature_subset,
-                       "bootstrap": self.forest.bootstrap},
-            "boostlr": {"max_rounds": self.boostlr.max_rounds,
-                        "ridge": self.boostlr.ridge},
-        }
+        return asdict(self)
 
 
 def config_from_dict(obj: dict) -> PipelineConfig:
@@ -137,10 +137,7 @@ def config_from_dict(obj: dict) -> PipelineConfig:
             train_fraction=obj.get("train_fraction", 0.7),
             models=tuple(obj.get("models", MODEL_ORDER)),
             normalize_on=obj.get("normalize_on", "all"),
-            mlp=MlpConfig(**obj.get("mlp", {})),
-            bayesnet=BayesNetConfig(**obj.get("bayesnet", {})),
-            forest=ForestConfig(**obj.get("forest", {})),
-            boostlr=BoostConfig(**obj.get("boostlr", {})),
+            **{name: spec.config(**obj.get(name, {})) for name, spec in MODELS.items()},
         )
     except TypeError as err:
         raise ConfigError(f"bad config file: {err}") from None
@@ -181,50 +178,30 @@ def prepare_splits(config: PipelineConfig, ds: Dataset):
 
 
 def train_models(config: PipelineConfig, train: Dataset) -> dict:
-    models = {}
-    for name in config.ordered_models():
-        if name == "mlp":
-            models[name] = mlp_train(train, config.mlp, config.seed)
-        elif name == "bayesnet":
-            models[name] = bn_train(train, config.bayesnet)
-        elif name == "forest":
-            models[name] = forest_train(train, config.forest, config.seed)
-        elif name == "boostlr":
-            models[name] = adaboost_train(train, config.boostlr.max_rounds,
-                                          config.boostlr.ridge)
-    return models
-
-
-_SCORERS = {
-    "mlp": mlp_score_batch,
-    "bayesnet": bn_score_batch,
-    "forest": forest_score_batch,
-    "boostlr": boosted_score_batch,
-}
-_SAVERS = {
-    "mlp": save_mlp,
-    "bayesnet": save_bayesnet,
-    "forest": save_forest,
-    "boostlr": save_boostlr,
-}
-_LOADERS = {
-    "mlp": load_mlp,
-    "bayesnet": load_bayesnet,
-    "forest": load_forest,
-    "boostlr": load_boostlr,
-}
+    return {name: MODELS[name].train(train, config) for name in config.ordered_models()}
 
 
 def score_batch(name: str, model, features):
-    return _SCORERS[name](model, features)
+    return MODELS[name].score(model, features)
 
 
-def load_model_file(name: str, path):
-    return _LOADERS[name](path)
+def save_model_file(model, path) -> None:
+    # json.dump streams; json.dumps would hold every chunk of a large forest at once
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(model.to_json_dict(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
-def save_model_file(name: str, model, path):
-    _SAVERS[name](model, path)
+def load_model_file(path) -> tuple:
+    """(kind, model) from a saved model file, dispatched on its stored kind."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+        kind = obj["kind"]
+        return kind, MODELS[kind].model.from_json_dict(obj)
+    except (KeyError, IndexError, TypeError, ValueError) as err:
+        raise ConfigError(f"{path} is not a saved model file "
+                          f"({type(err).__name__}: {err})") from None
 
 
 def evaluate_models(models: dict, train: Dataset, test: Dataset) -> dict:
@@ -264,65 +241,40 @@ def run_experiment(config: PipelineConfig) -> ExperimentResult:
                             report, text, time.perf_counter() - started)
 
 
-def _write_text(path: Path, content: str, written: list) -> None:
-    path.write_text(content, encoding="utf-8")
-    written.append(path)
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def write_artifacts(result: ExperimentResult, out_dir) -> list:
-    """Write every experiment artifact under out_dir; returns written paths.
+def _training_files(config: PipelineConfig, dataset: Dataset, stats, models: dict) -> list:
+    """(relative path, content) pairs that `train` and `experiment` both write."""
+    files = []
+    if config.input is None:
+        files.append(("cohort.csv", partial(export_csv, dataset)))
+    dmap = models["bayesnet"].dmap if "bayesnet" in models else None
+    files.append(("preprocess.json", lambda path: save_sidecar(path, stats, dmap)))
+    files += [(f"models/{name}.json", partial(save_model_file, model))
+              for name, model in models.items()]
+    files.append(("run_config.json", _json_text(config.to_json_dict())))
+    return files
 
-    Timestamps live only in metadata.json, so every other artifact is
-    byte-identical across reruns of the same config. If any write fails, the
-    files written so far are removed.
+
+def _write_files(out_dir, files) -> list:
+    """Write (relative path, content) pairs under out_dir; returns the paths.
+
+    content is the text to write, or a function that writes the path it is
+    given. If any write fails, the files written so far are removed.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "models").mkdir(exist_ok=True)
+    (out / "models").mkdir(parents=True, exist_ok=True)
     written = []
-    config = result.config
     try:
-        if config.input is None:
-            export_csv(result.dataset, out / "cohort.csv")
-            written.append(out / "cohort.csv")
-        dmap = None
-        if "bayesnet" in result.models:
-            dmap = result.models["bayesnet"].dmap
-        save_sidecar(out / "preprocess.json", result.stats, dmap)
-        written.append(out / "preprocess.json")
-        for name, model in result.models.items():
-            path = out / "models" / f"{name}.json"
-            _SAVERS[name](model, path)
+        for name, content in files:
+            path = out / name
+            if callable(content):
+                content(path)
+            else:
+                path.write_text(content, encoding="utf-8")
             written.append(path)
-        evaluations = {
-            "model_order": list(config.ordered_models()),
-            "models": {
-                name: {split: report.to_json_dict()
-                       for split, report in by_split.items()}
-                for name, by_split in result.evaluations.items()
-            },
-        }
-        _write_text(out / "evaluations.json",
-                    json.dumps(evaluations, indent=2, sort_keys=True) + "\n", written)
-        _write_text(out / "report.csv", result.report_csv, written)
-        _write_text(out / "report.txt", result.report_text, written)
-        for name in config.ordered_models():
-            curve = result.evaluations[name]["testing"].roc
-            _write_text(out / f"roc_{name}_test.csv", roc_csv(curve), written)
-            _write_text(out / f"roc_{name}_test.svg",
-                        roc_svg(curve, f"ROC ({DISPLAY_NAMES[name]}, test split)"),
-                        written)
-        _write_text(out / "run_config.json",
-                    json.dumps(config.to_json_dict(), indent=2, sort_keys=True) + "\n",
-                    written)
-        metadata = {
-            "created_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            "package_version": __version__,
-            "elapsed_seconds": result.elapsed_seconds,
-            "input": config.input if config.input is not None else "generated",
-        }
-        _write_text(out / "metadata.json",
-                    json.dumps(metadata, indent=2, sort_keys=True) + "\n", written)
     except Exception:
         for path in written:
             try:
@@ -333,7 +285,51 @@ def write_artifacts(result: ExperimentResult, out_dir) -> list:
     return written
 
 
+def write_artifacts(result: ExperimentResult, out_dir) -> list:
+    """Write every experiment artifact under out_dir; returns written paths.
+
+    Timestamps live only in metadata.json, so every other artifact is
+    byte-identical across reruns of the same config. If any write fails, the
+    files written so far are removed.
+    """
+    config = result.config
+    files = _training_files(config, result.dataset, result.stats, result.models)
+    evaluations = {
+        "model_order": list(config.ordered_models()),
+        "models": {
+            name: {split: report.to_json_dict() for split, report in by_split.items()}
+            for name, by_split in result.evaluations.items()
+        },
+    }
+    files += [("evaluations.json", _json_text(evaluations)),
+              ("report.csv", result.report_csv),
+              ("report.txt", result.report_text)]
+    for name in config.ordered_models():
+        curve = result.evaluations[name]["testing"].roc
+        files.append((f"roc_{name}_test.csv", roc_csv(curve)))
+        files.append((f"roc_{name}_test.svg",
+                      roc_svg(curve, f"ROC ({DISPLAY_NAMES[name]}, test split)")))
+    metadata = {
+        "created_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        "package_version": __version__,
+        "elapsed_seconds": result.elapsed_seconds,
+        "input": config.input if config.input is not None else "generated",
+    }
+    files.append(("metadata.json", _json_text(metadata)))
+    return _write_files(out_dir, files)
+
+
 def run_and_write(config: PipelineConfig, out_dir) -> ExperimentResult:
     result = run_experiment(config)
     write_artifacts(result, out_dir)
     return result
+
+
+def train_and_write(config: PipelineConfig, out_dir) -> tuple:
+    """Train the configured models and write the cohort (when generated), the
+    sidecar, the model files and the run config; returns (train split, models)."""
+    ds = acquire_dataset(config)
+    train, _test, stats = prepare_splits(config, ds)
+    models = train_models(config, train)
+    _write_files(out_dir, _training_files(config, ds, stats, models))
+    return train, models

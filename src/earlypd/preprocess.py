@@ -195,11 +195,15 @@ def save_sidecar(path, stats: NormalizationStats,
 
 def load_sidecar(path):
     """(NormalizationStats, DiscretizationMap or None) from a sidecar file."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    schema = payload["schema"]
-    stats = NormalizationStats.from_json_dict(payload["normalization"], schema)
-    dmap = None
-    if "discretization" in payload:
-        dmap = DiscretizationMap.from_json_dict(payload["discretization"], schema)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        schema = payload["schema"]
+        stats = NormalizationStats.from_json_dict(payload["normalization"], schema)
+        dmap = None
+        if "discretization" in payload:
+            dmap = DiscretizationMap.from_json_dict(payload["discretization"], schema)
+    except (KeyError, IndexError, TypeError, ValueError) as err:
+        raise ConfigError(f"{path} is not a preprocess sidecar "
+                          f"({type(err).__name__}: {err})") from None
     return stats, dmap

@@ -1,4 +1,5 @@
-"""Shared fixtures: a tiny hand-checked CSV and reusable synthetic cohorts."""
+"""Shared fixtures: a tiny hand-checked CSV, reusable synthetic cohorts and
+the default experiment run."""
 
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from earlypd.data import FEATURE_NAMES, Dataset
+from earlypd.pipeline import PipelineConfig, run_experiment
 from earlypd.preprocess import SplitSpec, normalize_fit_transform, stratified_split
 from earlypd.synth import CohortSpec, generate
 
@@ -15,6 +17,15 @@ DATA_DIR = Path(__file__).parent / "data"
 @pytest.fixture(scope="session")
 def fixture_csv() -> Path:
     return DATA_DIR / "fixture_three.csv"
+
+
+@pytest.fixture(scope="session")
+def default_run():
+    """The default experiment: 184 healthy / 402 pd, seed 42, separation 1.
+
+    Session-scoped so the default models are trained once for every file
+    that checks them."""
+    return run_experiment(PipelineConfig())
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,6 @@ import json
 import math
 
 import numpy as np
-import pytest
 
 from earlypd.bayesnet import DiscreteNet, k2_search
 from earlypd.boostlr import (
@@ -36,12 +35,6 @@ from earlypd.rng import derive_stream
 from earlypd.synth import CohortSpec, generate
 
 from conftest import make_dataset
-
-
-@pytest.fixture(scope="module")
-def default_run():
-    """The default experiment: 184 healthy / 402 pd, seed 42, separation 1."""
-    return run_experiment(PipelineConfig())
 
 
 def test_criterion_01_default_cohort_performance(default_run):

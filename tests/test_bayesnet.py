@@ -19,8 +19,6 @@ from earlypd.bayesnet import (
     family_counts,
     family_log_score,
     k2_search,
-    load_model,
-    save_model,
 )
 from earlypd.errors import SingleClassTraining
 from earlypd.metrics import roc
@@ -277,16 +275,3 @@ def test_out_of_range_values_clamp(small_split):
         assert 0.0 <= s <= 1.0
     assert bn_score(model, high) == bn_score(model, high * 1000)
 
-
-def test_json_round_trip(small_split, tmp_path):
-    train, test = small_split
-    model = bn_train(train, BayesNetConfig(bins=5, max_parents=2))
-    path = tmp_path / "bayesnet.json"
-    save_model(model, path)
-    again = load_model(path)
-    assert again.net.arities == model.net.arities
-    assert again.net.parents == model.net.parents
-    assert again.config == model.config
-    assert np.array_equal(bn_score_batch(again, test.features),
-                          bn_score_batch(model, test.features))
-    assert model.to_json_dict()["kind"] == "bayesnet"

@@ -14,14 +14,12 @@ from earlypd.boostlr import (
     boost_alpha,
     boosted_score,
     boosted_score_batch,
-    load_model,
     logistic_gradient,
     logistic_objective,
     logistic_score,
     logistic_score_batch,
     logistic_train,
     reweight,
-    save_model,
 )
 from earlypd.errors import EmptyModel, NonFiniteFeature, SingleClassWeight
 
@@ -247,16 +245,3 @@ def test_non_finite_features_rejected():
     with pytest.raises(NonFiniteFeature):
         logistic_train(make_dataset(X, [0, 1, 1]))
 
-
-def test_json_round_trip(small_split, tmp_path):
-    train, test = small_split
-    model = adaboost_train(train, max_rounds=3)
-    path = tmp_path / "boostlr.json"
-    save_model(model, path)
-    again = load_model(path)
-    assert again.max_rounds == model.max_rounds
-    assert again.ridge == model.ridge
-    assert len(again.rounds) == len(model.rounds)
-    assert np.array_equal(boosted_score_batch(again, test.features),
-                          boosted_score_batch(model, test.features))
-    assert model.to_json_dict()["kind"] == "boostlr"

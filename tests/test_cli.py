@@ -116,7 +116,7 @@ def test_flags_override_config_file(exp_dir, tmp_path, capsys):
 
 
 def test_train_subcommand(exp_dir, tmp_path, capsys):
-    config_path, _out = exp_dir
+    config_path, experiment = exp_dir
     out = tmp_path / "trained"
     rc = main(["train", "--config", str(config_path), "--models",
                "forest,bayesnet", "--out", str(out)])
@@ -129,6 +129,10 @@ def test_train_subcommand(exp_dir, tmp_path, capsys):
         "bayesnet.json", "forest.json"]
     assert not (out / "report.csv").exists()
     assert not (out / "evaluations.json").exists()
+    # what train writes is what the same experiment writes
+    for name in ("cohort.csv", "preprocess.json", "models/bayesnet.json",
+                 "models/forest.json"):
+        assert (out / name).read_bytes() == (experiment / name).read_bytes(), name
 
 
 def test_evaluate_subcommand(exp_dir, capsys):
@@ -145,14 +149,35 @@ def test_evaluate_subcommand(exp_dir, capsys):
     assert payload["confusion"]["tp"] + payload["confusion"]["fn"] == 40
 
 
-def test_evaluate_rejects_non_model_json(exp_dir, capsys):
+def test_evaluate_rejects_non_model_json(exp_dir, tmp_path, capsys):
     _config, out = exp_dir
-    rc = main(["evaluate", "--model", str(out / "run_config.json"),
-               "--input", str(out / "cohort.csv"),
-               "--preprocess", str(out / "preprocess.json")])
-    assert rc == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "config"
+    model = out / "models" / "forest.json"
+    sidecar = out / "preprocess.json"
+    forest_stub = tmp_path / "forest_stub.json"
+    forest_stub.write_text('{"kind": "forest"}')
+    not_json = tmp_path / "not_json.json"
+    not_json.write_text("{not json")
+    no_schema = tmp_path / "no_schema.json"
+    payload = json.loads(sidecar.read_text())
+    del payload["schema"]
+    no_schema.write_text(json.dumps(payload))
+    # (model file, sidecar, the file the error names)
+    cases = [
+        (out / "run_config.json", sidecar, out / "run_config.json"),
+        (forest_stub, sidecar, forest_stub),
+        (not_json, sidecar, not_json),
+        (model, no_schema, no_schema),
+    ]
+    for model_path, sidecar_path, culprit in cases:
+        rc = main(["evaluate", "--model", str(model_path),
+                   "--input", str(out / "cohort.csv"),
+                   "--preprocess", str(sidecar_path)])
+        lines = capsys.readouterr().err.splitlines()
+        assert rc == 2, culprit.name
+        assert len(lines) == 1, lines  # one JSON line, no traceback
+        err = json.loads(lines[0])
+        assert err["error"] == "config"
+        assert str(culprit) in err["message"]
 
 
 def test_report_subcommand(exp_dir, tmp_path, capsys):

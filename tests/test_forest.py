@@ -10,12 +10,9 @@ from earlypd.forest import (
     DecisionTree,
     ForestConfig,
     default_feature_subset,
-    forest_score,
     forest_score_batch,
     forest_train,
     info_gain,
-    load_model,
-    save_model,
     tree_grow,
 )
 from earlypd.rng import SplitMix64
@@ -138,7 +135,6 @@ def test_forest_score_is_vote_fraction(small_split):
     model = forest_train(train, ForestConfig(trees=9), seed=2)
     x = test.features[0]
     votes = sum(tree.predict(x) for tree in model.trees)
-    assert forest_score(model, x) == pytest.approx(votes / 9)
     batch = forest_score_batch(model, test.features)
     assert batch[0] == pytest.approx(votes / 9)
     assert np.all((batch >= 0) & (batch <= 1))
@@ -157,14 +153,3 @@ def test_forest_single_class_raises():
     with pytest.raises(SingleClassTraining):
         forest_train(ds, ForestConfig(trees=1))
 
-
-def test_forest_json_round_trip(tmp_path, small_split):
-    train, test = small_split
-    model = forest_train(train, ForestConfig(trees=4), seed=13)
-    path = tmp_path / "forest.json"
-    save_model(model, path)
-    again = load_model(path)
-    assert again.config == model.config
-    assert again.n_features == model.n_features
-    assert np.array_equal(forest_score_batch(again, test.features),
-                          forest_score_batch(model, test.features))

@@ -1,0 +1,44 @@
+"""Golden digests of the default run's artifacts.
+
+The default experiment (seed 42, 184 healthy / 402 pd, all four models) must
+write the same bytes as before for every artifact except metadata.json, which
+carries the wall-clock timestamp and elapsed time. A change that alters one
+of these files on purpose records the old and new digests, and the reason,
+in CHANGES.md. The values were taken with Python 3.11.7 and numpy on x86-64
+Linux.
+"""
+
+import hashlib
+
+from earlypd.pipeline import write_artifacts
+
+GOLDEN = {
+    "cohort.csv": "b3065d07230e50b4e930f92b2c4346ba3527760588f55a65844d83350ab286d3",
+    "evaluations.json": "746afa0ae8f107fe12bea916c523dbe39fa0db91fe3ae877680c74b54f4ca4f1",
+    "models/bayesnet.json": "dedb6a2b58cc22182cec9b986faf3a2db486f65faf90c5777e6eaa3c7fb46423",
+    "models/boostlr.json": "f384f89fe5fa5b30a2eaeac81475886d7f9f8746354fc590067f5f2960adaa5a",
+    "models/forest.json": "d4ac3ed966e025e3f1cbfebc0ccf26d876ae207cacb5f73ffbccf2f1155d9b2b",
+    "models/mlp.json": "835436a3c8f6a7b4d24e114a4e28c4fc591b0cbdaca6a9ddf762a911972576a5",
+    "preprocess.json": "041ccd6a78fa6c5b3090a5025e4b4f62c40b95051a52b1f13fff52ae6fe81bee",
+    "report.csv": "846fa1211e8fc60767ff62625c89956325f4cb15fc4085dd5978145fed28f7df",
+    "report.txt": "78ccc139a672cbd9c75729d9c991702ea530bb0a3d9aaa41915656c16950c091",
+    "roc_bayesnet_test.csv": "ec85d78dc2004dd9602dc9938ebac79d779bf67f5f30e53c15598bb711165fab",
+    "roc_bayesnet_test.svg": "8659eab69b36e21bd9912b5350e5119cf88de3d4f649b16f0e12d99ba2795f74",
+    "roc_boostlr_test.csv": "80856e200587c9facaee2941e2acdca2eee21c7a797421ef3723683cc7b04154",
+    "roc_boostlr_test.svg": "5a31a7e0cb37d821b6ba622ae9dd9bd0f972cc9c8074f3b9ca2a8cd220fe89ca",
+    "roc_forest_test.csv": "c36b6c479e398bf52465b426ac589ee7b3c016df6aad8988229b5fc6659f2838",
+    "roc_forest_test.svg": "f5e840227ff374f4b5b21b9dc761026957289a2991d5caae0fe8ef27e9e74acd",
+    "roc_mlp_test.csv": "6a27425f1ca2aaea9c27d64caccb00047a684301d1b8a4156c4be8c82bcbd8e6",
+    "roc_mlp_test.svg": "67ff7e547eecae248998c77a1d92888da54d404e4e7f5c80fbd9d083beef3827",
+    "run_config.json": "4b6cfcf596c09d196219cc6b0e8efa787381a2a54f61db88aded3665274bcb3e",
+}
+
+
+def test_default_run_artifact_digests(default_run, tmp_path):
+    write_artifacts(default_run, tmp_path)
+    digests = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.rglob("*") if path.is_file()
+    }
+    del digests["metadata.json"]
+    assert digests == GOLDEN

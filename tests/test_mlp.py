@@ -9,12 +9,9 @@ from earlypd.errors import NonNormalizedInput, SingleClassTraining
 from earlypd.mlp import (
     MlpConfig,
     MlpModel,
-    load_model,
     mlp_gradient_check,
-    mlp_score,
     mlp_score_batch,
     mlp_train,
-    save_model,
 )
 
 from conftest import make_dataset
@@ -38,21 +35,21 @@ def test_forward_pass_hand_computation():
     out_h = _sig(0.3 * a - 0.2)
     out_p = _sig(-0.6 * a + 0.7)
     want = out_p / (out_h + out_p)
-    assert mlp_score(model, x) == pytest.approx(want, abs=1e-15)
+    assert mlp_score_batch(model, [x])[0] == pytest.approx(want, abs=1e-15)
 
 
 def test_score_batch_matches_scalar_score():
     model = _hand_model()
     X = np.array([[0.0, 0.0], [1.0, 1.0], [0.3, 0.9], [0.5, 0.5]])
     batch = mlp_score_batch(model, X)
-    singles = [mlp_score(model, row) for row in X]
+    singles = [mlp_score_batch(model, [row])[0] for row in X]
     assert np.allclose(batch, singles, atol=1e-15)
 
 
 def test_score_is_a_probability_share():
     model = _hand_model()
     for x in ([0.0, 0.0], [1.0, 0.2], [0.6, 0.8]):
-        assert 0.0 < mlp_score(model, x) < 1.0
+        assert 0.0 < mlp_score_batch(model, [x])[0] < 1.0
 
 
 def test_gradient_check_on_hand_model():
@@ -112,19 +109,6 @@ def test_training_rejects_single_class():
         mlp_train(ds, MlpConfig(epochs=1))
 
 
-def test_model_json_round_trip(tmp_path, xor_dataset):
-    model = mlp_train(xor_dataset, MlpConfig(hidden_units=3, epochs=20), seed=4)
-    path = tmp_path / "mlp.json"
-    save_model(model, path)
-    again = load_model(path)
-    assert np.array_equal(again.w_hidden, model.w_hidden)
-    assert np.array_equal(again.w_output, model.w_output)
-    assert again.config == model.config
-    assert again.epoch_mse == model.epoch_mse
-    X = xor_dataset.features
-    assert np.array_equal(mlp_score_batch(again, X), mlp_score_batch(model, X))
-
-
 def test_trains_on_separable_small_cohort(small_split):
     train, test = small_split
     model = mlp_train(train, MlpConfig(epochs=150), seed=5)
@@ -136,6 +120,6 @@ def test_trains_on_separable_small_cohort(small_split):
 def test_score_clamps_out_of_range_inputs():
     model = _hand_model()
     # scoring never rejects; values are clamped into [0, 1] first
-    inside = mlp_score(model, [1.0, 0.0])
-    outside = mlp_score(model, [5.0, -3.0])
+    inside = mlp_score_batch(model, [[1.0, 0.0]])[0]
+    outside = mlp_score_batch(model, [[5.0, -3.0]])[0]
     assert outside == pytest.approx(inside, abs=1e-15)

@@ -10,7 +10,7 @@ import earlypd.pipeline
 from earlypd.data import export_csv, ingest_csv
 from earlypd.errors import ConfigError, EmptyCohort
 from earlypd.mlp import MlpConfig
-from earlypd.forest import ForestConfig
+from earlypd.forest import ForestConfig, forest_score_batch
 from earlypd.pipeline import (
     DISPLAY_NAMES,
     MODEL_ORDER,
@@ -25,6 +25,8 @@ from earlypd.pipeline import (
     run_experiment,
     save_model_file,
     score_batch,
+    train_and_write,
+    train_models,
     write_artifacts,
 )
 
@@ -175,11 +177,34 @@ def test_score_and_model_file_dispatch(tmp_path):
     config = fast_config(models=("forest",))
     result = run_experiment(config)
     model = result.models["forest"]
-    path = tmp_path / "forest.json"
-    save_model_file("forest", model, path)
-    again = load_model_file("forest", path)
-    assert np.array_equal(score_batch("forest", again, result.test.features),
-                          score_batch("forest", model, result.test.features))
+    # the loader goes by the kind stored in the file, not by its name
+    path = tmp_path / "model.json"
+    save_model_file(model, path)
+    kind, again = load_model_file(path)
+    assert kind == "forest"
+    assert np.array_equal(score_batch(kind, again, result.test.features),
+                          forest_score_batch(model, result.test.features))
+
+
+@pytest.fixture(scope="module")
+def fast_models(small_split):
+    train, _test = small_split
+    return train_models(fast_config(), train)
+
+
+@pytest.mark.parametrize("kind", MODEL_ORDER)
+def test_model_file_round_trip(kind, fast_models, small_split, tmp_path):
+    _train, test = small_split
+    model = fast_models[kind]
+    first = tmp_path / "first.json"
+    save_model_file(model, first)
+    loaded_kind, again = load_model_file(first)
+    assert loaded_kind == kind
+    assert np.array_equal(score_batch(kind, again, test.features),
+                          score_batch(kind, model, test.features))
+    second = tmp_path / "second.json"
+    save_model_file(again, second)
+    assert second.read_bytes() == first.read_bytes()
 
 
 EXPECTED_FILES = {
@@ -221,19 +246,24 @@ def test_write_artifacts_skips_cohort_for_csv_input(small_cohort, tmp_path):
 
 
 def test_write_artifacts_cleans_up_on_failure(tmp_path, monkeypatch):
-    config = fast_config(models=("mlp", "forest"))
-    result = run_experiment(config)
+    save = earlypd.pipeline.save_model_file
 
     def boom(model, path):
-        raise OSError("disk full")
+        if path.name == "forest.json":
+            # the cohort, the sidecar and the MLP model are already written
+            assert (path.parent / "mlp.json").is_file()
+            raise OSError("disk full")
+        save(model, path)
 
-    # the forest writer runs after several files already exist
-    monkeypatch.setitem(earlypd.pipeline._SAVERS, "forest", boom)
-    out = tmp_path / "out"
-    with pytest.raises(OSError):
-        write_artifacts(result, out)
-    leftovers = [p for p in out.rglob("*") if p.is_file()]
-    assert leftovers == []
+    monkeypatch.setattr(earlypd.pipeline, "save_model_file", boom)
+    config = fast_config(models=("mlp", "forest"))
+    # `earlypd experiment` and `earlypd train` share the writer and its cleanup
+    for write in (run_and_write, train_and_write):
+        out = tmp_path / write.__name__
+        with pytest.raises(OSError):
+            write(config, out)
+        leftovers = [p for p in out.rglob("*") if p.is_file()]
+        assert leftovers == [], write.__name__
 
 
 def test_runs_are_deterministic():
