@@ -13,15 +13,11 @@ mean test AUC per model at each separation.
 import argparse
 import sys
 
+from earlypd.boostlr import BoostConfig
 from earlypd.forest import ForestConfig
 from earlypd.mlp import MlpConfig
-from earlypd.pipeline import (
-    MODEL_ORDER,
-    BoostConfig,
-    GenerateConfig,
-    PipelineConfig,
-    run_experiment,
-)
+from earlypd.pipeline import MODEL_ORDER, PipelineConfig, run_experiment
+from earlypd.synth import GenerateConfig
 
 
 def parse_args(argv=None):

@@ -11,6 +11,7 @@ deterministic; see :mod:`earlypd.rng`.
 from ._version import __version__
 from .bayesnet import BayesNetConfig, BayesNetModel, bn_score, bn_score_batch, bn_train
 from .boostlr import (
+    BoostConfig,
     BoostedModel,
     LogisticModel,
     adaboost_train,
@@ -48,9 +49,7 @@ from .mlp import MlpConfig, MlpModel, mlp_gradient_check, mlp_score_batch, mlp_t
 from .pipeline import (
     DISPLAY_NAMES,
     MODEL_ORDER,
-    BoostConfig,
     ExperimentResult,
-    GenerateConfig,
     PipelineConfig,
     run_and_write,
     run_experiment,
@@ -59,19 +58,18 @@ from .pipeline import (
 from .preprocess import (
     DiscretizationMap,
     NormalizationStats,
-    SplitSpec,
     discretize_fit,
     normalize_apply,
     normalize_fit_transform,
     stratified_split,
 )
 from .rng import SplitMix64, derive_stream
-from .synth import CohortSpec, FeatureParams, GeneratorParams, generate, load_params
+from .synth import FeatureParams, GenerateConfig, GeneratorParams, generate, load_params
 
 __all__ = [
     "__version__",
     "BayesNetConfig", "BayesNetModel", "bn_score", "bn_score_batch", "bn_train",
-    "BoostedModel", "LogisticModel", "adaboost_train", "boosted_score",
+    "BoostConfig", "BoostedModel", "LogisticModel", "adaboost_train", "boosted_score",
     "boosted_score_batch", "logistic_score", "logistic_score_batch", "logistic_train",
     "CSV_COLUMNS", "FEATURE_NAMES", "HEALTHY", "PD", "Dataset", "SubjectRecord",
     "compute_ratios", "dataset_from_records", "export_csv", "ingest_csv", "validate_file",
@@ -80,10 +78,10 @@ __all__ = [
     "ConfusionMatrix", "EvaluationReport", "RocCurve", "confusion",
     "evaluate_scores", "roc", "summary_metrics",
     "MlpConfig", "MlpModel", "mlp_gradient_check", "mlp_score_batch", "mlp_train",
-    "DISPLAY_NAMES", "MODEL_ORDER", "BoostConfig", "ExperimentResult",
-    "GenerateConfig", "PipelineConfig", "run_and_write", "run_experiment", "write_artifacts",
-    "DiscretizationMap", "NormalizationStats", "SplitSpec", "discretize_fit",
+    "DISPLAY_NAMES", "MODEL_ORDER", "ExperimentResult",
+    "PipelineConfig", "run_and_write", "run_experiment", "write_artifacts",
+    "DiscretizationMap", "NormalizationStats", "discretize_fit",
     "normalize_apply", "normalize_fit_transform", "stratified_split",
     "SplitMix64", "derive_stream",
-    "CohortSpec", "FeatureParams", "GeneratorParams", "generate", "load_params",
+    "FeatureParams", "GenerateConfig", "GeneratorParams", "generate", "load_params",
 ]

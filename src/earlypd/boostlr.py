@@ -24,6 +24,12 @@ MAX_ITER = 200
 MAX_HALVINGS = 50
 
 
+@dataclass(frozen=True)
+class BoostConfig:
+    max_rounds: int = 10
+    ridge: float = 1e-8
+
+
 @dataclass(frozen=True, eq=False)
 class LogisticModel:
     coef: np.ndarray
@@ -107,7 +113,8 @@ def _fit_weighted(X, y, weights, ridge):
                          hit_limit, tuple(path))
 
 
-def logistic_train(train: Dataset, weights=None, ridge: float = 1e-8) -> LogisticModel:
+def logistic_train(train: Dataset, weights=None,
+                   ridge: float = BoostConfig.ridge) -> LogisticModel:
     """Fit on a dataset with optional per-record weights (default uniform).
 
     Raises SingleClassWeight unless both classes carry positive total weight,
@@ -194,8 +201,8 @@ class BoostedModel:
         return cls(tuple(rounds), obj["ridge"], obj["max_rounds"])
 
 
-def adaboost_train(train: Dataset, max_rounds: int = 10,
-                   ridge: float = 1e-8) -> BoostedModel:
+def adaboost_train(train: Dataset, max_rounds: int = BoostConfig.max_rounds,
+                   ridge: float = BoostConfig.ridge) -> BoostedModel:
     """AdaBoost.M1 over weighted logistic fits.
 
     Round error e is the weighted 0/1 error of hard predictions at threshold

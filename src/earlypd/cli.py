@@ -45,76 +45,70 @@ from .pipeline import (
     train_and_write,
 )
 from .preprocess import load_sidecar, normalize_apply
-from .synth import CohortSpec, generate, load_params
+from .synth import generate
 
 
 def _add_generate_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None,
-                        help="root seed for every random stream (default 42)")
-    parser.add_argument("--n-healthy", type=int, default=None,
-                        help="healthy records to synthesize (default 184)")
-    parser.add_argument("--n-pd", type=int, default=None,
-                        help="PD records to synthesize (default 402)")
-    parser.add_argument("--separation", type=float, default=None,
-                        help="class separation scale; 0 removes all signal, "
-                             "1 keeps the configured gap")
-    parser.add_argument("--params", default=None,
-                        help="JSON file with generator feature parameters")
+    defaults = PipelineConfig()
+    parser.add_argument("--seed", type=int,
+                        help=f"root seed for every random stream (default {defaults.seed})")
+    parser.add_argument("--n-healthy", type=int,
+                        help="healthy records to synthesize "
+                             f"(default {defaults.generate.n_healthy})")
+    parser.add_argument("--n-pd", type=int,
+                        help=f"PD records to synthesize (default {defaults.generate.n_pd})")
+    parser.add_argument("--separation", type=float,
+                        help="class separation scale; 0 removes all signal, 1 keeps "
+                             f"the configured gap (default {defaults.generate.separation})")
+    parser.add_argument("--params", help="JSON file with generator feature parameters")
 
 
 def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", default=None,
-                        help="JSON config file; flags override its values")
-    parser.add_argument("--input", default=None,
-                        help="cohort CSV to ingest instead of generating one")
-    parser.add_argument("--train-fraction", type=float, default=None,
-                        help="fraction of each class placed in the training split")
-    parser.add_argument("--models", default=None,
+    defaults = PipelineConfig()
+    parser.add_argument("--config", help="JSON config file; flags override its values")
+    parser.add_argument("--input", help="cohort CSV to ingest instead of generating one")
+    parser.add_argument("--train-fraction", type=float,
+                        help="fraction of each class placed in the training split "
+                             f"(default {defaults.train_fraction})")
+    parser.add_argument("--models",
+                        type=lambda text: [m.strip() for m in text.split(",") if m.strip()],
                         help="comma separated subset of: " + ", ".join(MODEL_ORDER))
-    parser.add_argument("--normalize-on", choices=("all", "train"), default=None,
+    parser.add_argument("--normalize-on", choices=("all", "train"),
                         help="fit min/max on the whole cohort or on the training "
-                             "split only")
+                             f"split only (default {defaults.normalize_on})")
     _add_generate_flags(parser)
+
+
+# The config key each flag sets. A flag that is not given leaves the value
+# from the config file, or the default.
+_FLAG_KEYS = {
+    "input": "input",
+    "seed": "seed",
+    "train_fraction": "train_fraction",
+    "models": "models",
+    "normalize_on": "normalize_on",
+    "n_healthy": "generate.n_healthy",
+    "n_pd": "generate.n_pd",
+    "separation": "generate.separation",
+    "params": "generate.params_path",
+}
 
 
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
     """Defaults, then the config file, then CLI flags. Last writer wins."""
-    if args.config is not None:
-        base = load_config(args.config).to_json_dict()
-    else:
-        base = PipelineConfig().to_json_dict()
-    if args.input is not None:
-        base["input"] = args.input
-    if args.seed is not None:
-        base["seed"] = args.seed
-    if args.train_fraction is not None:
-        base["train_fraction"] = args.train_fraction
-    if args.models is not None:
-        base["models"] = [m.strip() for m in args.models.split(",") if m.strip()]
-    if args.normalize_on is not None:
-        base["normalize_on"] = args.normalize_on
-    gen = base["generate"]
-    if args.n_healthy is not None:
-        gen["n_healthy"] = args.n_healthy
-    if args.n_pd is not None:
-        gen["n_pd"] = args.n_pd
-    if args.separation is not None:
-        gen["separation"] = args.separation
-    if args.params is not None:
-        gen["params_path"] = args.params
-    return config_from_dict(base)
+    path = getattr(args, "config", None)  # `generate` takes no config file
+    obj = (load_config(path) if path is not None else PipelineConfig()).to_json_dict()
+    for flag, key in _FLAG_KEYS.items():
+        value = getattr(args, flag, None)
+        if value is not None:
+            section, _, name = key.rpartition(".")
+            (obj[section] if section else obj)[name] = value
+    return config_from_dict(obj)
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    params = load_params(args.params)
-    spec = CohortSpec(
-        n_healthy=args.n_healthy if args.n_healthy is not None else 184,
-        n_pd=args.n_pd if args.n_pd is not None else 402,
-        separation=args.separation if args.separation is not None else 1.0,
-        seed=args.seed if args.seed is not None else 42,
-        params=params,
-    )
-    ds = generate(spec)
+    config = _build_config(args)
+    ds = generate(config.generate, config.seed)
     export_csv(ds, args.out)
     healthy, pd = ds.class_counts()
     print(f"wrote {args.out} ({healthy} healthy, {pd} pd)")
@@ -152,6 +146,15 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write_or_print(text: str, out) -> int:
+    if out is not None:
+        Path(out).write_text(text, encoding="utf-8")
+        print(f"wrote {out}")
+    else:
+        print(text, end="")
+    return 0
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     kind, model = load_model_file(args.model)
     ds = ingest_csv(args.input, strict=True)
@@ -161,25 +164,20 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                              score_batch(kind, model, scaled.features))
     payload = {"model": kind, "records": len(ds), **report.to_json_dict()}
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out is not None:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote {args.out}")
-    else:
-        print(text, end="")
-    return 0
+    return _write_or_print(text, args.out)
 
 
 def _load_evaluations(path):
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
     try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
         order = [m for m in obj["model_order"] if m in MODEL_ORDER]
         reports = {
             name: {split: EvaluationReport.from_json_dict(rep)
                    for split, rep in by_split.items()}
             for name, by_split in obj["models"].items()
         }
-    except (KeyError, TypeError) as err:
+    except (KeyError, TypeError, ValueError) as err:  # ValueError: not JSON
         raise ConfigError(f"{path} is not an evaluations file: {err}") from None
     return order, reports
 
@@ -190,12 +188,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         text = render_report_csv(reports, order)
     else:
         text = render_report_text(reports, order, DISPLAY_NAMES)
-    if args.out is not None:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote {args.out}")
-    else:
-        print(text, end="")
-    return 0
+    return _write_or_print(text, args.out)
 
 
 def cmd_roc(args: argparse.Namespace) -> int:
@@ -207,12 +200,7 @@ def cmd_roc(args: argparse.Namespace) -> int:
         text = roc_svg(curve, f"ROC ({DISPLAY_NAMES[args.model]}, {args.split} split)")
     else:
         text = roc_csv(curve)
-    if args.out is not None:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote {args.out}")
-    else:
-        print(text, end="")
-    return 0
+    return _write_or_print(text, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -87,6 +87,10 @@ class EmptyMatrix(DataError):
     """Summary metrics got a confusion matrix with zero total."""
 
 
+class NonFiniteScore(DataError):
+    """ROC analysis got a NaN or infinite score."""
+
+
 class SingleClassLabels(DataError):
     """ROC analysis needs at least one positive and one negative label."""
 

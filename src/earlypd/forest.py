@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import HEALTHY, PD, Dataset
-from .errors import InconsistentCounts, SingleClassTraining
+from .errors import ConfigError, InconsistentCounts, SingleClassTraining
 from .rng import SplitMix64, derive_stream
 
 
@@ -218,6 +218,10 @@ class ForestConfig:
     trees: int = 100
     feature_subset: int | None = None  # None means floor(log2(m) + 1)
     bootstrap: bool = True
+
+    def __post_init__(self):
+        if self.trees < 1:
+            raise ConfigError(f"a forest needs at least one tree, got {self.trees}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,6 +19,7 @@ from .errors import (
     EmptyInput,
     EmptyMatrix,
     LengthMismatch,
+    NonFiniteScore,
     SingleClassLabels,
 )
 
@@ -125,6 +126,9 @@ def roc(labels, scores) -> RocCurve:
     scores = np.asarray(scores, dtype=np.float64)
     if labels.shape != scores.shape:
         raise LengthMismatch("labels and scores differ in length")
+    if not np.isfinite(scores).all():
+        # NaN never equals itself, so the tie loop below would never advance
+        raise NonFiniteScore("ROC scores must be finite")
     n_pos = int(np.count_nonzero(labels == PD))
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:

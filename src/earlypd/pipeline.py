@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, get_args, get_origin, get_type_hints
 
 from ._version import __version__
 from .bayesnet import BayesNetConfig, BayesNetModel, bn_score_batch, bn_train
-from .boostlr import BoostedModel, adaboost_train, boosted_score_batch
+from .boostlr import BoostConfig, BoostedModel, adaboost_train, boosted_score_batch
 from .data import Dataset, export_csv, ingest_csv
 from .errors import ConfigError
 from .forest import ForestConfig, ForestModel, forest_score_batch, forest_train
@@ -31,27 +31,13 @@ from .metrics import (
 )
 from .mlp import MlpConfig, MlpModel, mlp_score_batch, mlp_train
 from .preprocess import (
-    SplitSpec,
+    check_train_fraction,
     normalize_apply,
     normalize_fit_transform,
     save_sidecar,
     stratified_split,
 )
-from .synth import CohortSpec, generate, load_params
-
-
-@dataclass(frozen=True)
-class BoostConfig:
-    max_rounds: int = 10
-    ridge: float = 1e-8
-
-
-@dataclass(frozen=True)
-class GenerateConfig:
-    n_healthy: int = 184
-    n_pd: int = 402
-    separation: float = 1.0
-    params_path: str | None = None
+from .synth import GenerateConfig, generate
 
 
 @dataclass(frozen=True)
@@ -64,7 +50,6 @@ class ModelSpec:
     """
 
     display_name: str
-    config: type  # settings dataclass, held in the PipelineConfig field named after the model
     train: Callable  # (training Dataset, PipelineConfig) -> model
     score: Callable  # (model, feature matrix) -> PD scores
     model: type  # to_json_dict() / from_json_dict() for the saved model file
@@ -73,19 +58,19 @@ class ModelSpec:
 # Canonical order: training, report rows and artifact files all follow it.
 MODELS = {
     "mlp": ModelSpec(
-        "Multilayer Perceptron", MlpConfig,
+        "Multilayer Perceptron",
         lambda train, config: mlp_train(train, config.mlp, config.seed),
         lambda model, features: mlp_score_batch(model, features), MlpModel),
     "bayesnet": ModelSpec(
-        "BayesNet", BayesNetConfig,
+        "BayesNet",
         lambda train, config: bn_train(train, config.bayesnet),
         lambda model, features: bn_score_batch(model, features), BayesNetModel),
     "forest": ModelSpec(
-        "Random Forest", ForestConfig,
+        "Random Forest",
         lambda train, config: forest_train(train, config.forest, config.seed),
         lambda model, features: forest_score_batch(model, features), ForestModel),
     "boostlr": ModelSpec(
-        "Boosted Logistic Regression", BoostConfig,
+        "Boosted Logistic Regression",
         lambda train, config: adaboost_train(train, config.boostlr.max_rounds,
                                              config.boostlr.ridge),
         lambda model, features: boosted_score_batch(model, features), BoostedModel),
@@ -96,11 +81,14 @@ DISPLAY_NAMES = {name: spec.display_name for name, spec in MODELS.items()}
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """Every setting of a run. Each is declared once, with its default and its
+    bound: here, or in the settings dataclass of the stage that uses it."""
+
     seed: int = 42
     input: str | None = None  # CSV path; None means generate a cohort
     generate: GenerateConfig = field(default_factory=GenerateConfig)
     train_fraction: float = 0.7
-    models: tuple = MODEL_ORDER
+    models: tuple[str, ...] = MODEL_ORDER
     normalize_on: str = "all"  # scale before splitting, or fit on train only
     mlp: MlpConfig = field(default_factory=MlpConfig)
     bayesnet: BayesNetConfig = field(default_factory=BayesNetConfig)
@@ -113,9 +101,7 @@ class PipelineConfig:
             raise ConfigError(f"unknown models: {', '.join(unknown)}")
         if not self.models:
             raise ConfigError("at least one model must be selected")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ConfigError(
-                f"train_fraction must be in (0, 1), got {self.train_fraction}")
+        check_train_fraction(self.train_fraction)
         if self.normalize_on not in ("all", "train"):
             raise ConfigError("normalize_on must be 'all' or 'train'")
 
@@ -126,21 +112,43 @@ class PipelineConfig:
         return asdict(self)
 
 
+# The Python types a JSON value may have for each declared type. JSON has one
+# number type, so an int stands for a float; a bool is never a number here.
+_JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,),
+               type(None): (type(None),)}
+
+
+def _json_value(kind, name: str, value, key: str):
+    """value if it has the declared type kind (spelled name), else ConfigError."""
+    if is_dataclass(kind):
+        return _from_json(kind, value, key + ".")
+    if get_origin(kind) is tuple:  # tuple[str, ...] is a JSON list of strings
+        if isinstance(value, (list, tuple)) and all(type(v) is get_args(kind)[0]
+                                                    for v in value):
+            return tuple(value)
+    elif type(value) in [t for k in get_args(kind) or (kind,) for t in _JSON_TYPES[k]]:
+        return value
+    raise ConfigError(f"config key {key!r} must be {name}, got {value!r}")
+
+
+def _from_json(cls, obj, where: str = ""):
+    """cls from a JSON object. Keys it does not declare raise ConfigError;
+    keys left out take its defaults."""
+    if not isinstance(obj, dict):
+        section = f"key {where[:-1]!r}" if where else "file"
+        raise ConfigError(f"config {section} must hold a JSON object")
+    declared = {f.name: f.type for f in fields(cls)}  # type as written, e.g. "str | None"
+    unknown = [key for key in obj if key not in declared]
+    if unknown:
+        raise ConfigError(f"unknown config key {where + unknown[0]!r}")
+    hints = get_type_hints(cls)
+    return cls(**{key: _json_value(hints[key], declared[key], value, where + key)
+                  for key, value in obj.items()})
+
+
 def config_from_dict(obj: dict) -> PipelineConfig:
     """PipelineConfig from a parsed JSON config file."""
-    try:
-        gen = GenerateConfig(**obj.get("generate", {}))
-        return PipelineConfig(
-            seed=obj.get("seed", 42),
-            input=obj.get("input"),
-            generate=gen,
-            train_fraction=obj.get("train_fraction", 0.7),
-            models=tuple(obj.get("models", MODEL_ORDER)),
-            normalize_on=obj.get("normalize_on", "all"),
-            **{name: spec.config(**obj.get(name, {})) for name, spec in MODELS.items()},
-        )
-    except TypeError as err:
-        raise ConfigError(f"bad config file: {err}") from None
+    return _from_json(PipelineConfig, obj)
 
 
 def load_config(path) -> PipelineConfig:
@@ -149,8 +157,6 @@ def load_config(path) -> PipelineConfig:
             obj = json.load(fh)
     except json.JSONDecodeError as err:
         raise ConfigError(f"config file is not valid JSON: {err}") from None
-    if not isinstance(obj, dict):
-        raise ConfigError("config file must hold a JSON object")
     return config_from_dict(obj)
 
 
@@ -158,20 +164,16 @@ def acquire_dataset(config: PipelineConfig) -> Dataset:
     """Ingest the configured CSV, or generate a synthetic cohort."""
     if config.input is not None:
         return ingest_csv(config.input, strict=True)
-    params = load_params(config.generate.params_path)
-    spec = CohortSpec(config.generate.n_healthy, config.generate.n_pd,
-                      config.generate.separation, config.seed, params)
-    return generate(spec)
+    return generate(config.generate, config.seed)
 
 
 def prepare_splits(config: PipelineConfig, ds: Dataset):
     """(train, test, stats) after normalization and stratified splitting."""
-    split_spec = SplitSpec(config.train_fraction, config.seed)
     if config.normalize_on == "all":
         scaled, stats = normalize_fit_transform(ds)
-        train, test = stratified_split(scaled, split_spec)
+        train, test = stratified_split(scaled, config.train_fraction, config.seed)
     else:
-        raw_train, raw_test = stratified_split(ds, split_spec)
+        raw_train, raw_test = stratified_split(ds, config.train_fraction, config.seed)
         train, stats = normalize_fit_transform(raw_train)
         test = normalize_apply(raw_test, stats)
     return train, test, stats

@@ -48,15 +48,10 @@ def normalize_fit_transform(ds: Dataset):
     """
     if len(ds) == 0:
         raise EmptyDataset("cannot fit normalization on zero records")
-    lo = ds.features.min(axis=0)
-    hi = ds.features.max(axis=0)
-    span = hi - lo
-    safe = np.where(span == 0, 1.0, span)
-    scaled = np.where(span == 0, 0.0, (ds.features - lo) / safe)
-    stats = NormalizationStats(ds.schema, tuple(zip(map(float, lo), map(float, hi))))
-    out = Dataset(ds.subject_ids, scaled, ds.labels, ds.schema,
-                  normalization=stats.pairs)
-    return out, stats
+    lo = map(float, ds.features.min(axis=0))
+    hi = map(float, ds.features.max(axis=0))
+    stats = NormalizationStats(ds.schema, tuple(zip(lo, hi)))
+    return normalize_apply(ds, stats), stats
 
 
 def normalize_apply(ds: Dataset, stats: NormalizationStats) -> Dataset:
@@ -77,24 +72,20 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    train_fraction: float = 0.7
-    seed: int = 42
-
-    def __post_init__(self):
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ConfigError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+def check_train_fraction(train_fraction: float) -> None:
+    if not 0.0 < train_fraction < 1.0:
+        raise ConfigError(f"train_fraction must be in (0, 1), got {train_fraction}")
 
 
-def stratified_split(ds: Dataset, spec: SplitSpec):
+def stratified_split(ds: Dataset, train_fraction: float, seed: int):
     """Deterministic stratified (train, test) partition.
 
     Each class keeps round_half_up(fraction * class_size) records for
     training. Both outputs preserve the original record order.
     """
+    check_train_fraction(train_fraction)
     labels = ds.labels
-    stream = derive_stream(spec.seed, "split")
+    stream = derive_stream(seed, "split")
     train_idx, test_idx = [], []
     for cls in (0, 1):
         members = [int(i) for i in np.nonzero(labels == cls)[0]]
@@ -102,7 +93,7 @@ def stratified_split(ds: Dataset, spec: SplitSpec):
             raise ClassTooSmall(
                 f"class {cls} has {len(members)} records, need at least 2")
         stream.shuffle(members)
-        k = _round_half_up(spec.train_fraction * len(members))
+        k = _round_half_up(train_fraction * len(members))
         train_idx.extend(members[:k])
         test_idx.extend(members[k:])
     return ds.subset(sorted(train_idx)), ds.subset(sorted(test_idx))

@@ -121,47 +121,46 @@ def load_params(path=None) -> GeneratorParams:
 
 
 @dataclass(frozen=True)
-class CohortSpec:
+class GenerateConfig:
     n_healthy: int = 184
     n_pd: int = 402
     separation: float = 1.0
-    seed: int = 42
-    params: GeneratorParams | None = None
+    params_path: str | None = None  # None means the packaged generator parameters
 
     def __post_init__(self):
         if self.n_healthy < 0 or self.n_pd < 0:
             raise ConfigError("cohort sizes cannot be negative")
-        if self.separation < 0:
-            raise ConfigError("separation cannot be negative")
+        if not self.separation >= 0:  # also rejects NaN
+            raise ConfigError(f"separation must be >= 0, got {self.separation}")
 
 
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def generate(spec: CohortSpec) -> Dataset:
-    """Sample a labeled cohort. Identical specs give identical datasets.
+def generate(config: GenerateConfig, seed: int) -> Dataset:
+    """Sample a labeled cohort. The same config and seed give the same dataset.
 
     Healthy records come first, then PD; ids run SYN00001 upward. One stream
     derived from (seed, "generate") drives all draws, record by record and
     feature by feature in schema order. Float features are snapped to their
     9-significant-digit CSV rendering so export / ingest round-trips exactly.
     """
-    if spec.n_healthy + spec.n_pd == 0:
+    if config.n_healthy + config.n_pd == 0:
         raise EmptyCohort("asked to generate zero records")
-    params = spec.params if spec.params is not None else load_params()
+    params = load_params(config.params_path)
     mixers = {b: (a, rho) for a, b, rho in params.correlation_pairs}
-    stream = derive_stream(spec.seed, "generate")
+    stream = derive_stream(seed, "generate")
     records = []
     counter = 0
-    for label, count in ((HEALTHY, spec.n_healthy), (PD, spec.n_pd)):
+    for label, count in ((HEALTHY, config.n_healthy), (PD, config.n_pd)):
         for _ in range(count):
             counter += 1
             values = {}
             zscores = {}
             for name in RAW_FEATURES:
                 p = params.features[name]
-                mean, sd = p.at_separation(label, spec.separation)
+                mean, sd = p.at_separation(label, config.separation)
                 if name in mixers:
                     # correlated path: mix z-scores, clamp instead of rejecting
                     partner, rho = mixers[name]

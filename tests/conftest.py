@@ -8,8 +8,8 @@ import pytest
 
 from earlypd.data import FEATURE_NAMES, Dataset
 from earlypd.pipeline import PipelineConfig, run_experiment
-from earlypd.preprocess import SplitSpec, normalize_fit_transform, stratified_split
-from earlypd.synth import CohortSpec, generate
+from earlypd.preprocess import normalize_fit_transform, stratified_split
+from earlypd.synth import GenerateConfig, generate
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -31,14 +31,14 @@ def default_run():
 @pytest.fixture(scope="session")
 def small_cohort() -> Dataset:
     """90 records, enough signal for every model to beat chance."""
-    return generate(CohortSpec(n_healthy=30, n_pd=60, seed=5))
+    return generate(GenerateConfig(n_healthy=30, n_pd=60), 5)
 
 
 @pytest.fixture(scope="session")
 def small_split(small_cohort):
     """(train, test) of the normalized small cohort."""
     scaled, _stats = normalize_fit_transform(small_cohort)
-    return stratified_split(scaled, SplitSpec(0.7, 5))
+    return stratified_split(scaled, 0.7, 5)
 
 
 def make_dataset(features, labels, schema=None) -> Dataset:

@@ -30,9 +30,9 @@ from earlypd.pipeline import (
     PipelineConfig,
     run_experiment,
 )
-from earlypd.preprocess import SplitSpec, normalize_fit_transform, stratified_split
+from earlypd.preprocess import normalize_fit_transform, stratified_split
 from earlypd.rng import derive_stream
-from earlypd.synth import CohortSpec, generate
+from earlypd.synth import generate
 
 from conftest import make_dataset
 
@@ -115,7 +115,7 @@ def test_criterion_04_logistic_gradient_and_descent():
         worst = max(worst, float(rel.max()))
     assert worst <= 1e-6
     for seed in (1, 2, 3):
-        cohort, _ = normalize_fit_transform(generate(CohortSpec(30, 40, 0.6, seed)))
+        cohort, _ = normalize_fit_transform(generate(GenerateConfig(30, 40, 0.6), seed))
         model = logistic_train(cohort, ridge=1e-4)
         path = np.array(model.objective_path)
         assert np.all(np.diff(path) <= 0.0)
@@ -227,7 +227,7 @@ def test_criterion_06_bayes_net_inference_and_k2_recovery():
 def test_criterion_07_adaboost_invariants():
     # after every round: weights sum to 1 (1e-9) and misclassified mass is
     # one half (1e-9); a round error of 0.25 gives alpha = ln 3 to 1e-12
-    cohort, _ = normalize_fit_transform(generate(CohortSpec(80, 120, 0.4, 7)))
+    cohort, _ = normalize_fit_transform(generate(GenerateConfig(80, 120, 0.4), 7))
     model = adaboost_train(cohort, max_rounds=10)
     imperfect = [r for r in model.rounds if r.error > 0.0]
     assert len(imperfect) >= 3  # the invariant is exercised repeatedly
@@ -268,12 +268,11 @@ def test_criterion_09_split_contract(default_run):
     # per-class train counts within 1 of fraction * class size for fractions
     # {0.5, 0.7, 0.9} x 20 seeds; partitions disjoint, exhaustive, and
     # seed-deterministic; the default 184/402 at 0.7 pins (129, 281)
-    cohort = generate(CohortSpec(37, 53, seed=11))
+    cohort = generate(GenerateConfig(37, 53), 11)
     class_sizes = cohort.class_counts()
     for fraction in (0.5, 0.7, 0.9):
         for seed in range(20):
-            spec = SplitSpec(fraction, seed)
-            train, test = stratified_split(cohort, spec)
+            train, test = stratified_split(cohort, fraction, seed)
             for cls in (0, 1):
                 got = train.class_counts()[cls]
                 assert abs(got - fraction * class_sizes[cls]) <= 1.0
@@ -282,7 +281,7 @@ def test_criterion_09_split_contract(default_run):
             assert not train_ids & test_ids
             assert train_ids | test_ids == set(cohort.subject_ids)
             assert len(train) + len(test) == len(cohort)
-            again_train, again_test = stratified_split(cohort, spec)
+            again_train, again_test = stratified_split(cohort, fraction, seed)
             assert again_train.subject_ids == train.subject_ids
             assert again_test.subject_ids == test.subject_ids
     assert default_run.train.class_counts() == (129, 281)

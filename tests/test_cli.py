@@ -202,9 +202,18 @@ def test_report_subcommand(exp_dir, tmp_path, capsys):
 
 def test_report_rejects_malformed_file(tmp_path, capsys):
     bad = tmp_path / "evaluations.json"
+    not_json = tmp_path / "not_json.json"
     bad.write_text(json.dumps({"surprise": True}))
-    assert main(["report", "--evaluations", str(bad)]) == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    not_json.write_text("{not json")
+    for argv in (["report", "--evaluations", str(bad)],
+                 ["report", "--evaluations", str(not_json)],
+                 ["roc", "--evaluations", str(not_json), "--model", "mlp"]):
+        assert main(argv) == 2, argv
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, lines  # one JSON line, no traceback
+        err = json.loads(lines[0])
+        assert err["error"] == "config"
+        assert argv[2] in err["message"]
 
 
 def test_roc_subcommand(exp_dir, tmp_path, capsys):
@@ -243,11 +252,17 @@ def test_missing_input_is_io_error(capsys):
 
 def test_bad_config_value_exits_2(tmp_path, capsys):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"train_fraction": 1.5}))
-    rc = main(["experiment", "--config", str(config), "--out",
-               str(tmp_path / "out")])
-    assert rc == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    for bad in ({"train_fraction": 1.5}, {"seed": "abc"}, {"generate": {"n_healthy": "x"}},
+                {"boostlr": {"max_rounds": "3"}}, {"input": 5}, {"models": "boostlr"},
+                {"forest": {"trees": 0}}):
+        config.write_text(json.dumps(bad))
+        rc = main(["experiment", "--config", str(config), "--out",
+                   str(tmp_path / "out")])
+        lines = capsys.readouterr().err.splitlines()
+        assert rc == 2, bad
+        assert len(lines) == 1, lines  # one JSON line, no traceback
+        assert json.loads(lines[0])["error"] == "config"
+    assert not (tmp_path / "out").exists()
 
 
 def test_data_error_payload_carries_location(tmp_path, capsys):

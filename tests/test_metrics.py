@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from earlypd.errors import EmptyInput, LengthMismatch, SingleClassLabels
+from earlypd.errors import EmptyInput, LengthMismatch, NonFiniteScore, SingleClassLabels
 from earlypd.metrics import (
     MEASURES,
     SPLITS,
@@ -102,6 +102,13 @@ def test_roc_perfect_and_inverted():
 def test_roc_single_class_raises():
     with pytest.raises(SingleClassLabels):
         roc([1, 1, 1], [0.5, 0.6, 0.7])
+
+
+def test_roc_rejects_non_finite_scores():
+    # NaN compares unequal to itself, so an unchecked tie loop never ends
+    for scores in ([math.nan, 0.2], [0.8, math.inf]):
+        with pytest.raises(NonFiniteScore):
+            roc([0, 1], scores)
 
 
 def _pair_count_auc(labels, scores):

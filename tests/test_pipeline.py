@@ -11,10 +11,10 @@ from earlypd.data import export_csv, ingest_csv
 from earlypd.errors import ConfigError, EmptyCohort
 from earlypd.mlp import MlpConfig
 from earlypd.forest import ForestConfig, forest_score_batch
+from earlypd.synth import GenerateConfig
 from earlypd.pipeline import (
     DISPLAY_NAMES,
     MODEL_ORDER,
-    GenerateConfig,
     PipelineConfig,
     acquire_dataset,
     config_from_dict,
@@ -82,10 +82,9 @@ def test_config_from_partial_dict_uses_defaults():
 
 
 def test_config_rejects_unknown_keys():
-    with pytest.raises(ConfigError):
-        config_from_dict({"mlp": {"neurons": 12}})
-    with pytest.raises(ConfigError):
-        config_from_dict({"generate": {"count": 5}})
+    for obj in ({"mlp": {"neurons": 12}}, {"generate": {"count": 5}}, {"sede": 7}):
+        with pytest.raises(ConfigError, match="unknown config key"):
+            config_from_dict(obj)
 
 
 def test_load_config_file(tmp_path):

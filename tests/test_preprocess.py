@@ -16,7 +16,6 @@ from earlypd.errors import (
 from earlypd.preprocess import (
     DiscretizationMap,
     NormalizationStats,
-    SplitSpec,
     discretize_fit,
     load_sidecar,
     normalize_apply,
@@ -24,7 +23,7 @@ from earlypd.preprocess import (
     save_sidecar,
     stratified_split,
 )
-from earlypd.synth import CohortSpec, generate
+from earlypd.synth import GenerateConfig, generate
 
 from conftest import make_dataset
 
@@ -77,10 +76,10 @@ def test_normalization_is_idempotent(n, seed):
 
 
 def test_split_spec_validation():
-    with pytest.raises(ConfigError):
-        SplitSpec(0.0, 1)
-    with pytest.raises(ConfigError):
-        SplitSpec(1.0, 1)
+    ds = _labeled_dataset(5, 5)
+    for fraction in (0.0, 1.0, float("nan")):
+        with pytest.raises(ConfigError):
+            stratified_split(ds, fraction, 1)
 
 
 def _labeled_dataset(n_h, n_pd, seed=0):
@@ -92,7 +91,7 @@ def _labeled_dataset(n_h, n_pd, seed=0):
 
 def test_split_pinned_default_cohort_counts():
     ds = _labeled_dataset(184, 402)
-    train, test = stratified_split(ds, SplitSpec(0.7, 42))
+    train, test = stratified_split(ds, 0.7, 42)
     assert train.class_counts() == (129, 281)
     assert test.class_counts() == (55, 121)
 
@@ -100,7 +99,7 @@ def test_split_pinned_default_cohort_counts():
 def test_split_round_half_up_float_semantics():
     # 0.7 * 5 evaluates to exactly 3.5 in doubles; half-up takes it to 4.
     ds = _labeled_dataset(5, 8)
-    train, _test = stratified_split(ds, SplitSpec(0.7, 1))
+    train, _test = stratified_split(ds, 0.7, 1)
     h, p = train.class_counts()
     assert h == 4
     assert p == 6  # 0.7 * 8 = 5.6 -> 6
@@ -109,13 +108,13 @@ def test_split_round_half_up_float_semantics():
 def test_split_half_up_is_not_bankers_rounding():
     # 0.5 * 5 = 2.5: half-up gives 3 where round-to-even would give 2.
     ds = _labeled_dataset(5, 6)
-    train, _test = stratified_split(ds, SplitSpec(0.5, 1))
+    train, _test = stratified_split(ds, 0.5, 1)
     assert train.class_counts() == (3, 3)
 
 
 def test_split_partition_properties():
     ds = _labeled_dataset(37, 53, seed=3)
-    train, test = stratified_split(ds, SplitSpec(0.6, 11))
+    train, test = stratified_split(ds, 0.6, 11)
     ids = sorted(train.subject_ids + test.subject_ids)
     assert ids == sorted(ds.subject_ids)
     assert set(train.subject_ids).isdisjoint(test.subject_ids)
@@ -128,17 +127,17 @@ def test_split_partition_properties():
 
 def test_split_is_seed_deterministic():
     ds = _labeled_dataset(30, 40, seed=8)
-    a1, b1 = stratified_split(ds, SplitSpec(0.7, 9))
-    a2, b2 = stratified_split(ds, SplitSpec(0.7, 9))
+    a1, b1 = stratified_split(ds, 0.7, 9)
+    a2, b2 = stratified_split(ds, 0.7, 9)
     assert a1.equals(a2) and b1.equals(b2)
-    a3, _ = stratified_split(ds, SplitSpec(0.7, 10))
+    a3, _ = stratified_split(ds, 0.7, 10)
     assert not a1.equals(a3)
 
 
 def test_split_class_too_small():
     ds = _labeled_dataset(1, 10)
     with pytest.raises(ClassTooSmall):
-        stratified_split(ds, SplitSpec(0.7, 0))
+        stratified_split(ds, 0.7, 0)
 
 
 @given(st.integers(min_value=2, max_value=60), st.integers(min_value=2, max_value=60),
@@ -146,7 +145,7 @@ def test_split_class_too_small():
 @settings(max_examples=40, deadline=None)
 def test_split_counts_within_one_of_fraction(n_h, n_pd, fraction, seed):
     ds = _labeled_dataset(n_h, n_pd, seed=1)
-    train, test = stratified_split(ds, SplitSpec(fraction, seed))
+    train, test = stratified_split(ds, fraction, seed)
     h, p = train.class_counts()
     assert abs(h - fraction * n_h) <= 0.5 + 1e-9
     assert abs(p - fraction * n_pd) <= 0.5 + 1e-9
@@ -195,7 +194,7 @@ def test_discretize_errors():
 
 
 def test_sidecar_round_trip(tmp_path):
-    cohort = generate(CohortSpec(n_healthy=10, n_pd=14, seed=2))
+    cohort = generate(GenerateConfig(n_healthy=10, n_pd=14), 2)
     scaled, stats = normalize_fit_transform(cohort)
     dmap = discretize_fit(scaled, bins=5)
     path = tmp_path / "preprocess.json"

@@ -15,8 +15,8 @@ from earlypd.data import (
 from earlypd.errors import ConfigError, EmptyCohort
 from earlypd.synth import (
     RAW_FEATURES,
-    CohortSpec,
     FeatureParams,
+    GenerateConfig,
     GeneratorParams,
     generate,
     load_params,
@@ -24,7 +24,7 @@ from earlypd.synth import (
 
 
 def test_default_spec_counts_and_ids():
-    ds = generate(CohortSpec(n_healthy=7, n_pd=9, seed=1))
+    ds = generate(GenerateConfig(n_healthy=7, n_pd=9), 1)
     assert len(ds) == 16
     assert ds.class_counts() == (7, 9)
     assert ds.subject_ids[0] == "SYN00001"
@@ -34,22 +34,22 @@ def test_default_spec_counts_and_ids():
 
 
 def test_generation_is_deterministic():
-    a = generate(CohortSpec(n_healthy=12, n_pd=20, seed=33))
-    b = generate(CohortSpec(n_healthy=12, n_pd=20, seed=33))
+    a = generate(GenerateConfig(n_healthy=12, n_pd=20), 33)
+    b = generate(GenerateConfig(n_healthy=12, n_pd=20), 33)
     assert a.equals(b)
-    c = generate(CohortSpec(n_healthy=12, n_pd=20, seed=34))
+    c = generate(GenerateConfig(n_healthy=12, n_pd=20), 34)
     assert not a.equals(c)
 
 
 def test_generated_records_pass_validation(tmp_path):
-    ds = generate(CohortSpec(n_healthy=25, n_pd=40, seed=6))
+    ds = generate(GenerateConfig(n_healthy=25, n_pd=40), 6)
     out = tmp_path / "cohort.csv"
     export_csv(ds, out)
     assert validate_file(out) == []
 
 
 def test_integer_features_are_integral():
-    ds = generate(CohortSpec(n_healthy=30, n_pd=30, seed=2))
+    ds = generate(GenerateConfig(n_healthy=30, n_pd=30), 2)
     for name in INTEGER_FEATURES:
         col = ds.features[:, FEATURE_NAMES.index(name)]
         assert np.all(col == np.round(col))
@@ -57,7 +57,7 @@ def test_integer_features_are_integral():
 
 def test_values_respect_configured_bounds():
     params = load_params()
-    ds = generate(CohortSpec(n_healthy=50, n_pd=50, seed=3))
+    ds = generate(GenerateConfig(n_healthy=50, n_pd=50), 3)
     for name in RAW_FEATURES:
         fp = params.features[name]
         col = ds.features[:, FEATURE_NAMES.index(name)]
@@ -66,7 +66,7 @@ def test_values_respect_configured_bounds():
 
 
 def test_ratios_are_consistent_with_csf_columns():
-    ds = generate(CohortSpec(n_healthy=10, n_pd=10, seed=4))
+    ds = generate(GenerateConfig(n_healthy=10, n_pd=10), 4)
     idx = {n: FEATURE_NAMES.index(n) for n in FEATURE_NAMES}
     for row in ds.features:
         want = compute_ratios(row[idx["csf_abeta42"]], row[idx["csf_ttau"]],
@@ -103,7 +103,7 @@ def test_separation_interpolates_linearly():
 
 
 def test_separation_zero_cohort_has_no_signal():
-    ds = generate(CohortSpec(n_healthy=400, n_pd=400, separation=0.0, seed=9))
+    ds = generate(GenerateConfig(n_healthy=400, n_pd=400, separation=0.0), 9)
     healthy = ds.features[ds.labels == 0]
     pd = ds.features[ds.labels == 1]
     # class-conditional means should agree to within sampling noise
@@ -114,24 +114,24 @@ def test_separation_zero_cohort_has_no_signal():
 
 def test_empty_cohort_raises():
     with pytest.raises(EmptyCohort):
-        generate(CohortSpec(n_healthy=0, n_pd=0))
+        generate(GenerateConfig(n_healthy=0, n_pd=0), 42)
 
 
 def test_negative_counts_rejected():
     with pytest.raises(ConfigError):
-        CohortSpec(n_healthy=-1, n_pd=10)
+        GenerateConfig(n_healthy=-1, n_pd=10)
 
 
 def test_negative_separation_rejected_but_extrapolation_allowed():
     with pytest.raises(ConfigError):
-        CohortSpec(n_healthy=5, n_pd=5, separation=-0.1)
+        GenerateConfig(n_healthy=5, n_pd=5, separation=-0.1)
     # values above 1 widen the gap; they are legal
-    ds = generate(CohortSpec(n_healthy=5, n_pd=5, separation=1.5, seed=1))
+    ds = generate(GenerateConfig(n_healthy=5, n_pd=5, separation=1.5), 1)
     assert len(ds) == 10
 
 
 def test_separation_one_means_are_directionally_correct():
-    ds = generate(CohortSpec(n_healthy=120, n_pd=120, seed=20))
+    ds = generate(GenerateConfig(n_healthy=120, n_pd=120), 20)
     healthy = ds.features[ds.labels == 0]
     pd = ds.features[ds.labels == 1]
     upsit = FEATURE_NAMES.index("upsit_total")
@@ -144,15 +144,15 @@ def test_monotone_difficulty_in_separation():
     """Weaker separation never helps a linear model (within 0.02 slack)."""
     from earlypd.boostlr import logistic_score_batch, logistic_train
     from earlypd.metrics import roc
-    from earlypd.preprocess import SplitSpec, normalize_fit_transform, stratified_split
+    from earlypd.preprocess import normalize_fit_transform, stratified_split
 
     for seed in range(10):
         aucs = {}
         for sep in (0.25, 1.0):
-            cohort = generate(CohortSpec(n_healthy=80, n_pd=160,
-                                         separation=sep, seed=seed))
+            cohort = generate(GenerateConfig(n_healthy=80, n_pd=160,
+                                         separation=sep), seed)
             scaled, _ = normalize_fit_transform(cohort)
-            train, test = stratified_split(scaled, SplitSpec(0.7, seed))
+            train, test = stratified_split(scaled, 0.7, seed)
             model = logistic_train(train)
             scores = logistic_score_batch(model, test.features)
             aucs[sep] = roc(test.labels, scores).auc
@@ -192,21 +192,20 @@ def test_correlation_pairs_induce_correlation(tmp_path):
         {"a": "sbr_putamen_left", "b": "sbr_putamen_right", "rho": 0.9}]
     path = tmp_path / "params.json"
     path.write_text(json.dumps(obj))
-    params = load_params(path)
-    ds = generate(CohortSpec(n_healthy=300, n_pd=0, seed=12, params=params))
+    ds = generate(GenerateConfig(n_healthy=300, n_pd=0, params_path=str(path)), 12)
     i = FEATURE_NAMES.index("sbr_putamen_left")
     j = FEATURE_NAMES.index("sbr_putamen_right")
     r = np.corrcoef(ds.features[:, i], ds.features[:, j])[0, 1]
     assert r > 0.6
     # and the default (no pairs) leaves them roughly independent
-    base = generate(CohortSpec(n_healthy=300, n_pd=0, seed=12))
+    base = generate(GenerateConfig(n_healthy=300, n_pd=0), 12)
     r0 = np.corrcoef(base.features[:, i], base.features[:, j])[0, 1]
     assert abs(r0) < 0.25
 
 
 def test_golden_first_record_pin():
     """Freezes the generated bytes: any change to sampling order is a break."""
-    ds = generate(CohortSpec(n_healthy=2, n_pd=2, seed=42))
+    ds = generate(GenerateConfig(n_healthy=2, n_pd=2), 42)
     assert ds.subject_ids == ("SYN00001", "SYN00002", "SYN00003", "SYN00004")
     first = {name: ds.features[0, i] for i, name in enumerate(FEATURE_NAMES)}
     # spot-check a few schema-ordered values; full precision comes from the
