@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import PD, Dataset
-from .errors import SingleClassTraining
+from .errors import ConfigError, SingleClassTraining
 from .preprocess import DiscretizationMap, discretize_fit
 
 CLASS_NODE = 0
@@ -178,6 +178,15 @@ class BayesNetConfig:
     strategy: str = "equal_frequency"
     max_parents: int = 2
     alpha: float = 0.5
+
+    def __post_init__(self):
+        # "not x >= bound" also rejects NaN
+        if not self.bins >= 2:
+            raise ConfigError(f"bins must be >= 2, got {self.bins}")
+        if not self.max_parents >= 0:
+            raise ConfigError(f"max_parents must be >= 0, got {self.max_parents}")
+        if not self.alpha > 0:
+            raise ConfigError(f"alpha must be > 0, got {self.alpha}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import HEALTHY, PD, Dataset
-from .errors import EmptyModel, NonFiniteFeature, SingleClassWeight
+from .errors import ConfigError, EmptyModel, NonFiniteFeature, SingleClassWeight
 
 GRAD_TOL = 1e-8
 MAX_ITER = 200
@@ -28,6 +28,13 @@ MAX_HALVINGS = 50
 class BoostConfig:
     max_rounds: int = 10
     ridge: float = 1e-8
+
+    def __post_init__(self):
+        # "not x >= bound" also rejects NaN
+        if not self.max_rounds >= 1:
+            raise ConfigError(f"max_rounds must be >= 1, got {self.max_rounds}")
+        if not self.ridge >= 0:
+            raise ConfigError(f"ridge must be >= 0, got {self.ridge}")
 
 
 @dataclass(frozen=True, eq=False)

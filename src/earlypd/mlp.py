@@ -5,6 +5,11 @@ units with one-hot targets (unit 0 healthy, unit 1 PD), squared-error loss,
 per-record weight updates with momentum. Weights start uniform in [-0.5, 0.5)
 and the record order is reshuffled every epoch, both driven by the stream
 derived from (seed, "mlp"), so training is bit-reproducible.
+
+A training step writes into preallocated buffers and allocates nothing. It
+gives the same bits as the plain expressions it replaces (np.append,
+np.outer, v -= lr * g), because it runs the same elementwise ops in the same
+order and the same BLAS dgemv calls on the same operands.
 """
 
 from __future__ import annotations
@@ -14,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import PD, Dataset
-from .errors import NonNormalizedInput, SingleClassTraining
-from .rng import SplitMix64, derive_stream
+from .errors import ConfigError, NonNormalizedInput, SingleClassTraining
+from .rng import derive_stream
 
 
 @dataclass(frozen=True)
@@ -24,6 +29,17 @@ class MlpConfig:
     learning_rate: float = 0.4
     momentum: float = 0.2
     epochs: int = 500
+
+    def __post_init__(self):
+        # "not x >= bound" also rejects NaN
+        if not self.hidden_units >= 1:
+            raise ConfigError(f"hidden_units must be >= 1, got {self.hidden_units}")
+        if not self.epochs >= 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if not self.learning_rate > 0:
+            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 <= self.momentum < 1:
+            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,31 +81,73 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def _init_weights(stream: SplitMix64, rows: int, cols: int) -> np.ndarray:
-    w = np.empty((rows, cols))
-    for i in range(rows):
-        for j in range(cols):
-            w[i, j] = stream.uniform() - 0.5
-    return w
+class _Network:
+    """One network's weights, velocity and gradient, each held in one flat
+    buffer with a (hidden, m + 1) and a (2, hidden + 1) view, plus the scratch
+    arrays a step writes into, so that a training step allocates nothing."""
+
+    def __init__(self, hidden: int, m: int):
+        n1 = hidden * (m + 1)
+        size = n1 + 2 * (hidden + 1)
+        self.w = np.empty(size)
+        self.v = np.zeros(size)
+        self.g = np.empty(size)
+        self.w1 = self.w[:n1].reshape(hidden, m + 1)
+        self.w2 = self.w[n1:].reshape(2, hidden + 1)
+        self.g1 = self.g[:n1].reshape(hidden, m + 1)
+        self.g2 = self.g[n1:].reshape(2, hidden + 1)
+        self.w2h_t = self.w2[:, :hidden].T
+        self.a1b = np.ones(hidden + 1)  # hidden activations, then the bias input 1.0
+        self.a1 = self.a1b[:hidden]
+        self.z1 = np.empty(hidden)
+        self.d1 = np.empty(hidden)
+        self.d1_col = self.d1[:, None]
+        self.ones1 = np.ones(hidden)
+        self.out = np.empty(2)
+        self.z2 = np.empty(2)
+        self.err = np.empty(2)
+        self.d2 = np.empty(2)
+        self.d2_col = self.d2[:, None]
+        self.ones2 = np.ones(2)
 
 
-def _backprop(w1, w2, xb, target):
-    """(loss, grad w1, grad w2) for one record.
+def _sigmoid_into(z, ones, out):
+    """out = 1.0 / (1.0 + exp(-z)), the ops of _sigmoid in its order; z is
+    overwritten."""
+    np.negative(z, z)
+    np.exp(z, z)
+    np.add(ones, z, z)
+    np.divide(ones, z, out)
+
+
+def _backprop(net: _Network, xb, target) -> float:
+    """Loss of one record; writes its gradient into net.g (views g1, g2).
 
     Loss is 0.5 * sum of squared output errors; this is the single gradient
     implementation used by both training and the finite-difference check.
+    Each numpy call writes into its last argument (a positional out costs
+    less than out=).
     """
-    h = w1.shape[0]
-    a1 = _sigmoid(w1 @ xb)
-    a1b = np.append(a1, 1.0)
-    out = _sigmoid(w2 @ a1b)
-    err = out - target
+    a1, a1b, out, err, d1, d2 = net.a1, net.a1b, net.out, net.err, net.d1, net.d2
+    z1, z2, ones1, ones2 = net.z1, net.z2, net.ones1, net.ones2
+    np.matmul(net.w1, xb, z1)
+    _sigmoid_into(z1, ones1, a1)
+    np.matmul(net.w2, a1b, z2)
+    _sigmoid_into(z2, ones2, out)
+    np.subtract(out, target, err)
     loss = 0.5 * float(err @ err)
-    d2 = err * out * (1.0 - out)
-    g2 = np.outer(d2, a1b)
-    d1 = (w2[:, :h].T @ d2) * a1 * (1.0 - a1)
-    g1 = np.outer(d1, xb)
-    return loss, g1, g2
+    # d2 = err * out * (1 - out); g2 = outer(d2, a1b)
+    np.multiply(err, out, d2)
+    np.subtract(ones2, out, z2)
+    np.multiply(d2, z2, d2)
+    np.multiply(net.d2_col, a1b, net.g2)
+    # d1 = (w2[:, :h].T @ d2) * a1 * (1 - a1); g1 = outer(d1, xb)
+    np.matmul(net.w2h_t, d2, d1)
+    np.multiply(d1, a1, d1)
+    np.subtract(ones1, a1, z1)
+    np.multiply(d1, z1, d1)
+    np.multiply(net.d1_col, xb, net.g1)
+    return loss
 
 
 def _forward_batch(w1, w2, features):
@@ -114,33 +172,33 @@ def mlp_train(train: Dataset, config: MlpConfig = MlpConfig(), seed: int = 42) -
         raise SingleClassTraining("MLP training needs both classes")
     n, m = feats.shape
     stream = derive_stream(seed, "mlp")
-    w1 = _init_weights(stream, config.hidden_units, m + 1)
-    w2 = _init_weights(stream, 2, config.hidden_units + 1)
+    net = _Network(config.hidden_units, m)
+    w, v, g = net.w, net.v, net.g
+    # w_hidden row by row, then w_output row by row: the flat buffer's order
+    for k in range(w.size):
+        w[k] = stream.uniform() - 0.5
     xb = np.hstack([feats, np.ones((n, 1))])
     # one-hot targets: column 0 healthy, column 1 PD
     targets = np.zeros((n, 2))
     targets[np.arange(n), (train.labels == PD).astype(int)] = 1.0
-    v1 = np.zeros_like(w1)
-    v2 = np.zeros_like(w2)
     lr, mom = config.learning_rate, config.momentum
     epoch_mse = []
     order = list(range(n))
+    rows, target_rows = list(xb), list(targets)
     for _ in range(config.epochs):
         stream.shuffle(order)
         sq_sum = 0.0
         for i in order:
-            loss, g1, g2 = _backprop(w1, w2, xb[i], targets[i])
-            sq_sum += 2.0 * loss
-            v1 *= mom
-            v1 -= lr * g1
-            w1 += v1
-            v2 *= mom
-            v2 -= lr * g2
-            w2 += v2
+            sq_sum += 2.0 * _backprop(net, rows[i], target_rows[i])
+            # v = mom * v - lr * g; w += v
+            v *= mom
+            g *= lr
+            v -= g
+            w += v
         epoch_mse.append(sq_sum / n)
-    w1.setflags(write=False)
-    w2.setflags(write=False)
-    return MlpModel(w1, w2, config, seed, tuple(epoch_mse))
+    net.w1.setflags(write=False)
+    net.w2.setflags(write=False)
+    return MlpModel(net.w1, net.w2, config, seed, tuple(epoch_mse))
 
 
 def mlp_score_batch(model: MlpModel, features) -> np.ndarray:
@@ -156,24 +214,25 @@ def mlp_gradient_check(model: MlpModel, features, target, step: float = 1e-5) ->
     Perturbs every weight by +-step on the single-record loss and returns
     max |g_bp - g_fd| / max(1e-12, |g_bp| + |g_fd|).
     """
+    hidden, cols = model.w_hidden.shape
+    net = _Network(hidden, cols - 1)
+    net.w1[...] = model.w_hidden
+    net.w2[...] = model.w_output
     xb = np.append(np.asarray(features, dtype=np.float64), 1.0)
     target = np.asarray(target, dtype=np.float64)
-    _, g1, g2 = _backprop(model.w_hidden, model.w_output, xb, target)
+    _backprop(net, xb, target)
+    grad = net.g.copy()  # the perturbed calls below overwrite net.g
+    w = net.w
     worst = 0.0
-    for w, grad in ((model.w_hidden, g1), (model.w_output, g2)):
-        for idx in np.ndindex(w.shape):
-            w_plus = w.copy()
-            w_minus = w.copy()
-            w_plus[idx] += step
-            w_minus[idx] -= step
-            if w is model.w_hidden:
-                lp, _, _ = _backprop(w_plus, model.w_output, xb, target)
-                lm, _, _ = _backprop(w_minus, model.w_output, xb, target)
-            else:
-                lp, _, _ = _backprop(model.w_hidden, w_plus, xb, target)
-                lm, _, _ = _backprop(model.w_hidden, w_minus, xb, target)
-            fd = (lp - lm) / (2.0 * step)
-            bp = grad[idx]
-            rel = abs(bp - fd) / max(1e-12, abs(bp) + abs(fd))
-            worst = max(worst, rel)
+    for k in range(w.size):
+        weight = w[k]
+        w[k] = weight + step
+        lp = _backprop(net, xb, target)
+        w[k] = weight - step
+        lm = _backprop(net, xb, target)
+        w[k] = weight
+        fd = (lp - lm) / (2.0 * step)
+        bp = grad[k]
+        rel = abs(bp - fd) / max(1e-12, abs(bp) + abs(fd))
+        worst = max(worst, rel)
     return worst

@@ -254,7 +254,10 @@ def test_bad_config_value_exits_2(tmp_path, capsys):
     config = tmp_path / "config.json"
     for bad in ({"train_fraction": 1.5}, {"seed": "abc"}, {"generate": {"n_healthy": "x"}},
                 {"boostlr": {"max_rounds": "3"}}, {"input": 5}, {"models": "boostlr"},
-                {"forest": {"trees": 0}}):
+                {"forest": {"trees": 0}}, {"mlp": {"hidden_units": -1}},
+                {"mlp": {"hidden_units": 0}}, {"mlp": {"epochs": 0}},
+                {"mlp": {"learning_rate": -1.0}}, {"boostlr": {"max_rounds": 0}},
+                {"bayesnet": {"bins": 1}}):
         config.write_text(json.dumps(bad))
         rc = main(["experiment", "--config", str(config), "--out",
                    str(tmp_path / "out")])
