@@ -27,9 +27,7 @@ from .data import (
     HEALTHY,
     PD,
     Dataset,
-    SubjectRecord,
     compute_ratios,
-    dataset_from_records,
     export_csv,
     ingest_csv,
     validate_file,
@@ -71,8 +69,8 @@ __all__ = [
     "BayesNetConfig", "BayesNetModel", "bn_score", "bn_score_batch", "bn_train",
     "BoostConfig", "BoostedModel", "LogisticModel", "adaboost_train", "boosted_score",
     "boosted_score_batch", "logistic_score", "logistic_score_batch", "logistic_train",
-    "CSV_COLUMNS", "FEATURE_NAMES", "HEALTHY", "PD", "Dataset", "SubjectRecord",
-    "compute_ratios", "dataset_from_records", "export_csv", "ingest_csv", "validate_file",
+    "CSV_COLUMNS", "FEATURE_NAMES", "HEALTHY", "PD", "Dataset",
+    "compute_ratios", "export_csv", "ingest_csv", "validate_file",
     "ConfigError", "DataError", "EarlyPdError",
     "DecisionTree", "ForestConfig", "ForestModel", "forest_score_batch", "forest_train",
     "ConfusionMatrix", "EvaluationReport", "RocCurve", "confusion",

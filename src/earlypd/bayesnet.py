@@ -266,9 +266,7 @@ def bn_score_batch(model: BayesNetModel, features) -> np.ndarray:
         values[:, CLASS_NODE] = c
         total = np.zeros(n)
         for node, cpt in enumerate(net.cpts):
-            rows = np.zeros(n, dtype=np.int64)
-            for p in net.parents[node]:
-                rows = rows * net.arities[p] + values[:, p]
+            rows = _config_codes(values, net.parents[node], net.arities)
             probs = cpt[rows, values[:, node]]
             with np.errstate(divide="ignore"):
                 total += np.log(probs)

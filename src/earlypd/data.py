@@ -1,4 +1,4 @@
-"""Subject records, the fixed 13-feature schema, and CSV ingest / export.
+"""The fixed 13-feature schema, the Dataset column store, and CSV ingest / export.
 
 Schema order is the contract: it fixes the CSV column layout, the feature
 matrix columns and the node ordering used by the Bayes net. The features are
@@ -16,16 +16,15 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
-from typing import Iterable
 
 import numpy as np
 
 from .errors import (
     DivisionByZeroDenominator,
-    EmptyDataset,
     MissingColumn,
     NonNumericCell,
     RangeViolation,
+    UnreadableCsv,
 )
 
 HEALTHY = 0
@@ -53,11 +52,10 @@ CSV_COLUMNS = ("subject_id",) + FEATURE_NAMES + ("label",)
 INTEGER_FEATURES = {"upsit_total": (0, 40), "rbdsq_total": (0, 12)}
 # CSF concentrations must be strictly positive (pg/mL)
 POSITIVE_FEATURES = ("csf_abeta42", "csf_alpha_syn", "csf_ptau181", "csf_ttau")
+# derived from the CSF concentrations, in compute_ratios order
+RATIO_FEATURES = ("ratio_ttau_abeta", "ratio_ptau_abeta", "ratio_ptau_ttau")
 # ratios and binding ratios are non-negative
-NONNEGATIVE_FEATURES = (
-    "ratio_ttau_abeta",
-    "ratio_ptau_abeta",
-    "ratio_ptau_ttau",
+NONNEGATIVE_FEATURES = RATIO_FEATURES + (
     "sbr_caudate_left",
     "sbr_caudate_right",
     "sbr_putamen_left",
@@ -68,8 +66,6 @@ NONNEGATIVE_FEATURES = (
 # consistency check must sit above that.
 RATIO_REL_TOL = 1e-8
 
-_IDX = {name: i for i, name in enumerate(FEATURE_NAMES)}
-
 
 def compute_ratios(abeta42: float, ttau: float, ptau181: float):
     """(ttau/abeta42, ptau181/abeta42, ptau181/ttau) for positive inputs."""
@@ -77,35 +73,6 @@ def compute_ratios(abeta42: float, ttau: float, ptau181: float):
         raise DivisionByZeroDenominator(
             "ratio denominators csf_abeta42 and csf_ttau must be nonzero")
     return ttau / abeta42, ptau181 / abeta42, ptau181 / ttau
-
-
-@dataclass(frozen=True)
-class SubjectRecord:
-    subject_id: str
-    upsit_total: int
-    rbdsq_total: int
-    csf_abeta42: float
-    csf_alpha_syn: float
-    csf_ptau181: float
-    csf_ttau: float
-    ratio_ttau_abeta: float
-    ratio_ptau_abeta: float
-    ratio_ptau_ttau: float
-    sbr_caudate_left: float
-    sbr_caudate_right: float
-    sbr_putamen_left: float
-    sbr_putamen_right: float
-    label: int
-
-    def feature_vector(self) -> np.ndarray:
-        return np.array([getattr(self, n) for n in FEATURE_NAMES], dtype=np.float64)
-
-    def validate(self) -> None:
-        """Raise RangeViolation on the first schema invariant this record breaks."""
-        problems = record_violations(self.feature_vector(), self.label)
-        if problems:
-            column, message = problems[0]
-            raise RangeViolation(message, column=column)
 
 
 def record_violations(vector, label) -> list:
@@ -130,7 +97,7 @@ def record_violations(vector, label) -> list:
     # ratio consistency only when the denominators are usable
     if vals["csf_abeta42"] > 0 and vals["csf_ttau"] > 0:
         expected = compute_ratios(vals["csf_abeta42"], vals["csf_ttau"], vals["csf_ptau181"])
-        for name, want in zip(("ratio_ttau_abeta", "ratio_ptau_abeta", "ratio_ptau_ttau"), expected):
+        for name, want in zip(RATIO_FEATURES, expected):
             got = vals[name]
             if want == 0:
                 ok = got == 0
@@ -200,14 +167,6 @@ class Dataset:
             labels=np.concatenate([self.labels, other.labels]),
         )
 
-    def to_records(self) -> list:
-        """Materialize SubjectRecords. Intended for raw (unnormalized) data."""
-        out = []
-        for sid, row, label in zip(self.subject_ids, self.features, self.labels):
-            out.append(SubjectRecord(sid, int(row[0]), int(row[1]), *map(float, row[2:]),
-                                     label=int(label)))
-        return out
-
     def equals(self, other: "Dataset") -> bool:
         return (
             self.schema == other.schema
@@ -216,17 +175,6 @@ class Dataset:
             and np.array_equal(self.features, other.features)
             and np.array_equal(self.labels, other.labels)
         )
-
-
-def dataset_from_records(records: Iterable[SubjectRecord]) -> Dataset:
-    records = list(records)
-    if records:
-        feats = np.array([r.feature_vector() for r in records])
-        labels = np.array([r.label for r in records], dtype=np.int64)
-    else:
-        feats = np.empty((0, N_FEATURES))
-        labels = np.empty((0,), dtype=np.int64)
-    return Dataset(tuple(r.subject_id for r in records), feats, labels)
 
 
 def _parse_number(cell: str, row: int, column: str) -> float:
@@ -276,37 +224,57 @@ def _parse_row(cells, row_number):
     return sid, vector, label
 
 
+def _read_rows(path):
+    """Yield (row_number, record, problems) for every non-blank data row.
+
+    record is (subject_id, vector, label), or None when a cell does not parse.
+    problems lists (error class, column, message) in schema order: the row's
+    NonNumericCell, or every RangeViolation of its parsed values. Header
+    problems raise MissingColumn; a file that is not UTF-8 text, or that the
+    csv module cannot split, raises UnreadableCsv.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            _check_header(next(reader, None))
+            for row_number, cells in enumerate(reader, start=1):
+                if not cells:
+                    continue
+                try:
+                    record = _parse_row(cells, row_number)
+                except NonNumericCell as err:
+                    yield row_number, None, [(NonNumericCell, err.column, str(err))]
+                    continue
+                yield row_number, record, [
+                    (RangeViolation, column, message)
+                    for column, message in record_violations(record[1], record[2])]
+    except (UnicodeDecodeError, csv.Error) as err:
+        raise UnreadableCsv(f"{path} is not a readable CSV file: {err}") from None
+
+
 def ingest_csv(path, strict: bool = True):
     """Read a cohort CSV.
 
     strict=True returns a Dataset and raises on the first bad row.
     strict=False returns (Dataset, skipped_row_count), silently dropping rows
-    with non-numeric cells or invariant violations. Header problems are fatal
-    in both modes.
+    with non-numeric cells or invariant violations. Header problems and
+    unreadable files are fatal in both modes.
     """
     ids, vectors, labels = [], [], []
     skipped = 0
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        _check_header(next(reader, None))
-        for row_number, cells in enumerate(reader, start=1):
-            if not cells:
-                continue
-            try:
-                sid, vector, label = _parse_row(cells, row_number)
-                problems = record_violations(vector, label)
-                if problems:
-                    column, message = problems[0]
-                    raise RangeViolation(f"row {row_number}: {message}",
-                                         row=row_number, column=column)
-            except (NonNumericCell, RangeViolation):
-                if strict:
-                    raise
-                skipped += 1
-                continue
-            ids.append(sid)
-            vectors.append(vector)
-            labels.append(label)
+    for row_number, record, problems in _read_rows(path):
+        if problems:
+            if strict:
+                kind, column, message = problems[0]
+                if kind is RangeViolation:
+                    message = f"row {row_number}: {message}"
+                raise kind(message, row=row_number, column=column)
+            skipped += 1
+            continue
+        sid, vector, label = record
+        ids.append(sid)
+        vectors.append(vector)
+        labels.append(label)
     feats = np.array(vectors) if vectors else np.empty((0, N_FEATURES))
     ds = Dataset(tuple(ids), feats, np.array(labels, dtype=np.int64))
     if strict:
@@ -337,18 +305,6 @@ def validate_file(path) -> list:
 
     Unlike lenient ingest this does not stop at a row's first problem.
     """
-    findings = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        _check_header(next(reader, None))
-        for row_number, cells in enumerate(reader, start=1):
-            if not cells:
-                continue
-            try:
-                _, vector, label = _parse_row(cells, row_number)
-            except NonNumericCell as err:
-                findings.append((row_number, err.column or "", "NonNumericCell", str(err)))
-                continue
-            for column, message in record_violations(vector, label):
-                findings.append((row_number, column, "RangeViolation", message))
-    return findings
+    return [(row_number, column or "", kind.__name__, message)
+            for row_number, _record, problems in _read_rows(path)
+            for kind, column, message in problems]

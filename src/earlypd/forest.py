@@ -216,12 +216,17 @@ def default_feature_subset(m: int) -> int:
 @dataclass(frozen=True)
 class ForestConfig:
     trees: int = 100
-    feature_subset: int | None = None  # None means floor(log2(m) + 1)
+    # features drawn per node; None means floor(log2(m) + 1), and a value
+    # above the feature count m draws every feature
+    feature_subset: int | None = None
     bootstrap: bool = True
 
     def __post_init__(self):
         if self.trees < 1:
             raise ConfigError(f"a forest needs at least one tree, got {self.trees}")
+        if self.feature_subset is not None and not self.feature_subset >= 1:
+            raise ConfigError(
+                f"feature_subset must be at least 1 or null, got {self.feature_subset}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,25 +15,26 @@ at all.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from importlib import resources
+
+import numpy as np
 
 from .data import (
     FEATURE_NAMES,
     HEALTHY,
     PD,
-    SubjectRecord,
+    RATIO_FEATURES,
     Dataset,
     compute_ratios,
-    dataset_from_records,
     nine_digit,
 )
 from .errors import ConfigError, EmptyCohort
+from .preprocess import _round_half_up
 from .rng import derive_stream
 
 # raw (sampled) features; ratios are derived afterwards
-RAW_FEATURES = tuple(n for n in FEATURE_NAMES if not n.startswith("ratio_"))
+RAW_FEATURES = tuple(n for n in FEATURE_NAMES if n not in RATIO_FEATURES)
 
 
 @dataclass(frozen=True)
@@ -134,10 +135,6 @@ class GenerateConfig:
             raise ConfigError(f"separation must be >= 0, got {self.separation}")
 
 
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
-
-
 def generate(config: GenerateConfig, seed: int) -> Dataset:
     """Sample a labeled cohort. The same config and seed give the same dataset.
 
@@ -151,47 +148,30 @@ def generate(config: GenerateConfig, seed: int) -> Dataset:
     params = load_params(config.params_path)
     mixers = {b: (a, rho) for a, b, rho in params.correlation_pairs}
     stream = derive_stream(seed, "generate")
-    records = []
-    counter = 0
-    for label, count in ((HEALTHY, config.n_healthy), (PD, config.n_pd)):
-        for _ in range(count):
-            counter += 1
-            values = {}
-            zscores = {}
-            for name in RAW_FEATURES:
-                p = params.features[name]
-                mean, sd = p.at_separation(label, config.separation)
-                if name in mixers:
-                    # correlated path: mix z-scores, clamp instead of rejecting
-                    partner, rho = mixers[name]
-                    z = rho * zscores[partner] + (1 - rho ** 2) ** 0.5 * stream.normal()
-                    x = min(max(mean + sd * z, p.min), p.max)
-                else:
-                    x = stream.truncated_normal(mean, sd, p.min, p.max)
-                    zscores[name] = (x - mean) / sd if sd else 0.0
-                if p.integer_flag:
-                    x = float(min(max(_round_half_up(x), int(p.min)), int(p.max)))
-                else:
-                    x = nine_digit(x)
-                values[name] = x
-            ratios = compute_ratios(values["csf_abeta42"], values["csf_ttau"],
-                                    values["csf_ptau181"])
-            rec = SubjectRecord(
-                subject_id=f"SYN{counter:05d}",
-                upsit_total=int(values["upsit_total"]),
-                rbdsq_total=int(values["rbdsq_total"]),
-                csf_abeta42=values["csf_abeta42"],
-                csf_alpha_syn=values["csf_alpha_syn"],
-                csf_ptau181=values["csf_ptau181"],
-                csf_ttau=values["csf_ttau"],
-                ratio_ttau_abeta=nine_digit(ratios[0]),
-                ratio_ptau_abeta=nine_digit(ratios[1]),
-                ratio_ptau_ttau=nine_digit(ratios[2]),
-                sbr_caudate_left=values["sbr_caudate_left"],
-                sbr_caudate_right=values["sbr_caudate_right"],
-                sbr_putamen_left=values["sbr_putamen_left"],
-                sbr_putamen_right=values["sbr_putamen_right"],
-                label=label,
-            )
-            records.append(rec)
-    return dataset_from_records(records)
+    labels = [HEALTHY] * config.n_healthy + [PD] * config.n_pd
+    rows = []
+    for label in labels:
+        values = {}
+        zscores = {}
+        for name in RAW_FEATURES:
+            p = params.features[name]
+            mean, sd = p.at_separation(label, config.separation)
+            if name in mixers:
+                # correlated path: mix z-scores, clamp instead of rejecting
+                partner, rho = mixers[name]
+                z = rho * zscores[partner] + (1 - rho ** 2) ** 0.5 * stream.normal()
+                x = min(max(mean + sd * z, p.min), p.max)
+            else:
+                x = stream.truncated_normal(mean, sd, p.min, p.max)
+                zscores[name] = (x - mean) / sd if sd else 0.0
+            if p.integer_flag:
+                x = float(min(max(_round_half_up(x), int(p.min)), int(p.max)))
+            else:
+                x = nine_digit(x)
+            values[name] = x
+        ratios = compute_ratios(values["csf_abeta42"], values["csf_ttau"],
+                                values["csf_ptau181"])
+        values.update(zip(RATIO_FEATURES, map(nine_digit, ratios)))
+        rows.append([values[name] for name in FEATURE_NAMES])
+    ids = tuple(f"SYN{i:05d}" for i in range(1, len(rows) + 1))
+    return Dataset(ids, np.array(rows), labels)

@@ -250,6 +250,28 @@ def test_missing_input_is_io_error(capsys):
     assert err["error"] == "io"
 
 
+def test_unreadable_csv_is_data_error(exp_dir, tmp_path, capsys):
+    _config, out = exp_dir
+    header = (out / "cohort.csv").read_text().splitlines()[0]
+    not_utf8 = tmp_path / "utf16.csv"
+    not_utf8.write_bytes(b"\xff\xfe" + header.encode("utf-16-le"))
+    huge_field = tmp_path / "huge.csv"
+    huge_field.write_text(header + "\n" + "x" * 200_000 + ",1\n")
+    for path in (not_utf8, huge_field):
+        for argv in (["validate", str(path)],
+                     ["experiment", "--input", str(path), "--out", str(tmp_path / "o")],
+                     ["evaluate", "--model", str(out / "models" / "forest.json"),
+                      "--input", str(path), "--preprocess", str(out / "preprocess.json")]):
+            rc = main(argv)
+            lines = capsys.readouterr().err.splitlines()
+            assert rc == 1, argv
+            assert len(lines) == 1, lines  # one JSON line, no traceback
+            payload = json.loads(lines[0])
+            assert payload["error"] == "data"
+            assert payload["kind"] == "UnreadableCsv"
+            assert str(path) in payload["message"]
+
+
 def test_bad_config_value_exits_2(tmp_path, capsys):
     config = tmp_path / "config.json"
     for bad in ({"train_fraction": 1.5}, {"seed": "abc"}, {"generate": {"n_healthy": "x"}},
@@ -257,7 +279,8 @@ def test_bad_config_value_exits_2(tmp_path, capsys):
                 {"forest": {"trees": 0}}, {"mlp": {"hidden_units": -1}},
                 {"mlp": {"hidden_units": 0}}, {"mlp": {"epochs": 0}},
                 {"mlp": {"learning_rate": -1.0}}, {"boostlr": {"max_rounds": 0}},
-                {"bayesnet": {"bins": 1}}):
+                {"bayesnet": {"bins": 1}}, {"forest": {"feature_subset": 0}},
+                {"forest": {"feature_subset": -3}}):
         config.write_text(json.dumps(bad))
         rc = main(["experiment", "--config", str(config), "--out",
                    str(tmp_path / "out")])

@@ -11,9 +11,7 @@ from earlypd.data import (
     HEALTHY,
     PD,
     Dataset,
-    SubjectRecord,
     compute_ratios,
-    dataset_from_records,
     export_csv,
     format_value,
     ingest_csv,
@@ -27,6 +25,7 @@ from earlypd.errors import (
     NonNumericCell,
     RangeViolation,
 )
+from earlypd.synth import GenerateConfig, generate
 
 
 def test_schema_shape():
@@ -49,22 +48,22 @@ def test_compute_ratios_zero_denominator():
         compute_ratios(1000.0, 0.0, 50.0)
 
 
-def _record(**overrides) -> SubjectRecord:
-    base = dict(
-        subject_id="S001", upsit_total=24, rbdsq_total=6,
-        csf_abeta42=1000.0, csf_alpha_syn=1800.0, csf_ptau181=50.0,
-        csf_ttau=200.0, ratio_ttau_abeta=0.2, ratio_ptau_abeta=0.05,
-        ratio_ptau_ttau=0.25, sbr_caudate_left=2.1, sbr_caudate_right=2.0,
-        sbr_putamen_left=1.1, sbr_putamen_right=1.05, label=PD,
-    )
-    base.update(overrides)
-    return SubjectRecord(**base)
+_VALID = dict(
+    upsit_total=24, rbdsq_total=6, csf_abeta42=1000.0, csf_alpha_syn=1800.0,
+    csf_ptau181=50.0, csf_ttau=200.0, ratio_ttau_abeta=0.2, ratio_ptau_abeta=0.05,
+    ratio_ptau_ttau=0.25, sbr_caudate_left=2.1, sbr_caudate_right=2.0,
+    sbr_putamen_left=1.1, sbr_putamen_right=1.05,
+)
+
+
+def _record(label=PD, **overrides):
+    """(vector, label) for record_violations: a valid record with some values replaced."""
+    values = {**_VALID, **overrides}
+    return np.array([values[name] for name in FEATURE_NAMES]), label
 
 
 def test_valid_record_has_no_violations():
-    r = _record()
-    assert record_violations(r.feature_vector(), r.label) == []
-    r.validate()  # should not raise
+    assert record_violations(*_record()) == []
 
 
 @pytest.mark.parametrize("overrides, column", [
@@ -76,23 +75,17 @@ def test_valid_record_has_no_violations():
     (dict(label=3), "label"),
 ])
 def test_violations_are_detected(overrides, column):
-    r = _record(**overrides)
-    problems = record_violations(r.feature_vector(), r.label)
+    problems = record_violations(*_record(**overrides))
     assert column in [c for c, _ in problems]
 
 
 def test_violations_sorted_by_schema_order():
-    r = _record(upsit_total=99, label=7)
-    problems = record_violations(r.feature_vector(), r.label)
+    problems = record_violations(*_record(upsit_total=99, label=7))
     assert [c for c, _ in problems] == ["upsit_total", "label"]
 
 
 def test_non_integer_score_is_flagged():
-    r = _record(rbdsq_total=6)
-    vec = r.feature_vector()
-    vec = vec.copy()
-    vec[1] = 6.5
-    problems = record_violations(vec, r.label)
+    problems = record_violations(*_record(rbdsq_total=6.5))
     assert problems and problems[0][0] == "rbdsq_total"
 
 
@@ -179,6 +172,42 @@ def test_validate_file_clean(fixture_csv):
     assert validate_file(fixture_csv) == []
 
 
+@pytest.mark.parametrize("non_numeric_row", [2, 4])
+def test_ingest_and_validate_agree_on_bad_rows(tmp_path, non_numeric_row):
+    """Strict ingest stops at validate_file's first finding; lenient ingest
+    skips exactly the rows validate_file lists."""
+    cohort = generate(GenerateConfig(n_healthy=3, n_pd=3), 4)
+    p = tmp_path / "cohort.csv"
+    export_csv(cohort, p)
+    lines = p.read_text().splitlines()
+
+    def set_cell(row, column, text):
+        cells = lines[row].split(",")
+        cells[CSV_COLUMNS.index(column)] = text
+        lines[row] = ",".join(cells)
+
+    set_cell(non_numeric_row, "csf_ttau", "n/a")
+    set_cell(3, "upsit_total", "77")
+    set_cell(5, "label", "3")
+    set_cell(5, "sbr_caudate_left", "-1")
+    p.write_text("\n".join(lines) + "\n")
+
+    findings = validate_file(p)
+    bad_rows = sorted({f[0] for f in findings})
+    assert bad_rows == sorted({non_numeric_row, 3, 5})
+    row, column, kind, message = findings[0]
+    with pytest.raises((NonNumericCell, RangeViolation)) as err:
+        ingest_csv(p)
+    assert type(err.value).__name__ == kind
+    assert (err.value.row, err.value.column) == (row, column)
+    assert str(err.value).endswith(message)
+
+    ds, skipped = ingest_csv(p, strict=False)
+    assert skipped == len(bad_rows)
+    kept = [i for i in range(len(cohort)) if i + 1 not in bad_rows]
+    assert ds.equals(cohort.subset(kept))
+
+
 def test_dataset_is_immutable(fixture_csv):
     ds = ingest_csv(fixture_csv)
     with pytest.raises(ValueError):
@@ -194,12 +223,6 @@ def test_dataset_subset_and_concat(fixture_csv):
     assert len(a) == 1 and len(b) == 2
     merged = a.concat(b)
     assert merged.equals(ds)
-
-
-def test_dataset_from_records_round_trip(fixture_csv):
-    ds = ingest_csv(fixture_csv)
-    again = dataset_from_records(ds.to_records())
-    assert ds.equals(again)
 
 
 def test_dataset_shape_checks():

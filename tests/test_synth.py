@@ -1,5 +1,6 @@
 """Synthetic cohort generator: determinism, schema compliance, separation."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -216,3 +217,24 @@ def test_golden_first_record_pin():
     expected = compute_ratios(first["csf_abeta42"], first["csf_ttau"],
                               first["csf_ptau181"])
     assert first["ratio_ttau_abeta"] == pytest.approx(expected[0], rel=1e-8)
+
+
+def _csv_digest(ds, tmp_path) -> str:
+    out = tmp_path / "cohort.csv"
+    export_csv(ds, out)
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def test_generated_csv_digests(tmp_path):
+    """The exported bytes of two non-default cohorts, one on the correlated path."""
+    config = GenerateConfig(37, 53, 0.4)
+    assert _csv_digest(generate(config, 9), tmp_path) == (
+        "dd2fb0d069990ada05b6d66d6fe0480044642435e5364f7eeef03521a9013ce8")
+    obj = load_params().to_json_dict()
+    obj["correlation_pairs"] = [
+        {"a": "sbr_putamen_left", "b": "sbr_putamen_right", "rho": 0.9}]
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(obj))
+    correlated = GenerateConfig(37, 53, 0.4, params_path=str(path))
+    assert _csv_digest(generate(correlated, 9), tmp_path) == (
+        "00c1bfd7c95b34ef4c7202150e5c2720a8d160677a86dc62760066c614bfe5c2")
