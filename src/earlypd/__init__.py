@@ -9,15 +9,13 @@ deterministic; see :mod:`earlypd.rng`.
 """
 
 from ._version import __version__
-from .bayesnet import BayesNetConfig, BayesNetModel, bn_score, bn_score_batch, bn_train
+from .bayesnet import BayesNetConfig, BayesNetModel, bn_score_batch, bn_train
 from .boostlr import (
     BoostConfig,
     BoostedModel,
     LogisticModel,
     adaboost_train,
-    boosted_score,
     boosted_score_batch,
-    logistic_score,
     logistic_score_batch,
     logistic_train,
 )
@@ -66,9 +64,9 @@ from .synth import FeatureParams, GenerateConfig, GeneratorParams, generate, loa
 
 __all__ = [
     "__version__",
-    "BayesNetConfig", "BayesNetModel", "bn_score", "bn_score_batch", "bn_train",
-    "BoostConfig", "BoostedModel", "LogisticModel", "adaboost_train", "boosted_score",
-    "boosted_score_batch", "logistic_score", "logistic_score_batch", "logistic_train",
+    "BayesNetConfig", "BayesNetModel", "bn_score_batch", "bn_train",
+    "BoostConfig", "BoostedModel", "LogisticModel", "adaboost_train",
+    "boosted_score_batch", "logistic_score_batch", "logistic_train",
     "CSV_COLUMNS", "FEATURE_NAMES", "HEALTHY", "PD", "Dataset",
     "compute_ratios", "export_csv", "ingest_csv", "validate_file",
     "ConfigError", "DataError", "EarlyPdError",

@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import PD, Dataset
 from .errors import ConfigError, SingleClassTraining
-from .preprocess import DiscretizationMap, discretize_fit
+from .preprocess import DISCRETIZE_STRATEGIES, DiscretizationMap, discretize_fit
 
 CLASS_NODE = 0
 
@@ -113,16 +113,12 @@ def k2_search(data: np.ndarray, arities, max_parents: int = 2,
 
 def cpt_estimate(data: np.ndarray, node: int, parents, arities,
                  alpha: float = 0.5) -> np.ndarray:
-    """Smoothed conditional probability table, one row per parent config."""
+    """Smoothed conditional probability table, one row per parent config.
+
+    alpha must be > 0, which BayesNetConfig enforces."""
     counts = family_counts(data, node, parents, arities).astype(np.float64)
-    r = arities[node]
     totals = counts.sum(axis=1, keepdims=True)
-    if alpha == 0.0:
-        safe = np.where(totals == 0, 1.0, totals)
-        with np.errstate(invalid="ignore"):
-            table = np.where(totals == 0, 1.0 / r, counts / safe)
-        return table
-    return (counts + alpha) / (totals + alpha * r)
+    return (counts + alpha) / (totals + alpha * arities[node])
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,40 +129,36 @@ class DiscreteNet:
     parents: tuple
     cpts: tuple
 
-    def log_joint(self, values) -> float:
-        """log P(values) as the sum of CPT lookups, -inf on a zero cell."""
-        total = 0.0
-        for node, cpt in enumerate(self.cpts):
-            row = 0
-            for p in self.parents[node]:
-                row = row * self.arities[p] + int(values[p])
-            prob = cpt[row, int(values[node])]
-            if prob <= 0.0:
-                return float("-inf")
-            total += math.log(prob)
-        return total
-
     def posterior(self, values) -> np.ndarray:
         """P(node 0 | all other nodes) from the factored joint.
 
-        values[0] is ignored. Normalized over node 0's arity; if every
-        branch has zero probability the posterior is uniform.
+        values is one row of node values or an (n, nodes) matrix; column 0 is
+        ignored and the input is not modified. Returns (arity,) or
+        (n, arity) to match, normalized over node 0's arity. A row whose
+        every branch has zero probability gets the uniform posterior.
         """
-        values = list(values)
-        logs = np.empty(self.arities[CLASS_NODE])
+        values = np.array(values, dtype=np.int64)  # a copy: column 0 is overwritten
+        single = values.ndim == 1
+        values = np.atleast_2d(values)
+        logs = np.zeros((values.shape[0], self.arities[CLASS_NODE]))
         for c in range(self.arities[CLASS_NODE]):
-            values[CLASS_NODE] = c
-            logs[c] = self.log_joint(values)
-        peak = logs.max()
-        if peak == float("-inf"):
-            return np.full(len(logs), 1.0 / len(logs))
-        weights = np.exp(logs - peak)
-        return weights / weights.sum()
+            values[:, CLASS_NODE] = c
+            for node, cpt in enumerate(self.cpts):
+                rows = _config_codes(values, self.parents[node], self.arities)
+                with np.errstate(divide="ignore"):
+                    logs[:, c] += np.log(cpt[rows, values[:, node]])
+        peak = logs.max(axis=1, keepdims=True)
+        all_zero = np.isneginf(peak[:, 0])
+        with np.errstate(invalid="ignore"):
+            weights = np.exp(logs - np.where(all_zero[:, None], 0.0, peak))
+        weights[all_zero] = 1.0
+        post = weights / weights.sum(axis=1, keepdims=True)
+        return post[0] if single else post
 
 
 def fit_net(data: np.ndarray, arities, max_parents: int = 2,
-            alpha: float = 0.5, naive_start: bool = True) -> DiscreteNet:
-    parents = k2_search(data, arities, max_parents, naive_start)
+            alpha: float = 0.5) -> DiscreteNet:
+    parents = k2_search(data, arities, max_parents)
     cpts = tuple(cpt_estimate(data, node, parents[node], arities, alpha)
                  for node in range(len(arities)))
     return DiscreteNet(tuple(arities), parents, cpts)
@@ -187,6 +179,8 @@ class BayesNetConfig:
             raise ConfigError(f"max_parents must be >= 0, got {self.max_parents}")
         if not self.alpha > 0:
             raise ConfigError(f"alpha must be > 0, got {self.alpha}")
+        if self.strategy not in DISCRETIZE_STRATEGIES:
+            raise ConfigError(f"unknown discretization strategy {self.strategy!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,38 +236,12 @@ def bn_train(train: Dataset, config: BayesNetConfig = BayesNetConfig()) -> Bayes
     return BayesNetModel(net, dmap, config)
 
 
-def bn_score(model: BayesNetModel, features) -> float:
-    """Posterior probability of PD given all feature bins.
+def bn_score_batch(model: BayesNetModel, features) -> np.ndarray:
+    """Posterior probability of PD for each record, given all its feature bins.
 
     Out-of-range values clamp to the first or last bin through the
     discretization map's searchsorted rule.
     """
-    x = np.asarray(features, dtype=np.float64).reshape(1, -1)
-    bins = model.dmap.bin_matrix(x)[0]
-    values = [0, *bins.tolist()]
-    return float(model.net.posterior(values)[1])
-
-
-def bn_score_batch(model: BayesNetModel, features) -> np.ndarray:
-    """Vectorized posterior of PD for many records."""
-    X = np.asarray(features, dtype=np.float64)
-    bins = model.dmap.bin_matrix(X)
-    n = X.shape[0]
-    net = model.net
-    logs = np.zeros((n, 2))
-    values = np.hstack([np.zeros((n, 1), dtype=np.int64), bins])
-    for c in (0, 1):
-        values[:, CLASS_NODE] = c
-        total = np.zeros(n)
-        for node, cpt in enumerate(net.cpts):
-            rows = _config_codes(values, net.parents[node], net.arities)
-            probs = cpt[rows, values[:, node]]
-            with np.errstate(divide="ignore"):
-                total += np.log(probs)
-        logs[:, c] = total
-    peak = logs.max(axis=1, keepdims=True)
-    both_zero = np.isneginf(peak[:, 0])
-    with np.errstate(invalid="ignore"):
-        weights = np.exp(logs - np.where(both_zero[:, None], 0.0, peak))
-    weights[both_zero] = 1.0
-    return weights[:, 1] / weights.sum(axis=1)
+    bins = model.dmap.bin_matrix(np.asarray(features, dtype=np.float64))
+    values = np.hstack([np.zeros((bins.shape[0], 1), dtype=np.int64), bins])
+    return model.net.posterior(values)[:, 1]

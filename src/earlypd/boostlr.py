@@ -140,11 +140,6 @@ def logistic_train(train: Dataset, weights=None,
     return _fit_weighted(X, y, weights, ridge)
 
 
-def logistic_score(model: LogisticModel, features) -> float:
-    x = np.asarray(features, dtype=np.float64)
-    return float(_sigmoid(np.array([float(x @ model.coef) + model.intercept]))[0])
-
-
 def logistic_score_batch(model: LogisticModel, features) -> np.ndarray:
     X = np.asarray(features, dtype=np.float64)
     return _sigmoid(X @ model.coef + model.intercept)
@@ -239,18 +234,8 @@ def adaboost_train(train: Dataset, max_rounds: int = BoostConfig.max_rounds,
     return BoostedModel(tuple(rounds), ridge, max_rounds)
 
 
-def boosted_score(model: BoostedModel, features) -> float:
-    """Alpha-weighted share of rounds voting PD."""
-    if not model.rounds:
-        raise EmptyModel("boosted model has no rounds")
-    x = np.asarray(features, dtype=np.float64)
-    total = sum(r.alpha for r in model.rounds)
-    pd_mass = sum(r.alpha for r in model.rounds
-                  if logistic_score(r.model, x) > 0.5)
-    return pd_mass / total
-
-
 def boosted_score_batch(model: BoostedModel, features) -> np.ndarray:
+    """Alpha-weighted share of rounds voting PD, for each record."""
     if not model.rounds:
         raise EmptyModel("boosted model has no rounds")
     X = np.asarray(features, dtype=np.float64)

@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from ._version import __version__
-from .data import export_csv, ingest_csv, validate_file
+from .data import export_csv, ingest_csv, location, validate_file
 from .errors import ConfigError, DataError
 from .metrics import (
     SPLITS,
@@ -118,10 +118,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     findings = validate_file(args.input)
     for row, column, kind, message in findings:
-        where = f"row {row}" if row is not None else "header"
-        if column is not None:
-            where += f", column {column}"
-        print(f"{where}: {kind}: {message}")
+        print(f"{location(row, column)}: {kind}: {message}")
     if findings:
         print(f"{len(findings)} problem(s) found")
         return 1
@@ -157,7 +154,7 @@ def _write_or_print(text: str, out) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     kind, model = load_model_file(args.model)
-    ds = ingest_csv(args.input, strict=True)
+    ds = ingest_csv(args.input)
     stats, _dmap = load_sidecar(args.preprocess)
     scaled = normalize_apply(ds, stats)
     report = evaluate_scores(scaled.labels,

@@ -6,10 +6,10 @@ smell identification total (UPSIT), REM sleep questionnaire total (RBDSQ),
 four CSF concentrations, three CSF ratios derived from them, and four striatal
 binding ratios from DaT imaging.
 
-CSV layout: UTF-8, header row, exactly 15 columns, subject_id first, the 13
-features in schema order, then label (0 healthy, 1 PD). Floats are written
-with 9 significant digits, which round-trips exactly for any file this
-package itself writes.
+CSV layout: UTF-8 (a leading byte-order mark is skipped), header row,
+exactly 15 columns, subject_id first, the 13 features in schema order, then
+label (0 healthy, 1 PD). Floats are written with 9 significant digits, which
+round-trips exactly for any file this package itself writes.
 """
 
 from __future__ import annotations
@@ -157,35 +157,14 @@ class Dataset:
             labels=self.labels[idx] if idx else np.empty((0,), dtype=np.int64),
         )
 
-    def concat(self, other: "Dataset") -> "Dataset":
-        if self.schema != other.schema or self.normalization != other.normalization:
-            raise ValueError("can only concatenate datasets with identical schema and scaling")
-        return replace(
-            self,
-            subject_ids=self.subject_ids + other.subject_ids,
-            features=np.vstack([self.features, other.features]),
-            labels=np.concatenate([self.labels, other.labels]),
-        )
 
-    def equals(self, other: "Dataset") -> bool:
-        return (
-            self.schema == other.schema
-            and self.subject_ids == other.subject_ids
-            and self.normalization == other.normalization
-            and np.array_equal(self.features, other.features)
-            and np.array_equal(self.labels, other.labels)
-        )
-
-
-def _parse_number(cell: str, row: int, column: str) -> float:
+def _parse_number(cell: str, column: str) -> float:
     try:
         value = float(cell)
     except ValueError:
-        raise NonNumericCell(f"row {row}, column {column}: {cell!r} is not a number",
-                             row=row, column=column) from None
+        raise NonNumericCell(f"{cell!r} is not a number", column=column) from None
     if not np.isfinite(value):
-        raise NonNumericCell(f"row {row}, column {column}: {cell!r} is not finite",
-                             row=row, column=column)
+        raise NonNumericCell(f"{cell!r} is not finite", column=column)
     return value
 
 
@@ -206,22 +185,25 @@ def _check_header(header) -> None:
         raise MissingColumn("header mismatch: " + "; ".join(detail))
 
 
-def _parse_row(cells, row_number):
-    """(subject_id, vector, label) for one data row; raises on bad cells.
-
-    Row numbers are 1-based over data rows (the header is row 0).
-    """
+def _parse_row(cells):
+    """(subject_id, vector, label) for one data row; raises on bad cells."""
     if len(cells) != len(CSV_COLUMNS):
-        raise NonNumericCell(
-            f"row {row_number}: expected {len(CSV_COLUMNS)} cells, got {len(cells)}",
-            row=row_number)
+        raise NonNumericCell(f"expected {len(CSV_COLUMNS)} cells, got {len(cells)}")
     sid = cells[0]
     vector = np.empty(N_FEATURES)
     for i, name in enumerate(FEATURE_NAMES):
-        vector[i] = _parse_number(cells[i + 1], row_number, name)
-    raw_label = _parse_number(cells[-1], row_number, "label")
+        vector[i] = _parse_number(cells[i + 1], name)
+    raw_label = _parse_number(cells[-1], "label")
     label = int(raw_label) if raw_label == int(raw_label) else -1
     return sid, vector, label
+
+
+def location(row: int, column) -> str:
+    """'row R, column C' for a cell, or 'row R' for a whole row.
+
+    Row numbers are 1-based over data rows (the header is row 0).
+    """
+    return f"row {row}, column {column}" if column else f"row {row}"
 
 
 def _read_rows(path):
@@ -229,19 +211,21 @@ def _read_rows(path):
 
     record is (subject_id, vector, label), or None when a cell does not parse.
     problems lists (error class, column, message) in schema order: the row's
-    NonNumericCell, or every RangeViolation of its parsed values. Header
-    problems raise MissingColumn; a file that is not UTF-8 text, or that the
-    csv module cannot split, raises UnreadableCsv.
+    NonNumericCell, or every RangeViolation of its parsed values. column is
+    None for a row with the wrong cell count, and messages name no row or
+    column. Header problems raise MissingColumn; a file that is not UTF-8
+    text (a leading byte-order mark is skipped), or that the csv module
+    cannot split, raises UnreadableCsv.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             _check_header(next(reader, None))
             for row_number, cells in enumerate(reader, start=1):
                 if not cells:
                     continue
                 try:
-                    record = _parse_row(cells, row_number)
+                    record = _parse_row(cells)
                 except NonNumericCell as err:
                     yield row_number, None, [(NonNumericCell, err.column, str(err))]
                     continue
@@ -252,34 +236,25 @@ def _read_rows(path):
         raise UnreadableCsv(f"{path} is not a readable CSV file: {err}") from None
 
 
-def ingest_csv(path, strict: bool = True):
-    """Read a cohort CSV.
+def ingest_csv(path) -> Dataset:
+    """Read a cohort CSV into a Dataset.
 
-    strict=True returns a Dataset and raises on the first bad row.
-    strict=False returns (Dataset, skipped_row_count), silently dropping rows
-    with non-numeric cells or invariant violations. Header problems and
-    unreadable files are fatal in both modes.
+    Raises the first bad row's NonNumericCell or RangeViolation, with its row
+    and column; header problems raise MissingColumn and unreadable files
+    UnreadableCsv. `earlypd validate` lists every bad row instead.
     """
     ids, vectors, labels = [], [], []
-    skipped = 0
     for row_number, record, problems in _read_rows(path):
         if problems:
-            if strict:
-                kind, column, message = problems[0]
-                if kind is RangeViolation:
-                    message = f"row {row_number}: {message}"
-                raise kind(message, row=row_number, column=column)
-            skipped += 1
-            continue
+            kind, column, message = problems[0]
+            raise kind(f"{location(row_number, column)}: {message}",
+                       row=row_number, column=column)
         sid, vector, label = record
         ids.append(sid)
         vectors.append(vector)
         labels.append(label)
     feats = np.array(vectors) if vectors else np.empty((0, N_FEATURES))
-    ds = Dataset(tuple(ids), feats, np.array(labels, dtype=np.int64))
-    if strict:
-        return ds
-    return ds, skipped
+    return Dataset(tuple(ids), feats, np.array(labels, dtype=np.int64))
 
 
 def format_value(x: float) -> str:
@@ -303,7 +278,8 @@ def export_csv(ds: Dataset, path) -> None:
 def validate_file(path) -> list:
     """Every invariant violation in a CSV as (row, column, kind, message) tuples.
 
-    Unlike lenient ingest this does not stop at a row's first problem.
+    Unlike ingest_csv this does not stop at the first bad row. column is ""
+    for a row with the wrong cell count.
     """
     return [(row_number, column or "", kind.__name__, message)
             for row_number, _record, problems in _read_rows(path)

@@ -99,9 +99,5 @@ class EmptyCohort(DataError):
     """Cohort generation was asked for zero records."""
 
 
-class InconsistentCounts(DataError):
-    """Child class counts do not add up to the parent counts."""
-
-
 class UnreadableCsv(DataError):
     """A CSV file is not UTF-8 text, or the csv module cannot read it (a field too large)."""

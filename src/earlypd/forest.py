@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import HEALTHY, PD, Dataset
-from .errors import ConfigError, InconsistentCounts, SingleClassTraining
+from .errors import ConfigError, SingleClassTraining
 from .rng import SplitMix64, derive_stream
 
 
@@ -34,29 +34,6 @@ def _entropy(pd_count, n):
     return term_p + term_q
 
 
-def info_gain(parent, left, right) -> float:
-    """Entropy reduction for splitting parent counts into left and right.
-
-    Counts are (healthy, pd) pairs; children must add up to the parent.
-    """
-    ph, pp = parent
-    lh, lp = left
-    rh, rp = right
-    if lh + rh != ph or lp + rp != pp:
-        raise InconsistentCounts("child counts do not sum to the parent counts")
-    n = ph + pp
-    nl = lh + lp
-    nr = rh + rp
-    if n == 0:
-        return 0.0
-    gain = _entropy(pp, n)
-    if nl:
-        gain = gain - (nl / n) * _entropy(lp, nl)
-    if nr:
-        gain = gain - (nr / n) * _entropy(rp, nr)
-    return float(gain)
-
-
 @dataclass(frozen=True, eq=False)
 class DecisionTree:
     """Flat preorder node arrays. feature[i] == -1 marks a leaf; internal
@@ -70,13 +47,6 @@ class DecisionTree:
 
     def n_nodes(self) -> int:
         return len(self.feature)
-
-    def predict(self, x) -> int:
-        i = 0
-        while self.feature[i] >= 0:
-            i = self.left[i] if x[self.feature[i]] < self.threshold[i] else self.right[i]
-        h, p = self.counts[i]
-        return PD if p > h else HEALTHY
 
     def predict_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)

@@ -116,9 +116,6 @@ class RocCurve:
     tpr: tuple
     auc: float
 
-    def points(self):
-        return list(zip(self.fpr, self.tpr))
-
 
 def roc(labels, scores) -> RocCurve:
     """ROC curve over descending score thresholds with trapezoidal AUC."""
@@ -223,9 +220,8 @@ def render_report_csv(reports: dict, model_order) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_report_text(reports: dict, model_order, display_names=None) -> str:
+def render_report_text(reports: dict, model_order, display_names) -> str:
     """Aligned text grid, one column per (model, split)."""
-    display_names = display_names or {m: m for m in model_order}
     cell_w = 11
     label_w = max(len(t) for t in MEASURE_TITLES.values()) + 2
     inner = {m: max(len(display_names[m]), 2 * cell_w + 1) for m in model_order}

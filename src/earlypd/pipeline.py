@@ -163,7 +163,7 @@ def load_config(path) -> PipelineConfig:
 def acquire_dataset(config: PipelineConfig) -> Dataset:
     """Ingest the configured CSV, or generate a synthetic cohort."""
     if config.input is not None:
-        return ingest_csv(config.input, strict=True)
+        return ingest_csv(config.input)
     return generate(config.generate, config.seed)
 
 

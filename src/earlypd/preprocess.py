@@ -36,8 +36,8 @@ class NormalizationStats:
                 for name, (lo, hi) in zip(self.schema, self.pairs)}
 
     @classmethod
-    def from_json_dict(cls, obj: dict, schema=None) -> "NormalizationStats":
-        names = tuple(schema) if schema is not None else tuple(obj)
+    def from_json_dict(cls, obj: dict, schema) -> "NormalizationStats":
+        names = tuple(schema)
         return cls(names, tuple((obj[n]["min"], obj[n]["max"]) for n in names))
 
 
@@ -99,6 +99,9 @@ def stratified_split(ds: Dataset, train_fraction: float, seed: int):
     return ds.subset(sorted(train_idx)), ds.subset(sorted(test_idx))
 
 
+DISCRETIZE_STRATEGIES = ("equal_frequency", "equal_width")
+
+
 @dataclass(frozen=True)
 class DiscretizationMap:
     """Per-feature ascending cut points. Empty tuple means a single bin.
@@ -115,9 +118,6 @@ class DiscretizationMap:
     def arities(self) -> tuple:
         return tuple(len(c) + 1 for c in self.cuts)
 
-    def bin_value(self, feature_index: int, value: float) -> int:
-        return int(np.searchsorted(self.cuts[feature_index], value, side="right"))
-
     def bin_matrix(self, features: np.ndarray) -> np.ndarray:
         out = np.empty(features.shape, dtype=np.int64)
         for j, cuts in enumerate(self.cuts):
@@ -128,8 +128,8 @@ class DiscretizationMap:
         return {name: {"cuts": list(c)} for name, c in zip(self.schema, self.cuts)}
 
     @classmethod
-    def from_json_dict(cls, obj: dict, schema=None) -> "DiscretizationMap":
-        names = tuple(schema) if schema is not None else tuple(obj)
+    def from_json_dict(cls, obj: dict, schema) -> "DiscretizationMap":
+        names = tuple(schema)
         return cls(names, tuple(tuple(obj[n]["cuts"]) for n in names))
 
 
@@ -144,7 +144,7 @@ def discretize_fit(ds: Dataset, bins: int = 10,
     """
     if bins < 2:
         raise BinsTooFew(f"need at least 2 bins, got {bins}")
-    if strategy not in ("equal_frequency", "equal_width"):
+    if strategy not in DISCRETIZE_STRATEGIES:
         raise ConfigError(f"unknown discretization strategy {strategy!r}")
     if len(ds) == 0:
         raise EmptyDataset("cannot fit discretization on zero records")

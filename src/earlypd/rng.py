@@ -77,11 +77,6 @@ class SplitMix64:
             j = self.below(i + 1)
             items[i], items[j] = items[j], items[i]
 
-    def permutation(self, n: int) -> list:
-        items = list(range(n))
-        self.shuffle(items)
-        return items
-
     def normal(self) -> float:
         """Standard normal via Box-Muller. Consumes two uniforms per call."""
         # u1 shifted into (0, 1] so log() is always finite

@@ -50,6 +50,17 @@ def make_dataset(features, labels, schema=None) -> Dataset:
     return Dataset(ids, features, np.asarray(labels, dtype=np.int64), schema=schema)
 
 
+def datasets_equal(a: Dataset, b: Dataset) -> bool:
+    """Same ids, schema, scaling, features and labels."""
+    return (
+        a.schema == b.schema
+        and a.subject_ids == b.subject_ids
+        and a.normalization == b.normalization
+        and np.array_equal(a.features, b.features)
+        and np.array_equal(a.labels, b.labels)
+    )
+
+
 @pytest.fixture()
 def xor_dataset() -> Dataset:
     X = [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]

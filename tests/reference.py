@@ -1,0 +1,78 @@
+"""Independent scalar references for the package's batch scorers and split rule.
+
+Each function works on one record (or one split) at a time, with plain Python
+control flow, so the vectorized code in the package can be checked against
+it. None of this runs in the pipeline.
+"""
+
+import numpy as np
+
+from earlypd.boostlr import _sigmoid
+from earlypd.data import HEALTHY, PD
+from earlypd.errors import EmptyModel
+from earlypd.forest import _entropy
+
+
+def logistic_score(model, features) -> float:
+    x = np.asarray(features, dtype=np.float64)
+    return float(_sigmoid(np.array([float(x @ model.coef) + model.intercept]))[0])
+
+
+def boosted_score(model, features) -> float:
+    """Alpha-weighted share of rounds voting PD."""
+    if not model.rounds:
+        raise EmptyModel("boosted model has no rounds")
+    x = np.asarray(features, dtype=np.float64)
+    total = sum(r.alpha for r in model.rounds)
+    pd_mass = sum(r.alpha for r in model.rounds
+                  if logistic_score(r.model, x) > 0.5)
+    return pd_mass / total
+
+
+def tree_predict(tree, x) -> int:
+    """Walk one record from the root to its leaf; the leaf's majority wins,
+    and a tie goes to healthy."""
+    i = 0
+    while tree.feature[i] >= 0:
+        i = tree.left[i] if x[tree.feature[i]] < tree.threshold[i] else tree.right[i]
+    h, p = tree.counts[i]
+    return PD if p > h else HEALTHY
+
+
+def info_gain(parent, left, right) -> float:
+    """Entropy reduction for splitting parent counts into left and right.
+
+    Counts are (healthy, pd) pairs; children must add up to the parent.
+    """
+    ph, pp = parent
+    lh, lp = left
+    rh, rp = right
+    if lh + rh != ph or lp + rp != pp:
+        raise ValueError("child counts do not sum to the parent counts")
+    n = ph + pp
+    nl = lh + lp
+    nr = rh + rp
+    if n == 0:
+        return 0.0
+    gain = _entropy(pp, n)
+    if nl:
+        gain = gain - (nl / n) * _entropy(lp, nl)
+    if nr:
+        gain = gain - (nr / n) * _entropy(rp, nr)
+    return float(gain)
+
+
+def joint_oracle(net, assignment) -> float:
+    """P(assignment) of a DiscreteNet, each CPT row found by an independent
+    row-index computation."""
+    prob = 1.0
+    for node, cpt in enumerate(net.cpts):
+        pa = net.parents[node]
+        if pa:
+            idx = np.ravel_multi_index(
+                tuple(assignment[q] for q in pa),
+                tuple(net.arities[q] for q in pa))
+        else:
+            idx = 0
+        prob *= float(cpt[int(idx), assignment[node]])
+    return prob

@@ -12,7 +12,6 @@ import pytest
 from earlypd.bayesnet import (
     BayesNetConfig,
     DiscreteNet,
-    bn_score,
     bn_score_batch,
     bn_train,
     cpt_estimate,
@@ -20,10 +19,11 @@ from earlypd.bayesnet import (
     family_log_score,
     k2_search,
 )
-from earlypd.errors import SingleClassTraining
+from earlypd.errors import ConfigError, SingleClassTraining
 from earlypd.metrics import roc
 
 from conftest import make_dataset
+from reference import joint_oracle
 
 
 def _tally(data, node, parents, arities):
@@ -115,9 +115,9 @@ def test_cpt_unseen_config_falls_back_to_uniform():
     smoothed = cpt_estimate(data, 1, (0,), (2, 2), alpha=0.5)
     assert smoothed[1] == pytest.approx([0.5, 0.5], abs=1e-15)
     assert smoothed[0] == pytest.approx([1.5 / 4, 2.5 / 4], abs=1e-15)
-    raw = cpt_estimate(data, 1, (0,), (2, 2), alpha=0.0)
-    assert raw[0] == pytest.approx([1 / 3, 2 / 3], abs=1e-15)
-    assert raw[1] == pytest.approx([0.5, 0.5], abs=1e-15)
+    counts = family_counts(data, 1, (0,), (2, 2))
+    assert counts[0] / counts[0].sum() == pytest.approx([1 / 3, 2 / 3], abs=1e-15)
+    assert counts[1].sum() == 0
     # every row of a table is a distribution
     assert cpt_estimate(data, 1, (0,), (2, 2)).sum(axis=1) == pytest.approx([1, 1])
 
@@ -173,8 +173,16 @@ def test_posterior_hand_example():
         cpts=(np.array([[0.4, 0.6]]), np.array([[0.8, 0.2], [0.1, 0.9]])),
     )
     post = net.posterior([0, 1])
+    assert post.shape == (2,)
     assert post[1] == pytest.approx(27 / 31, abs=1e-12)
     assert post.sum() == pytest.approx(1.0, abs=1e-12)
+    # a matrix gives one posterior per row, and its class column is not written
+    values = np.array([[1, 1], [0, 0]])
+    both = net.posterior(values)
+    assert both.shape == (2, 2)
+    assert both[0] == pytest.approx(post, abs=1e-15)
+    assert both[1, 1] == pytest.approx(0.06 / (0.06 + 0.32), abs=1e-12)
+    assert values.tolist() == [[1, 1], [0, 0]]
 
 
 def test_posterior_zero_everywhere_is_uniform():
@@ -198,21 +206,6 @@ def _random_net(rng, arities, parents):
     return DiscreteNet(tuple(arities), tuple(parents), tuple(cpts))
 
 
-def _joint_oracle(net, assignment):
-    """Joint probability via an independent row-index computation."""
-    prob = 1.0
-    for node, cpt in enumerate(net.cpts):
-        pa = net.parents[node]
-        if pa:
-            idx = np.ravel_multi_index(
-                tuple(assignment[q] for q in pa),
-                tuple(net.arities[q] for q in pa))
-        else:
-            idx = 0
-        prob *= float(cpt[int(idx), assignment[node]])
-    return prob
-
-
 def _subsets(items):
     out = []
     for k in range(len(items) + 1):
@@ -232,7 +225,7 @@ def test_posterior_matches_enumeration_on_all_small_structures():
                 net = _random_net(rng, arities, parents)
                 for observed in itertools.product(*(range(2) for _ in range(n_nodes - 1))):
                     values = [0, *observed]
-                    raw = np.array([_joint_oracle(net, [c, *observed])
+                    raw = np.array([joint_oracle(net, [c, *observed])
                                     for c in range(2)])
                     expected = raw / raw.sum()
                     assert net.posterior(values) == pytest.approx(expected, abs=1e-12)
@@ -258,11 +251,17 @@ def test_trained_model_separates_cohort(small_split):
 
 
 def test_batch_scores_match_scalar(small_split):
+    # the trained 14-node net, each record's posterior enumerated from the
+    # joint probability of both class values
     train, test = small_split
     model = bn_train(train, BayesNetConfig(bins=5))
     batch = bn_score_batch(model, test.features)
-    single = np.array([bn_score(model, row) for row in test.features])
-    assert batch == pytest.approx(single, abs=1e-12)
+    expected = []
+    for bins in model.dmap.bin_matrix(test.features).tolist():
+        raw = [joint_oracle(model.net, [c, *bins]) for c in (0, 1)]
+        expected.append(raw[1] / sum(raw))
+    assert len(model.net.arities) == 14
+    assert batch == pytest.approx(expected, abs=1e-12)
 
 
 def test_out_of_range_values_clamp(small_split):
@@ -270,8 +269,11 @@ def test_out_of_range_values_clamp(small_split):
     model = bn_train(train, BayesNetConfig(bins=5))
     low = np.full(train.features.shape[1], -1e9)
     high = np.full(train.features.shape[1], 1e9)
-    for row in (low, high):
-        s = bn_score(model, row)
-        assert 0.0 <= s <= 1.0
-    assert bn_score(model, high) == bn_score(model, high * 1000)
+    scores = bn_score_batch(model, np.array([low, high, high * 1000]))
+    assert np.all((scores >= 0.0) & (scores <= 1.0))
+    assert scores[1] == scores[2]
 
+
+def test_config_rejects_unknown_strategy():
+    with pytest.raises(ConfigError, match="bogus"):
+        BayesNetConfig(strategy="bogus")

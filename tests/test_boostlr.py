@@ -12,11 +12,9 @@ from earlypd.boostlr import (
     LogisticModel,
     adaboost_train,
     boost_alpha,
-    boosted_score,
     boosted_score_batch,
     logistic_gradient,
     logistic_objective,
-    logistic_score,
     logistic_score_batch,
     logistic_train,
     reweight,
@@ -24,6 +22,7 @@ from earlypd.boostlr import (
 from earlypd.errors import EmptyModel, NonFiniteFeature, SingleClassWeight
 
 from conftest import make_dataset
+from reference import boosted_score, logistic_score
 
 
 def _model(coef, intercept):
@@ -34,9 +33,8 @@ def _model(coef, intercept):
 def test_score_at_log3_margin():
     # sigmoid(ln 3) = 3/4
     model = _model([math.log(3.0)], 0.0)
-    assert logistic_score(model, [1.0]) == pytest.approx(0.75, abs=1e-15)
-    assert logistic_score(model, [0.0]) == pytest.approx(0.5, abs=1e-15)
-    assert logistic_score(model, [-1.0]) == pytest.approx(0.25, abs=1e-15)
+    scores = logistic_score_batch(model, [[1.0], [0.0], [-1.0]])
+    assert scores == pytest.approx([0.75, 0.5, 0.25], abs=1e-15)
 
 
 def test_objective_hand_value():
@@ -174,8 +172,6 @@ def test_adaboost_unlearnable_data_keeps_no_rounds(xor_dataset):
     model = adaboost_train(xor_dataset, max_rounds=5)
     assert model.rounds == ()
     with pytest.raises(EmptyModel):
-        boosted_score(model, [0.0, 0.0])
-    with pytest.raises(EmptyModel):
         boosted_score_batch(model, xor_dataset.features)
 
 
@@ -215,8 +211,8 @@ def test_boosted_score_weights_votes_by_alpha():
         BoostRound(votes_hd, 1.0, 0.2, 1.0, 0.5),
     )
     model = BoostedModel(rounds, 0.0, 2)
-    assert boosted_score(model, [1.0]) == pytest.approx(2 / 3, abs=1e-15)
-    assert boosted_score(model, [0.0]) == pytest.approx(1 / 3, abs=1e-15)
+    scores = boosted_score_batch(model, [[1.0], [0.0]])
+    assert scores == pytest.approx([2 / 3, 1 / 3], abs=1e-15)
 
 
 def test_batch_scores_match_scalar(small_split):

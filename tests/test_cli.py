@@ -7,6 +7,9 @@ from pathlib import Path
 import pytest
 
 from earlypd.cli import main
+from earlypd.data import ingest_csv
+
+from conftest import datasets_equal
 
 FAST_CONFIG = {
     "seed": 9,
@@ -55,20 +58,29 @@ def test_validate_reports_problems(tmp_path, capsys):
     main(["generate", "--out", str(source), "--n-healthy", "4", "--n-pd", "4",
           "--seed", "3"])
     capsys.readouterr()
-    lines = source.read_text().splitlines()
-    first = lines[1].split(",")
-    first[-1] = "2"  # label outside {0, 1}
-    second = lines[2].split(",")
-    second[1] = "-3"  # negative score on a non-negative integer scale
-    lines[1] = ",".join(first)
-    lines[2] = ",".join(second)
+    lines = [line.split(",") for line in source.read_text().splitlines()]
+    lines[1][-1] = "2"  # label outside {0, 1}
+    lines[2][1] = "-3"  # negative score on a non-negative integer scale
+    lines[3][4] = "oops"  # csf_alpha_syn
+    del lines[4][2]  # 14 cells
     bad = tmp_path / "bad.csv"
-    bad.write_text("\n".join(lines) + "\n")
+    bad.write_text("".join(",".join(cells) + "\n" for cells in lines))
     assert main(["validate", str(bad)]) == 1
-    out = capsys.readouterr().out
-    assert "row 1" in out
-    assert "row 2" in out
-    assert "problem(s) found" in out
+    assert capsys.readouterr().out.splitlines() == [
+        "row 1, column label: RangeViolation: label must be 0 or 1, got 2",
+        "row 2, column upsit_total: RangeViolation: upsit_total must lie in [0, 40], got -3.0",
+        "row 3, column csf_alpha_syn: NonNumericCell: 'oops' is not a number",
+        "row 4: NonNumericCell: expected 15 cells, got 14",
+        "4 problem(s) found",
+    ]
+
+
+def test_byte_order_mark_is_accepted(tmp_path, capsys, fixture_csv):
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + fixture_csv.read_bytes())
+    assert datasets_equal(ingest_csv(bom), ingest_csv(fixture_csv))
+    assert main(["validate", str(bom)]) == 0
+    assert capsys.readouterr().out.strip() == "ok"
 
 
 def test_experiment_writes_expected_artifacts(exp_dir):
@@ -280,7 +292,8 @@ def test_bad_config_value_exits_2(tmp_path, capsys):
                 {"mlp": {"hidden_units": 0}}, {"mlp": {"epochs": 0}},
                 {"mlp": {"learning_rate": -1.0}}, {"boostlr": {"max_rounds": 0}},
                 {"bayesnet": {"bins": 1}}, {"forest": {"feature_subset": 0}},
-                {"forest": {"feature_subset": -3}}):
+                {"forest": {"feature_subset": -3}},
+                {"bayesnet": {"strategy": "bogus"}, "mlp": {"epochs": 50}}):
         config.write_text(json.dumps(bad))
         rc = main(["experiment", "--config", str(config), "--out",
                    str(tmp_path / "out")])

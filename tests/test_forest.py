@@ -5,19 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from earlypd.errors import InconsistentCounts, SingleClassTraining
+from earlypd.errors import SingleClassTraining
 from earlypd.forest import (
     DecisionTree,
     ForestConfig,
     default_feature_subset,
     forest_score_batch,
     forest_train,
-    info_gain,
     tree_grow,
 )
 from earlypd.rng import SplitMix64
 
 from conftest import make_dataset
+from reference import info_gain, tree_predict
 
 
 def test_info_gain_hand_values():
@@ -35,7 +35,7 @@ def test_info_gain_no_split_is_zero():
 
 
 def test_info_gain_inconsistent_counts():
-    with pytest.raises(InconsistentCounts):
+    with pytest.raises(ValueError, match="do not sum"):
         info_gain((1, 1), (2, 0), (0, 2))
 
 
@@ -45,8 +45,37 @@ def test_tree_grow_one_dimensional_midpoint():
     tree = tree_grow(X, y, k=1, stream=SplitMix64(1))
     assert tree.feature[0] == 0
     assert tree.threshold[0] == 0.5  # midpoint between the two values
-    assert tree.predict([0.2]) == 0
-    assert tree.predict([0.8]) == 1
+    assert list(tree.predict_batch([[0.2], [0.8]])) == [0, 1]
+
+
+def test_root_split_has_the_largest_info_gain():
+    # with every feature drawn (k = m), the root's split must reach the best
+    # gain over every feature and every midpoint between distinct values
+    rng = np.random.default_rng(31)
+    for case in range(20):
+        n = int(rng.integers(6, 40))
+        m = int(rng.integers(1, 5))
+        X = rng.integers(0, 6, size=(n, m)).astype(np.float64)
+        y = rng.integers(0, 2, size=n)
+        if y.min() == y.max():
+            y[0] = 1 - y[0]
+        parent = (int(np.sum(y == 0)), int(np.sum(y == 1)))
+
+        def gain(f, thr):
+            go_left = X[:, f] < thr
+            left = (int(np.sum(y[go_left] == 0)), int(np.sum(y[go_left] == 1)))
+            return info_gain(parent, left, (parent[0] - left[0], parent[1] - left[1]))
+
+        best = 0.0
+        for f in range(m):
+            values = np.unique(X[:, f])
+            for thr in (values[1:] + values[:-1]) / 2:
+                best = max(best, gain(f, thr))
+        tree = tree_grow(X, y, k=m, stream=SplitMix64(case))
+        if tree.feature[0] < 0:
+            assert best <= 0.0
+        else:
+            assert gain(tree.feature[0], tree.threshold[0]) == pytest.approx(best, abs=1e-12)
 
 
 def test_tree_fits_training_data_exactly():
@@ -62,7 +91,6 @@ def test_tree_leaf_tie_predicts_healthy():
         feature=np.array([-1]), threshold=np.zeros(1),
         left=np.zeros(1, dtype=np.int64), right=np.zeros(1, dtype=np.int64),
         counts=np.array([[3, 3]]))
-    assert leaf.predict([0.0]) == 0
     assert list(leaf.predict_batch([[0.0], [1.0]])) == [0, 0]
 
 
@@ -97,7 +125,7 @@ def test_predict_batch_matches_scalar():
     y = rng.integers(0, 2, 30)
     tree = tree_grow(X, y, k=4, stream=SplitMix64(11))
     probe = rng.random((100, 4))
-    assert list(tree.predict_batch(probe)) == [tree.predict(row) for row in probe]
+    assert list(tree.predict_batch(probe)) == [tree_predict(tree, row) for row in probe]
 
 
 def test_default_feature_subset_formula():
@@ -134,7 +162,7 @@ def test_forest_score_is_vote_fraction(small_split):
     train, test = small_split
     model = forest_train(train, ForestConfig(trees=9), seed=2)
     x = test.features[0]
-    votes = sum(tree.predict(x) for tree in model.trees)
+    votes = sum(tree_predict(tree, x) for tree in model.trees)
     batch = forest_score_batch(model, test.features)
     assert batch[0] == pytest.approx(votes / 9)
     assert np.all((batch >= 0) & (batch <= 1))

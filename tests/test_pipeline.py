@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import earlypd
 import earlypd.pipeline
 from earlypd.data import export_csv, ingest_csv
 from earlypd.errors import ConfigError, EmptyCohort
@@ -278,7 +279,7 @@ def test_run_and_write_round_trips_report(tmp_path):
     config = fast_config(models=("boostlr",))
     result = run_and_write(config, tmp_path)
     assert (tmp_path / "report.csv").read_text() == result.report_csv
-    saved = ingest_csv(tmp_path / "cohort.csv", strict=True)
+    saved = ingest_csv(tmp_path / "cohort.csv")
     assert np.array_equal(saved.features, result.dataset.features)
     assert saved.subject_ids == result.dataset.subject_ids
 
@@ -286,3 +287,8 @@ def test_run_and_write_round_trips_report(tmp_path):
 def test_generated_cohort_rejects_bad_counts():
     with pytest.raises(EmptyCohort):
         run_experiment(fast_config(generate=GenerateConfig(n_healthy=0, n_pd=0)))
+
+
+def test_package_exports_resolve():
+    missing = [name for name in earlypd.__all__ if not hasattr(earlypd, name)]
+    assert missing == []

@@ -56,16 +56,6 @@ def test_shuffle_is_a_permutation():
     assert shuffled != items  # astronomically unlikely to be identity
 
 
-def test_permutation_matches_shuffle():
-    assert SplitMix64(8).permutation(6) == _shuffled_range(SplitMix64(8), 6)
-
-
-def _shuffled_range(g, n):
-    items = list(range(n))
-    g.shuffle(items)
-    return items
-
-
 def test_normal_moments():
     g = SplitMix64(15)
     xs = np.array([g.normal() for _ in range(20_000)])
