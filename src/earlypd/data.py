@@ -7,14 +7,16 @@ four CSF concentrations, three CSF ratios derived from them, and four striatal
 binding ratios from DaT imaging.
 
 CSV layout: UTF-8 (a leading byte-order mark is skipped), header row,
-exactly 15 columns, subject_id first, the 13 features in schema order, then
-label (0 healthy, 1 PD). Floats are written with 9 significant digits, which
-round-trips exactly for any file this package itself writes.
+exactly 15 columns, subject_id first (non-empty and unique), the 13 features
+in schema order, then label (0 healthy, 1 PD). Floats are written with 9
+significant digits, which round-trips exactly for any file this package
+itself writes.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -67,48 +69,67 @@ NONNEGATIVE_FEATURES = RATIO_FEATURES + (
 RATIO_REL_TOL = 1e-8
 
 
+def _ratios(abeta42, ttau, ptau181):
+    """compute_ratios without the zero check, elementwise on arrays too."""
+    return ttau / abeta42, ptau181 / abeta42, ptau181 / ttau
+
+
 def compute_ratios(abeta42: float, ttau: float, ptau181: float):
     """(ttau/abeta42, ptau181/abeta42, ptau181/ttau) for positive inputs."""
     if abeta42 == 0 or ttau == 0:
         raise DivisionByZeroDenominator(
             "ratio denominators csf_abeta42 and csf_ttau must be nonzero")
-    return ttau / abeta42, ptau181 / abeta42, ptau181 / ttau
+    return _ratios(abeta42, ttau, ptau181)
 
 
-def record_violations(vector, label) -> list:
-    """All (column, message) invariant violations for one feature vector.
+_COLUMN_ORDER = {name: i for i, name in enumerate(FEATURE_NAMES + ("label",))}
 
-    Checks run in schema order so the first entry is the leftmost problem.
+
+def _failing(mask, *columns):
+    """(index, value, ...) as Python numbers for each True entry of mask."""
+    idx = np.flatnonzero(mask)
+    return zip(idx.tolist(), *(column[idx].tolist() for column in columns))
+
+
+def record_violations(features, labels) -> list:
+    """All (index, column, message) invariant violations of an (n, 13) matrix.
+
+    labels holds the n label cells as floats. Each rule is one elementwise
+    comparison over a column, and only a failing cell gets a message. Entries
+    run in row order, then schema order; two messages on one cell keep the
+    order of the rules below.
     """
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.float64)
+    col = dict(zip(FEATURE_NAMES, features.T))
     out = []
-    vals = {name: float(vector[i]) for i, name in enumerate(FEATURE_NAMES)}
     for name, (lo, hi) in INTEGER_FEATURES.items():
-        v = vals[name]
-        if not np.isfinite(v) or v != int(v):
-            out.append((name, f"{name} must be an integer score, got {v}"))
-        elif not lo <= v <= hi:
-            out.append((name, f"{name} must lie in [{lo}, {hi}], got {v}"))
+        v = col[name]
+        integral = np.isfinite(v) & (v == np.trunc(v))
+        out += [(i, name, f"{name} must be an integer score, got {x}")
+                for i, x in _failing(~integral, v)]
+        out += [(i, name, f"{name} must lie in [{lo}, {hi}], got {x}")
+                for i, x in _failing(integral & ~((lo <= v) & (v <= hi)), v)]
     for name in POSITIVE_FEATURES:
-        if not vals[name] > 0:
-            out.append((name, f"{name} must be > 0 pg/mL, got {vals[name]}"))
+        out += [(i, name, f"{name} must be > 0 pg/mL, got {x}")
+                for i, x in _failing(~(col[name] > 0), col[name])]
     for name in NONNEGATIVE_FEATURES:
-        if not vals[name] >= 0:
-            out.append((name, f"{name} must be >= 0, got {vals[name]}"))
-    # ratio consistency only when the denominators are usable
-    if vals["csf_abeta42"] > 0 and vals["csf_ttau"] > 0:
-        expected = compute_ratios(vals["csf_abeta42"], vals["csf_ttau"], vals["csf_ptau181"])
+        out += [(i, name, f"{name} must be >= 0, got {x}")
+                for i, x in _failing(~(col[name] >= 0), col[name])]
+    # ratio consistency only where the denominators are usable
+    usable = np.flatnonzero((col["csf_abeta42"] > 0) & (col["csf_ttau"] > 0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = _ratios(*(col[name][usable] for name in
+                             ("csf_abeta42", "csf_ttau", "csf_ptau181")))
         for name, want in zip(RATIO_FEATURES, expected):
-            got = vals[name]
-            if want == 0:
-                ok = got == 0
-            else:
-                ok = abs(got - want) <= RATIO_REL_TOL * abs(want)
-            if not ok:
-                out.append((name, f"{name}={got} disagrees with recomputed {want}"))
-    if label not in (HEALTHY, PD):
-        out.append(("label", f"label must be 0 or 1, got {label}"))
-    order = {name: i for i, name in enumerate(FEATURE_NAMES + ("label",))}
-    out.sort(key=lambda item: order[item[0]])
+            got = col[name][usable]
+            ok = np.where(want == 0, got == 0,
+                          np.abs(got - want) <= RATIO_REL_TOL * np.abs(want))
+            out += [(i, name, f"{name}={g} disagrees with recomputed {w}")
+                    for _j, i, g, w in _failing(~ok, usable, got, want)]
+    out += [(i, "label", f"label must be 0 or 1, got {format_value(x)}")
+            for i, x in _failing((labels != HEALTHY) & (labels != PD), labels)]
+    out.sort(key=lambda item: (item[0], _COLUMN_ORDER[item[1]]))
     return out
 
 
@@ -185,17 +206,11 @@ def _check_header(header) -> None:
         raise MissingColumn("header mismatch: " + "; ".join(detail))
 
 
-def _parse_row(cells):
-    """(subject_id, vector, label) for one data row; raises on bad cells."""
+def _parse_row(cells) -> list:
+    """The 14 numbers of one data row; raises NonNumericCell at its first bad cell."""
     if len(cells) != len(CSV_COLUMNS):
         raise NonNumericCell(f"expected {len(CSV_COLUMNS)} cells, got {len(cells)}")
-    sid = cells[0]
-    vector = np.empty(N_FEATURES)
-    for i, name in enumerate(FEATURE_NAMES):
-        vector[i] = _parse_number(cells[i + 1], name)
-    raw_label = _parse_number(cells[-1], "label")
-    label = int(raw_label) if raw_label == int(raw_label) else -1
-    return sid, vector, label
+    return [_parse_number(cell, name) for cell, name in zip(cells[1:], CSV_COLUMNS[1:])]
 
 
 def location(row: int, column) -> str:
@@ -206,32 +221,79 @@ def location(row: int, column) -> str:
     return f"row {row}, column {column}" if column else f"row {row}"
 
 
-def _read_rows(path):
-    """Yield (row_number, record, problems) for every non-blank data row.
+# Data rows converted per np.array call. Ingest holds one block of cell lists
+# at a time, so this also bounds the reader's memory.
+BLOCK_ROWS = 1024
 
-    record is (subject_id, vector, label), or None when a cell does not parse.
-    problems lists (error class, column, message) in schema order: the row's
-    NonNumericCell, or every RangeViolation of its parsed values. column is
-    None for a row with the wrong cell count, and messages name no row or
-    column. Header problems raise MissingColumn; a file that is not UTF-8
-    text (a leading byte-order mark is skipped), or that the csv module
-    cannot split, raises UnreadableCsv.
+
+def _convert(block):
+    """The (m, 14) numbers of a block in one conversion, or None if a row has
+    the wrong cell count or a cell is not a finite number."""
+    if any(len(cells) != len(CSV_COLUMNS) for _row, cells in block):
+        return None
+    try:
+        values = np.array([cells[1:] for _row, cells in block], dtype=np.float64)
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def _parse_block(block, seen_ids):
+    """(ids, values, findings) for a block of (row_number, cells) pairs.
+
+    values is the (m, 14) matrix of the rows whose cells all parse, in file
+    order, and ids are their subject ids. findings lists (row_number, error
+    class, column, message) in row order. Within a row, an empty subject_id,
+    or one already in seen_ids (id -> first row, shared across blocks), comes
+    first; then either the row's NonNumericCell or every RangeViolation of
+    its values, in schema order. column is None for a row with the wrong cell
+    count, and messages name no row or column.
+    """
+    findings = []
+    for row_number, cells in block:
+        sid = cells[0]
+        if not sid.strip():
+            findings.append((row_number, RangeViolation, "subject_id", "subject_id is empty"))
+        elif sid in seen_ids:
+            findings.append((row_number, RangeViolation, "subject_id",
+                             f"subject_id {sid!r} already used in row {seen_ids[sid]}"))
+        else:
+            seen_ids[sid] = row_number
+    values = _convert(block)
+    if values is None:
+        # row by row, for the exact message and column of each bad cell
+        parsed, rows = [], []
+        for row_number, cells in block:
+            try:
+                rows.append(_parse_row(cells))
+            except NonNumericCell as err:
+                findings.append((row_number, NonNumericCell, err.column, str(err)))
+            else:
+                parsed.append((row_number, cells))
+        block = parsed
+        values = np.array(rows, dtype=np.float64).reshape(-1, len(CSV_COLUMNS) - 1)
+    for i, column, message in record_violations(values[:, :N_FEATURES], values[:, N_FEATURES]):
+        findings.append((block[i][0], RangeViolation, column, message))
+    findings.sort(key=lambda finding: finding[0])
+    return [cells[0] for _row, cells in block], values, findings
+
+
+def _read_blocks(path):
+    """Yield _parse_block's (ids, values, findings) per BLOCK_ROWS data rows.
+
+    Data rows are numbered from 1 in file order, blank lines included, and
+    blank lines are then skipped. Header problems raise MissingColumn; a file
+    that is not UTF-8 text (a leading byte-order mark is skipped), or that
+    the csv module cannot split, raises UnreadableCsv.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             _check_header(next(reader, None))
-            for row_number, cells in enumerate(reader, start=1):
-                if not cells:
-                    continue
-                try:
-                    record = _parse_row(cells)
-                except NonNumericCell as err:
-                    yield row_number, None, [(NonNumericCell, err.column, str(err))]
-                    continue
-                yield row_number, record, [
-                    (RangeViolation, column, message)
-                    for column, message in record_violations(record[1], record[2])]
+            rows = ((n, cells) for n, cells in enumerate(reader, start=1) if cells)
+            seen_ids = {}
+            while block := list(itertools.islice(rows, BLOCK_ROWS)):
+                yield _parse_block(block, seen_ids)
     except (UnicodeDecodeError, csv.Error) as err:
         raise UnreadableCsv(f"{path} is not a readable CSV file: {err}") from None
 
@@ -243,18 +305,16 @@ def ingest_csv(path) -> Dataset:
     and column; header problems raise MissingColumn and unreadable files
     UnreadableCsv. `earlypd validate` lists every bad row instead.
     """
-    ids, vectors, labels = [], [], []
-    for row_number, record, problems in _read_rows(path):
-        if problems:
-            kind, column, message = problems[0]
-            raise kind(f"{location(row_number, column)}: {message}",
-                       row=row_number, column=column)
-        sid, vector, label = record
-        ids.append(sid)
-        vectors.append(vector)
-        labels.append(label)
-    feats = np.array(vectors) if vectors else np.empty((0, N_FEATURES))
-    return Dataset(tuple(ids), feats, np.array(labels, dtype=np.int64))
+    ids, blocks = [], [np.empty((0, len(CSV_COLUMNS) - 1))]
+    for block_ids, values, findings in _read_blocks(path):
+        if findings:
+            row, kind, column, message = findings[0]
+            raise kind(f"{location(row, column)}: {message}", row=row, column=column)
+        ids += block_ids
+        blocks.append(values)
+    # features and labels straight from the blocks: no whole-file matrix to copy
+    return Dataset(tuple(ids), np.concatenate([v[:, :N_FEATURES] for v in blocks]),
+                   np.concatenate([v[:, N_FEATURES] for v in blocks]).astype(np.int64))
 
 
 def format_value(x: float) -> str:
@@ -281,6 +341,6 @@ def validate_file(path) -> list:
     Unlike ingest_csv this does not stop at the first bad row. column is ""
     for a row with the wrong cell count.
     """
-    return [(row_number, column or "", kind.__name__, message)
-            for row_number, _record, problems in _read_rows(path)
-            for kind, column, message in problems]
+    return [(row, column or "", kind.__name__, message)
+            for _ids, _values, findings in _read_blocks(path)
+            for row, kind, column, message in findings]

@@ -1,4 +1,5 @@
-"""Independent scalar references for the package's batch scorers and split rule.
+"""Independent scalar references for the package's batch scorers, split rule
+and record rules.
 
 Each function works on one record (or one split) at a time, with plain Python
 control flow, so the vectorized code in the package can be checked against
@@ -8,7 +9,18 @@ it. None of this runs in the pipeline.
 import numpy as np
 
 from earlypd.boostlr import _sigmoid
-from earlypd.data import HEALTHY, PD
+from earlypd.data import (
+    FEATURE_NAMES,
+    HEALTHY,
+    INTEGER_FEATURES,
+    NONNEGATIVE_FEATURES,
+    PD,
+    POSITIVE_FEATURES,
+    RATIO_FEATURES,
+    RATIO_REL_TOL,
+    compute_ratios,
+    format_value,
+)
 from earlypd.errors import EmptyModel
 from earlypd.forest import _entropy
 
@@ -76,3 +88,40 @@ def joint_oracle(net, assignment) -> float:
             idx = 0
         prob *= float(cpt[int(idx), assignment[node]])
     return prob
+
+
+def record_violations(vector, label) -> list:
+    """All (column, message) invariant violations for one feature vector.
+
+    Checks run in schema order so the first entry is the leftmost problem.
+    """
+    out = []
+    vals = {name: float(vector[i]) for i, name in enumerate(FEATURE_NAMES)}
+    for name, (lo, hi) in INTEGER_FEATURES.items():
+        v = vals[name]
+        if not np.isfinite(v) or v != int(v):
+            out.append((name, f"{name} must be an integer score, got {v}"))
+        elif not lo <= v <= hi:
+            out.append((name, f"{name} must lie in [{lo}, {hi}], got {v}"))
+    for name in POSITIVE_FEATURES:
+        if not vals[name] > 0:
+            out.append((name, f"{name} must be > 0 pg/mL, got {vals[name]}"))
+    for name in NONNEGATIVE_FEATURES:
+        if not vals[name] >= 0:
+            out.append((name, f"{name} must be >= 0, got {vals[name]}"))
+    # ratio consistency only when the denominators are usable
+    if vals["csf_abeta42"] > 0 and vals["csf_ttau"] > 0:
+        expected = compute_ratios(vals["csf_abeta42"], vals["csf_ttau"], vals["csf_ptau181"])
+        for name, want in zip(RATIO_FEATURES, expected):
+            got = vals[name]
+            if want == 0:
+                ok = got == 0
+            else:
+                ok = abs(got - want) <= RATIO_REL_TOL * abs(want)
+            if not ok:
+                out.append((name, f"{name}={got} disagrees with recomputed {want}"))
+    if label not in (HEALTHY, PD):
+        out.append(("label", f"label must be 0 or 1, got {format_value(label)}"))
+    order = {name: i for i, name in enumerate(FEATURE_NAMES + ("label",))}
+    out.sort(key=lambda item: order[item[0]])
+    return out

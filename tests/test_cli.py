@@ -63,6 +63,7 @@ def test_validate_reports_problems(tmp_path, capsys):
     lines[2][1] = "-3"  # negative score on a non-negative integer scale
     lines[3][4] = "oops"  # csf_alpha_syn
     del lines[4][2]  # 14 cells
+    lines[5][-1] = "0.5"  # a label that is no class, named as written
     bad = tmp_path / "bad.csv"
     bad.write_text("".join(",".join(cells) + "\n" for cells in lines))
     assert main(["validate", str(bad)]) == 1
@@ -71,7 +72,8 @@ def test_validate_reports_problems(tmp_path, capsys):
         "row 2, column upsit_total: RangeViolation: upsit_total must lie in [0, 40], got -3.0",
         "row 3, column csf_alpha_syn: NonNumericCell: 'oops' is not a number",
         "row 4: NonNumericCell: expected 15 cells, got 14",
-        "4 problem(s) found",
+        "row 5, column label: RangeViolation: label must be 0 or 1, got 0.5",
+        "5 problem(s) found",
     ]
 
 

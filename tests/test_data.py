@@ -1,15 +1,21 @@
 """Schema, ratio math, CSV round-trips, and validation behavior."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from earlypd.data import (
+    BLOCK_ROWS,
     CSV_COLUMNS,
     FEATURE_NAMES,
     HEALTHY,
     PD,
+    RATIO_FEATURES,
+    RATIO_REL_TOL,
     Dataset,
     compute_ratios,
     export_csv,
@@ -59,9 +65,11 @@ _VALID = dict(
 
 
 def _record(label=PD, **overrides):
-    """(vector, label) for record_violations: a valid record with some values replaced."""
+    """(features, labels) for record_violations: one valid record with some
+    values replaced."""
     values = {**_VALID, **overrides}
-    return np.array([values[name] for name in FEATURE_NAMES]), label
+    return (np.array([[values[name] for name in FEATURE_NAMES]]),
+            np.array([label], dtype=float))
 
 
 def test_valid_record_has_no_violations():
@@ -78,17 +86,79 @@ def test_valid_record_has_no_violations():
 ])
 def test_violations_are_detected(overrides, column):
     problems = record_violations(*_record(**overrides))
-    assert column in [c for c, _ in problems]
+    assert column in [c for _i, c, _m in problems]
 
 
 def test_violations_sorted_by_schema_order():
     problems = record_violations(*_record(upsit_total=99, label=7))
-    assert [c for c, _ in problems] == ["upsit_total", "label"]
+    assert [c for _i, c, _m in problems] == ["upsit_total", "label"]
 
 
 def test_non_integer_score_is_flagged():
     problems = record_violations(*_record(rbdsq_total=6.5))
-    assert problems and problems[0][0] == "rbdsq_total"
+    assert problems and problems[0][1] == "rbdsq_total"
+
+
+def _near_ratio(want):
+    """Stored ratio values around want: exact, at and just beyond the
+    tolerance on both sides, zero, and out of range."""
+    at = RATIO_REL_TOL * abs(want)
+    return st.sampled_from([
+        want, want + at, want - at,
+        float(np.nextafter(want + at, math.inf)), float(np.nextafter(want - at, -math.inf)),
+        want * (1 + 1.01 * RATIO_REL_TOL), 0.0, -0.0, -want,
+    ])
+
+
+@st.composite
+def _rule_rows(draw):
+    """(vector, label) rows that sit on or next to each record rule's edges."""
+    conc = st.sampled_from([0.0, -0.0, -5.0, 1e-3]) | st.floats(1e-3, 1e4)
+    values = {
+        "upsit_total": draw(st.sampled_from([-1, 0, 0.5, 24, 24.5, 40, 40.5, 41])
+                            | st.integers(-3, 43)),
+        "rbdsq_total": draw(st.sampled_from([-1, -0.0, 0, 6.5, 12, 12.5, 13])),
+        **{name: draw(conc) for name in
+           ("csf_abeta42", "csf_alpha_syn", "csf_ptau181", "csf_ttau")},
+        **{name: draw(st.sampled_from([0.0, -0.0, -0.1]) | st.floats(0, 5))
+           for name in ("sbr_caudate_left", "sbr_caudate_right",
+                        "sbr_putamen_left", "sbr_putamen_right")},
+    }
+    abeta, ttau, ptau = values["csf_abeta42"], values["csf_ttau"], values["csf_ptau181"]
+    if abeta > 0 and ttau > 0:
+        wants = compute_ratios(abeta, ttau, ptau)
+    else:
+        wants = (0.2, 0.05, 0.25)
+    for name, want in zip(RATIO_FEATURES, wants):
+        values[name] = draw(_near_ratio(want))
+    label = draw(st.sampled_from([0, 1, -0.0, 0.5, 7, 1e20]))
+    return [float(values[name]) for name in FEATURE_NAMES], float(label)
+
+
+def _on_ratio_bound(beyond):
+    """A row whose ratio_ttau_abeta differs from the recomputed ratio by
+    exactly RATIO_REL_TOL of it (want = 2**-30 / RATIO_REL_TOL, so the bound
+    is 2**-30 with no rounding), or by one ulp more."""
+    want = 2.0**-30 / RATIO_REL_TOL
+    got = want + 2.0**-30
+    if beyond:
+        got = float(np.nextafter(got, math.inf))
+    values = {**_VALID, "csf_abeta42": 1.0, "csf_ttau": want, "csf_ptau181": 0.05,
+              "ratio_ttau_abeta": got, "ratio_ptau_abeta": 0.05, "ratio_ptau_ttau": 0.05 / want}
+    return [float(values[name]) for name in FEATURE_NAMES], 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_rule_rows(), min_size=1, max_size=6))
+@example([_on_ratio_bound(beyond=False), _on_ratio_bound(beyond=True)])
+def test_record_violations_match_the_per_row_reference(rows):
+    features = np.array([vector for vector, _label in rows])
+    labels = np.array([label for _vector, label in rows])
+    found = record_violations(features, labels)
+    assert [i for i, _c, _m in found] == sorted(i for i, _c, _m in found)
+    for i, (vector, label) in enumerate(rows):
+        assert [(c, m) for j, c, m in found if j == i] == \
+            reference.record_violations(np.array(vector), label)
 
 
 def test_ingest_fixture(fixture_csv):
@@ -164,14 +234,77 @@ def test_validate_file_clean(fixture_csv):
     assert validate_file(fixture_csv) == []
 
 
-@pytest.mark.parametrize("non_numeric_row", [2, 4])
-def test_ingest_and_validate_agree_on_bad_rows(tmp_path, non_numeric_row):
+def test_empty_and_repeated_subject_ids_are_rejected(tmp_path, fixture_csv):
+    text = fixture_csv.read_text().replace("S002,", "S001,").replace("S003,", ",")
+    p = tmp_path / "ids.csv"
+    p.write_text(text)
+    with pytest.raises(RangeViolation) as err:
+        ingest_csv(p)
+    assert (err.value.row, err.value.column) == (2, "subject_id")
+    assert str(err.value) == "row 2, column subject_id: subject_id 'S001' already used in row 1"
+    assert validate_file(p) == [
+        (2, "subject_id", "RangeViolation", "subject_id 'S001' already used in row 1"),
+        (3, "subject_id", "RangeViolation", "subject_id is empty"),
+    ]
+
+
+@pytest.mark.parametrize("cell", [
+    " 2.5 ", "2_5", "+2.5", "\uff12.\uff15", "25e-1", "-0.0", "0", "1e-400",
+    "0x1p1", "2__5", "_25", "2.5.", "nan", "-inf", "Infinity", "1e400", "",
+])
+def test_cells_parse_as_float_does(tmp_path, fixture_csv, cell):
+    """The block conversion accepts exactly what float() accepts, to the bit,
+    and a cell float() rejects, or reads as non-finite, is a NonNumericCell."""
+    p = tmp_path / "cell.csv"
+    p.write_text(fixture_csv.read_text().replace(",2.1,", f",{cell},"))
+    try:
+        want = float(cell)
+    except ValueError:
+        want = math.nan
+    if math.isfinite(want):
+        got = ingest_csv(p).features[0, FEATURE_NAMES.index("sbr_caudate_left")]
+        assert got.tobytes() == np.float64(want).tobytes()
+    else:
+        with pytest.raises(NonNumericCell) as err:
+            ingest_csv(p)
+        assert (err.value.row, err.value.column) == (1, "sbr_caudate_left")
+
+
+def test_three_block_cohort_ingests_bit_identical(tmp_path):
+    cohort = generate(GenerateConfig(n_healthy=1200, n_pd=1300), 4)
+    assert len(cohort) > 2 * BLOCK_ROWS
+    p = tmp_path / "cohort.csv"
+    export_csv(cohort, p)
+    again = ingest_csv(p)
+    assert again.subject_ids == cohort.subject_ids
+    assert again.features.tobytes() == cohort.features.tobytes()
+    assert again.labels.tobytes() == cohort.labels.tobytes()
+    # the seen ids span blocks: a third-block row repeating row 1's id
+    lines = p.read_text().splitlines()
+    lines[2400] = lines[1].split(",")[0] + "," + lines[2400].split(",", 1)[1]
+    p.write_text("\n".join(lines) + "\n")
+    assert validate_file(p) == [(2400, "subject_id", "RangeViolation",
+                                 f"subject_id {cohort.subject_ids[0]!r} already used in row 1")]
+
+
+@pytest.mark.parametrize("n_healthy, n_pd, blank_rows, non_numeric_row, range_rows", [
+    pytest.param(3, 3, (), 2, (3, 5), id="2"),
+    pytest.param(3, 3, (), 4, (3, 5), id="4"),
+    # 2,500 records span three reader blocks; the blank lines around the
+    # first block boundary still count as rows
+    pytest.param(1200, 1300, (BLOCK_ROWS - 1, BLOCK_ROWS + 2), 1500, (2300, 2400),
+                 id="three-blocks"),
+])
+def test_ingest_and_validate_agree_on_bad_rows(tmp_path, n_healthy, n_pd, blank_rows,
+                                               non_numeric_row, range_rows):
     """Ingest stops at validate_file's first finding, with its class, row and
     column."""
-    cohort = generate(GenerateConfig(n_healthy=3, n_pd=3), 4)
+    cohort = generate(GenerateConfig(n_healthy=n_healthy, n_pd=n_pd), 4)
     p = tmp_path / "cohort.csv"
     export_csv(cohort, p)
     lines = p.read_text().splitlines()
+    for row in blank_rows:
+        lines.insert(row, "")
 
     def set_cell(row, column, text):
         cells = lines[row].split(",")
@@ -179,14 +312,14 @@ def test_ingest_and_validate_agree_on_bad_rows(tmp_path, non_numeric_row):
         lines[row] = ",".join(cells)
 
     set_cell(non_numeric_row, "csf_ttau", "n/a")
-    set_cell(3, "upsit_total", "77")
-    set_cell(5, "label", "3")
-    set_cell(5, "sbr_caudate_left", "-1")
+    set_cell(range_rows[0], "upsit_total", "77")
+    set_cell(range_rows[1], "label", "3")
+    set_cell(range_rows[1], "sbr_caudate_left", "-1")
     p.write_text("\n".join(lines) + "\n")
 
     findings = validate_file(p)
     bad_rows = sorted({f[0] for f in findings})
-    assert bad_rows == sorted({non_numeric_row, 3, 5})
+    assert bad_rows == sorted({non_numeric_row, *range_rows})
     row, column, kind, message = findings[0]
     with pytest.raises((NonNumericCell, RangeViolation)) as err:
         ingest_csv(p)

@@ -6,11 +6,20 @@ carries the wall-clock timestamp and elapsed time. A change that alters one
 of these files on purpose records the old and new digests, and the reason,
 in CHANGES.md. The values were taken with Python 3.11.7 and numpy on x86-64
 Linux.
+
+The default models, saved and loaded again, must also score a new cohort to
+the same bytes: EVALUATE_GOLDEN pins the four `earlypd evaluate --out` files
+for a generated 3,000-record cohort (seed 43, the paper's class ratio), so a
+change to CSV ingest, model loading or batch scoring that moves any score or
+metric shows here.
 """
 
 import hashlib
 
+from earlypd.cli import main
+from earlypd.data import export_csv
 from earlypd.pipeline import write_artifacts
+from earlypd.synth import GenerateConfig, generate
 
 GOLDEN = {
     "cohort.csv": "b3065d07230e50b4e930f92b2c4346ba3527760588f55a65844d83350ab286d3",
@@ -42,3 +51,26 @@ def test_default_run_artifact_digests(default_run, tmp_path):
     }
     del digests["metadata.json"]
     assert digests == GOLDEN
+
+
+EVALUATE_GOLDEN = {
+    "bayesnet": "d5b241aa4e4c40435044140a5abae1657b0b3944d8d25cca7967bc20817c1e98",
+    "boostlr": "3fd677773917564cca7e0df6550182b76b66411378a79a8ec7c154d3fd10b74d",
+    "forest": "164abe1a97ad217deb1857d9e644f1e6eca6305a38683676cdab4877cbb5f5cb",
+    "mlp": "e6bd53ec36b4d99f92b7ec80c60c21ae997f598461085111860a4a4fdfc6f2b3",
+}
+
+
+def test_saved_models_score_digests(default_run, tmp_path, capsys):
+    write_artifacts(default_run, tmp_path)
+    cohort = tmp_path / "score.csv"
+    export_csv(generate(GenerateConfig(n_healthy=942, n_pd=2058), 43), cohort)
+    digests = {}
+    for model in EVALUATE_GOLDEN:
+        out = tmp_path / f"evaluate_{model}.json"
+        assert main(["evaluate", "--model", str(tmp_path / "models" / f"{model}.json"),
+                     "--input", str(cohort), "--preprocess", str(tmp_path / "preprocess.json"),
+                     "--out", str(out)]) == 0
+        digests[model] = hashlib.sha256(out.read_bytes()).hexdigest()
+    capsys.readouterr()
+    assert digests == EVALUATE_GOLDEN
