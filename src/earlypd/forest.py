@@ -5,9 +5,13 @@ drawn from the stream for (seed, "tree/<index>")) and considers a fresh
 random draw of k features without replacement at every node. Candidate
 thresholds are midpoints between consecutive distinct sorted values; the
 split maximizing information gain (entropy in bits) wins, with ties going to
-the earliest drawn feature and then the lowest threshold. Nodes stop at
-purity, fewer than two records, or no positive gain. Leaves keep their class
-counts. The forest votes: score = fraction of trees predicting PD.
+the earliest drawn feature and then the lowest threshold. A node scores its
+drawn features together: one stable sort of their values, one running PD
+count and one argmax over every candidate of every feature, listed in draw
+order, so the tie rules are those of scoring the features one at a time.
+Nodes stop at purity, fewer than two records, or no positive gain. Leaves
+keep their class counts. The forest votes: score = fraction of trees
+predicting PD.
 """
 
 from __future__ import annotations
@@ -78,8 +82,14 @@ class DecisionTree:
         return nodes
 
     @classmethod
-    def from_json_list(cls, nodes: list) -> "DecisionTree":
+    def from_json_list(cls, nodes: list, n_features: int) -> "DecisionTree":
+        """Node arrays from a saved tree. Raises ValueError unless the tree has
+        a node, every split feature is below n_features, and every child index
+        lies after its parent's and within the tree, so that every walk from the
+        root reaches a leaf."""
         n = len(nodes)
+        if n == 0:
+            raise ValueError("a tree needs at least one node")
         feature = np.full(n, -1, dtype=np.int64)
         threshold = np.zeros(n)
         left = np.full(n, -1, dtype=np.int64)
@@ -93,6 +103,11 @@ class DecisionTree:
                 left[i] = node["left"]
                 right[i] = node["right"]
                 counts[i] = node["counts"]
+                if not (0 <= feature[i] < n_features and i < left[i] < n and i < right[i] < n):
+                    raise ValueError(
+                        f"node {i} splits on feature {feature[i]} into nodes {left[i]} and "
+                        f"{right[i]}; the feature must be below {n_features} and the "
+                        f"children between {i + 1} and {n - 1}")
         return cls(feature, threshold, left, right, counts)
 
 
@@ -106,32 +121,13 @@ def _draw_features(stream: SplitMix64, m: int, k: int) -> list:
     return drawn
 
 
-def _best_split_for_feature(values, is_pd, parent_pd, parent_entropy):
-    order = np.argsort(values, kind="stable")
-    sv = values[order]
-    sy = is_pd[order]
-    change = np.nonzero(sv[1:] != sv[:-1])[0]
-    if change.size == 0:
-        return None
-    n = len(sv)
-    cum_pd = np.cumsum(sy)
-    left_n = change + 1
-    left_pd = cum_pd[change]
-    right_n = n - left_n
-    right_pd = parent_pd - left_pd
-    gains = (parent_entropy
-             - (left_n / n) * _entropy(left_pd, left_n)
-             - (right_n / n) * _entropy(right_pd, right_n))
-    j = int(np.argmax(gains))
-    thr = 0.5 * (sv[change[j]] + sv[change[j] + 1])
-    return float(gains[j]), float(thr)
-
-
 def tree_grow(X, y, k: int, stream: SplitMix64) -> DecisionTree:
     """Grow one unpruned tree on (X, y) with k-feature draws per node."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     m = X.shape[1]
+    # feature-major, so a node gathers its drawn features as contiguous rows
+    XT = np.ascontiguousarray(X.T)
     feature, threshold, left, right, counts = [], [], [], [], []
 
     # explicit stack, nodes appended when visited: pushing the right work item
@@ -154,17 +150,32 @@ def tree_grow(X, y, k: int, stream: SplitMix64) -> DecisionTree:
         if n < 2 or pd_count == 0 or pd_count == n:
             continue
         parent_entropy = float(_entropy(pd_count, n))
-        best = None
-        for f in _draw_features(stream, m, k):
-            cand = _best_split_for_feature(X[idx, f], is_pd, pd_count, parent_entropy)
-            if cand is None:
-                continue
-            gain, thr = cand
-            if best is None or gain > best[0]:
-                best = (gain, f, thr)
-        if best is None or best[0] <= 0.0:
+        drawn = _draw_features(stream, m, k)
+        # one (k, n) block: row r holds drawn feature r's values, sorted, with
+        # the running PD count; candidate splits sit where a sorted value changes
+        block = XT[drawn][:, idx]
+        order = np.argsort(block, axis=1, kind="stable")
+        sv = np.take_along_axis(block, order, axis=1)
+        cum_pd = np.cumsum(is_pd[order], axis=1)
+        c, j = np.nonzero(sv[:, 1:] != sv[:, :-1])
+        if j.size == 0:
             continue
-        _, f, thr = best
+        left_n = j + 1
+        left_pd = cum_pd[c, j]
+        right_n = n - left_n
+        right_pd = pd_count - left_pd
+        # every gain is formed elementwise exactly as for a single feature, so
+        # the bits do not depend on how many features share the array
+        gains = (parent_entropy
+                 - (left_n / n) * _entropy(left_pd, left_n)
+                 - (right_n / n) * _entropy(right_pd, right_n))
+        # candidates run feature-major in draw order, thresholds ascending:
+        # the first maximum is the earliest drawn feature's lowest threshold
+        b = int(np.argmax(gains))
+        if not gains[b] > 0.0:
+            continue
+        f = drawn[c[b]]
+        thr = float(0.5 * (sv[c[b], j[b]] + sv[c[b], j[b] + 1]))
         go_left = X[idx, f] < thr
         feature[node] = f
         threshold[node] = thr
@@ -218,7 +229,7 @@ class ForestModel:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ForestModel":
-        trees = tuple(DecisionTree.from_json_list(t) for t in obj["trees"])
+        trees = tuple(DecisionTree.from_json_list(t, obj["n_features"]) for t in obj["trees"])
         cfg = ForestConfig(len(trees), obj["feature_subset"], obj["bootstrap"])
         return cls(trees, cfg, obj["seed"], obj["n_features"])
 
@@ -236,7 +247,7 @@ def forest_train(train: Dataset, config: ForestConfig = ForestConfig(),
     for t in range(config.trees):
         stream = derive_stream(seed, f"tree/{t}")
         if config.bootstrap:
-            sample = [stream.below(n) for _ in range(n)]
+            sample = stream.below_array(n, n)
             trees.append(tree_grow(X[sample], y[sample], k, stream))
         else:
             trees.append(tree_grow(X, y, k, stream))

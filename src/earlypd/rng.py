@@ -17,11 +17,17 @@ Derivation map used by the pipeline:
               -> "generate"    synthetic cohort sampling
               -> "mlp"         weight init and epoch shuffles
               -> "tree/<i>"    bootstrap and feature draws for forest tree i
+
+``SplitMix64.below_array(n, count)`` makes ``count`` ``below(n)`` draws in one
+numpy computation, with the same values and the same final state, so a
+forest's bootstrap sample is one call.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 STREAM_VERSION = 1
 
@@ -70,6 +76,26 @@ class SplitMix64:
             u = self.next_u64()
             if u < limit:
                 return u % n
+
+    def below_array(self, n: int, count: int) -> np.ndarray:
+        """``count`` draws of ``below(n)`` as one uint64 array, leaving the
+        state where ``count`` calls of ``below(n)`` would.
+
+        The i-th output depends only on ``state + i * gamma``, so all are
+        computed at once. If one lands in the rejected tail (about one in 1e16
+        at the pipeline's sizes), the draws are made one by one instead.
+        """
+        if n <= 0:
+            raise ValueError("below_array() needs n >= 1")
+        steps = np.arange(1, count + 1, dtype=np.uint64)
+        z = np.uint64(self._state) + steps * np.uint64(_GAMMA)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        if count and int(z.max()) >= (1 << 64) - ((1 << 64) % n):
+            return np.array([self.below(n) for _ in range(count)], dtype=np.uint64)
+        self._state = (self._state + count * _GAMMA) & _MASK64
+        return z % np.uint64(n)
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates, iterating from the last index down."""

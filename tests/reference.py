@@ -1,8 +1,8 @@
-"""Independent scalar references for the package's batch scorers, split rule
-and record rules.
+"""Independent scalar references for the package's batch scorers, split rule,
+tree grower and record rules.
 
-Each function works on one record (or one split) at a time, with plain Python
-control flow, so the vectorized code in the package can be checked against
+Each function works on one record (or one split, or one feature of a node's
+split search) at a time, with plain Python control flow, so the vectorized code in the package can be checked against
 it. None of this runs in the pipeline.
 """
 
@@ -22,7 +22,7 @@ from earlypd.data import (
     format_value,
 )
 from earlypd.errors import EmptyModel
-from earlypd.forest import _entropy
+from earlypd.forest import DecisionTree, _draw_features, _entropy
 
 
 def logistic_score(model, features) -> float:
@@ -72,6 +72,78 @@ def info_gain(parent, left, right) -> float:
     if nr:
         gain = gain - (nr / n) * _entropy(rp, nr)
     return float(gain)
+
+
+def _best_split_for_feature(values, is_pd, parent_pd, parent_entropy):
+    order = np.argsort(values, kind="stable")
+    sv = values[order]
+    sy = is_pd[order]
+    change = np.nonzero(sv[1:] != sv[:-1])[0]
+    if change.size == 0:
+        return None
+    n = len(sv)
+    cum_pd = np.cumsum(sy)
+    left_n = change + 1
+    left_pd = cum_pd[change]
+    right_n = n - left_n
+    right_pd = parent_pd - left_pd
+    gains = (parent_entropy
+             - (left_n / n) * _entropy(left_pd, left_n)
+             - (right_n / n) * _entropy(right_pd, right_n))
+    j = int(np.argmax(gains))
+    thr = 0.5 * (sv[change[j]] + sv[change[j] + 1])
+    return float(gains[j]), float(thr)
+
+
+def reference_tree_grow(X, y, k: int, stream) -> DecisionTree:
+    """tree_grow with one split search per drawn feature: the best gain of
+    each feature in draw order, where only a strictly larger gain replaces
+    the best so far."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    m = X.shape[1]
+    feature, threshold, left, right, counts = [], [], [], [], []
+
+    stack = [(np.arange(len(y)), -1, False)]
+    while stack:
+        idx, parent, is_right = stack.pop()
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        if parent >= 0:
+            (right if is_right else left)[parent] = node
+        is_pd = (y[idx] == PD).astype(np.int64)
+        n = len(idx)
+        pd_count = int(is_pd.sum())
+        counts.append((n - pd_count, pd_count))
+        if n < 2 or pd_count == 0 or pd_count == n:
+            continue
+        parent_entropy = float(_entropy(pd_count, n))
+        best = None
+        for f in _draw_features(stream, m, k):
+            cand = _best_split_for_feature(X[idx, f], is_pd, pd_count, parent_entropy)
+            if cand is None:
+                continue
+            gain, thr = cand
+            if best is None or gain > best[0]:
+                best = (gain, f, thr)
+        if best is None or best[0] <= 0.0:
+            continue
+        _, f, thr = best
+        go_left = X[idx, f] < thr
+        feature[node] = f
+        threshold[node] = thr
+        stack.append((idx[~go_left], node, True))
+        stack.append((idx[go_left], node, False))
+    return DecisionTree(
+        np.array(feature, dtype=np.int64),
+        np.array(threshold),
+        np.array(left, dtype=np.int64),
+        np.array(right, dtype=np.int64),
+        np.array(counts, dtype=np.int64),
+    )
 
 
 def joint_oracle(net, assignment) -> float:

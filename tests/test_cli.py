@@ -175,12 +175,21 @@ def test_evaluate_rejects_non_model_json(exp_dir, tmp_path, capsys):
     payload = json.loads(sidecar.read_text())
     del payload["schema"]
     no_schema.write_text(json.dumps(payload))
+    # a root split whose child or feature index is past the end of its array
+    child_out = tmp_path / "child_out_of_range.json"
+    feature_out = tmp_path / "feature_out_of_range.json"
+    for path, edit in ((child_out, {"right": 10_000}), (feature_out, {"split": [13, 0.5]})):
+        forest = json.loads(model.read_text())
+        forest["trees"][0][0].update(edit)
+        path.write_text(json.dumps(forest))
     # (model file, sidecar, the file the error names)
     cases = [
         (out / "run_config.json", sidecar, out / "run_config.json"),
         (forest_stub, sidecar, forest_stub),
         (not_json, sidecar, not_json),
         (model, no_schema, no_schema),
+        (child_out, sidecar, child_out),
+        (feature_out, sidecar, feature_out),
     ]
     for model_path, sidecar_path, culprit in cases:
         rc = main(["evaluate", "--model", str(model_path),

@@ -17,7 +17,7 @@ from earlypd.forest import (
 from earlypd.rng import SplitMix64
 
 from conftest import make_dataset
-from reference import info_gain, tree_predict
+from reference import info_gain, reference_tree_grow, tree_predict
 
 
 def test_info_gain_hand_values():
@@ -78,6 +78,67 @@ def test_root_split_has_the_largest_info_gain():
             assert gain(tree.feature[0], tree.threshold[0]) == pytest.approx(best, abs=1e-12)
 
 
+def _ties_everywhere(rng):
+    # integer features with 2-4 distinct values: most sorted neighbours are
+    # equal, and a repeated column ties with its copy at every threshold
+    n = 120
+    X = np.column_stack([rng.integers(0, v, n) for v in (2, 3, 4, 2, 3, 4)])
+    X = np.column_stack([X, X[:, 1], X[:, 2]])
+    return X.astype(np.float64), rng.integers(0, 2, n), 4
+
+
+def _constant_column(rng):
+    X = rng.random((60, 4))
+    X[:, 1] = 0.25
+    return X, rng.integers(0, 2, 60), 2
+
+
+def _mixed_leaves(rng):
+    # each row appears three times, labelled healthy, PD and at random, so no
+    # leaf can be pure while the PD share still differs between rows
+    X = rng.integers(0, 4, size=(40, 3)).astype(np.float64)
+    y = np.concatenate([np.zeros(40, dtype=np.int64), np.ones(40, dtype=np.int64),
+                        rng.integers(0, 2, 40)])
+    return np.vstack([X, X, X]), y, 2
+
+
+TREE_CASES = {
+    "k=1": lambda rng: (rng.random((80, 5)), rng.integers(0, 2, 80), 1),
+    "k=default": lambda rng: (rng.random((150, 13)), rng.integers(0, 2, 150),
+                              default_feature_subset(13)),
+    "k=m": lambda rng: (rng.random((80, 5)), rng.integers(0, 2, 80), 5),
+    "k>m": lambda rng: (rng.random((80, 5)), rng.integers(0, 2, 80), 9),
+    "ties": _ties_everywhere,
+    "constant column": _constant_column,
+    "n=2": lambda rng: (rng.random((2, 3)), np.array([0, 1]), 3),
+    "pure leaves": lambda rng: (rng.random((200, 6)), rng.integers(0, 2, 200), 3),
+    "mixed leaves": _mixed_leaves,
+}
+
+
+@pytest.mark.parametrize("case", TREE_CASES)
+def test_tree_grow_matches_reference(case):
+    # the one-pass split search must grow the per-feature search's tree bit
+    # for bit, and leave the stream where it leaves it
+    for seed in range(4):
+        X, y, k = TREE_CASES[case](np.random.default_rng(seed))
+        got_stream, want_stream = SplitMix64(seed), SplitMix64(seed)
+        got = tree_grow(X, y, k, got_stream)
+        want = reference_tree_grow(X, y, k, want_stream)
+        assert np.array_equal(got.feature, want.feature)
+        assert np.array_equal(got.threshold.view(np.uint64), want.threshold.view(np.uint64))
+        assert np.array_equal(got.left, want.left)
+        assert np.array_equal(got.right, want.right)
+        assert np.array_equal(got.counts, want.counts)
+        assert got_stream._state == want_stream._state
+        assert got.n_nodes() > 1
+        leaf_minority = got.counts[got.feature < 0].min(axis=1)
+        if case == "pure leaves":
+            assert (leaf_minority == 0).all()
+        if case == "mixed leaves":
+            assert (leaf_minority > 0).all()
+
+
 def test_tree_fits_training_data_exactly():
     rng = np.random.default_rng(0)
     X = rng.random((60, 5))
@@ -99,7 +160,7 @@ def test_tree_serialization_round_trip():
     X = rng.random((40, 4))
     y = rng.integers(0, 2, 40)
     tree = tree_grow(X, y, k=4, stream=SplitMix64(9))
-    again = DecisionTree.from_json_list(tree.to_json_list())
+    again = DecisionTree.from_json_list(tree.to_json_list(), 4)
     assert np.array_equal(again.feature, tree.feature)
     assert np.array_equal(again.threshold, tree.threshold)
     assert np.array_equal(again.left, tree.left)

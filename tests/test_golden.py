@@ -12,13 +12,27 @@ the same bytes: EVALUATE_GOLDEN pins the four `earlypd evaluate --out` files
 for a generated 3,000-record cohort (seed 43, the paper's class ratio), so a
 change to CSV ingest, model loading or batch scoring that moves any score or
 metric shows here.
+
+FOREST_GOLDEN pins the saved forest beyond the default settings: a cohort five
+times the default size, and the default cohort with one feature per node,
+every feature per node, and no bootstrap. A change to the split search or the
+bootstrap draw that moves any node shows here.
 """
 
 import hashlib
 
+import pytest
+
 from earlypd.cli import main
 from earlypd.data import export_csv
-from earlypd.pipeline import write_artifacts
+from earlypd.pipeline import (
+    acquire_dataset,
+    config_from_dict,
+    prepare_splits,
+    save_model_file,
+    train_models,
+    write_artifacts,
+)
 from earlypd.synth import GenerateConfig, generate
 
 GOLDEN = {
@@ -74,3 +88,29 @@ def test_saved_models_score_digests(default_run, tmp_path, capsys):
         digests[model] = hashlib.sha256(out.read_bytes()).hexdigest()
     capsys.readouterr()
     assert digests == EVALUATE_GOLDEN
+
+
+FOREST_GOLDEN = {
+    "cohort 920/2010, 10 trees": (
+        {"generate": {"n_healthy": 920, "n_pd": 2010}, "forest": {"trees": 10}},
+        "64618e2013bebf10795c4ade0376219d0eda7e083dc88efa9aabe96a1b13e3ea"),
+    "feature_subset 1": (
+        {"forest": {"feature_subset": 1}},
+        "f6a03a531d32b13116df2804e5256cd7b861cfbb50ad00b973215047560520dc"),
+    "feature_subset 13": (
+        {"forest": {"feature_subset": 13}},
+        "a8ffcb4b5066bc4bf92da8393bc997d41b22b132f12e27601727356fbd6cd717"),
+    "no bootstrap": (
+        {"forest": {"bootstrap": False}},
+        "081ef6442c9c5b5772d8b408ea8e3bc01c2d0d5cf5f38939459ea830c166542c"),
+}
+
+
+@pytest.mark.parametrize("case", FOREST_GOLDEN)
+def test_forest_model_digests(case, tmp_path):
+    overrides, want = FOREST_GOLDEN[case]
+    config = config_from_dict({"models": ["forest"], **overrides})
+    train, _test, _stats = prepare_splits(config, acquire_dataset(config))
+    path = tmp_path / "forest.json"
+    save_model_file(train_models(config, train)["forest"], path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == want

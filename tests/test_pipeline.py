@@ -207,6 +207,29 @@ def test_model_file_round_trip(kind, fast_models, small_split, tmp_path):
     assert second.read_bytes() == first.read_bytes()
 
 
+# (trees, n_features) -> None, each breaking the first tree of a saved forest
+FOREST_DEFECTS = {
+    "child is its own node": lambda trees, m: trees[0][0].update(left=0),
+    "child before its parent": lambda trees, m: trees[0][0].update(left=-1),
+    "child past the last node": lambda trees, m: trees[0][0].update(right=len(trees[0])),
+    "split feature out of range": lambda trees, m: trees[0][0].update(split=[m, 0.5]),
+    "tree without nodes": lambda trees, m: trees[0].clear(),
+}
+
+
+@pytest.mark.parametrize("defect", FOREST_DEFECTS)
+def test_malformed_forest_file_is_rejected(defect, fast_models, tmp_path):
+    # each of these would loop forever, read a wrong node or raise IndexError
+    # when scoring, so the loader must refuse the file
+    path = tmp_path / "forest.json"
+    save_model_file(fast_models["forest"], path)
+    obj = json.loads(path.read_text())
+    FOREST_DEFECTS[defect](obj["trees"], obj["n_features"])
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ConfigError, match="is not a saved model file"):
+        load_model_file(path)
+
+
 EXPECTED_FILES = {
     "cohort.csv", "preprocess.json", "evaluations.json", "report.csv",
     "report.txt", "run_config.json", "metadata.json",

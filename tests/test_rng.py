@@ -47,6 +47,19 @@ def test_below_is_unbiased_enough():
     assert counts.min() > 9_500  # each bucket near 10k
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 586, 2051, 3 * 2**61])
+def test_below_array_equals_below_loop(n):
+    for seed, count in [(0, 0), (1, 1), (2, 50), (3, 2051)]:
+        a, b = SplitMix64(seed), SplitMix64(seed)
+        got = a.below_array(n, count)
+        assert got.tolist() == [b.below(n) for _ in range(count)]
+        assert a._state == b._state
+    if n == 3 * 2**61:
+        # about one draw in four is rejected here, so 2,051 draws took more
+        # than 2,051 outputs: the one-by-one path ran
+        assert a._state != (3 + 2051 * 0x9E3779B97F4A7C15) % 2**64
+
+
 def test_shuffle_is_a_permutation():
     g = SplitMix64(4)
     items = list(range(100))
