@@ -35,6 +35,7 @@ from .metrics import (
 )
 from .pipeline import (
     DISPLAY_NAMES,
+    MODELS,
     MODEL_ORDER,
     PipelineConfig,
     config_from_dict,
@@ -157,6 +158,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     ds = ingest_csv(args.input)
     stats, _dmap = load_sidecar(args.preprocess)
     scaled = normalize_apply(ds, stats)
+    width = MODELS[kind].inputs(model)
+    if width is not None and width != scaled.features.shape[1]:
+        raise ConfigError(f"{args.model} scores {width} features, but "
+                          f"{args.input} has {scaled.features.shape[1]}")
     report = evaluate_scores(scaled.labels,
                              score_batch(kind, model, scaled.features))
     payload = {"model": kind, "records": len(ds), **report.to_json_dict()}

@@ -84,9 +84,10 @@ class DecisionTree:
     @classmethod
     def from_json_list(cls, nodes: list, n_features: int) -> "DecisionTree":
         """Node arrays from a saved tree. Raises ValueError unless the tree has
-        a node, every split feature is below n_features, and every child index
-        lies after its parent's and within the tree, so that every walk from the
-        root reaches a leaf."""
+        a node, every node's counts are two non-negative integers, every split
+        feature is below n_features, and every child index lies after its
+        parent's and within the tree, so that every walk from the root reaches
+        a leaf."""
         n = len(nodes)
         if n == 0:
             raise ValueError("a tree needs at least one node")
@@ -96,13 +97,17 @@ class DecisionTree:
         right = np.full(n, -1, dtype=np.int64)
         counts = np.zeros((n, 2), dtype=np.int64)
         for i, node in enumerate(nodes):
-            if "leaf" in node:
-                counts[i] = node["leaf"]
-            else:
+            pair = node["leaf"] if "leaf" in node else node["counts"]
+            # a bool is an int to Python, and a one-element list would broadcast
+            if not (type(pair) is list and len(pair) == 2
+                    and all(type(c) is int and c >= 0 for c in pair)):
+                raise ValueError(f"node {i} counts must be two non-negative integers, "
+                                 f"got {pair!r}")
+            counts[i] = pair
+            if "leaf" not in node:
                 feature[i], threshold[i] = node["split"]
                 left[i] = node["left"]
                 right[i] = node["right"]
-                counts[i] = node["counts"]
                 if not (0 <= feature[i] < n_features and i < left[i] < n and i < right[i] < n):
                     raise ValueError(
                         f"node {i} splits on feature {feature[i]} into nodes {left[i]} and "

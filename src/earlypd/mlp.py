@@ -6,10 +6,18 @@ per-record weight updates with momentum. Weights start uniform in [-0.5, 0.5)
 and the record order is reshuffled every epoch, both driven by the stream
 derived from (seed, "mlp"), so training is bit-reproducible.
 
-A training step writes into preallocated buffers and allocates nothing. It
-gives the same bits as the plain expressions it replaces (np.append,
-np.outer, v -= lr * g), because it runs the same elementwise ops in the same
-order and the same BLAS dgemv calls on the same operands.
+A training step is 21 numpy calls that write into preallocated buffers and
+allocate nothing. It carries signs: the input row arrives negated, the
+hidden and output activations are stored negated, and the step leaves the
+negated error and the negated gradient behind. So both matmuls return -z,
+the argument exp needs, and no call is spent on a negation. The bits are
+those of the plain expressions (np.append, np.outer, v -= lr * g, the loss
+taken per record), because negation is exact and round-to-nearest is
+symmetric in sign: w @ (-x) == -(w @ x) for any summation order, with or
+without fused multiply-add, and likewise 1 + (-a) == 1 - a,
+(-1) / t == -(1 / t), (-a) * (-b) == a * b and a + (-b) == a - b. The
+loss terms err @ err are taken once per epoch, from the negated errors of
+all its steps, by one stacked matmul that runs the same dot product per row.
 """
 
 from __future__ import annotations
@@ -82,9 +90,10 @@ def _sigmoid(z):
 
 
 class _Network:
-    """One network's weights, velocity and gradient, each held in one flat
-    buffer with a (hidden, m + 1) and a (2, hidden + 1) view, plus the scratch
-    arrays a step writes into, so that a training step allocates nothing."""
+    """One network's weights, velocity and negated gradient, each held in one
+    flat buffer with a (hidden, m + 1) and a (2, hidden + 1) view, and its
+    training step, built once as a closure over the scratch arrays it writes
+    into, so that a step allocates nothing."""
 
     def __init__(self, hidden: int, m: int):
         n1 = hidden * (m + 1)
@@ -96,58 +105,59 @@ class _Network:
         self.w2 = self.w[n1:].reshape(2, hidden + 1)
         self.g1 = self.g[:n1].reshape(hidden, m + 1)
         self.g2 = self.g[n1:].reshape(2, hidden + 1)
-        self.w2h_t = self.w2[:, :hidden].T
-        self.a1b = np.ones(hidden + 1)  # hidden activations, then the bias input 1.0
-        self.a1 = self.a1b[:hidden]
-        self.z1 = np.empty(hidden)
-        self.d1 = np.empty(hidden)
-        self.d1_col = self.d1[:, None]
-        self.ones1 = np.ones(hidden)
-        self.out = np.empty(2)
-        self.z2 = np.empty(2)
-        self.err = np.empty(2)
-        self.d2 = np.empty(2)
-        self.d2_col = self.d2[:, None]
-        self.ones2 = np.ones(2)
+        self.step = self._build_step(hidden)
 
+    def _build_step(self, h: int):
+        """step(nx, x, target, nerr): one record's negated gradient into g
+        (views g1, g2) and its negated output error into nerr.
 
-def _sigmoid_into(z, ones, out):
-    """out = 1.0 / (1.0 + exp(-z)), the ops of _sigmoid in its order; z is
-    overwritten."""
-    np.negative(z, z)
-    np.exp(z, z)
-    np.add(ones, z, z)
-    np.divide(ones, z, out)
+        nx is the input row with its bias 1.0, negated; x is the same row
+        unnegated; the loss is 0.5 * (nerr @ nerr). This is the single
+        gradient implementation, used by training and by the
+        finite-difference check. Each numpy call writes into its last
+        argument (a positional out costs less than out=).
+        """
+        matmul, exp, add, multiply, divide = np.matmul, np.exp, np.add, np.multiply, np.divide
+        w1, w2, g1, g2 = self.w1, self.w2, self.g1, self.g2
+        w2h_t = w2[:, :h].T
+        # act = [-a1 (h), -1.0 (the bias input), -out (2)]
+        act = np.empty(h + 3)
+        act[h] = -1.0
+        na1, na1b, nout = act[:h], act[:h + 1], act[h + 1:]
+        # onep = 1 - act's unnegated values: [1 - a1, 0, 1 - out]
+        onep = np.empty(h + 3)
+        onep1, onep2 = onep[:h], onep[h + 1:]
+        ones, neg = np.ones(h + 3), np.full(h + 3, -1.0)
+        ones1, ones2, neg1, neg2 = ones[:h], ones[:2], neg[:h], neg[:2]
+        t1, t2 = np.empty(h), np.empty(2)
+        d1, d2 = np.empty(h), np.empty(2)
+        d1_col, d2_col = d1[:, None], d2[:, None]
 
+        def step(nx, x, target, nerr):
+            # -a1 = -1 / (1 + exp(-z1)), where w1 @ -x is -z1
+            matmul(w1, nx, t1)
+            exp(t1, t1)
+            add(ones1, t1, t1)
+            divide(neg1, t1, na1)
+            # -out likewise from w2 @ [-a1, -1] = -z2
+            matmul(w2, na1b, t2)
+            exp(t2, t2)
+            add(ones2, t2, t2)
+            divide(neg2, t2, nout)
+            add(ones, act, onep)
+            # -err = -out + target
+            add(nout, target, nerr)
+            # d2 = (-err * -out) * (1 - out); -g2 = outer(d2, -a1b)
+            multiply(nerr, nout, d2)
+            multiply(d2, onep2, d2)
+            multiply(d2_col, na1b, g2)
+            # -d1 = ((w2[:, :h].T @ d2) * -a1) * (1 - a1); -g1 = outer(-d1, x)
+            matmul(w2h_t, d2, d1)
+            multiply(d1, na1, d1)
+            multiply(d1, onep1, d1)
+            multiply(d1_col, x, g1)
 
-def _backprop(net: _Network, xb, target) -> float:
-    """Loss of one record; writes its gradient into net.g (views g1, g2).
-
-    Loss is 0.5 * sum of squared output errors; this is the single gradient
-    implementation used by both training and the finite-difference check.
-    Each numpy call writes into its last argument (a positional out costs
-    less than out=).
-    """
-    a1, a1b, out, err, d1, d2 = net.a1, net.a1b, net.out, net.err, net.d1, net.d2
-    z1, z2, ones1, ones2 = net.z1, net.z2, net.ones1, net.ones2
-    np.matmul(net.w1, xb, z1)
-    _sigmoid_into(z1, ones1, a1)
-    np.matmul(net.w2, a1b, z2)
-    _sigmoid_into(z2, ones2, out)
-    np.subtract(out, target, err)
-    loss = 0.5 * float(err @ err)
-    # d2 = err * out * (1 - out); g2 = outer(d2, a1b)
-    np.multiply(err, out, d2)
-    np.subtract(ones2, out, z2)
-    np.multiply(d2, z2, d2)
-    np.multiply(net.d2_col, a1b, net.g2)
-    # d1 = (w2[:, :h].T @ d2) * a1 * (1 - a1); g1 = outer(d1, xb)
-    np.matmul(net.w2h_t, d2, d1)
-    np.multiply(d1, a1, d1)
-    np.subtract(ones1, a1, z1)
-    np.multiply(d1, z1, d1)
-    np.multiply(net.d1_col, xb, net.g1)
-    return loss
+        return step
 
 
 def _forward_batch(w1, w2, features):
@@ -173,7 +183,7 @@ def mlp_train(train: Dataset, config: MlpConfig = MlpConfig(), seed: int = 42) -
     n, m = feats.shape
     stream = derive_stream(seed, "mlp")
     net = _Network(config.hidden_units, m)
-    w, v, g = net.w, net.v, net.g
+    w, v, g, step = net.w, net.v, net.g, net.step
     # w_hidden row by row, then w_output row by row: the flat buffer's order
     for k in range(w.size):
         w[k] = stream.uniform() - 0.5
@@ -181,21 +191,28 @@ def mlp_train(train: Dataset, config: MlpConfig = MlpConfig(), seed: int = 42) -
     # one-hot targets: column 0 healthy, column 1 PD
     targets = np.zeros((n, 2))
     targets[np.arange(n), (train.labels == PD).astype(int)] = 1.0
+    rows, neg_rows, target_rows = list(xb), list(-xb), list(targets)
+    # row k holds the negated output error of an epoch's k-th step
+    errs = np.empty((n, 2))
+    err_rows = list(errs)
+    sq = np.empty((n, 1, 1))
     lr, mom = config.learning_rate, config.momentum
+    multiply, add = np.multiply, np.add
     epoch_mse = []
     order = list(range(n))
-    rows, target_rows = list(xb), list(targets)
     for _ in range(config.epochs):
         stream.shuffle(order)
-        sq_sum = 0.0
-        for i in order:
-            sq_sum += 2.0 * _backprop(net, rows[i], target_rows[i])
-            # v = mom * v - lr * g; w += v
-            v *= mom
-            g *= lr
-            v -= g
-            w += v
-        epoch_mse.append(sq_sum / n)
+        for i, nerr in zip(order, err_rows):
+            step(neg_rows[i], rows[i], target_rows[i], nerr)
+            # v = mom * v + lr * -g; w += v
+            multiply(v, mom, v)
+            multiply(g, lr, g)
+            add(v, g, v)
+            add(w, v, w)
+        # err @ err per step, each row the same dot product a 1-D err @ err runs
+        np.matmul(errs[:, None, :], errs[:, :, None], sq)
+        # the steps' 2 * (0.5 * err @ err) summed one after another, in step order
+        epoch_mse.append(float(np.cumsum(2.0 * (0.5 * sq.ravel()))[-1]) / n)
     net.w1.setflags(write=False)
     net.w2.setflags(write=False)
     return MlpModel(net.w1, net.w2, config, seed, tuple(epoch_mse))
@@ -219,17 +236,24 @@ def mlp_gradient_check(model: MlpModel, features, target, step: float = 1e-5) ->
     net.w1[...] = model.w_hidden
     net.w2[...] = model.w_output
     xb = np.append(np.asarray(features, dtype=np.float64), 1.0)
+    neg_xb = -xb
     target = np.asarray(target, dtype=np.float64)
-    _backprop(net, xb, target)
-    grad = net.g.copy()  # the perturbed calls below overwrite net.g
+    nerr = np.empty(2)
+
+    def loss() -> float:
+        net.step(neg_xb, xb, target, nerr)
+        return 0.5 * float(nerr @ nerr)
+
+    loss()
+    grad = -net.g  # a copy: the perturbed calls below overwrite net.g
     w = net.w
     worst = 0.0
     for k in range(w.size):
         weight = w[k]
         w[k] = weight + step
-        lp = _backprop(net, xb, target)
+        lp = loss()
         w[k] = weight - step
-        lm = _backprop(net, xb, target)
+        lm = loss()
         w[k] = weight
         fd = (lp - lm) / (2.0 * step)
         bp = grad[k]

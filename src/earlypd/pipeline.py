@@ -53,6 +53,9 @@ class ModelSpec:
     train: Callable  # (training Dataset, PipelineConfig) -> model
     score: Callable  # (model, feature matrix) -> PD scores
     model: type  # to_json_dict() / from_json_dict() for the saved model file
+    # model -> the number of feature columns it scores, or None where the
+    # saved model does not record it
+    inputs: Callable = lambda model: None
 
 
 # Canonical order: training, report rows and artifact files all follow it.
@@ -60,7 +63,8 @@ MODELS = {
     "mlp": ModelSpec(
         "Multilayer Perceptron",
         lambda train, config: mlp_train(train, config.mlp, config.seed),
-        lambda model, features: mlp_score_batch(model, features), MlpModel),
+        lambda model, features: mlp_score_batch(model, features), MlpModel,
+        lambda model: model.w_hidden.shape[1] - 1),
     "bayesnet": ModelSpec(
         "BayesNet",
         lambda train, config: bn_train(train, config.bayesnet),
@@ -68,7 +72,8 @@ MODELS = {
     "forest": ModelSpec(
         "Random Forest",
         lambda train, config: forest_train(train, config.forest, config.seed),
-        lambda model, features: forest_score_batch(model, features), ForestModel),
+        lambda model, features: forest_score_batch(model, features), ForestModel,
+        lambda model: model.n_features),
     "boostlr": ModelSpec(
         "Boosted Logistic Regression",
         lambda train, config: adaboost_train(train, config.boostlr.max_rounds,
@@ -195,13 +200,15 @@ def save_model_file(model, path) -> None:
 
 
 def load_model_file(path) -> tuple:
-    """(kind, model) from a saved model file, dispatched on its stored kind."""
+    """(kind, model) from a saved model file, dispatched on its stored kind.
+    A stored setting out of its bound (a forest of no trees) is a malformed
+    file too."""
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
         kind = obj["kind"]
         return kind, MODELS[kind].model.from_json_dict(obj)
-    except (KeyError, IndexError, TypeError, ValueError) as err:
+    except (ConfigError, KeyError, IndexError, TypeError, ValueError) as err:
         raise ConfigError(f"{path} is not a saved model file "
                           f"({type(err).__name__}: {err})") from None
 

@@ -18,9 +18,10 @@ Derivation map used by the pipeline:
               -> "mlp"         weight init and epoch shuffles
               -> "tree/<i>"    bootstrap and feature draws for forest tree i
 
-``SplitMix64.below_array(n, count)`` makes ``count`` ``below(n)`` draws in one
-numpy computation, with the same values and the same final state, so a
-forest's bootstrap sample is one call.
+``SplitMix64.below_array`` makes a run of ``below`` draws, with one bound or
+one bound per draw, in one numpy computation, with the same values and the
+same final state. So a forest's bootstrap sample is one call, and so are the
+draws of an epoch's shuffle.
 """
 
 from __future__ import annotations
@@ -77,30 +78,41 @@ class SplitMix64:
             if u < limit:
                 return u % n
 
-    def below_array(self, n: int, count: int) -> np.ndarray:
-        """``count`` draws of ``below(n)`` as one uint64 array, leaving the
-        state where ``count`` calls of ``below(n)`` would.
+    def below_array(self, n, count: int | None = None) -> np.ndarray:
+        """Draws of ``below(b)`` for each bound b of ``n`` in turn, as one
+        uint64 array, leaving the state where those calls of ``below`` would.
 
-        The i-th output depends only on ``state + i * gamma``, so all are
-        computed at once. If one lands in the rejected tail (about one in 1e16
-        at the pipeline's sizes), the draws are made one by one instead.
+        ``n`` is one bound, drawn from ``count`` times, or an array of bounds,
+        one draw each. The i-th output depends only on ``state + i * gamma``,
+        so all are computed at once. If one lands in its bound's rejected
+        tail (about one in 1e16 at the pipeline's sizes), the draws are made
+        one by one instead.
         """
-        if n <= 0:
-            raise ValueError("below_array() needs n >= 1")
+        bounds = np.asarray(n).reshape(-1)
+        if count is None:
+            count = bounds.size
+        if bounds.size and bounds.min() < 1:
+            raise ValueError("below_array() needs every bound >= 1")
+        bounds = bounds.astype(np.uint64)
         steps = np.arange(1, count + 1, dtype=np.uint64)
         z = np.uint64(self._state) + steps * np.uint64(_GAMMA)
         z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
         z ^= z >> np.uint64(31)
-        if count and int(z.max()) >= (1 << 64) - ((1 << 64) % n):
-            return np.array([self.below(n) for _ in range(count)], dtype=np.uint64)
+        # below(b) rejects u >= 2**64 - 2**64 % b, that is u > ~(2**64 % b),
+        # and 2**64 % b is (0 - b) % b in wrapping uint64 arithmetic
+        if (z > ~((np.uint64(0) - bounds) % bounds)).any():
+            return np.array([self.below(int(b)) for b in np.broadcast_to(bounds, count)],
+                            dtype=np.uint64)
         self._state = (self._state + count * _GAMMA) & _MASK64
-        return z % np.uint64(n)
+        return z % bounds
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates, iterating from the last index down."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
+        """In-place Fisher-Yates, iterating from the last index down: index i
+        swaps with below(i + 1), all of the draws made by one below_array."""
+        last = len(items) - 1
+        draws = self.below_array(np.arange(last + 1, 1, -1)).tolist()
+        for i, j in zip(range(last, 0, -1), draws):
             items[i], items[j] = items[j], items[i]
 
     def normal(self) -> float:

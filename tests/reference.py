@@ -1,8 +1,9 @@
 """Independent scalar references for the package's batch scorers, split rule,
-tree grower and record rules.
+tree grower, network trainer, shuffle and record rules.
 
-Each function works on one record (or one split, or one feature of a node's
-split search) at a time, with plain Python control flow, so the vectorized code in the package can be checked against
+Each function works on one record (or one split, one feature of a node's
+split search, one training step or one draw) at a time, with plain Python
+control flow, so the vectorized code in the package can be checked against
 it. None of this runs in the pipeline.
 """
 
@@ -23,6 +24,7 @@ from earlypd.data import (
 )
 from earlypd.errors import EmptyModel
 from earlypd.forest import DecisionTree, _draw_features, _entropy
+from earlypd.rng import derive_stream
 
 
 def logistic_score(model, features) -> float:
@@ -144,6 +146,52 @@ def reference_tree_grow(X, y, k: int, stream) -> DecisionTree:
         np.array(right, dtype=np.int64),
         np.array(counts, dtype=np.int64),
     )
+
+
+def reference_shuffle(stream, items: list) -> None:
+    """Fisher-Yates in place, one below() draw per index from the last down."""
+    for i in range(len(items) - 1, 0, -1):
+        j = stream.below(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+def reference_mlp_train(train, config, seed):
+    """Online backprop written with np.append, np.outer and v -= lr * g, on
+    the same streams as mlp_train: (w_hidden, w_output, epoch_mse)."""
+    feats = train.features
+    n, m = feats.shape
+    h = config.hidden_units
+    stream = derive_stream(seed, "mlp")
+    w1 = np.array([[stream.uniform() - 0.5 for _ in range(m + 1)] for _ in range(h)])
+    w2 = np.array([[stream.uniform() - 0.5 for _ in range(h + 1)] for _ in range(2)])
+    xb = np.hstack([feats, np.ones((n, 1))])
+    targets = np.zeros((n, 2))
+    targets[np.arange(n), (train.labels == PD).astype(int)] = 1.0
+    v1, v2 = np.zeros_like(w1), np.zeros_like(w2)
+    lr, mom = config.learning_rate, config.momentum
+    epoch_mse = []
+    order = list(range(n))
+    for _ in range(config.epochs):
+        reference_shuffle(stream, order)
+        sq_sum = 0.0
+        for i in order:
+            a1 = 1.0 / (1.0 + np.exp(-(w1 @ xb[i])))
+            a1b = np.append(a1, 1.0)
+            out = 1.0 / (1.0 + np.exp(-(w2 @ a1b)))
+            err = out - targets[i]
+            sq_sum += 2.0 * (0.5 * float(err @ err))
+            d2 = err * out * (1.0 - out)
+            g2 = np.outer(d2, a1b)
+            d1 = (w2[:, :h].T @ d2) * a1 * (1.0 - a1)
+            g1 = np.outer(d1, xb[i])
+            v1 *= mom
+            v1 -= lr * g1
+            w1 += v1
+            v2 *= mom
+            v2 -= lr * g2
+            w2 += v2
+        epoch_mse.append(sq_sum / n)
+    return w1, w2, tuple(epoch_mse)
 
 
 def joint_oracle(net, assignment) -> float:

@@ -182,6 +182,30 @@ def test_evaluate_rejects_non_model_json(exp_dir, tmp_path, capsys):
         forest = json.loads(model.read_text())
         forest["trees"][0][0].update(edit)
         path.write_text(json.dumps(forest))
+    # counts that are not two non-negative integers, a forest of no trees, and
+    # models that score more features than the CSV has
+    one_count = tmp_path / "leaf_with_one_count.json"
+    negative = tmp_path / "negative_counts.json"
+    no_trees = tmp_path / "no_trees.json"
+    wide_forest = tmp_path / "wide_forest.json"
+    wide_mlp = tmp_path / "wide_mlp.json"
+    forest = json.loads(model.read_text())
+    next(node for node in forest["trees"][0] if "leaf" in node)["leaf"] = [1]
+    one_count.write_text(json.dumps(forest))
+    forest = json.loads(model.read_text())
+    forest["trees"][0][0]["counts"] = [-1, 5]
+    negative.write_text(json.dumps(forest))
+    forest = json.loads(model.read_text())
+    forest["trees"] = []
+    no_trees.write_text(json.dumps(forest))
+    forest = json.loads(model.read_text())
+    forest["n_features"] = 20
+    forest["trees"][0][0]["split"][0] = 15
+    wide_forest.write_text(json.dumps(forest))
+    mlp = json.loads((out / "models" / "mlp.json").read_text())
+    mlp["w_hidden"] += [0.0] * mlp["shape_hidden"][0]
+    mlp["shape_hidden"][1] += 1
+    wide_mlp.write_text(json.dumps(mlp))
     # (model file, sidecar, the file the error names)
     cases = [
         (out / "run_config.json", sidecar, out / "run_config.json"),
@@ -190,6 +214,11 @@ def test_evaluate_rejects_non_model_json(exp_dir, tmp_path, capsys):
         (model, no_schema, no_schema),
         (child_out, sidecar, child_out),
         (feature_out, sidecar, feature_out),
+        (one_count, sidecar, one_count),
+        (negative, sidecar, negative),
+        (no_trees, sidecar, no_trees),
+        (wide_forest, sidecar, wide_forest),
+        (wide_mlp, sidecar, wide_mlp),
     ]
     for model_path, sidecar_path, culprit in cases:
         rc = main(["evaluate", "--model", str(model_path),

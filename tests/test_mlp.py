@@ -10,17 +10,16 @@ from earlypd.errors import NonNormalizedInput, SingleClassTraining
 from earlypd.mlp import (
     MlpConfig,
     MlpModel,
-    _backprop,
     _Network,
     mlp_gradient_check,
     mlp_score_batch,
     mlp_train,
 )
 from earlypd.preprocess import normalize_fit_transform
-from earlypd.rng import derive_stream
 from earlypd.synth import GenerateConfig, generate
 
 from conftest import make_dataset
+from reference import reference_mlp_train
 
 
 def _sig(z: float) -> float:
@@ -63,10 +62,14 @@ def test_step_gradient_matches_hand_derivation():
     net = _Network(1, 2)
     net.w1[...] = model.w_hidden
     net.w2[...] = model.w_output
+    nerr = np.empty(2)
     # a step on another record first, so a buffer the next step fails to
     # overwrite would show
-    _backprop(net, np.array([0.1, 0.9, 1.0]), np.array([0.0, 1.0]))
-    loss = _backprop(net, np.array([0.8, 0.4, 1.0]), np.array([1.0, 0.0]))
+    x = np.array([0.1, 0.9, 1.0])
+    net.step(-x, x, np.array([0.0, 1.0]), nerr)
+    x = np.array([0.8, 0.4, 1.0])
+    net.step(-x, x, np.array([1.0, 0.0]), nerr)
+    loss = 0.5 * float(nerr @ nerr)
 
     a = _sig(0.5 * 0.8 - 0.25 * 0.4 + 0.1)
     out_h = _sig(0.3 * a - 0.2)
@@ -76,8 +79,10 @@ def test_step_gradient_matches_hand_derivation():
     d2_p = err_p * out_p * (1.0 - out_p)
     d1 = (0.3 * d2_h - 0.6 * d2_p) * a * (1.0 - a)
     assert loss == pytest.approx(0.5 * (err_h ** 2 + err_p ** 2), abs=1e-12)
-    np.testing.assert_allclose(net.g1, [[d1 * 0.8, d1 * 0.4, d1]], rtol=0, atol=1e-12)
-    np.testing.assert_allclose(net.g2, [[d2_h * a, d2_h], [d2_p * a, d2_p]],
+    np.testing.assert_allclose(nerr, [-err_h, -err_p], rtol=0, atol=1e-12)
+    # the step leaves the negated gradient behind
+    np.testing.assert_allclose(-net.g1, [[d1 * 0.8, d1 * 0.4, d1]], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(-net.g2, [[d2_h * a, d2_h], [d2_p * a, d2_p]],
                                rtol=0, atol=1e-12)
 
 
@@ -154,45 +159,6 @@ def test_score_clamps_out_of_range_inputs():
     assert outside == pytest.approx(inside, abs=1e-15)
 
 
-def _reference_train(train, config, seed):
-    """Online backprop written with np.append, np.outer and v -= lr * g, on
-    the same streams as mlp_train: (w_hidden, w_output, epoch_mse)."""
-    feats = train.features
-    n, m = feats.shape
-    h = config.hidden_units
-    stream = derive_stream(seed, "mlp")
-    w1 = np.array([[stream.uniform() - 0.5 for _ in range(m + 1)] for _ in range(h)])
-    w2 = np.array([[stream.uniform() - 0.5 for _ in range(h + 1)] for _ in range(2)])
-    xb = np.hstack([feats, np.ones((n, 1))])
-    targets = np.zeros((n, 2))
-    targets[np.arange(n), (train.labels == PD).astype(int)] = 1.0
-    v1, v2 = np.zeros_like(w1), np.zeros_like(w2)
-    lr, mom = config.learning_rate, config.momentum
-    epoch_mse = []
-    order = list(range(n))
-    for _ in range(config.epochs):
-        stream.shuffle(order)
-        sq_sum = 0.0
-        for i in order:
-            a1 = 1.0 / (1.0 + np.exp(-(w1 @ xb[i])))
-            a1b = np.append(a1, 1.0)
-            out = 1.0 / (1.0 + np.exp(-(w2 @ a1b)))
-            err = out - targets[i]
-            sq_sum += 2.0 * (0.5 * float(err @ err))
-            d2 = err * out * (1.0 - out)
-            g2 = np.outer(d2, a1b)
-            d1 = (w2[:, :h].T @ d2) * a1 * (1.0 - a1)
-            g1 = np.outer(d1, xb[i])
-            v1 *= mom
-            v1 -= lr * g1
-            w1 += v1
-            v2 *= mom
-            v2 -= lr * g2
-            w2 += v2
-        epoch_mse.append(sq_sum / n)
-    return w1, w2, tuple(epoch_mse)
-
-
 @pytest.fixture()
 def small_train(small_split):
     return small_split[0]
@@ -207,11 +173,13 @@ def cohort_60_80():
     ("small_train", MlpConfig(hidden_units=1, epochs=60), 5),
     ("xor_dataset", MlpConfig(hidden_units=4, epochs=200), 7),
     ("cohort_60_80", MlpConfig(hidden_units=8, epochs=30), 3),
-], ids=["one_hidden_unit", "xor", "cohort_60_80"])
+    ("cohort_60_80", MlpConfig(hidden_units=16, learning_rate=1.7, momentum=0.9,
+                               epochs=30), 3),
+], ids=["one_hidden_unit", "xor", "cohort_60_80", "wide_fast_heavy_momentum"])
 def test_training_is_bit_identical_to_reference(data, config, seed, request):
     train = request.getfixturevalue(data)
     model = mlp_train(train, config, seed)
-    w1, w2, epoch_mse = _reference_train(train, config, seed)
+    w1, w2, epoch_mse = reference_mlp_train(train, config, seed)
     assert np.array_equal(model.w_hidden, w1)
     assert np.array_equal(model.w_output, w2)
     assert model.epoch_mse == epoch_mse

@@ -214,13 +214,17 @@ FOREST_DEFECTS = {
     "child past the last node": lambda trees, m: trees[0][0].update(right=len(trees[0])),
     "split feature out of range": lambda trees, m: trees[0][0].update(split=[m, 0.5]),
     "tree without nodes": lambda trees, m: trees[0].clear(),
+    "leaf with one count": lambda trees, m: next(
+        node for node in trees[0] if "leaf" in node).update(leaf=[1]),
+    "negative split counts": lambda trees, m: trees[0][0].update(counts=[-1, 5]),
+    "forest without trees": lambda trees, m: trees.clear(),
 }
 
 
 @pytest.mark.parametrize("defect", FOREST_DEFECTS)
 def test_malformed_forest_file_is_rejected(defect, fast_models, tmp_path):
-    # each of these would loop forever, read a wrong node or raise IndexError
-    # when scoring, so the loader must refuse the file
+    # each of these would loop forever, read a wrong node, miscount a vote or
+    # raise when scoring, or fails a bound, so the loader must refuse the file
     path = tmp_path / "forest.json"
     save_model_file(fast_models["forest"], path)
     obj = json.loads(path.read_text())

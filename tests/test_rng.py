@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from earlypd.rng import SplitMix64, derive_stream, fnv1a64
 
+from reference import reference_shuffle
+
 
 def test_splitmix64_published_vectors_seed_zero():
     # First three outputs of splitmix64 seeded with 0, as published with the
@@ -58,6 +60,25 @@ def test_below_array_equals_below_loop(n):
         # about one draw in four is rejected here, so 2,051 draws took more
         # than 2,051 outputs: the one-by-one path ran
         assert a._state != (3 + 2051 * 0x9E3779B97F4A7C15) % 2**64
+    # one bound per draw: n at every other draw, falling bounds between
+    for seed, count in [(4, 0), (5, 1), (6, 50), (7, 2051)]:
+        bounds = [n if k % 2 == 0 else count - k for k in range(count)]
+        a, b = SplitMix64(seed), SplitMix64(seed)
+        assert a.below_array(np.array(bounds)).tolist() == [b.below(k) for k in bounds]
+        assert a._state == b._state
+    if n == 3 * 2**61:
+        assert a._state != (7 + 2051 * 0x9E3779B97F4A7C15) % 2**64
+
+
+def test_shuffle_equals_scalar_fisher_yates():
+    for n in (0, 1, 2, 3, 410, 2051):
+        a, b = SplitMix64(n), SplitMix64(n)
+        got, want = list(range(n)), list(range(n))
+        for _ in range(3):
+            a.shuffle(got)
+            reference_shuffle(b, want)
+            assert got == want
+            assert a._state == b._state
 
 
 def test_shuffle_is_a_permutation():
