@@ -195,10 +195,16 @@ class BoostedModel:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "BoostedModel":
+        """Rounds from a saved model. Raises ValueError unless every round's
+        coef is a flat list of the same length."""
         rounds = []
-        for r in obj["rounds"]:
-            lm = LogisticModel(np.array(r["coef"]), r["intercept"], obj["ridge"],
-                               True, False, ())
+        for i, r in enumerate(obj["rounds"]):
+            coef = np.array(r["coef"], dtype=np.float64)
+            width = len(rounds[0].model.coef) if rounds else coef.size
+            if coef.shape != (width,):
+                raise ValueError(f"round {i} coef has shape {coef.shape}; every round "
+                                 f"needs the flat width ({width},) of round 0")
+            lm = LogisticModel(coef, r["intercept"], obj["ridge"], True, False, ())
             rounds.append(BoostRound(lm, r["alpha"], 0.0, 1.0, 0.5))
         return cls(tuple(rounds), obj["ridge"], obj["max_rounds"])
 

@@ -3,15 +3,21 @@
 Each tree trains on a bootstrap resample (same size as the training set,
 drawn from the stream for (seed, "tree/<index>")) and considers a fresh
 random draw of k features without replacement at every node. Candidate
-thresholds are midpoints between consecutive distinct sorted values; the
-split maximizing information gain (entropy in bits) wins, with ties going to
-the earliest drawn feature and then the lowest threshold. A node scores its
-drawn features together: one stable sort of their values, one running PD
-count and one argmax over every candidate of every feature, listed in draw
-order, so the tie rules are those of scoring the features one at a time.
-Nodes stop at purity, fewer than two records, or no positive gain. Leaves
-keep their class counts. The forest votes: score = fraction of trees
-predicting PD.
+thresholds lie between consecutive distinct sorted values; the split
+maximizing information gain (entropy in bits) wins, with ties going to the
+earliest drawn feature and then the lowest threshold. The threshold is the
+midpoint of the two values lo < hi, or hi where the midpoint rounds to lo
+(adjacent doubles), so records at lo and below go left and the rest right.
+
+A node scores its drawn features together: one sort of their values, one
+running PD count, one entropy call over both sides of every candidate of
+every feature and the node itself, and one argmax over the candidates,
+listed in draw order, so the tie rules are those of scoring the features
+one at a time. The order of equal values within the sort reaches no
+candidate's counts. A node's PD count comes down from its parent's running
+count, so a leaf costs no array work. Nodes stop at purity, fewer than two
+records, or no positive gain. Leaves keep their class counts. The forest
+votes: score = fraction of trees predicting PD.
 """
 
 from __future__ import annotations
@@ -27,15 +33,15 @@ from .rng import SplitMix64, derive_stream
 
 
 def _entropy(pd_count, n):
-    """Binary entropy in bits, vectorized over numpy arrays. 0 log 0 is 0."""
-    pd_count = np.asarray(pd_count, dtype=np.float64)
-    n = np.asarray(n, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = np.where(n > 0, pd_count / np.where(n > 0, n, 1.0), 0.0)
-        q = 1.0 - p
-        term_p = np.where(p > 0, -p * np.log2(np.where(p > 0, p, 1.0)), 0.0)
-        term_q = np.where(q > 0, -q * np.log2(np.where(q > 0, q, 1.0)), 0.0)
-    return term_p + term_q
+    """Binary entropy in bits of 1-d float64 count arrays, every n > 0.
+    0 log 0 is 0. p and q = 1 - p share one buffer and one log2 call."""
+    size = len(n)
+    pq = np.empty(2 * size)
+    np.divide(pd_count, n, out=pq[:size])
+    np.subtract(1.0, pq[:size], out=pq[size:])
+    positive = pq > 0
+    terms = np.where(positive, -pq * np.log2(np.where(positive, pq, 1.0)), 0.0)
+    return terms[:size] + terms[size:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,14 +139,15 @@ def tree_grow(X, y, k: int, stream: SplitMix64) -> DecisionTree:
     m = X.shape[1]
     # feature-major, so a node gathers its drawn features as contiguous rows
     XT = np.ascontiguousarray(X.T)
+    is_pd = (y == PD).astype(np.int64)
     feature, threshold, left, right, counts = [], [], [], [], []
 
     # explicit stack, nodes appended when visited: pushing the right work item
     # first makes the whole left subtree build before the right, so the flat
-    # arrays come out in preorder
-    stack = [(np.arange(len(y)), -1, False)]
+    # arrays come out in preorder. Each item carries its PD count.
+    stack = [(np.arange(len(y)), int(is_pd.sum()), -1, False)]
     while stack:
-        idx, parent, is_right = stack.pop()
+        idx, pd_count, parent, is_right = stack.pop()
         node = len(feature)
         feature.append(-1)
         threshold.append(0.0)
@@ -148,44 +155,54 @@ def tree_grow(X, y, k: int, stream: SplitMix64) -> DecisionTree:
         right.append(-1)
         if parent >= 0:
             (right if is_right else left)[parent] = node
-        is_pd = (y[idx] == PD).astype(np.int64)
         n = len(idx)
-        pd_count = int(is_pd.sum())
         counts.append((n - pd_count, pd_count))
-        if n < 2 or pd_count == 0 or pd_count == n:
+        if not 0 < pd_count < n:  # pure, which a node of one record is
             continue
-        parent_entropy = float(_entropy(pd_count, n))
         drawn = _draw_features(stream, m, k)
         # one (k, n) block: row r holds drawn feature r's values, sorted, with
-        # the running PD count; candidate splits sit where a sorted value changes
-        block = XT[drawn][:, idx]
-        order = np.argsort(block, axis=1, kind="stable")
-        sv = np.take_along_axis(block, order, axis=1)
-        cum_pd = np.cumsum(is_pd[order], axis=1)
+        # the running PD count; candidate splits sit where a sorted value
+        # changes, so the order of equal values does not matter
+        block = XT.take(drawn, axis=0).take(idx, axis=1)
+        order = np.argsort(block, axis=1)
+        sv = block.ravel()[order + np.arange(0, block.size, n)[:, None]]
+        cum_pd = np.cumsum(is_pd.take(idx).take(order), axis=1)
         c, j = np.nonzero(sv[:, 1:] != sv[:, :-1])
-        if j.size == 0:
+        nc = j.size
+        if nc == 0:
             continue
-        left_n = j + 1
-        left_pd = cum_pd[c, j]
-        right_n = n - left_n
-        right_pd = pd_count - left_pd
+        # one entropy call scores [left sides, right sides, parent]
+        pd_side = np.empty(2 * nc + 1)
+        n_side = np.empty(2 * nc + 1)
+        pd_side[:nc] = cum_pd[c, j]
+        np.subtract(pd_count, pd_side[:nc], out=pd_side[nc:-1])
+        pd_side[-1] = pd_count
+        np.add(j, 1, out=n_side[:nc])
+        np.subtract(n, n_side[:nc], out=n_side[nc:-1])
+        n_side[-1] = n
+        ent = _entropy(pd_side, n_side)
         # every gain is formed elementwise exactly as for a single feature, so
         # the bits do not depend on how many features share the array
-        gains = (parent_entropy
-                 - (left_n / n) * _entropy(left_pd, left_n)
-                 - (right_n / n) * _entropy(right_pd, right_n))
+        gains = (ent[-1]
+                 - (n_side[:nc] / n) * ent[:nc]
+                 - (n_side[nc:-1] / n) * ent[nc:-1])
         # candidates run feature-major in draw order, thresholds ascending:
         # the first maximum is the earliest drawn feature's lowest threshold
         b = int(np.argmax(gains))
         if not gains[b] > 0.0:
             continue
-        f = drawn[c[b]]
-        thr = float(0.5 * (sv[c[b], j[b]] + sv[c[b], j[b] + 1]))
-        go_left = X[idx, f] < thr
-        feature[node] = f
+        row, left_n = c[b], j[b] + 1
+        lo, hi = float(sv[row, left_n - 1]), float(sv[row, left_n])
+        thr = 0.5 * (lo + hi)
+        if not lo < thr <= hi:  # the midpoint of adjacent doubles can round to lo
+            thr = hi
+        feature[node] = drawn[row]
         threshold[node] = thr
-        stack.append((idx[~go_left], node, True))
-        stack.append((idx[go_left], node, False))
+        # value < thr holds for exactly the first left_n records in sorted order
+        ranked = idx.take(order[row])
+        left_pd = int(cum_pd[row, left_n - 1])
+        stack.append((ranked[left_n:], pd_count - left_pd, node, True))
+        stack.append((ranked[:left_n], left_pd, node, False))
     return DecisionTree(
         np.array(feature, dtype=np.int64),
         np.array(threshold),

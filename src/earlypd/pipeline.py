@@ -78,7 +78,8 @@ MODELS = {
         "Boosted Logistic Regression",
         lambda train, config: adaboost_train(train, config.boostlr.max_rounds,
                                              config.boostlr.ridge),
-        lambda model, features: boosted_score_batch(model, features), BoostedModel),
+        lambda model, features: boosted_score_batch(model, features), BoostedModel,
+        lambda model: len(model.rounds[0].model.coef) if model.rounds else None),
 }
 MODEL_ORDER = tuple(MODELS)
 DISPLAY_NAMES = {name: spec.display_name for name, spec in MODELS.items()}

@@ -23,7 +23,7 @@ from earlypd.data import (
     format_value,
 )
 from earlypd.errors import EmptyModel
-from earlypd.forest import DecisionTree, _draw_features, _entropy
+from earlypd.forest import DecisionTree, _draw_features
 from earlypd.rng import derive_stream
 
 
@@ -53,6 +53,19 @@ def tree_predict(tree, x) -> int:
     return PD if p > h else HEALTHY
 
 
+def entropy(pd_count, n):
+    """Binary entropy in bits of count arrays, vectorized, with masks for both
+    n = 0 and p = 0. 0 log 0 is 0."""
+    pd_count = np.asarray(pd_count, dtype=np.float64)
+    n = np.asarray(n, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.where(n > 0, pd_count / np.where(n > 0, n, 1.0), 0.0)
+        q = 1.0 - p
+        term_p = np.where(p > 0, -p * np.log2(np.where(p > 0, p, 1.0)), 0.0)
+        term_q = np.where(q > 0, -q * np.log2(np.where(q > 0, q, 1.0)), 0.0)
+    return term_p + term_q
+
+
 def info_gain(parent, left, right) -> float:
     """Entropy reduction for splitting parent counts into left and right.
 
@@ -68,11 +81,11 @@ def info_gain(parent, left, right) -> float:
     nr = rh + rp
     if n == 0:
         return 0.0
-    gain = _entropy(pp, n)
+    gain = entropy(pp, n)
     if nl:
-        gain = gain - (nl / n) * _entropy(lp, nl)
+        gain = gain - (nl / n) * entropy(lp, nl)
     if nr:
-        gain = gain - (nr / n) * _entropy(rp, nr)
+        gain = gain - (nr / n) * entropy(rp, nr)
     return float(gain)
 
 
@@ -90,10 +103,13 @@ def _best_split_for_feature(values, is_pd, parent_pd, parent_entropy):
     right_n = n - left_n
     right_pd = parent_pd - left_pd
     gains = (parent_entropy
-             - (left_n / n) * _entropy(left_pd, left_n)
-             - (right_n / n) * _entropy(right_pd, right_n))
+             - (left_n / n) * entropy(left_pd, left_n)
+             - (right_n / n) * entropy(right_pd, right_n))
     j = int(np.argmax(gains))
-    thr = 0.5 * (sv[change[j]] + sv[change[j] + 1])
+    lo, hi = sv[change[j]], sv[change[j] + 1]
+    thr = 0.5 * (lo + hi)
+    if not lo < thr <= hi:  # adjacent doubles: the midpoint rounds to lo
+        thr = hi
     return float(gains[j]), float(thr)
 
 
@@ -122,7 +138,7 @@ def reference_tree_grow(X, y, k: int, stream) -> DecisionTree:
         counts.append((n - pd_count, pd_count))
         if n < 2 or pd_count == 0 or pd_count == n:
             continue
-        parent_entropy = float(_entropy(pd_count, n))
+        parent_entropy = float(entropy(pd_count, n))
         best = None
         for f in _draw_features(stream, m, k):
             cand = _best_split_for_feature(X[idx, f], is_pd, pd_count, parent_entropy)

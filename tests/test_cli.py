@@ -206,6 +206,15 @@ def test_evaluate_rejects_non_model_json(exp_dir, tmp_path, capsys):
     mlp["w_hidden"] += [0.0] * mlp["shape_hidden"][0]
     mlp["shape_hidden"][1] += 1
     wide_mlp.write_text(json.dumps(mlp))
+    # a boosted model 12 wide in every round, and one whose rounds differ
+    narrow_boost = tmp_path / "narrow_boostlr.json"
+    mixed_boost = tmp_path / "mixed_width_boostlr.json"
+    boost = json.loads((out / "models" / "boostlr.json").read_text())
+    rounds = boost["rounds"]
+    boost["rounds"] = rounds + [dict(rounds[0], coef=rounds[0]["coef"][:12])]
+    mixed_boost.write_text(json.dumps(boost))
+    boost["rounds"] = [dict(r, coef=r["coef"][:12]) for r in rounds]
+    narrow_boost.write_text(json.dumps(boost))
     # (model file, sidecar, the file the error names)
     cases = [
         (out / "run_config.json", sidecar, out / "run_config.json"),
@@ -219,6 +228,8 @@ def test_evaluate_rejects_non_model_json(exp_dir, tmp_path, capsys):
         (no_trees, sidecar, no_trees),
         (wide_forest, sidecar, wide_forest),
         (wide_mlp, sidecar, wide_mlp),
+        (narrow_boost, sidecar, narrow_boost),
+        (mixed_boost, sidecar, mixed_boost),
     ]
     for model_path, sidecar_path, culprit in cases:
         rc = main(["evaluate", "--model", str(model_path),

@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from earlypd.errors import SingleClassTraining
 from earlypd.forest import (
     DecisionTree,
     ForestConfig,
+    _entropy,
     default_feature_subset,
     forest_score_batch,
     forest_train,
@@ -17,7 +21,11 @@ from earlypd.forest import (
 from earlypd.rng import SplitMix64
 
 from conftest import make_dataset
-from reference import info_gain, reference_tree_grow, tree_predict
+from reference import entropy, info_gain, reference_tree_grow, tree_predict
+
+# 1.0 and the next three doubles above it: the midpoint of two neighbours
+# rounds to the lower one or to the upper one, alternately
+ONE_AND_NEIGHBOURS = [1.0, 1.0 + 2.0 ** -52, 1.0 + 2.0 ** -51, 1.0 + 3 * 2.0 ** -52]
 
 
 def test_info_gain_hand_values():
@@ -37,6 +45,14 @@ def test_info_gain_no_split_is_zero():
 def test_info_gain_inconsistent_counts():
     with pytest.raises(ValueError, match="do not sum"):
         info_gain((1, 1), (2, 0), (0, 2))
+
+
+def test_entropy_matches_reference_bit_for_bit():
+    # every (pd, n) a node or candidate side can have in a tree of up to
+    # 2,100 records, in one call as a node makes it
+    n = np.repeat(np.arange(1, 2101), np.arange(2, 2102)).astype(np.float64)
+    pd = np.concatenate([np.arange(size + 1) for size in range(1, 2101)]).astype(np.float64)
+    assert np.array_equal(_entropy(pd, n).view(np.uint64), entropy(pd, n).view(np.uint64))
 
 
 def test_tree_grow_one_dimensional_midpoint():
@@ -102,6 +118,11 @@ def _mixed_leaves(rng):
     return np.vstack([X, X, X]), y, 2
 
 
+def _adjacent_doubles(rng):
+    X = rng.choice(ONE_AND_NEIGHBOURS + [0.5, 2.0], size=(60, 3))
+    return X, rng.integers(0, 2, 60), 2
+
+
 TREE_CASES = {
     "k=1": lambda rng: (rng.random((80, 5)), rng.integers(0, 2, 80), 1),
     "k=default": lambda rng: (rng.random((150, 13)), rng.integers(0, 2, 150),
@@ -113,7 +134,23 @@ TREE_CASES = {
     "n=2": lambda rng: (rng.random((2, 3)), np.array([0, 1]), 3),
     "pure leaves": lambda rng: (rng.random((200, 6)), rng.integers(0, 2, 200), 3),
     "mixed leaves": _mixed_leaves,
+    "adjacent doubles": _adjacent_doubles,
 }
+
+
+def _assert_grows_reference_tree(X, y, k, seed):
+    """tree_grow and reference_tree_grow give the same tree bit for bit, and
+    leave the stream in the same state; returns the tree."""
+    got_stream, want_stream = SplitMix64(seed), SplitMix64(seed)
+    got = tree_grow(X, y, k, got_stream)
+    want = reference_tree_grow(X, y, k, want_stream)
+    assert np.array_equal(got.feature, want.feature)
+    assert np.array_equal(got.threshold.view(np.uint64), want.threshold.view(np.uint64))
+    assert np.array_equal(got.left, want.left)
+    assert np.array_equal(got.right, want.right)
+    assert np.array_equal(got.counts, want.counts)
+    assert got_stream._state == want_stream._state
+    return got
 
 
 @pytest.mark.parametrize("case", TREE_CASES)
@@ -122,21 +159,42 @@ def test_tree_grow_matches_reference(case):
     # for bit, and leave the stream where it leaves it
     for seed in range(4):
         X, y, k = TREE_CASES[case](np.random.default_rng(seed))
-        got_stream, want_stream = SplitMix64(seed), SplitMix64(seed)
-        got = tree_grow(X, y, k, got_stream)
-        want = reference_tree_grow(X, y, k, want_stream)
-        assert np.array_equal(got.feature, want.feature)
-        assert np.array_equal(got.threshold.view(np.uint64), want.threshold.view(np.uint64))
-        assert np.array_equal(got.left, want.left)
-        assert np.array_equal(got.right, want.right)
-        assert np.array_equal(got.counts, want.counts)
-        assert got_stream._state == want_stream._state
+        got = _assert_grows_reference_tree(X, y, k, seed)
         assert got.n_nodes() > 1
         leaf_minority = got.counts[got.feature < 0].min(axis=1)
         if case == "pure leaves":
             assert (leaf_minority == 0).all()
         if case == "mixed leaves":
             assert (leaf_minority > 0).all()
+
+
+@st.composite
+def _small_trees(draw):
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(1, 6))
+    # few distinct values, so ties and repeats are common; -0.0 equals 0.0
+    pool = st.sampled_from(ONE_AND_NEIGHBOURS + [-1.0, -0.0, 0.0, 0.25])
+    X = draw(arrays(np.float64, (n, m), elements=pool))
+    y = draw(arrays(np.int64, n, elements=st.integers(0, 1)))
+    return X, y, draw(st.integers(1, m + 2)), draw(st.integers(0, 2 ** 32))
+
+
+@given(_small_trees())
+@settings(max_examples=200, deadline=None)
+def test_tree_grow_matches_reference_on_small_matrices(case):
+    _assert_grows_reference_tree(*case)
+
+
+def test_tree_grow_splits_adjacent_doubles():
+    # the midpoint of 1.0 and the next double is 1.0 itself; as a threshold
+    # it would send every record right and grow the same node forever
+    hi = np.nextafter(1.0, 2.0)
+    assert 0.5 * (1.0 + hi) == 1.0
+    tree = tree_grow(np.array([[1.0], [1.0], [hi], [hi]]), np.array([0, 0, 1, 1]),
+                     k=1, stream=SplitMix64(0))
+    assert tree.n_nodes() == 3
+    assert tree.counts.tolist() == [[2, 2], [2, 0], [0, 2]]
+    assert tree.threshold[0] == hi
 
 
 def test_tree_fits_training_data_exactly():
