@@ -205,14 +205,33 @@ class BayesNetModel:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "BayesNetModel":
-        arities = tuple(obj["arities"])
-        parents = tuple(tuple(p) for p in obj["parents"])
-        cpts = []
-        for node, flat in enumerate(obj["cpts"]):
-            r = arities[node]
-            cpts.append(np.array(flat).reshape(-1, r))
-        net = DiscreteNet(arities, parents, tuple(cpts))
+        """Raises ValueError unless the network fits its discretization map:
+        a binary class node, one more value per feature than it has cuts,
+        each node's parents distinct earlier nodes in ascending order, and
+        one CPT row of probabilities per parent configuration."""
         dmap = DiscretizationMap.from_json_dict(obj["discretization"], obj["schema"])
+        arities = (2,) + dmap.arities()
+        if list(obj["arities"]) != list(arities):
+            raise ValueError(f"arities {obj['arities']} do not match a binary class and "
+                             f"the discretization's cuts, {list(arities)}")
+        parents = tuple(tuple(p) for p in obj["parents"])
+        if len(parents) != len(arities) or len(obj["cpts"]) != len(arities):
+            raise ValueError(f"a net of {len(arities)} nodes needs {len(arities)} parent "
+                             f"lists and CPTs, got {len(parents)} and {len(obj['cpts'])}")
+        cpts = []
+        for node, (pa, flat) in enumerate(zip(parents, obj["cpts"])):
+            if not (all(type(p) is int for p in pa)
+                    and list(pa) == [p for p in range(node) if p in pa]):
+                raise ValueError(f"node {node} has parents {list(pa)}; they must be "
+                                 f"distinct earlier nodes in ascending order")
+            shape = (_n_configs(pa, arities), arities[node])
+            cpt = np.array(flat, dtype=np.float64)
+            # NaN fails both comparisons
+            if cpt.shape != (shape[0] * shape[1],) or not ((cpt >= 0) & (cpt <= 1)).all():
+                raise ValueError(f"node {node}'s CPT must hold {shape[0]} x {shape[1]} "
+                                 f"probabilities in [0, 1]")
+            cpts.append(cpt.reshape(shape))
+        net = DiscreteNet(arities, parents, tuple(cpts))
         cfg = BayesNetConfig(obj["bins"], obj["strategy"], obj["max_parents"],
                              obj["alpha"])
         return cls(net, dmap, cfg)

@@ -16,8 +16,16 @@ listed in draw order, so the tie rules are those of scoring the features
 one at a time. The order of equal values within the sort reaches no
 candidate's counts. A node's PD count comes down from its parent's running
 count, so a leaf costs no array work. Nodes stop at purity, fewer than two
-records, or no positive gain. Leaves keep their class counts. The forest
-votes: score = fraction of trees predicting PD.
+records, or no positive gain. Leaves keep their class counts, and a leaf
+votes PD where its PD count exceeds its healthy count.
+
+Scoring sends the records down each tree node by node. A split node takes
+its feature's values of the records it holds from a feature-major copy of
+the matrix, made once per call, compares them with its threshold and hands
+each child its share. The share of a healthy leaf is never built. The
+shares that reach PD leaves are joined once per tree and add one vote per
+record to the call's single vote array. A forest's score is the fraction
+of trees voting PD.
 """
 
 from __future__ import annotations
@@ -60,18 +68,36 @@ class DecisionTree:
 
     def predict_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        while True:
-            feats = self.feature[node]
-            active = feats >= 0
-            if not active.any():
-                break
-            rows = np.nonzero(active)[0]
-            f = feats[rows]
-            go_left = X[rows, f] < self.threshold[node[rows]]
-            node[rows] = np.where(go_left, self.left[node[rows]], self.right[node[rows]])
-        leaf = self.counts[node]
-        return np.where(leaf[:, 1] > leaf[:, 0], PD, HEALTHY)
+        votes = np.zeros(X.shape[0])
+        self.add_pd_votes(list(np.ascontiguousarray(X.T)), votes)
+        return np.where(votes > 0, PD, HEALTHY)
+
+    def add_pd_votes(self, columns, votes) -> None:
+        """Add 1.0 to votes[r] for every record r that reaches a PD leaf,
+        where columns[f][r] is feature f of record r. A record reaches one
+        leaf, so the tree's PD records are distinct and the votes stay whole
+        numbers."""
+        feature = self.feature.tolist()
+        pd_leaf = (self.counts[:, 1] > self.counts[:, 0]).tolist()
+        if feature[0] < 0:
+            if pd_leaf[0]:
+                votes += 1.0
+            return
+        threshold = self.threshold.tolist()
+        left = self.left.tolist()
+        right = self.right.tolist()
+        reached = []  # each PD leaf's records, n of them at most in all
+        stack = [(0, np.arange(len(votes)))]
+        while stack:
+            node, rows = stack.pop()
+            go_left = columns[feature[node]].take(rows) < threshold[node]
+            for child, side in ((left[node], go_left), (right[node], ~go_left)):
+                if feature[child] >= 0:
+                    stack.append((child, rows.compress(side)))
+                elif pd_leaf[child]:
+                    reached.append(rows.compress(side))
+        if reached:
+            votes[np.concatenate(reached)] += 1.0
 
     def to_json_list(self) -> list:
         nodes = []
@@ -280,7 +306,8 @@ def forest_score_batch(model: ForestModel, features) -> np.ndarray:
     """Fraction of trees voting PD. A 0.5 tie is resolved to healthy by the
     caller's strict > 0.5 decision rule."""
     X = np.asarray(features, dtype=np.float64)
+    columns = list(np.ascontiguousarray(X.T))
     votes = np.zeros(X.shape[0])
     for tree in model.trees:
-        votes += tree.predict_batch(X) == PD
+        tree.add_pd_votes(columns, votes)
     return votes / len(model.trees)

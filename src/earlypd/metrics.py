@@ -118,41 +118,40 @@ class RocCurve:
 
 
 def roc(labels, scores) -> RocCurve:
-    """ROC curve over descending score thresholds with trapezoidal AUC."""
+    """ROC curve over descending score thresholds with trapezoidal AUC.
+
+    The records are sorted by descending score, stably, and cut into blocks
+    of equal scores (-0.0 equals 0.0); each block is one point, reached at
+    its first score. A point's rates are the running true and false positive
+    counts at its block's end over the class sizes. The AUC adds the
+    trapezoids in order, from the origin on."""
     labels = np.asarray(labels)
     scores = np.asarray(scores, dtype=np.float64)
     if labels.shape != scores.shape:
         raise LengthMismatch("labels and scores differ in length")
     if not np.isfinite(scores).all():
-        # NaN never equals itself, so the tie loop below would never advance
+        # NaN never equals itself, so it would make a block of its own
         raise NonFiniteScore("ROC scores must be finite")
     n_pos = int(np.count_nonzero(labels == PD))
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise SingleClassLabels("ROC needs both classes present")
     order = np.argsort(-scores, kind="stable")
-    thresholds = [float("inf")]
-    fpr = [0.0]
-    tpr = [0.0]
-    auc = 0.0
-    tp = fp = 0
-    i = 0
-    while i < labels.size:
-        j = i
-        score = scores[order[i]]
-        while j < labels.size and scores[order[j]] == score:
-            if labels[order[j]] == PD:
-                tp += 1
-            else:
-                fp += 1
-            j += 1
-        x, y = fp / n_neg, tp / n_pos
-        auc += (x - fpr[-1]) * (y + tpr[-1]) / 2.0
-        thresholds.append(float(score))
-        fpr.append(x)
-        tpr.append(y)
-        i = j
-    return RocCurve(tuple(thresholds), tuple(fpr), tuple(tpr), auc)
+    ranked = scores[order]
+    ends = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
+    tp = np.cumsum(labels[order] == PD)[ends]
+    # below 2**53 an int64 converts exactly, so each quotient has the bits of
+    # Python's int / int
+    fpr = np.zeros(ends.size + 1)
+    tpr = np.zeros(ends.size + 1)
+    np.divide(ends + 1 - tp, n_neg, out=fpr[1:])
+    np.divide(tp, n_pos, out=tpr[1:])
+    # cumsum adds in order, as a running total does; np.sum would pair terms
+    # up and change the last bits
+    auc = np.cumsum((fpr[1:] - fpr[:-1]) * (tpr[1:] + tpr[:-1]) / 2.0)[-1]
+    thresholds = ranked[np.append(0, ends[:-1] + 1)]
+    return RocCurve((math.inf, *thresholds.tolist()), tuple(fpr.tolist()),
+                    tuple(tpr.tolist()), float(auc))
 
 
 @dataclass(frozen=True)

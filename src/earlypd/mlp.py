@@ -78,8 +78,15 @@ class MlpModel:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "MlpModel":
-        w1 = np.array(obj["w_hidden"]).reshape(obj["shape_hidden"])
-        w2 = np.array(obj["w_output"]).reshape(obj["shape_output"])
+        """Raises ValueError unless the weights are finite numbers and
+        w_output is (2, hidden + 1) for the hidden layer of w_hidden."""
+        w1 = np.array(obj["w_hidden"], dtype=np.float64).reshape(obj["shape_hidden"])
+        w2 = np.array(obj["w_output"], dtype=np.float64).reshape(obj["shape_output"])
+        if w1.ndim != 2 or w2.shape != (2, w1.shape[0] + 1):
+            raise ValueError(f"weight shapes {list(w1.shape)} and {list(w2.shape)} do not "
+                             f"make a network of one hidden layer and two outputs")
+        if not (np.isfinite(w1).all() and np.isfinite(w2).all()):
+            raise ValueError("the weights must be finite numbers")
         cfg = MlpConfig(obj["hidden_units"], obj["learning_rate"],
                         obj["momentum"], obj["epochs"])
         return cls(w1, w2, cfg, obj["seed"], tuple(obj["epoch_mse"]))

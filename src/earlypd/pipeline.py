@@ -68,7 +68,8 @@ MODELS = {
     "bayesnet": ModelSpec(
         "BayesNet",
         lambda train, config: bn_train(train, config.bayesnet),
-        lambda model, features: bn_score_batch(model, features), BayesNetModel),
+        lambda model, features: bn_score_batch(model, features), BayesNetModel,
+        lambda model: len(model.dmap.schema)),
     "forest": ModelSpec(
         "Random Forest",
         lambda train, config: forest_train(train, config.forest, config.seed),

@@ -129,8 +129,19 @@ class DiscretizationMap:
 
     @classmethod
     def from_json_dict(cls, obj: dict, schema) -> "DiscretizationMap":
+        """Raises ValueError unless obj holds the cuts of exactly the schema's
+        names, each list finite numbers in strictly ascending order."""
         names = tuple(schema)
-        return cls(names, tuple(tuple(obj[n]["cuts"]) for n in names))
+        if len(obj) != len(names):
+            raise ValueError(f"the discretization has {len(obj)} features, "
+                             f"the schema {len(names)}")
+        cuts = tuple(tuple(obj[n]["cuts"]) for n in names)
+        for name, c in zip(names, cuts):
+            if not (all(isinstance(v, (int, float)) and math.isfinite(v) for v in c)
+                    and all(a < b for a, b in zip(c, c[1:]))):
+                raise ValueError(f"the cuts of {name} must be finite numbers in "
+                                 f"strictly ascending order, got {list(c)}")
+        return cls(names, cuts)
 
 
 def discretize_fit(ds: Dataset, bins: int = 10,

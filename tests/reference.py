@@ -1,10 +1,11 @@
-"""Independent scalar references for the package's batch scorers, split rule,
-tree grower, network trainer, shuffle and record rules.
+"""Independent references for the package's batch scorers, split rule, tree
+grower, tree descent, ROC curve, network trainer, shuffle and record rules.
 
-Each function works on one record (or one split, one feature of a node's
+Most functions work on one record (or one split, one feature of a node's
 split search, one training step or one draw) at a time, with plain Python
-control flow, so the vectorized code in the package can be checked against
-it. None of this runs in the pipeline.
+control flow. The level-wise tree walk and the looped ROC reach the same
+result as the package's code by another route. The vectorized code in the
+package is checked against them. None of this runs in the pipeline.
 """
 
 import numpy as np
@@ -24,6 +25,7 @@ from earlypd.data import (
 )
 from earlypd.errors import EmptyModel
 from earlypd.forest import DecisionTree, _draw_features
+from earlypd.metrics import RocCurve
 from earlypd.rng import derive_stream
 
 
@@ -51,6 +53,56 @@ def tree_predict(tree, x) -> int:
         i = tree.left[i] if x[tree.feature[i]] < tree.threshold[i] else tree.right[i]
     h, p = tree.counts[i]
     return PD if p > h else HEALTHY
+
+
+def levelwise_predict_batch(tree, X) -> np.ndarray:
+    """Every record moves down one level per pass, all records together."""
+    X = np.asarray(X, dtype=np.float64)
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    while True:
+        feats = tree.feature[node]
+        active = feats >= 0
+        if not active.any():
+            break
+        rows = np.nonzero(active)[0]
+        f = feats[rows]
+        go_left = X[rows, f] < tree.threshold[node[rows]]
+        node[rows] = np.where(go_left, tree.left[node[rows]], tree.right[node[rows]])
+    leaf = tree.counts[node]
+    return np.where(leaf[:, 1] > leaf[:, 0], PD, HEALTHY)
+
+
+def loop_roc(labels, scores):
+    """metrics.roc with a running count: each block of equal scores is walked
+    record by record, and the AUC is a running sum of trapezoids. Takes the
+    checked inputs of roc (finite scores, both classes present)."""
+    labels = np.asarray(labels)
+    scores = np.asarray(scores, dtype=np.float64)
+    n_pos = int(np.count_nonzero(labels == PD))
+    n_neg = labels.size - n_pos
+    order = np.argsort(-scores, kind="stable")
+    thresholds = [float("inf")]
+    fpr = [0.0]
+    tpr = [0.0]
+    auc = 0.0
+    tp = fp = 0
+    i = 0
+    while i < labels.size:
+        j = i
+        score = scores[order[i]]
+        while j < labels.size and scores[order[j]] == score:
+            if labels[order[j]] == PD:
+                tp += 1
+            else:
+                fp += 1
+            j += 1
+        x, y = fp / n_neg, tp / n_pos
+        auc += (x - fpr[-1]) * (y + tpr[-1]) / 2.0
+        thresholds.append(float(score))
+        fpr.append(x)
+        tpr.append(y)
+        i = j
+    return RocCurve(tuple(thresholds), tuple(fpr), tuple(tpr), auc)
 
 
 def entropy(pd_count, n):

@@ -10,6 +10,7 @@ from earlypd.cli import main
 from earlypd.data import ingest_csv
 
 from conftest import datasets_equal
+from test_pipeline import BAYESNET_DEFECTS, MLP_DEFECTS
 
 FAST_CONFIG = {
     "seed": 9,
@@ -215,6 +216,13 @@ def test_evaluate_rejects_non_model_json(exp_dir, tmp_path, capsys):
     mixed_boost.write_text(json.dumps(boost))
     boost["rounds"] = [dict(r, coef=r["coef"][:12]) for r in rounds]
     narrow_boost.write_text(json.dumps(boost))
+    # a Bayes net of 12 features, each node, table and cut list consistent
+    narrow_bn = tmp_path / "narrow_bayesnet.json"
+    bn = json.loads((out / "models" / "bayesnet.json").read_text())
+    del bn["discretization"][bn["schema"].pop()]
+    for key in ("arities", "parents", "cpts"):
+        bn[key].pop()
+    narrow_bn.write_text(json.dumps(bn))
     # (model file, sidecar, the file the error names)
     cases = [
         (out / "run_config.json", sidecar, out / "run_config.json"),
@@ -230,7 +238,15 @@ def test_evaluate_rejects_non_model_json(exp_dir, tmp_path, capsys):
         (wide_mlp, sidecar, wide_mlp),
         (narrow_boost, sidecar, narrow_boost),
         (mixed_boost, sidecar, mixed_boost),
+        (narrow_bn, sidecar, narrow_bn),
     ]
+    for kind, defects in (("bayesnet", BAYESNET_DEFECTS), ("mlp", MLP_DEFECTS)):
+        for name, defect in defects.items():
+            obj = json.loads((out / "models" / f"{kind}.json").read_text())
+            defect(obj)
+            path = tmp_path / f"{kind} {name}.json"
+            path.write_text(json.dumps(obj))
+            cases.append((path, sidecar, path))
     for model_path, sidecar_path, culprit in cases:
         rc = main(["evaluate", "--model", str(model_path),
                    "--input", str(out / "cohort.csv"),

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from earlypd.data import PD
 from earlypd.errors import SingleClassTraining
 from earlypd.forest import (
     DecisionTree,
     ForestConfig,
+    ForestModel,
     _entropy,
     default_feature_subset,
     forest_score_batch,
@@ -21,7 +23,13 @@ from earlypd.forest import (
 from earlypd.rng import SplitMix64
 
 from conftest import make_dataset
-from reference import entropy, info_gain, reference_tree_grow, tree_predict
+from reference import (
+    entropy,
+    info_gain,
+    levelwise_predict_batch,
+    reference_tree_grow,
+    tree_predict,
+)
 
 # 1.0 and the next three doubles above it: the midpoint of two neighbours
 # rounds to the lower one or to the upper one, alternately
@@ -245,6 +253,56 @@ def test_predict_batch_matches_scalar():
     tree = tree_grow(X, y, k=4, stream=SplitMix64(11))
     probe = rng.random((100, 4))
     assert list(tree.predict_batch(probe)) == [tree_predict(tree, row) for row in probe]
+
+
+def _levelwise_forest_score(trees, X):
+    votes = np.zeros(np.shape(X)[0])
+    for tree in trees:
+        votes += levelwise_predict_batch(tree, X) == PD
+    return votes / len(trees)
+
+
+@st.composite
+def _forests_and_probes(draw):
+    m = draw(st.integers(1, 4))
+    # the pool's neighbouring doubles make thresholds equal to pool values,
+    # so probes fall exactly on them
+    pool = st.sampled_from(ONE_AND_NEIGHBOURS + [-0.0, 0.0, 0.25])
+    trees = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 30))
+        X = draw(arrays(np.float64, (n, m), elements=pool))
+        y = draw(arrays(np.int64, n, elements=st.integers(0, 1)))
+        stream = SplitMix64(draw(st.integers(0, 2 ** 32)))
+        trees.append(tree_grow(X, y, draw(st.integers(1, m)), stream))
+    probes = draw(arrays(np.float64, (draw(st.integers(0, 40)), m), elements=pool))
+    return trees, probes
+
+
+@given(_forests_and_probes())
+@settings(max_examples=200, deadline=None)
+def test_forest_scores_match_levelwise_reference(case):
+    trees, probes = case
+    for tree in trees:
+        assert np.array_equal(tree.predict_batch(probes), levelwise_predict_batch(tree, probes))
+    model = ForestModel(tuple(trees), ForestConfig(len(trees)), 0, probes.shape[1])
+    got = forest_score_batch(model, probes)
+    assert np.array_equal(got.view(np.uint64),
+                          _levelwise_forest_score(trees, probes).view(np.uint64))
+
+
+def test_root_leaf_trees_vote_their_majority():
+    def leaf(counts):
+        return DecisionTree(np.array([-1]), np.zeros(1), np.full(1, -1), np.full(1, -1),
+                            np.array([counts]))
+
+    trees = (leaf([1, 3]), leaf([2, 0]), leaf([1, 3]))
+    model = ForestModel(trees, ForestConfig(3), 0, 2)
+    probes = np.array([[0.0, 1.0], [5.0, -1.0]])
+    assert forest_score_batch(model, probes).tolist() == [2 / 3, 2 / 3]
+    assert np.array_equal(forest_score_batch(model, probes),
+                          _levelwise_forest_score(trees, probes))
+    assert forest_score_batch(model, np.empty((0, 2))).shape == (0,)
 
 
 def test_default_feature_subset_formula():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from earlypd.errors import EmptyInput, LengthMismatch, NonFiniteScore, SingleClassLabels
 from earlypd.metrics import (
@@ -24,6 +25,8 @@ from earlypd.metrics import (
     roc_svg,
     summary_metrics,
 )
+
+from reference import loop_roc
 
 
 def test_confusion_hand_counts():
@@ -105,7 +108,8 @@ def test_roc_single_class_raises():
 
 
 def test_roc_rejects_non_finite_scores():
-    # NaN compares unequal to itself, so an unchecked tie loop never ends
+    # NaN equals no other score, not even itself, so it would make a block
+    # of its own, and +inf would repeat the origin's threshold
     for scores in ([math.nan, 0.2], [0.8, math.inf]):
         with pytest.raises(NonFiniteScore):
             roc([0, 1], scores)
@@ -151,6 +155,34 @@ def test_auc_complement_under_score_flip(seed):
     a = roc(list(labels), list(scores)).auc
     b = roc(list(labels), list(1.0 - scores)).auc
     assert abs(a + b - 1.0) <= 1e-12
+
+
+# scores that tie, including -0.0 with 0.0, and sums that round
+ROC_SCORE_POOL = [0.0, -0.0, 0.25, 0.5, 1 / 3, 0.1 + 0.2, 1.0]
+
+
+@st.composite
+def _roc_inputs(draw):
+    n = draw(st.integers(2, 300))
+    labels = draw(arrays(np.int64, n, elements=st.integers(0, 1)))
+    labels[0] = 1 - labels[-1]  # both classes present
+    pooled = st.sampled_from(ROC_SCORE_POOL)
+    anywhere = st.floats(allow_nan=False, allow_infinity=False)
+    scores = draw(arrays(np.float64, n, elements=draw(st.sampled_from([pooled, anywhere]))))
+    return labels, scores
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+@given(_roc_inputs())
+@settings(max_examples=200, deadline=None)
+def test_roc_matches_loop_reference_bit_for_bit(case):
+    labels, scores = case
+    got, want = roc(labels, scores), loop_roc(labels, scores)
+    for field in ("thresholds", "fpr", "tpr", "auc"):
+        assert np.array_equal(_bits(getattr(got, field)), _bits(getattr(want, field))), field
 
 
 def test_roc_curve_is_monotone(small_split):

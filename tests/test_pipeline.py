@@ -2,6 +2,7 @@
 run, and artifact writing with its cleanup guarantee."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -229,6 +230,77 @@ def test_malformed_forest_file_is_rejected(defect, fast_models, tmp_path):
     save_model_file(fast_models["forest"], path)
     obj = json.loads(path.read_text())
     FOREST_DEFECTS[defect](obj["trees"], obj["n_features"])
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ConfigError, match="is not a saved model file"):
+        load_model_file(path)
+
+
+def _cuts(obj):
+    """The cut list, within a saved Bayes net, of its first feature with at
+    least two cuts."""
+    return next(c for c in (obj["discretization"][n]["cuts"] for n in obj["schema"])
+                if len(c) >= 2)
+
+
+def _two_cuts_more(obj):
+    cuts = _cuts(obj)
+    cuts[1:1] = [cuts[0] + (cuts[1] - cuts[0]) / 3, cuts[0] + 2 * (cuts[1] - cuts[0]) / 3]
+
+
+def _cut_fewer(obj):
+    _cuts(obj).pop()
+
+
+def _cuts_descending(obj):
+    _cuts(obj).reverse()
+
+
+def _infinite_cut(obj):
+    _cuts(obj)[-1] = math.inf
+
+
+def _extra_cpt_row(obj):
+    obj["cpts"][1] += [0.5] * obj["arities"][1]
+
+
+# obj -> None, each breaking a saved Bayes net
+BAYESNET_DEFECTS = {
+    "schema of 12 names": lambda obj: obj["schema"].pop(),
+    "feature of arity 1": lambda obj: obj["arities"].__setitem__(1, 1),
+    "two cuts more than the arity": _two_cuts_more,
+    "one cut fewer than the arity": _cut_fewer,
+    "cuts descending": _cuts_descending,
+    "infinite cut": _infinite_cut,
+    "parent 99": lambda obj: obj["parents"][1].append(99),
+    "own parent": lambda obj: obj["parents"][1].append(1),
+    "repeated parent": lambda obj: obj["parents"][1].append(0),
+    "CPT with an extra row": _extra_cpt_row,
+    "probability above 1": lambda obj: obj["cpts"][0].__setitem__(0, 1.5),
+    "null probability": lambda obj: obj["cpts"][0].__setitem__(0, None),
+}
+
+
+def _output_weight_short(obj):
+    del obj["w_output"][-2:]
+    obj["shape_output"][1] -= 1
+
+
+# obj -> None, each breaking a saved MLP
+MLP_DEFECTS = {
+    "null weight": lambda obj: obj["w_hidden"].__setitem__(0, None),
+    "weight overflowing to infinity": lambda obj: obj["w_hidden"].__setitem__(0, 1e999),
+    "output layer one weight short": _output_weight_short,
+}
+
+
+@pytest.mark.parametrize("kind, defect", [("bayesnet", d) for d in BAYESNET_DEFECTS]
+                         + [("mlp", d) for d in MLP_DEFECTS])
+def test_malformed_bayesnet_or_mlp_file_is_rejected(kind, defect, fast_models, tmp_path):
+    # each of these raises, reads past a table or scores nonsense when scoring
+    path = tmp_path / f"{kind}.json"
+    save_model_file(fast_models[kind], path)
+    obj = json.loads(path.read_text())
+    {"bayesnet": BAYESNET_DEFECTS, "mlp": MLP_DEFECTS}[kind][defect](obj)
     path.write_text(json.dumps(obj))
     with pytest.raises(ConfigError, match="is not a saved model file"):
         load_model_file(path)
