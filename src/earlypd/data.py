@@ -11,6 +11,13 @@ exactly 15 columns, subject_id first (non-empty and unique), the 13 features
 in schema order, then label (0 healthy, 1 PD). Floats are written with 9
 significant digits, which round-trips exactly for any file this package
 itself writes.
+
+Ingest reads BLOCK_ROWS rows at a time by one of two routes, with the same
+results. A plain block (every line a subject id and 14 unquoted decimal
+cells, no quote, carriage return or NUL) is read with one np.loadtxt call.
+From the first block that is not plain, csv.reader splits every row to the
+end of the file, at its own speed: a file with CRLF line ends takes that
+route from the start, and one with a quoted cell from that cell's block on.
 """
 
 from __future__ import annotations
@@ -238,11 +245,13 @@ def _convert(block):
     return values if np.isfinite(values).all() else None
 
 
-def _parse_block(block, seen_ids):
+def _parse_block(block, seen_ids, values=None):
     """(ids, values, findings) for a block of (row_number, cells) pairs.
 
     values is the (m, 14) matrix of the rows whose cells all parse, in file
-    order, and ids are their subject ids. findings lists (row_number, error
+    order, and ids are their subject ids. A caller that has already read a
+    block's rows into a finite (m, 14) matrix passes it as values; the cells
+    of each pair then need only the subject id as their first item. findings lists (row_number, error
     class, column, message) in row order. Within a row, an empty subject_id,
     or one already in seen_ids (id -> first row, shared across blocks), comes
     first; then either the row's NonNumericCell or every RangeViolation of
@@ -259,7 +268,8 @@ def _parse_block(block, seen_ids):
                              f"subject_id {sid!r} already used in row {seen_ids[sid]}"))
         else:
             seen_ids[sid] = row_number
-    values = _convert(block)
+    if values is None:
+        values = _convert(block)
     if values is None:
         # row by row, for the exact message and column of each bad cell
         parsed, rows = [], []
@@ -278,6 +288,39 @@ def _parse_block(block, seen_ids):
     return [cells[0] for _row, cells in block], values, findings
 
 
+# The characters a plain line may hold after its subject_id: decimal cells,
+# commas and the line's end. Within them float() and np.loadtxt read every
+# cell alike, to the bit (tests/test_data.py pins this).
+_PLAIN = b"0123456789.eE+-,\n"
+
+
+def _plain_values(lines, parts):
+    """The (m, 14) matrix of a block of raw lines, or None unless every line
+    is a plain record: unquoted, 15 cells, each cell after the subject_id a
+    finite decimal. parts holds each line's partition at its first comma."""
+    text = "".join(lines)
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    # csv.reader rejects a cell longer than its field limit
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    bodies = [cells for _sid, _comma, cells in parts]
+    # a blank or id-only line has an empty body, which loadtxt would skip
+    if "" in bodies or "\n" in bodies:
+        return None
+    body = "".join(bodies)
+    if not body.isascii() or body.encode().translate(None, _PLAIN):
+        return None
+    try:
+        values = np.loadtxt(bodies, delimiter=",", comments=None, ndmin=2,
+                            dtype=np.float64)
+    except ValueError:
+        return None
+    if values.shape != (len(lines), len(CSV_COLUMNS) - 1) or not np.isfinite(values).all():
+        return None
+    return values
+
+
 def _read_blocks(path):
     """Yield _parse_block's (ids, values, findings) per BLOCK_ROWS data rows.
 
@@ -285,13 +328,25 @@ def _read_blocks(path):
     blank lines are then skipped. Header problems raise MissingColumn; a file
     that is not UTF-8 text (a leading byte-order mark is skipped), or that
     the csv module cannot split, raises UnreadableCsv.
+
+    Blocks of BLOCK_ROWS raw lines are read with one np.loadtxt call each
+    while every line is plain (see _plain_values); there a line is a row.
+    From the first block that is not plain to the end of the file, csv.reader
+    splits the rows. Both routes give the same blocks.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            _check_header(next(reader, None))
-            rows = ((n, cells) for n, cells in enumerate(reader, start=1) if cells)
-            seen_ids = {}
+            _check_header(next(csv.reader(fh), None))
+            seen_ids, row = {}, 1
+            while lines := list(itertools.islice(fh, BLOCK_ROWS)):
+                parts = [line.partition(",") for line in lines]
+                values = _plain_values(lines, parts)
+                if values is None:
+                    break
+                yield _parse_block(list(zip(itertools.count(row), parts)), seen_ids, values)
+                row += len(lines)
+            reader = csv.reader(itertools.chain(lines, fh))
+            rows = ((n, cells) for n, cells in enumerate(reader, start=row) if cells)
             while block := list(itertools.islice(rows, BLOCK_ROWS)):
                 yield _parse_block(block, seen_ids)
     except (UnicodeDecodeError, csv.Error) as err:

@@ -37,8 +37,29 @@ class NormalizationStats:
 
     @classmethod
     def from_json_dict(cls, obj: dict, schema) -> "NormalizationStats":
+        """Raises ValueError unless obj holds a (min, max) pair of finite
+        numbers with min <= max for exactly the schema's names."""
         names = tuple(schema)
-        return cls(names, tuple((obj[n]["min"], obj[n]["max"]) for n in names))
+        if set(obj) != set(names):
+            raise ValueError(f"the normalization names {sorted(obj)}, "
+                             f"the schema {list(names)}")
+        pairs = tuple((obj[n]["min"], obj[n]["max"]) for n in names)
+        for name, (lo, hi) in zip(names, pairs):
+            if not (_finite_number(lo) and _finite_number(hi) and lo <= hi):
+                raise ValueError(f"the min and max of {name} must be finite numbers "
+                                 f"with min <= max, got {lo!r} and {hi!r}")
+        return cls(names, pairs)
+
+
+def _finite_number(v) -> bool:
+    """True for an int or float that is a finite double; a JSON true or false
+    is not a number."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the doubles
+        return False
 
 
 def normalize_fit_transform(ds: Dataset):
@@ -137,7 +158,7 @@ class DiscretizationMap:
                              f"the schema {len(names)}")
         cuts = tuple(tuple(obj[n]["cuts"]) for n in names)
         for name, c in zip(names, cuts):
-            if not (all(isinstance(v, (int, float)) and math.isfinite(v) for v in c)
+            if not (all(map(_finite_number, c))
                     and all(a < b for a, b in zip(c, c[1:]))):
                 raise ValueError(f"the cuts of {name} must be finite numbers in "
                                  f"strictly ascending order, got {list(c)}")

@@ -1,17 +1,25 @@
 """Independent references for the package's batch scorers, split rule, tree
-grower, tree descent, ROC curve, network trainer, shuffle and record rules.
+grower, tree descent, ROC curve, network trainer, shuffle, record rules and
+CSV reader.
 
 Most functions work on one record (or one split, one feature of a node's
 split search, one training step or one draw) at a time, with plain Python
-control flow. The level-wise tree walk and the looped ROC reach the same
-result as the package's code by another route. The vectorized code in the
-package is checked against them. None of this runs in the pipeline.
+control flow. The level-wise tree walk, the looped ROC and the CSV reader
+that splits every row with csv.reader reach the same result as the package's
+code by another route. The vectorized code in the package is checked against
+them. None of this runs in the pipeline.
 """
+
+import csv
+import itertools
+from unittest import mock
 
 import numpy as np
 
+from earlypd import data
 from earlypd.boostlr import _sigmoid
 from earlypd.data import (
+    BLOCK_ROWS,
     FEATURE_NAMES,
     HEALTHY,
     INTEGER_FEATURES,
@@ -20,10 +28,12 @@ from earlypd.data import (
     POSITIVE_FEATURES,
     RATIO_FEATURES,
     RATIO_REL_TOL,
+    _check_header,
+    _parse_block,
     compute_ratios,
     format_value,
 )
-from earlypd.errors import EmptyModel
+from earlypd.errors import EmptyModel, UnreadableCsv
 from earlypd.forest import DecisionTree, _draw_features
 from earlypd.metrics import RocCurve
 from earlypd.rng import derive_stream
@@ -313,3 +323,26 @@ def record_violations(vector, label) -> list:
     order = {name: i for i, name in enumerate(FEATURE_NAMES + ("label",))}
     out.sort(key=lambda item: order[item[0]])
     return out
+
+
+def csv_read_blocks(path):
+    """data._read_blocks with csv.reader splitting every row, and each block
+    converted by data._convert (through _parse_block), whatever the block
+    holds."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            _check_header(next(reader, None))
+            rows = ((n, cells) for n, cells in enumerate(reader, start=1) if cells)
+            seen_ids = {}
+            while block := list(itertools.islice(rows, BLOCK_ROWS)):
+                yield _parse_block(block, seen_ids)
+    except (UnicodeDecodeError, csv.Error) as err:
+        raise UnreadableCsv(f"{path} is not a readable CSV file: {err}") from None
+
+
+def with_csv_reader(read, path):
+    """read(path), for data.ingest_csv or data.validate_file, with its blocks
+    read by csv_read_blocks."""
+    with mock.patch.object(data, "_read_blocks", csv_read_blocks):
+        return read(path)

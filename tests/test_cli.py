@@ -2,6 +2,7 @@
 byte-level determinism of artifact directories."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -257,6 +258,35 @@ def test_evaluate_rejects_non_model_json(exp_dir, tmp_path, capsys):
         err = json.loads(lines[0])
         assert err["error"] == "config"
         assert str(culprit) in err["message"]
+
+
+SIDECAR_DEFECTS = {
+    "null min": lambda p: p["normalization"]["upsit_total"].update(min=None),
+    "string min": lambda p: p["normalization"]["upsit_total"].update(min="12"),
+    "NaN max": lambda p: p["normalization"]["csf_ttau"].update(max=math.nan),
+    "true min": lambda p: p["normalization"]["csf_ttau"].update(min=True),
+    "min above max": lambda p: p["normalization"]["sbr_caudate_left"].update(min=1e9),
+    "extra feature": lambda p: p["normalization"].update(extra={"min": 0, "max": 1}),
+    "true cut": lambda p: p["discretization"]["upsit_total"].update(cuts=[True]),
+    "int beyond the doubles": lambda p: p["normalization"]["csf_ttau"].update(max=10**400),
+}
+
+
+@pytest.mark.parametrize("defect", SIDECAR_DEFECTS)
+def test_evaluate_rejects_bad_sidecar_values(exp_dir, tmp_path, capsys, defect):
+    _config, out = exp_dir
+    payload = json.loads((out / "preprocess.json").read_text())
+    SIDECAR_DEFECTS[defect](payload)
+    sidecar = tmp_path / "preprocess.json"
+    sidecar.write_text(json.dumps(payload))
+    rc = main(["evaluate", "--model", str(out / "models" / "forest.json"),
+               "--input", str(out / "cohort.csv"), "--preprocess", str(sidecar)])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(lines) == 1, lines  # one JSON line, no traceback
+    err = json.loads(lines[0])
+    assert err["error"] == "config"
+    assert str(sidecar) in err["message"]
 
 
 def test_report_subcommand(exp_dir, tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Schema, ratio math, CSV round-trips, and validation behavior."""
 
+import csv
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -17,6 +20,7 @@ from earlypd.data import (
     RATIO_FEATURES,
     RATIO_REL_TOL,
     Dataset,
+    _plain_values,
     compute_ratios,
     export_csv,
     format_value,
@@ -26,6 +30,7 @@ from earlypd.data import (
     validate_file,
 )
 from earlypd.errors import (
+    DataError,
     DivisionByZeroDenominator,
     MissingColumn,
     NonNumericCell,
@@ -326,6 +331,140 @@ def test_ingest_and_validate_agree_on_bad_rows(tmp_path, n_healthy, n_pd, blank_
     assert type(err.value).__name__ == kind
     assert (err.value.row, err.value.column) == (row, column)
     assert str(err.value).endswith(message)
+
+
+@pytest.fixture(scope="module")
+def cohort_lines() -> tuple:
+    """The header and 2,050 records of a generated cohort, as export_csv
+    writes them, without line ends."""
+    cohort = generate(GenerateConfig(n_healthy=1025, n_pd=1025), 6)
+    return (",".join(CSV_COLUMNS),) + tuple(
+        ",".join([sid, *map(format_value, row), str(int(label))])
+        for sid, row, label in zip(cohort.subject_ids, cohort.features, cohort.labels))
+
+
+@pytest.fixture(scope="module")
+def csv_scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("reader") / "cohort.csv"
+
+
+# cells the two routes must treat alike: plain ones the row rules reject, and
+# ones outside the plain alphabet that float() and np.loadtxt read apart
+ODD_CELLS = ("1e", ".", "1e400", " 1", "1_0", "\x1c1", "\uff11", "1\x00", '"2.5"',
+             "n/a", "", "-1", "77", "1e-400", "+.5E+1")
+ROW = st.integers(0, 2048)
+MUTATIONS = st.one_of(
+    st.tuples(st.sampled_from(["blank", "id only", "trailing comma", "extra cell",
+                               "quoted id", "crlf"]), ROW),
+    st.tuples(st.just("duplicate id"), ROW, ROW),
+    st.tuples(st.just("cell"), ROW, st.integers(1, len(CSV_COLUMNS) - 1),
+              st.sampled_from(ODD_CELLS)),
+)
+
+
+def _mutate(lines, mutation):
+    """Apply one MUTATIONS entry to a list of data lines, in place."""
+    kind, row, *args = mutation
+    row %= len(lines)
+    sid, _comma, rest = lines[row].partition(",")
+    if kind == "blank":
+        lines.insert(row, "")
+    elif kind == "id only":
+        lines[row] = sid
+    elif kind == "trailing comma":
+        lines[row] += ","
+    elif kind == "extra cell":
+        lines[row] += ",1"
+    elif kind == "quoted id":  # one record on two lines
+        lines[row] = f'"{sid[:3]}\n{sid[3:]}",{rest}'
+    elif kind == "crlf":
+        lines[row] += "\r"
+    elif kind == "duplicate id":  # a later or earlier line takes this line's id
+        other = args[0] % len(lines)
+        lines[other] = sid + "," + lines[other].partition(",")[2]
+    else:
+        cells = lines[row].split(",")
+        cells[args[0] % len(cells)] = args[1]
+        lines[row] = ",".join(cells)
+
+
+def _outcome(read, path):
+    """What read(path) gives: the dataset's ids and bytes, validate_file's
+    list, or the error's class, message, row and column."""
+    try:
+        result = read(path)
+    except DataError as err:
+        return type(err), str(err), err.row, err.column
+    if isinstance(result, Dataset):
+        return result.subject_ids, result.features.tobytes(), result.labels.tobytes()
+    return result
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_rows=st.sampled_from([1, 3, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                               2 * BLOCK_ROWS + 1]),
+       mutations=st.lists(MUTATIONS, max_size=4), ending=st.sampled_from(["\n", "\r\n"]),
+       bom=st.booleans(), final_end=st.booleans())
+# a duplicate id first used in a plain block and used again after the switch
+@example(n_rows=2 * BLOCK_ROWS + 1, mutations=[("duplicate id", 5, 1500), ("blank", 1100)],
+         ending="\n", bom=False, final_end=True)
+@example(n_rows=BLOCK_ROWS + 1, mutations=[("quoted id", BLOCK_ROWS - 1), ("blank", 0)],
+         ending="\n", bom=True, final_end=False)
+@example(n_rows=BLOCK_ROWS, mutations=[("cell", BLOCK_ROWS - 1, 14, "1e400")],
+         ending="\n", bom=False, final_end=True)
+# a cell that np.loadtxt reads and float() rejects, and a record of 16 cells
+# in a block of one
+@example(n_rows=BLOCK_ROWS, mutations=[("cell", 700, 3, "\x1c1")], ending="\n", bom=False,
+         final_end=True)
+@example(n_rows=1, mutations=[("extra cell", 0)], ending="\n", bom=False, final_end=False)
+# a subject_id longer than csv.reader's field limit, before plain cells
+@example(n_rows=3, mutations=[("cell", 1, 0, "x" * (csv.field_size_limit() + 1))],
+         ending="\n", bom=False, final_end=True)
+def test_reader_matches_csv_reader_reference(cohort_lines, csv_scratch, n_rows, mutations,
+                                             ending, bom, final_end):
+    """ingest_csv and validate_file give what they give with every row split by
+    csv.reader, on files around the block size with blank, short, long, quoted,
+    CRLF and odd-celled lines."""
+    header, *lines = cohort_lines[:n_rows + 1]
+    for mutation in mutations:
+        _mutate(lines, mutation)
+    text = ending.join([header, *lines]) + (ending if final_end else "")
+    csv_scratch.write_bytes((b"\xef\xbb\xbf" if bom else b"") + text.encode())
+    for read in (ingest_csv, validate_file):
+        assert _outcome(read, csv_scratch) == _outcome(
+            functools.partial(reference.with_csv_reader, read), csv_scratch)
+
+
+# decimals near the rounding boundaries of doubles, in the plain alphabet
+LONG_DECIMALS = (
+    "9007199254740993", "9007199254740993.00000000000000000001", "9007199254740995",
+    "0.1000000000000000055511151231257827021181583404541015625",
+    "0.30000000000000004", "1e23", "8.41e21", "2.2250738585072011e-308",
+    "2.2250738585072012e-308", "4.9406564584124654e-324", "2.4703282292062327e-324",
+    "2.4703282292062328e-324", "1.7976931348623157e308", "1.7976931348623158e308",
+    "1.7976931348623159e308", "123456789012345678901234567890e-29",
+    "0." + "0" * 320 + "49406564584124654",
+)
+
+
+def test_plain_cells_read_as_float_does():
+    """A cell in the plain route's alphabet is read by np.loadtxt exactly when
+    float() reads it as a finite number, and to the same bits. If a numpy
+    release changes loadtxt's number grammar, this fails."""
+    cells = ["".join(chars) for n in range(1, 6)
+             for chars in itertools.product("05.eE+-", repeat=n)]
+    assert len(cells) == 19_607
+    for cell in cells + list(LONG_DECIMALS):
+        lines = [f"S1,{cell}" + ",0" * (len(CSV_COLUMNS) - 2) + "\n"]
+        got = _plain_values(lines, [line.partition(",") for line in lines])
+        try:
+            want = float(cell)
+        except ValueError:
+            want = math.inf
+        if math.isfinite(want):
+            assert got is not None and got[0, 0].tobytes() == np.float64(want).tobytes(), cell
+        else:
+            assert got is None, cell
 
 
 def test_dataset_is_immutable(fixture_csv):
