@@ -24,6 +24,7 @@ from pathlib import Path
 from ._version import __version__
 from .data import export_csv, ingest_csv, location, validate_file
 from .errors import ConfigError, DataError
+from .jsontext import json_text
 from .metrics import (
     SPLITS,
     EvaluationReport,
@@ -165,8 +166,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     report = evaluate_scores(scaled.labels,
                              score_batch(kind, model, scaled.features))
     payload = {"model": kind, "records": len(ds), **report.to_json_dict()}
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    return _write_or_print(text, args.out)
+    return _write_or_print(json_text(payload), args.out)
 
 
 def _load_evaluations(path):

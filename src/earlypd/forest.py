@@ -26,6 +26,9 @@ each child its share. The share of a healthy leaf is never built. The
 shares that reach PD leaves are joined once per tree and add one vote per
 record to the call's single vote array. A forest's score is the fraction
 of trees voting PD.
+
+A tree is saved as its node arrays, each one flat JSON list: feature,
+threshold, left, right, and the counts, two per node, row by row.
 """
 
 from __future__ import annotations
@@ -99,53 +102,56 @@ class DecisionTree:
         if reached:
             votes[np.concatenate(reached)] += 1.0
 
-    def to_json_list(self) -> list:
-        nodes = []
-        for i in range(self.n_nodes()):
-            if self.feature[i] < 0:
-                nodes.append({"leaf": [int(self.counts[i, 0]), int(self.counts[i, 1])]})
-            else:
-                nodes.append({
-                    "split": [int(self.feature[i]), float(self.threshold[i])],
-                    "left": int(self.left[i]),
-                    "right": int(self.right[i]),
-                    "counts": [int(self.counts[i, 0]), int(self.counts[i, 1])],
-                })
-        return nodes
+    def to_json_dict(self) -> dict:
+        return {
+            "feature": self.feature.tolist(),
+            "threshold": self.threshold.tolist(),
+            "left": self.left.tolist(),
+            "right": self.right.tolist(),
+            "counts": self.counts.ravel().tolist(),
+        }
 
     @classmethod
-    def from_json_list(cls, nodes: list, n_features: int) -> "DecisionTree":
-        """Node arrays from a saved tree. Raises ValueError unless the tree has
-        a node, every node's counts are two non-negative integers, every split
-        feature is below n_features, and every child index lies after its
-        parent's and within the tree, so that every walk from the root reaches
-        a leaf."""
-        n = len(nodes)
-        if n == 0:
-            raise ValueError("a tree needs at least one node")
-        feature = np.full(n, -1, dtype=np.int64)
-        threshold = np.zeros(n)
-        left = np.full(n, -1, dtype=np.int64)
-        right = np.full(n, -1, dtype=np.int64)
-        counts = np.zeros((n, 2), dtype=np.int64)
-        for i, node in enumerate(nodes):
-            pair = node["leaf"] if "leaf" in node else node["counts"]
-            # a bool is an int to Python, and a one-element list would broadcast
-            if not (type(pair) is list and len(pair) == 2
-                    and all(type(c) is int and c >= 0 for c in pair)):
-                raise ValueError(f"node {i} counts must be two non-negative integers, "
-                                 f"got {pair!r}")
-            counts[i] = pair
-            if "leaf" not in node:
-                feature[i], threshold[i] = node["split"]
-                left[i] = node["left"]
-                right[i] = node["right"]
-                if not (0 <= feature[i] < n_features and i < left[i] < n and i < right[i] < n):
-                    raise ValueError(
-                        f"node {i} splits on feature {feature[i]} into nodes {left[i]} and "
-                        f"{right[i]}; the feature must be below {n_features} and the "
-                        f"children between {i + 1} and {n - 1}")
-        return cls(feature, threshold, left, right, counts)
+    def from_json_dict(cls, obj: dict, n_features: int) -> "DecisionTree":
+        """Node arrays from a saved tree's columns. Raises ValueError unless
+        the columns are lists of n > 0 nodes, counts holding each node's
+        healthy and PD counts in turn; the counts are non-negative integers;
+        a leaf has feature -1 and children -1; and a split node's feature is
+        an integer below n_features and its children integers after it and
+        within the tree, so that every walk from the root reaches a leaf."""
+        # a bool is an int to Python and to numpy; only the thresholds may be floats
+        types = {"feature": (int,), "threshold": (int, float), "left": (int,),
+                 "right": (int,), "counts": (int,)}
+        columns = {key: obj[key] for key in types}
+        if not all(type(column) is list for column in columns.values()):
+            raise ValueError("every column of a tree must be a list")
+        n = len(columns["feature"])
+        lengths = [len(column) for column in columns.values()]
+        if n == 0 or lengths != [n, n, n, n, 2 * n]:
+            raise ValueError(f"a tree of n > 0 nodes needs n features, thresholds, left "
+                             f"and right children and 2n counts, got {lengths}")
+        for key, allowed in types.items():
+            if not set(map(type, columns[key])).issubset(allowed):
+                raise ValueError(f"the tree's {key} column must hold only "
+                                 f"{' or '.join(t.__name__ for t in allowed)} values")
+        feature, left, right, counts = (np.array(columns[key], dtype=np.int64)
+                                        for key in ("feature", "left", "right", "counts"))
+        counts = counts.reshape(n, 2)
+        if (counts < 0).any():
+            raise ValueError("every node's counts must be non-negative")
+        node = np.arange(n)
+        leaf = (feature == -1) & (left == -1) & (right == -1)
+        split = ((feature >= 0) & (feature < n_features)
+                 & (node < left) & (left < n) & (node < right) & (right < n))
+        bad = ~(leaf | split)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(
+                f"node {i} has feature {feature[i]} and children {left[i]} and {right[i]}; "
+                f"a leaf has feature and children -1, a split node a feature below "
+                f"{n_features} and children between {i + 1} and {n - 1}")
+        return cls(feature, np.array(columns["threshold"], dtype=np.float64), left, right,
+                   counts)
 
 
 def _draw_features(stream: SplitMix64, m: int, k: int) -> list:
@@ -268,7 +274,7 @@ class ForestModel:
     def to_json_dict(self) -> dict:
         return {
             "kind": "forest",
-            "trees": [t.to_json_list() for t in self.trees],
+            "trees": [t.to_json_dict() for t in self.trees],
             "feature_subset": self.config.feature_subset,
             "bootstrap": self.config.bootstrap,
             "seed": self.seed,
@@ -277,7 +283,7 @@ class ForestModel:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ForestModel":
-        trees = tuple(DecisionTree.from_json_list(t, obj["n_features"]) for t in obj["trees"])
+        trees = tuple(DecisionTree.from_json_dict(t, obj["n_features"]) for t in obj["trees"])
         cfg = ForestConfig(len(trees), obj["feature_subset"], obj["bootstrap"])
         return cls(trees, cfg, obj["seed"], obj["n_features"])
 

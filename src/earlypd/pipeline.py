@@ -22,6 +22,7 @@ from .boostlr import BoostConfig, BoostedModel, adaboost_train, boosted_score_ba
 from .data import Dataset, export_csv, ingest_csv
 from .errors import ConfigError
 from .forest import ForestConfig, ForestModel, forest_score_batch, forest_train
+from .jsontext import json_text
 from .metrics import (
     evaluate_scores,
     render_report_csv,
@@ -194,23 +195,31 @@ def score_batch(name: str, model, features):
     return MODELS[name].score(model, features)
 
 
+# The model file format. A file of any other version is refused on load.
+MODEL_VERSION = 1
+
+
 def save_model_file(model, path) -> None:
-    # json.dump streams; json.dumps would hold every chunk of a large forest at once
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    Path(path).write_text(json_text({**model.to_json_dict(), "version": MODEL_VERSION}),
+                          encoding="utf-8")
 
 
 def load_model_file(path) -> tuple:
     """(kind, model) from a saved model file, dispatched on its stored kind.
-    A stored setting out of its bound (a forest of no trees) is a malformed
-    file too."""
+    A file of another version, or a stored setting out of its bound (a forest
+    of no trees), is a malformed file too."""
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
         kind = obj["kind"]
+        version = obj.get("version")
+        if not (type(version) is int and version == MODEL_VERSION):
+            raise ValueError(f"version {version!r}; this earlypd reads model files of "
+                             f"version {MODEL_VERSION}, so retrain the model")
         return kind, MODELS[kind].model.from_json_dict(obj)
-    except (ConfigError, KeyError, IndexError, TypeError, ValueError) as err:
+    # OverflowError: a JSON integer beyond the doubles, or beyond int64 where an
+    # index or count is read
+    except (ConfigError, KeyError, IndexError, TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"{path} is not a saved model file "
                           f"({type(err).__name__}: {err})") from None
 
@@ -252,10 +261,6 @@ def run_experiment(config: PipelineConfig) -> ExperimentResult:
                             report, text, time.perf_counter() - started)
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
 def _training_files(config: PipelineConfig, dataset: Dataset, stats, models: dict) -> list:
     """(relative path, content) pairs that `train` and `experiment` both write."""
     files = []
@@ -265,7 +270,7 @@ def _training_files(config: PipelineConfig, dataset: Dataset, stats, models: dic
     files.append(("preprocess.json", lambda path: save_sidecar(path, stats, dmap)))
     files += [(f"models/{name}.json", partial(save_model_file, model))
               for name, model in models.items()]
-    files.append(("run_config.json", _json_text(config.to_json_dict())))
+    files.append(("run_config.json", json_text(config.to_json_dict())))
     return files
 
 
@@ -312,7 +317,7 @@ def write_artifacts(result: ExperimentResult, out_dir) -> list:
             for name, by_split in result.evaluations.items()
         },
     }
-    files += [("evaluations.json", _json_text(evaluations)),
+    files += [("evaluations.json", json_text(evaluations)),
               ("report.csv", result.report_csv),
               ("report.txt", result.report_text)]
     for name in config.ordered_models():
@@ -326,7 +331,7 @@ def write_artifacts(result: ExperimentResult, out_dir) -> list:
         "elapsed_seconds": result.elapsed_seconds,
         "input": config.input if config.input is not None else "generated",
     }
-    files.append(("metadata.json", _json_text(metadata)))
+    files.append(("metadata.json", json_text(metadata)))
     return _write_files(out_dir, files)
 
 

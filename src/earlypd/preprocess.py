@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .errors import (
     EmptyDataset,
     MissingFeatureStats,
 )
+from .jsontext import json_text
 from .rng import derive_stream
 
 
@@ -211,9 +213,7 @@ def save_sidecar(path, stats: NormalizationStats,
     }
     if dmap is not None:
         payload["discretization"] = dmap.to_json_dict()
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    Path(path).write_text(json_text(payload), encoding="utf-8")
 
 
 def load_sidecar(path):

@@ -1,17 +1,20 @@
 """Independent references for the package's batch scorers, split rule, tree
 grower, tree descent, ROC curve, network trainer, shuffle, record rules and
-CSV reader.
+CSV reader, and the node-list forest writer.
 
 Most functions work on one record (or one split, one feature of a node's
 split search, one training step or one draw) at a time, with plain Python
 control flow. The level-wise tree walk, the looped ROC and the CSV reader
 that splits every row with csv.reader reach the same result as the package's
 code by another route. The vectorized code in the package is checked against
-them. None of this runs in the pipeline.
+them. The node-list writer gives the bytes of a forest file before the
+columnar layout, so trees loaded from a new file can be checked against the
+digests of the old one. None of this runs in the pipeline.
 """
 
 import csv
 import itertools
+import json
 from unittest import mock
 
 import numpy as np
@@ -80,6 +83,36 @@ def levelwise_predict_batch(tree, X) -> np.ndarray:
         node[rows] = np.where(go_left, tree.left[node[rows]], tree.right[node[rows]])
     leaf = tree.counts[node]
     return np.where(leaf[:, 1] > leaf[:, 0], PD, HEALTHY)
+
+
+def tree_to_json_list(tree) -> list:
+    """A tree in the node-list layout that model files had before the
+    columnar one: one JSON object per node, in preorder."""
+    nodes = []
+    for i in range(tree.n_nodes()):
+        if tree.feature[i] < 0:
+            nodes.append({"leaf": [int(tree.counts[i, 0]), int(tree.counts[i, 1])]})
+        else:
+            nodes.append({
+                "split": [int(tree.feature[i]), float(tree.threshold[i])],
+                "left": int(tree.left[i]),
+                "right": int(tree.right[i]),
+                "counts": [int(tree.counts[i, 0]), int(tree.counts[i, 1])],
+            })
+    return nodes
+
+
+def node_list_forest_text(model) -> str:
+    """A forest's model file as the node-list writer wrote it: no version,
+    one node list per tree, json.dump with indent 2 and sorted keys."""
+    return json.dumps({
+        "kind": "forest",
+        "trees": [tree_to_json_list(t) for t in model.trees],
+        "feature_subset": model.config.feature_subset,
+        "bootstrap": model.config.bootstrap,
+        "seed": model.seed,
+        "n_features": model.n_features,
+    }, indent=2, sort_keys=True) + "\n"
 
 
 def loop_roc(labels, scores):

@@ -9,9 +9,11 @@ import pytest
 
 from earlypd.cli import main
 from earlypd.data import ingest_csv
+from earlypd.pipeline import load_model_file
 
 from conftest import datasets_equal
-from test_pipeline import BAYESNET_DEFECTS, MLP_DEFECTS
+from reference import node_list_forest_text
+from test_pipeline import BAYESNET_DEFECTS, FOREST_DEFECTS, MLP_DEFECTS
 
 FAST_CONFIG = {
     "seed": 9,
@@ -177,33 +179,13 @@ def test_evaluate_rejects_non_model_json(exp_dir, tmp_path, capsys):
     payload = json.loads(sidecar.read_text())
     del payload["schema"]
     no_schema.write_text(json.dumps(payload))
-    # a root split whose child or feature index is past the end of its array
-    child_out = tmp_path / "child_out_of_range.json"
-    feature_out = tmp_path / "feature_out_of_range.json"
-    for path, edit in ((child_out, {"right": 10_000}), (feature_out, {"split": [13, 0.5]})):
-        forest = json.loads(model.read_text())
-        forest["trees"][0][0].update(edit)
-        path.write_text(json.dumps(forest))
-    # counts that are not two non-negative integers, a forest of no trees, and
     # models that score more features than the CSV has
-    one_count = tmp_path / "leaf_with_one_count.json"
-    negative = tmp_path / "negative_counts.json"
-    no_trees = tmp_path / "no_trees.json"
     wide_forest = tmp_path / "wide_forest.json"
-    wide_mlp = tmp_path / "wide_mlp.json"
-    forest = json.loads(model.read_text())
-    next(node for node in forest["trees"][0] if "leaf" in node)["leaf"] = [1]
-    one_count.write_text(json.dumps(forest))
-    forest = json.loads(model.read_text())
-    forest["trees"][0][0]["counts"] = [-1, 5]
-    negative.write_text(json.dumps(forest))
-    forest = json.loads(model.read_text())
-    forest["trees"] = []
-    no_trees.write_text(json.dumps(forest))
     forest = json.loads(model.read_text())
     forest["n_features"] = 20
-    forest["trees"][0][0]["split"][0] = 15
+    forest["trees"][0]["feature"][0] = 15
     wide_forest.write_text(json.dumps(forest))
+    wide_mlp = tmp_path / "wide_mlp.json"
     mlp = json.loads((out / "models" / "mlp.json").read_text())
     mlp["w_hidden"] += [0.0] * mlp["shape_hidden"][0]
     mlp["shape_hidden"][1] += 1
@@ -230,17 +212,18 @@ def test_evaluate_rejects_non_model_json(exp_dir, tmp_path, capsys):
         (forest_stub, sidecar, forest_stub),
         (not_json, sidecar, not_json),
         (model, no_schema, no_schema),
-        (child_out, sidecar, child_out),
-        (feature_out, sidecar, feature_out),
-        (one_count, sidecar, one_count),
-        (negative, sidecar, negative),
-        (no_trees, sidecar, no_trees),
         (wide_forest, sidecar, wide_forest),
         (wide_mlp, sidecar, wide_mlp),
         (narrow_boost, sidecar, narrow_boost),
         (mixed_boost, sidecar, mixed_boost),
         (narrow_bn, sidecar, narrow_bn),
     ]
+    for name, defect in FOREST_DEFECTS.items():
+        forest = json.loads(model.read_text())
+        defect(forest["trees"], forest["n_features"])
+        path = tmp_path / f"forest {name}.json"
+        path.write_text(json.dumps(forest))
+        cases.append((path, sidecar, path))
     for kind, defects in (("bayesnet", BAYESNET_DEFECTS), ("mlp", MLP_DEFECTS)):
         for name, defect in defects.items():
             obj = json.loads((out / "models" / f"{kind}.json").read_text())
@@ -287,6 +270,22 @@ def test_evaluate_rejects_bad_sidecar_values(exp_dir, tmp_path, capsys, defect):
     err = json.loads(lines[0])
     assert err["error"] == "config"
     assert str(sidecar) in err["message"]
+
+
+def test_evaluate_rejects_node_list_forest(exp_dir, tmp_path, capsys):
+    # a forest saved before model files had versions and columnar trees
+    _config, out = exp_dir
+    _kind, forest = load_model_file(out / "models" / "forest.json")
+    old = tmp_path / "forest.json"
+    old.write_text(node_list_forest_text(forest))
+    rc = main(["evaluate", "--model", str(old), "--input", str(out / "cohort.csv"),
+               "--preprocess", str(out / "preprocess.json")])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(lines) == 1, lines  # one JSON line, no traceback
+    message = json.loads(lines[0])["message"]
+    assert str(old) in message
+    assert "version None" in message and "retrain" in message
 
 
 def test_report_subcommand(exp_dir, tmp_path, capsys):

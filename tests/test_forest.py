@@ -1,5 +1,6 @@
 """Entropy math, tree induction, and forest ensemble behavior."""
 
+import json
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from earlypd.forest import (
     forest_train,
     tree_grow,
 )
+from earlypd.jsontext import json_text
 from earlypd.rng import SplitMix64
 
 from conftest import make_dataset
@@ -226,12 +228,11 @@ def test_tree_serialization_round_trip():
     X = rng.random((40, 4))
     y = rng.integers(0, 2, 40)
     tree = tree_grow(X, y, k=4, stream=SplitMix64(9))
-    again = DecisionTree.from_json_list(tree.to_json_list(), 4)
-    assert np.array_equal(again.feature, tree.feature)
-    assert np.array_equal(again.threshold, tree.threshold)
-    assert np.array_equal(again.left, tree.left)
-    assert np.array_equal(again.right, tree.right)
-    assert np.array_equal(again.counts, tree.counts)
+    again = DecisionTree.from_json_dict(json.loads(json_text(tree.to_json_dict())), 4)
+    for key in ("feature", "threshold", "left", "right", "counts"):
+        before, after = getattr(tree, key), getattr(again, key)
+        assert (after.dtype, after.shape, after.tobytes()) == \
+            (before.dtype, before.shape, before.tobytes()), key
 
 
 def test_tree_arrays_are_preorder():

@@ -17,9 +17,16 @@ FOREST_GOLDEN pins the saved forest beyond the default settings: a cohort five
 times the default size, and the default cohort with one feature per node,
 every feature per node, and no bootstrap. A change to the split search or the
 bootstrap draw that moves any node shows here.
+
+The model files moved once, when they gained a version and the forest's
+trees became columns. UNVERSIONED_GOLDEN and the second FOREST_GOLDEN digest
+keep the digests from before that: the models loaded from the new files give
+those bytes again through the old layout, so every tree and weight is the
+one pinned first.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -28,6 +35,7 @@ from earlypd.data import export_csv
 from earlypd.pipeline import (
     acquire_dataset,
     config_from_dict,
+    load_model_file,
     prepare_splits,
     save_model_file,
     train_models,
@@ -35,13 +43,15 @@ from earlypd.pipeline import (
 )
 from earlypd.synth import GenerateConfig, generate
 
+from reference import node_list_forest_text
+
 GOLDEN = {
     "cohort.csv": "b3065d07230e50b4e930f92b2c4346ba3527760588f55a65844d83350ab286d3",
     "evaluations.json": "746afa0ae8f107fe12bea916c523dbe39fa0db91fe3ae877680c74b54f4ca4f1",
-    "models/bayesnet.json": "dedb6a2b58cc22182cec9b986faf3a2db486f65faf90c5777e6eaa3c7fb46423",
-    "models/boostlr.json": "f384f89fe5fa5b30a2eaeac81475886d7f9f8746354fc590067f5f2960adaa5a",
-    "models/forest.json": "d4ac3ed966e025e3f1cbfebc0ccf26d876ae207cacb5f73ffbccf2f1155d9b2b",
-    "models/mlp.json": "835436a3c8f6a7b4d24e114a4e28c4fc591b0cbdaca6a9ddf762a911972576a5",
+    "models/bayesnet.json": "78b7f5d0583cf7248a4584378fdf0cfb867205adf0f5916ae3d792b844b8f3e2",
+    "models/boostlr.json": "3228801dbf82caf84bd043c60c4a0046dbab37989b453f9cb63d52af794c1834",
+    "models/forest.json": "4dbcd1c0d9cfd99d1367587d084ced2c6d6588a4028d6c1621d891151d2a016d",
+    "models/mlp.json": "37b577ebf4f0b56ae90b856f8b478eed4d35769bc1911aa0dfcafc16422b9323",
     "preprocess.json": "041ccd6a78fa6c5b3090a5025e4b4f62c40b95051a52b1f13fff52ae6fe81bee",
     "report.csv": "846fa1211e8fc60767ff62625c89956325f4cb15fc4085dd5978145fed28f7df",
     "report.txt": "78ccc139a672cbd9c75729d9c991702ea530bb0a3d9aaa41915656c16950c091",
@@ -67,6 +77,36 @@ def test_default_run_artifact_digests(default_run, tmp_path):
     assert digests == GOLDEN
 
 
+# The model files' digests before they carried a version and saved each tree
+# as columns. Their content has not moved: without the version, and with the
+# forest's trees written back as node lists, they give these bytes again.
+UNVERSIONED_GOLDEN = {
+    "models/bayesnet.json": "dedb6a2b58cc22182cec9b986faf3a2db486f65faf90c5777e6eaa3c7fb46423",
+    "models/boostlr.json": "f384f89fe5fa5b30a2eaeac81475886d7f9f8746354fc590067f5f2960adaa5a",
+    "models/forest.json": "d4ac3ed966e025e3f1cbfebc0ccf26d876ae207cacb5f73ffbccf2f1155d9b2b",
+    "models/mlp.json": "835436a3c8f6a7b4d24e114a4e28c4fc591b0cbdaca6a9ddf762a911972576a5",
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_default_models_keep_their_unversioned_content(default_run, tmp_path):
+    write_artifacts(default_run, tmp_path)
+    digests = {}
+    for name in UNVERSIONED_GOLDEN:
+        path = tmp_path / name
+        if name == "models/forest.json":
+            # every tree loaded from the columns, written by the node-list writer
+            digests[name] = _sha256(node_list_forest_text(load_model_file(path)[1]))
+        else:
+            obj = json.loads(path.read_text(encoding="utf-8"))
+            assert obj.pop("version") == 1
+            digests[name] = _sha256(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    assert digests == UNVERSIONED_GOLDEN
+
+
 EVALUATE_GOLDEN = {
     "bayesnet": "d5b241aa4e4c40435044140a5abae1657b0b3944d8d25cca7967bc20817c1e98",
     "boostlr": "3fd677773917564cca7e0df6550182b76b66411378a79a8ec7c154d3fd10b74d",
@@ -90,27 +130,34 @@ def test_saved_models_score_digests(default_run, tmp_path, capsys):
     assert digests == EVALUATE_GOLDEN
 
 
+# case: (config overrides, digest of the file, digest of its trees written by
+# the node-list writer, as UNVERSIONED_GOLDEN)
 FOREST_GOLDEN = {
     "cohort 920/2010, 10 trees": (
         {"generate": {"n_healthy": 920, "n_pd": 2010}, "forest": {"trees": 10}},
+        "dd9ebc6e05ec9751f95006b8992e554cb7da7a251b3bdfae2f39da708cd798d3",
         "64618e2013bebf10795c4ade0376219d0eda7e083dc88efa9aabe96a1b13e3ea"),
     "feature_subset 1": (
         {"forest": {"feature_subset": 1}},
+        "33db6b9c5f142aaf368753aaa4f1e5ef19820519e99303945c8db7ac43d43b16",
         "f6a03a531d32b13116df2804e5256cd7b861cfbb50ad00b973215047560520dc"),
     "feature_subset 13": (
         {"forest": {"feature_subset": 13}},
+        "e3d15941c526b14da979763a21cbb67720e8d25610660186de5b46bd116beab4",
         "a8ffcb4b5066bc4bf92da8393bc997d41b22b132f12e27601727356fbd6cd717"),
     "no bootstrap": (
         {"forest": {"bootstrap": False}},
+        "996994fb2e2cb9ac59b2b030dee9d38fd90397b28d2d5983cd71c08a64f15447",
         "081ef6442c9c5b5772d8b408ea8e3bc01c2d0d5cf5f38939459ea830c166542c"),
 }
 
 
 @pytest.mark.parametrize("case", FOREST_GOLDEN)
 def test_forest_model_digests(case, tmp_path):
-    overrides, want = FOREST_GOLDEN[case]
+    overrides, want, want_node_list = FOREST_GOLDEN[case]
     config = config_from_dict({"models": ["forest"], **overrides})
     train, _test, _stats = prepare_splits(config, acquire_dataset(config))
     path = tmp_path / "forest.json"
     save_model_file(train_models(config, train)["forest"], path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == want
+    assert _sha256(node_list_forest_text(load_model_file(path)[1])) == want_node_list

@@ -208,16 +208,36 @@ def test_model_file_round_trip(kind, fast_models, small_split, tmp_path):
     assert second.read_bytes() == first.read_bytes()
 
 
+def _first_leaf(tree) -> int:
+    return tree["feature"].index(-1)
+
+
+def _as_object(tree, key):
+    tree[key] = {str(i): v for i, v in enumerate(tree[key])}
+
+
 # (trees, n_features) -> None, each breaking the first tree of a saved forest
 FOREST_DEFECTS = {
-    "child is its own node": lambda trees, m: trees[0][0].update(left=0),
-    "child before its parent": lambda trees, m: trees[0][0].update(left=-1),
-    "child past the last node": lambda trees, m: trees[0][0].update(right=len(trees[0])),
-    "split feature out of range": lambda trees, m: trees[0][0].update(split=[m, 0.5]),
-    "tree without nodes": lambda trees, m: trees[0].clear(),
-    "leaf with one count": lambda trees, m: next(
-        node for node in trees[0] if "leaf" in node).update(leaf=[1]),
-    "negative split counts": lambda trees, m: trees[0][0].update(counts=[-1, 5]),
+    "child is its own node": lambda trees, m: trees[0]["left"].__setitem__(0, 0),
+    "child before its parent": lambda trees, m: trees[0]["left"].__setitem__(0, -1),
+    "child past the last node": lambda trees, m: trees[0]["right"].__setitem__(
+        0, len(trees[0]["feature"])),
+    "split feature out of range": lambda trees, m: trees[0]["feature"].__setitem__(0, m),
+    "feature below -1": lambda trees, m: trees[0]["feature"].__setitem__(0, -2),
+    "float feature": lambda trees, m: trees[0]["feature"].__setitem__(
+        0, float(trees[0]["feature"][0])),
+    "leaf with a child": lambda trees, m: trees[0]["right"].__setitem__(
+        _first_leaf(trees[0]), len(trees[0]["feature"]) - 1),
+    "tree without nodes": lambda trees, m: [column.clear() for column in trees[0].values()],
+    "leaf with one count": lambda trees, m: trees[0]["counts"].pop(),
+    "threshold column one short": lambda trees, m: trees[0]["threshold"].pop(),
+    "left column as an object": lambda trees, m: _as_object(trees[0], "left"),
+    "negative split counts": lambda trees, m: trees[0]["counts"].__setitem__(0, -1),
+    "bool count": lambda trees, m: trees[0]["counts"].__setitem__(1, True),
+    "count beyond int64": lambda trees, m: trees[0]["counts"].__setitem__(0, 2**64),
+    "string threshold": lambda trees, m: trees[0]["threshold"].__setitem__(0, "0.5"),
+    "threshold beyond the doubles": lambda trees, m: trees[0]["threshold"].__setitem__(
+        0, 10**400),
     "forest without trees": lambda trees, m: trees.clear(),
 }
 
@@ -290,6 +310,7 @@ MLP_DEFECTS = {
     "null weight": lambda obj: obj["w_hidden"].__setitem__(0, None),
     "weight overflowing to infinity": lambda obj: obj["w_hidden"].__setitem__(0, 1e999),
     "output layer one weight short": _output_weight_short,
+    "weight beyond the doubles": lambda obj: obj["w_hidden"].__setitem__(0, 10**400),
 }
 
 
@@ -303,6 +324,22 @@ def test_malformed_bayesnet_or_mlp_file_is_rejected(kind, defect, fast_models, t
     {"bayesnet": BAYESNET_DEFECTS, "mlp": MLP_DEFECTS}[kind][defect](obj)
     path.write_text(json.dumps(obj))
     with pytest.raises(ConfigError, match="is not a saved model file"):
+        load_model_file(path)
+
+
+@pytest.mark.parametrize("kind", MODEL_ORDER)
+@pytest.mark.parametrize("version", [None, 0, 2, True, 1.0], ids=repr)
+def test_model_file_of_another_version_is_rejected(kind, version, fast_models, tmp_path):
+    path = tmp_path / f"{kind}.json"
+    save_model_file(fast_models[kind], path)
+    obj = json.loads(path.read_text())
+    assert obj["version"] == 1
+    if version is None:
+        del obj["version"]
+    else:
+        obj["version"] = version
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ConfigError, match="is not a saved model file .*version.*retrain"):
         load_model_file(path)
 
 
