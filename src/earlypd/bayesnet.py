@@ -21,6 +21,7 @@ import numpy as np
 
 from .data import PD, Dataset
 from .errors import ConfigError, SingleClassTraining
+from .jsontext import finite_floats
 from .preprocess import DISCRETIZE_STRATEGIES, DiscretizationMap, discretize_fit
 
 CLASS_NODE = 0
@@ -225,8 +226,7 @@ class BayesNetModel:
                 raise ValueError(f"node {node} has parents {list(pa)}; they must be "
                                  f"distinct earlier nodes in ascending order")
             shape = (_n_configs(pa, arities), arities[node])
-            cpt = np.array(flat, dtype=np.float64)
-            # NaN fails both comparisons
+            cpt = finite_floats(flat, f"node {node}'s CPT")
             if cpt.shape != (shape[0] * shape[1],) or not ((cpt >= 0) & (cpt <= 1)).all():
                 raise ValueError(f"node {node}'s CPT must hold {shape[0]} x {shape[1]} "
                                  f"probabilities in [0, 1]")

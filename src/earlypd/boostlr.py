@@ -18,6 +18,7 @@ import numpy as np
 
 from .data import HEALTHY, PD, Dataset
 from .errors import ConfigError, EmptyModel, NonFiniteFeature, SingleClassWeight
+from .jsontext import finite_floats, finite_number
 
 GRAD_TOL = 1e-8
 MAX_ITER = 200
@@ -196,14 +197,18 @@ class BoostedModel:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "BoostedModel":
         """Rounds from a saved model. Raises ValueError unless every round's
-        coef is a flat list of the same length."""
+        coef is a flat list of finite numbers of the same length, and its
+        intercept and alpha are finite numbers."""
         rounds = []
         for i, r in enumerate(obj["rounds"]):
-            coef = np.array(r["coef"], dtype=np.float64)
+            coef = finite_floats(r["coef"], f"round {i} coef")
             width = len(rounds[0].model.coef) if rounds else coef.size
             if coef.shape != (width,):
                 raise ValueError(f"round {i} coef has shape {coef.shape}; every round "
                                  f"needs the flat width ({width},) of round 0")
+            if not (finite_number(r["intercept"]) and finite_number(r["alpha"])):
+                raise ValueError(f"round {i} intercept {r['intercept']!r} and alpha "
+                                 f"{r['alpha']!r} must be finite numbers")
             lm = LogisticModel(coef, r["intercept"], obj["ridge"], True, False, ())
             rounds.append(BoostRound(lm, r["alpha"], 0.0, 1.0, 0.5))
         return cls(tuple(rounds), obj["ridge"], obj["max_rounds"])

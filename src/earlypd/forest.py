@@ -29,11 +29,30 @@ of trees voting PD.
 
 A tree is saved as its node arrays, each one flat JSON list: feature,
 threshold, left, right, and the counts, two per node, row by row.
+
+Training and scoring split the trees into contiguous shares, one per usable
+CPU: the first share runs in the calling process, each other one in a
+forked child. The split keeps every bit. Tree t draws only from its own
+stream (seed, "tree/<t>"), so it is the same tree in whichever process grows
+it, and the trees are joined in index order. Each share counts its trees'
+PD votes in its own vote array, and the arrays are summed: the votes are
+whole numbers far below 2**53, so the sum is exact in any order.
+
+A child runs only its share (tree_grow or add_pd_votes, neither of which
+calls BLAS), pickles the result, or the exception it raised, into a pipe
+and ends with os._exit, so it never returns into its caller's frames. The
+parent re-raises a child's exception, and raises ChildProcessError for a
+child that ends with no result. It reads every pipe to its end before
+waiting for the child, since a result can outgrow the pipe's buffer, and
+it reaps every child and closes every pipe even when its own share raises.
+One usable CPU, or no os.fork, means no child at all.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -288,6 +307,78 @@ class ForestModel:
         return cls(trees, cfg, obj["seed"], obj["n_features"])
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where os.fork does not exist."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _split_work(fn, count: int) -> list:
+    """[fn(share) for share in shares], where the shares cut range(count)
+    into contiguous ranges, one per usable CPU and at most count. The first
+    share runs here, each other one in a forked child."""
+    workers = max(1, min(usable_cpus(), count))
+    shares = [range(count * i // workers, count * (i + 1) // workers)
+              for i in range(workers)]
+    pids, fds = [], []  # the children and the read ends of their pipes
+    try:
+        for share in shares[1:]:
+            read_fd, write_fd = os.pipe()
+            fds.append(read_fd)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _run_child(fn, share, fds, write_fd)
+            finally:
+                os.close(write_fd)
+            pids.append(pid)
+        results = [fn(shares[0])]
+        payloads = [_read_to_end(fd) for fd in fds]
+    finally:
+        for fd in fds:
+            os.close(fd)
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    for pid, payload, status in zip(pids, payloads, statuses):
+        if status != 0:
+            raise ChildProcessError(f"forest worker {pid} ended with status "
+                                    f"{os.waitstatus_to_exitcode(status)} and no result")
+        ok, value = pickle.loads(payload)
+        if not ok:
+            raise value
+        results.append(value)
+    return results
+
+
+def _run_child(fn, share, fds, write_fd) -> None:
+    """In a forked child: write the pickled (True, fn(share)), or (False,
+    the exception it raised), to write_fd, and end. The status is 0 only
+    when the whole outcome was written. Never returns."""
+    status = 1
+    try:
+        for fd in fds:  # every read end, so a closed one in the parent breaks the pipe
+            os.close(fd)
+        try:
+            outcome = (True, fn(share))
+        except BaseException as err:  # noqa: BLE001 - the parent re-raises it
+            outcome = (False, err)
+        data = memoryview(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
+        while data:
+            data = data[os.write(write_fd, data):]
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _read_to_end(fd) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 1 << 20):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
 def forest_train(train: Dataset, config: ForestConfig = ForestConfig(),
                  seed: int = 42) -> ForestModel:
     counts = train.class_counts()
@@ -297,15 +388,20 @@ def forest_train(train: Dataset, config: ForestConfig = ForestConfig(),
     y = train.labels
     n, m = X.shape
     k = config.feature_subset if config.feature_subset is not None else default_feature_subset(m)
-    trees = []
-    for t in range(config.trees):
-        stream = derive_stream(seed, f"tree/{t}")
-        if config.bootstrap:
-            sample = stream.below_array(n, n)
-            trees.append(tree_grow(X[sample], y[sample], k, stream))
-        else:
-            trees.append(tree_grow(X, y, k, stream))
-    return ForestModel(tuple(trees), config, seed, m)
+
+    def grow_trees(share):
+        trees = []
+        for t in share:
+            stream = derive_stream(seed, f"tree/{t}")
+            if config.bootstrap:
+                sample = stream.below_array(n, n)
+                trees.append(tree_grow(X[sample], y[sample], k, stream))
+            else:
+                trees.append(tree_grow(X, y, k, stream))
+        return trees
+
+    shares = _split_work(grow_trees, config.trees)
+    return ForestModel(tuple(tree for share in shares for tree in share), config, seed, m)
 
 
 def forest_score_batch(model: ForestModel, features) -> np.ndarray:
@@ -313,7 +409,11 @@ def forest_score_batch(model: ForestModel, features) -> np.ndarray:
     caller's strict > 0.5 decision rule."""
     X = np.asarray(features, dtype=np.float64)
     columns = list(np.ascontiguousarray(X.T))
-    votes = np.zeros(X.shape[0])
-    for tree in model.trees:
-        tree.add_pd_votes(columns, votes)
-    return votes / len(model.trees)
+
+    def count_votes(share):
+        votes = np.zeros(X.shape[0])
+        for t in share:
+            model.trees[t].add_pd_votes(columns, votes)
+        return votes
+
+    return sum(_split_work(count_votes, len(model.trees))) / len(model.trees)

@@ -9,11 +9,18 @@ goes to the C encoder in one call: with no indent it joins items with the
 item separator, so a separator of a comma, a newline and the level's indent
 lays the items out exactly as the indented encoder does. The pieces are
 joined once, at the end.
+
+The loaders read numbers back through finite_number and finite_floats, which
+accept only a JSON int or float that is a finite double: float() and
+np.array would take the string "0.5" and count true as 1.
 """
 
 from __future__ import annotations
 
 import json
+import math
+
+import numpy as np
 
 _SCALARS = frozenset((float, int, str, bool, type(None)))
 
@@ -52,3 +59,26 @@ def _chunks(obj, newline: str):
         yield newline + "]"
     else:  # a scalar, or an empty dict, list or tuple
         yield json.dumps(obj)
+
+
+def finite_number(v) -> bool:
+    """True for an int or float that is a finite double; a JSON true or false
+    is not a number."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the doubles
+        return False
+
+
+def finite_floats(values, what: str) -> np.ndarray:
+    """A JSON list of finite numbers as a float64 array. Raises ValueError
+    naming what for anything else in the list, OverflowError for an int
+    beyond the doubles."""
+    if type(values) is not list or not set(map(type, values)) <= {int, float}:
+        raise ValueError(f"{what} must be a list of numbers")
+    array = np.array(values, dtype=np.float64)
+    if not np.isfinite(array).all():
+        raise ValueError(f"{what} must hold finite numbers")
+    return array

@@ -21,7 +21,7 @@ from .bayesnet import BayesNetConfig, BayesNetModel, bn_score_batch, bn_train
 from .boostlr import BoostConfig, BoostedModel, adaboost_train, boosted_score_batch
 from .data import Dataset, export_csv, ingest_csv
 from .errors import ConfigError
-from .forest import ForestConfig, ForestModel, forest_score_batch, forest_train
+from .forest import ForestConfig, ForestModel, forest_score_batch, forest_train, usable_cpus
 from .jsontext import json_text
 from .metrics import (
     evaluate_scores,
@@ -304,9 +304,9 @@ def _write_files(out_dir, files) -> list:
 def write_artifacts(result: ExperimentResult, out_dir) -> list:
     """Write every experiment artifact under out_dir; returns written paths.
 
-    Timestamps live only in metadata.json, so every other artifact is
-    byte-identical across reruns of the same config. If any write fails, the
-    files written so far are removed.
+    Timestamps and the host's CPU count live only in metadata.json, so every
+    other artifact is byte-identical across reruns of the same config. If any
+    write fails, the files written so far are removed.
     """
     config = result.config
     files = _training_files(config, result.dataset, result.stats, result.models)
@@ -330,6 +330,8 @@ def write_artifacts(result: ExperimentResult, out_dir) -> list:
         "package_version": __version__,
         "elapsed_seconds": result.elapsed_seconds,
         "input": config.input if config.input is not None else "generated",
+        # the forest's trees are grown and scored in this many processes at most
+        "processes": usable_cpus(),
     }
     files.append(("metadata.json", json_text(metadata)))
     return _write_files(out_dir, files)

@@ -22,7 +22,7 @@ from .errors import (
     EmptyDataset,
     MissingFeatureStats,
 )
-from .jsontext import json_text
+from .jsontext import finite_number, json_text
 from .rng import derive_stream
 
 
@@ -47,21 +47,10 @@ class NormalizationStats:
                              f"the schema {list(names)}")
         pairs = tuple((obj[n]["min"], obj[n]["max"]) for n in names)
         for name, (lo, hi) in zip(names, pairs):
-            if not (_finite_number(lo) and _finite_number(hi) and lo <= hi):
+            if not (finite_number(lo) and finite_number(hi) and lo <= hi):
                 raise ValueError(f"the min and max of {name} must be finite numbers "
                                  f"with min <= max, got {lo!r} and {hi!r}")
         return cls(names, pairs)
-
-
-def _finite_number(v) -> bool:
-    """True for an int or float that is a finite double; a JSON true or false
-    is not a number."""
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        return False
-    try:
-        return math.isfinite(v)
-    except OverflowError:  # an int beyond the doubles
-        return False
 
 
 def normalize_fit_transform(ds: Dataset):
@@ -160,7 +149,7 @@ class DiscretizationMap:
                              f"the schema {len(names)}")
         cuts = tuple(tuple(obj[n]["cuts"]) for n in names)
         for name, c in zip(names, cuts):
-            if not (all(map(_finite_number, c))
+            if not (all(map(finite_number, c))
                     and all(a < b for a, b in zip(c, c[1:]))):
                 raise ValueError(f"the cuts of {name} must be finite numbers in "
                                  f"strictly ascending order, got {list(c)}")

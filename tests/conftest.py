@@ -1,6 +1,8 @@
 """Shared fixtures: a tiny hand-checked CSV, reusable synthetic cohorts and
-the default experiment run."""
+the default experiment run, and a guard that fails any test leaving a child
+process behind."""
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,20 @@ from earlypd.preprocess import normalize_fit_transform, stratified_split
 from earlypd.synth import GenerateConfig, generate
 
 DATA_DIR = Path(__file__).parent / "data"
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Every test must reap the processes it starts, the forest's workers
+    included: after it, this process has no child, running or unreaped."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    if pid == 0:
+        pytest.fail("a child process is still running")
+    pytest.fail(f"child process {pid} was left unreaped (wait status {status})")
 
 
 @pytest.fixture(scope="session")

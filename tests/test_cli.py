@@ -13,7 +13,7 @@ from earlypd.pipeline import load_model_file
 
 from conftest import datasets_equal
 from reference import node_list_forest_text
-from test_pipeline import BAYESNET_DEFECTS, FOREST_DEFECTS, MLP_DEFECTS
+from test_pipeline import DEFECTS, FOREST_DEFECTS
 
 FAST_CONFIG = {
     "seed": 9,
@@ -224,7 +224,7 @@ def test_evaluate_rejects_non_model_json(exp_dir, tmp_path, capsys):
         path = tmp_path / f"forest {name}.json"
         path.write_text(json.dumps(forest))
         cases.append((path, sidecar, path))
-    for kind, defects in (("bayesnet", BAYESNET_DEFECTS), ("mlp", MLP_DEFECTS)):
+    for kind, defects in DEFECTS.items():
         for name, defect in defects.items():
             obj = json.loads((out / "models" / f"{kind}.json").read_text())
             defect(obj)

@@ -1,7 +1,11 @@
-"""Entropy math, tree induction, and forest ensemble behavior."""
+"""Entropy math, tree induction, forest ensemble behavior, and the split of
+the trees over processes."""
 
+import hashlib
 import json
 import math
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,22 +13,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import earlypd.forest
+from earlypd.cli import main
 from earlypd.data import PD
-from earlypd.errors import SingleClassTraining
+from earlypd.errors import DataError, SingleClassTraining
 from earlypd.forest import (
     DecisionTree,
     ForestConfig,
     ForestModel,
     _entropy,
+    _split_work,
     default_feature_subset,
     forest_score_batch,
     forest_train,
     tree_grow,
 )
 from earlypd.jsontext import json_text
+from earlypd.pipeline import save_model_file, train_models
 from earlypd.rng import SplitMix64
 
 from conftest import make_dataset
+from test_golden import GOLDEN
 from reference import (
     entropy,
     info_gain,
@@ -359,3 +368,123 @@ def test_forest_single_class_raises():
     with pytest.raises(SingleClassTraining):
         forest_train(ds, ForestConfig(trees=1))
 
+
+
+# --- the trees split over processes -------------------------------------------
+# conftest's autouse no_child_left fixture checks after each of these tests
+# that every forked worker was reaped.
+
+
+def _set_cpus(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(earlypd.forest, "usable_cpus", lambda: n)
+
+
+def test_split_work_shares_are_contiguous_and_in_order(monkeypatch):
+    _set_cpus(monkeypatch, 3)
+    assert _split_work(list, 7) == [[0, 1], [2, 3], [4, 5, 6]]
+    assert _split_work(list, 2) == [[0], [1]]  # no more workers than items
+    assert _split_work(list, 0) == [[]]
+
+
+def test_split_work_reads_results_larger_than_a_pipe_buffer(monkeypatch):
+    _set_cpus(monkeypatch, 2)
+    first, second = _split_work(lambda share: np.full(50_000, float(share.start)), 4)
+    assert (first == 0.0).all() and (second == 2.0).all()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+def test_saved_forest_is_the_same_for_any_cpu_count(cpus, default_run, tmp_path,
+                                                    monkeypatch):
+    _set_cpus(monkeypatch, cpus)
+    config = replace(default_run.config, models=("forest",))
+    path = tmp_path / "forest.json"
+    save_model_file(train_models(config, default_run.train)["forest"], path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN["models/forest.json"]
+
+
+def test_one_tree_forest_on_two_cpus_is_the_serial_one(small_split, monkeypatch):
+    train, _test = small_split
+    saved = []
+    for cpus in (1, 2):
+        _set_cpus(monkeypatch, cpus)
+        saved.append(json_text(forest_train(train, ForestConfig(trees=1), seed=7)
+                               .to_json_dict()))
+    assert saved[0] == saved[1]
+
+
+@pytest.mark.parametrize("records", [0, 1, 300])
+def test_forest_scores_keep_their_bits_for_any_cpu_count(records, default_run,
+                                                         monkeypatch):
+    model = default_run.models["forest"]
+    features = default_run.dataset.features[:records]
+    scores = []
+    for cpus in (1, 2, 3):
+        _set_cpus(monkeypatch, cpus)
+        scores.append(forest_score_batch(model, features).view(np.uint64))
+    assert scores[0].shape == (records,)
+    assert np.array_equal(scores[0], scores[1]) and np.array_equal(scores[0], scores[2])
+
+
+def test_error_in_a_child_share_reaches_the_caller(monkeypatch):
+    _set_cpus(monkeypatch, 3)
+    parent = os.getpid()
+
+    def fail_in_the_last_share(share):
+        if share.stop == 6:
+            assert os.getpid() != parent
+            raise DataError("bad tree", row=4)
+        return list(share)
+
+    with pytest.raises(DataError, match="^bad tree$") as caught:
+        _split_work(fail_in_the_last_share, 6)
+    assert type(caught.value) is DataError and caught.value.row == 4
+
+
+def test_error_in_the_callers_share_still_reaps_every_child(monkeypatch):
+    _set_cpus(monkeypatch, 3)
+    fds_before = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+    def fail_in_the_first_share(share):
+        if share.start == 0:
+            raise DataError("bad first share")
+        return np.zeros(50_000)  # more than a pipe holds, so the child blocks writing
+
+    with pytest.raises(DataError, match="bad first share"):
+        _split_work(fail_in_the_first_share, 3)
+    if fds_before is not None:
+        assert len(os.listdir("/proc/self/fd")) == fds_before
+
+
+def test_child_that_ends_without_a_result(monkeypatch):
+    _set_cpus(monkeypatch, 2)
+
+    def exit_in_the_child(share):
+        if share.start > 0:
+            os._exit(3)
+        return list(share)
+
+    with pytest.raises(ChildProcessError, match=r"forest worker \d+ ended with status 3"):
+        _split_work(exit_in_the_child, 2)
+
+
+def test_train_reports_a_lost_worker_as_one_json_line(tmp_path, monkeypatch, capsys):
+    _set_cpus(monkeypatch, 2)
+    parent = os.getpid()
+    grow = earlypd.forest.tree_grow
+
+    def grow_or_die(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return grow(*args)
+
+    monkeypatch.setattr(earlypd.forest, "tree_grow", grow_or_die)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 9, "models": ["forest"], "forest": {"trees": 4},
+                                  "generate": {"n_healthy": 24, "n_pd": 40}}))
+    rc = main(["train", "--config", str(config), "--out", str(tmp_path / "out")])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(lines) == 1, lines  # one JSON line, no traceback
+    err = json.loads(lines[0])
+    assert err["error"] == "io" and "forest worker" in err["message"]
+    assert not (tmp_path / "out").exists()

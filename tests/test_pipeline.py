@@ -12,7 +12,7 @@ import earlypd.pipeline
 from earlypd.data import export_csv, ingest_csv
 from earlypd.errors import ConfigError, EmptyCohort
 from earlypd.mlp import MlpConfig
-from earlypd.forest import ForestConfig, forest_score_batch
+from earlypd.forest import ForestConfig, forest_score_batch, usable_cpus
 from earlypd.synth import GenerateConfig
 from earlypd.pipeline import (
     DISPLAY_NAMES,
@@ -297,6 +297,8 @@ BAYESNET_DEFECTS = {
     "CPT with an extra row": _extra_cpt_row,
     "probability above 1": lambda obj: obj["cpts"][0].__setitem__(0, 1.5),
     "null probability": lambda obj: obj["cpts"][0].__setitem__(0, None),
+    "string probability": lambda obj: obj["cpts"][0].__setitem__(0, "0.5"),
+    "true probability": lambda obj: obj["cpts"][0].__setitem__(0, True),
 }
 
 
@@ -311,20 +313,45 @@ MLP_DEFECTS = {
     "weight overflowing to infinity": lambda obj: obj["w_hidden"].__setitem__(0, 1e999),
     "output layer one weight short": _output_weight_short,
     "weight beyond the doubles": lambda obj: obj["w_hidden"].__setitem__(0, 10**400),
+    "string weight": lambda obj: obj["w_hidden"].__setitem__(0, "0.5"),
+    "true weight": lambda obj: obj["w_output"].__setitem__(1, True),
 }
+
+# obj -> None, each breaking a saved boosted model
+BOOSTLR_DEFECTS = {
+    "string coef": lambda obj: obj["rounds"][0]["coef"].__setitem__(0, "0.5"),
+    "true coef": lambda obj: obj["rounds"][-1]["coef"].__setitem__(1, True),
+    "infinite coef": lambda obj: obj["rounds"][0]["coef"].__setitem__(0, -1e999),
+    "string intercept": lambda obj: obj["rounds"][0].__setitem__("intercept", "x"),
+    "null intercept": lambda obj: obj["rounds"][0].__setitem__("intercept", None),
+    "true alpha": lambda obj: obj["rounds"][0].__setitem__("alpha", True),
+    "NaN alpha": lambda obj: obj["rounds"][-1].__setitem__("alpha", math.nan),
+    "alpha beyond the doubles": lambda obj: obj["rounds"][0].__setitem__("alpha", 10**400),
+}
+
+DEFECTS = {"bayesnet": BAYESNET_DEFECTS, "mlp": MLP_DEFECTS, "boostlr": BOOSTLR_DEFECTS}
+
+
+def _assert_defect_rejected(kind, defect, model, tmp_path):
+    # each of these raises, reads past a table or scores nonsense when scoring
+    path = tmp_path / f"{kind}.json"
+    save_model_file(model, path)
+    obj = json.loads(path.read_text())
+    DEFECTS[kind][defect](obj)
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ConfigError, match="is not a saved model file"):
+        load_model_file(path)
 
 
 @pytest.mark.parametrize("kind, defect", [("bayesnet", d) for d in BAYESNET_DEFECTS]
                          + [("mlp", d) for d in MLP_DEFECTS])
 def test_malformed_bayesnet_or_mlp_file_is_rejected(kind, defect, fast_models, tmp_path):
-    # each of these raises, reads past a table or scores nonsense when scoring
-    path = tmp_path / f"{kind}.json"
-    save_model_file(fast_models[kind], path)
-    obj = json.loads(path.read_text())
-    {"bayesnet": BAYESNET_DEFECTS, "mlp": MLP_DEFECTS}[kind][defect](obj)
-    path.write_text(json.dumps(obj))
-    with pytest.raises(ConfigError, match="is not a saved model file"):
-        load_model_file(path)
+    _assert_defect_rejected(kind, defect, fast_models[kind], tmp_path)
+
+
+@pytest.mark.parametrize("defect", BOOSTLR_DEFECTS)
+def test_malformed_boosted_file_is_rejected(defect, fast_models, tmp_path):
+    _assert_defect_rejected("boostlr", defect, fast_models["boostlr"], tmp_path)
 
 
 @pytest.mark.parametrize("kind", MODEL_ORDER)
@@ -378,6 +405,7 @@ def test_write_artifacts_skips_cohort_for_csv_input(small_cohort, tmp_path):
     assert not (tmp_path / "out" / "cohort.csv").exists()
     meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
     assert meta["input"] == str(source)
+    assert meta["processes"] == usable_cpus() >= 1
     assert all(p.exists() for p in written)
 
 
