@@ -8,6 +8,8 @@ metrics report with ROC curves. Everything downstream of one root seed is
 deterministic; see :mod:`earlypd.rng`.
 """
 
+from types import ModuleType as _ModuleType
+
 from ._version import __version__
 from .bayesnet import BayesNetConfig, BayesNetModel, bn_score_batch, bn_train
 from .boostlr import (
@@ -62,22 +64,7 @@ from .preprocess import (
 from .rng import SplitMix64, derive_stream
 from .synth import FeatureParams, GenerateConfig, GeneratorParams, generate, load_params
 
-__all__ = [
-    "__version__",
-    "BayesNetConfig", "BayesNetModel", "bn_score_batch", "bn_train",
-    "BoostConfig", "BoostedModel", "LogisticModel", "adaboost_train",
-    "boosted_score_batch", "logistic_score_batch", "logistic_train",
-    "CSV_COLUMNS", "FEATURE_NAMES", "HEALTHY", "PD", "Dataset",
-    "compute_ratios", "export_csv", "ingest_csv", "validate_file",
-    "ConfigError", "DataError", "EarlyPdError",
-    "DecisionTree", "ForestConfig", "ForestModel", "forest_score_batch", "forest_train",
-    "ConfusionMatrix", "EvaluationReport", "RocCurve", "confusion",
-    "evaluate_scores", "roc", "summary_metrics",
-    "MlpConfig", "MlpModel", "mlp_gradient_check", "mlp_score_batch", "mlp_train",
-    "DISPLAY_NAMES", "MODEL_ORDER", "ExperimentResult",
-    "PipelineConfig", "run_and_write", "run_experiment", "write_artifacts",
-    "DiscretizationMap", "NormalizationStats", "discretize_fit",
-    "normalize_apply", "normalize_fit_transform", "stratified_split",
-    "SplitMix64", "derive_stream",
-    "FeatureParams", "GenerateConfig", "GeneratorParams", "generate", "load_params",
-]
+# Every name imported above, in import order: not the submodules that the
+# imports bind, nor a private name other than __version__.
+__all__ = ["__version__"] + [name for name, value in globals().items()
+                             if name[0] != "_" and not isinstance(value, _ModuleType)]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import PD, Dataset
-from .errors import ConfigError, SingleClassTraining
+from .errors import ConfigError, DataError
 from .jsontext import finite_floats
 from .preprocess import DISCRETIZE_STRATEGIES, DiscretizationMap, discretize_fit
 
@@ -247,7 +247,7 @@ def _node_matrix(ds: Dataset, dmap: DiscretizationMap) -> np.ndarray:
 def bn_train(train: Dataset, config: BayesNetConfig = BayesNetConfig()) -> BayesNetModel:
     counts = train.class_counts()
     if counts[0] == 0 or counts[1] == 0:
-        raise SingleClassTraining("Bayes net training needs both classes")
+        raise DataError("Bayes net training needs both classes")
     dmap = discretize_fit(train, config.bins, config.strategy)
     data = _node_matrix(train, dmap)
     arities = (2,) + dmap.arities()

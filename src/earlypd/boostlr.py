@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import HEALTHY, PD, Dataset
-from .errors import ConfigError, EmptyModel, NonFiniteFeature, SingleClassWeight
+from .errors import ConfigError, DataError
 from .jsontext import finite_floats, finite_number
 
 GRAD_TOL = 1e-8
@@ -125,9 +125,9 @@ def logistic_train(train: Dataset, weights=None,
                    ridge: float = BoostConfig.ridge) -> LogisticModel:
     """Fit on a dataset with optional per-record weights (default uniform).
 
-    Raises SingleClassWeight unless both classes carry positive total weight,
-    and NonFiniteFeature on NaN or infinite inputs. Hitting the iteration
-    limit is reported on the model, not raised.
+    Raises DataError unless both classes carry positive total weight, and on
+    NaN or infinite inputs. Hitting the iteration limit is reported on the
+    model, not raised.
     """
     X = train.features
     y = (train.labels == PD).astype(np.float64)
@@ -135,9 +135,9 @@ def logistic_train(train: Dataset, weights=None,
         weights = np.full(len(train), 1.0 / len(train)) if len(train) else np.empty(0)
     weights = np.asarray(weights, dtype=np.float64)
     if not np.isfinite(X).all():
-        raise NonFiniteFeature("feature matrix contains non-finite values")
+        raise DataError("feature matrix contains non-finite values")
     if len(train) == 0 or weights[y == 1].sum() <= 0 or weights[y == 0].sum() <= 0:
-        raise SingleClassWeight("both classes need positive total weight")
+        raise DataError("both classes need positive total weight")
     return _fit_weighted(X, y, weights, ridge)
 
 
@@ -248,7 +248,7 @@ def adaboost_train(train: Dataset, max_rounds: int = BoostConfig.max_rounds,
 def boosted_score_batch(model: BoostedModel, features) -> np.ndarray:
     """Alpha-weighted share of rounds voting PD, for each record."""
     if not model.rounds:
-        raise EmptyModel("boosted model has no rounds")
+        raise DataError("boosted model has no rounds")
     X = np.asarray(features, dtype=np.float64)
     total = sum(r.alpha for r in model.rounds)
     pd_mass = np.zeros(X.shape[0])

@@ -24,7 +24,7 @@ from pathlib import Path
 from ._version import __version__
 from .data import export_csv, ingest_csv, location, validate_file
 from .errors import ConfigError, DataError
-from .jsontext import json_text
+from .jsontext import json_text, read_json
 from .metrics import (
     SPLITS,
     EvaluationReport,
@@ -169,19 +169,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return _write_or_print(json_text(payload), args.out)
 
 
+def _evaluations_from_json(obj) -> tuple:
+    """(model order, {model: {split: report}}) for the known models that
+    evaluations.json lists; each must have both splits."""
+    order = [m for m in obj["model_order"] if m in MODEL_ORDER]
+    return order, {name: {split: EvaluationReport.from_json_dict(obj["models"][name][split])
+                          for split in SPLITS}
+                   for name in order}
+
+
 def _load_evaluations(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-        order = [m for m in obj["model_order"] if m in MODEL_ORDER]
-        reports = {
-            name: {split: EvaluationReport.from_json_dict(rep)
-                   for split, rep in by_split.items()}
-            for name, by_split in obj["models"].items()
-        }
-    except (KeyError, TypeError, ValueError) as err:  # ValueError: not JSON
-        raise ConfigError(f"{path} is not an evaluations file: {err}") from None
-    return order, reports
+    return read_json(path, "an evaluations file", _evaluations_from_json)
 
 
 def cmd_report(args: argparse.Namespace) -> int:

@@ -28,13 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    DivisionByZeroDenominator,
-    MissingColumn,
-    NonNumericCell,
-    RangeViolation,
-    UnreadableCsv,
-)
+from .errors import DataError, MissingColumn, NonNumericCell, RangeViolation, UnreadableCsv
 
 HEALTHY = 0
 PD = 1
@@ -84,8 +78,7 @@ def _ratios(abeta42, ttau, ptau181):
 def compute_ratios(abeta42: float, ttau: float, ptau181: float):
     """(ttau/abeta42, ptau181/abeta42, ptau181/ttau) for positive inputs."""
     if abeta42 == 0 or ttau == 0:
-        raise DivisionByZeroDenominator(
-            "ratio denominators csf_abeta42 and csf_ttau must be nonzero")
+        raise DataError("ratio denominators csf_abeta42 and csf_ttau must be nonzero")
     return _ratios(abeta42, ttau, ptau181)
 
 

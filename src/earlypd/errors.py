@@ -1,8 +1,11 @@
 """Exception types shared across the pipeline.
 
 Data problems (bad cells, impossible ranges, degenerate inputs) raise
-DataError subclasses; bad pipeline settings raise ConfigError. The CLI
-maps DataError to exit code 1 and ConfigError to exit code 2.
+DataError; bad pipeline settings and malformed JSON inputs raise
+ConfigError. The CLI maps DataError to exit code 1 and ConfigError to exit
+code 2, and prints a DataError's class name as the error's ``kind``. The four
+CSV faults below have classes of their own, so their kind names the fault;
+every other data fault is a plain DataError, told apart by its message.
 """
 
 
@@ -11,7 +14,7 @@ class EarlyPdError(Exception):
 
 
 class ConfigError(EarlyPdError):
-    """Invalid pipeline configuration (bad flag values, malformed config file)."""
+    """Invalid pipeline configuration (bad flag values, malformed JSON file)."""
 
 
 class DataError(EarlyPdError):
@@ -33,70 +36,6 @@ class NonNumericCell(DataError):
 
 class RangeViolation(DataError):
     """A parsed value breaks a schema invariant (range, integrality, ratio consistency)."""
-
-
-class DivisionByZeroDenominator(DataError):
-    """Ratio computation was asked to divide by a zero concentration."""
-
-
-class EmptyDataset(DataError):
-    """An operation that needs at least one record got none."""
-
-
-class MissingFeatureStats(DataError):
-    """Normalization stats do not cover the dataset schema."""
-
-
-class ClassTooSmall(DataError):
-    """Stratified splitting needs at least two records per class."""
-
-
-class BinsTooFew(DataError):
-    """Discretization needs at least two bins."""
-
-
-class SingleClassTraining(DataError):
-    """A classifier was given training data containing only one class."""
-
-
-class NonNormalizedInput(DataError):
-    """MLP training requires every feature value inside [0, 1]."""
-
-
-class SingleClassWeight(DataError):
-    """Weighted logistic fitting needs positive weight on both classes."""
-
-
-class NonFiniteFeature(DataError):
-    """A feature matrix passed to a fitter contains NaN or infinity."""
-
-
-class EmptyModel(DataError):
-    """A boosted model with zero rounds cannot score records."""
-
-
-class LengthMismatch(DataError):
-    """Paired label / prediction sequences differ in length."""
-
-
-class EmptyInput(DataError):
-    """Confusion counting got zero records."""
-
-
-class EmptyMatrix(DataError):
-    """Summary metrics got a confusion matrix with zero total."""
-
-
-class NonFiniteScore(DataError):
-    """ROC analysis got a NaN or infinite score."""
-
-
-class SingleClassLabels(DataError):
-    """ROC analysis needs at least one positive and one negative label."""
-
-
-class EmptyCohort(DataError):
-    """Cohort generation was asked for zero records."""
 
 
 class UnreadableCsv(DataError):

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import HEALTHY, PD, Dataset
-from .errors import ConfigError, SingleClassTraining
+from .errors import ConfigError, DataError
 from .rng import SplitMix64, derive_stream
 
 
@@ -383,7 +383,7 @@ def forest_train(train: Dataset, config: ForestConfig = ForestConfig(),
                  seed: int = 42) -> ForestModel:
     counts = train.class_counts()
     if counts[0] == 0 or counts[1] == 0:
-        raise SingleClassTraining("forest training needs both classes")
+        raise DataError("forest training needs both classes")
     X = train.features
     y = train.labels
     n, m = X.shape

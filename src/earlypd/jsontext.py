@@ -10,17 +10,23 @@ item separator, so a separator of a comma, a newline and the level's indent
 lays the items out exactly as the indented encoder does. The pieces are
 joined once, at the end.
 
-The loaders read numbers back through finite_number and finite_floats, which
-accept only a JSON int or float that is a finite double: float() and
-np.array would take the string "0.5" and count true as 1.
+Every JSON input is read by read_json, so a malformed file ends in one
+ConfigError naming it. Numbers are read back through finite_number and
+finite_floats, which accept only a JSON int or float that is a finite double
+(float() and np.array would take "0.5" and count true as 1), and settings
+through from_json, which checks each value against its field's declared type.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields, is_dataclass
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
+
+from .errors import ConfigError
 
 _SCALARS = frozenset((float, int, str, bool, type(None)))
 
@@ -82,3 +88,53 @@ def finite_floats(values, what: str) -> np.ndarray:
     if not np.isfinite(array).all():
         raise ValueError(f"{what} must hold finite numbers")
     return array
+
+
+def read_json(path, what: str, parse):
+    """parse(the JSON value in the UTF-8 file at path). A file that is not
+    UTF-8 JSON, or that parse refuses, raises one ConfigError naming path as
+    not what; an OSError (a missing file) passes through."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(json.load(fh))
+    # ValueError covers JSONDecodeError and UnicodeDecodeError. OverflowError:
+    # a JSON integer beyond the doubles, or beyond int64 where an index or
+    # count is read. RecursionError: arrays or objects nested too deep to decode
+    except (ConfigError, KeyError, IndexError, TypeError, ValueError, OverflowError,
+            RecursionError) as err:
+        raise ConfigError(f"{path} is not {what} ({type(err).__name__}: {err})") from None
+
+
+# The Python types a JSON value may have for each declared type. JSON has one
+# number type, so an int stands for a float; a bool is never a number here.
+_JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,),
+               type(None): (type(None),)}
+
+
+def _json_value(kind, name: str, value, key: str):
+    """value if it has the declared type kind (spelled name), else ConfigError."""
+    if is_dataclass(kind):
+        return from_json(kind, value, key + ".")
+    if get_origin(kind) is tuple:  # tuple[str, ...] is a JSON list of strings
+        if isinstance(value, (list, tuple)) and all(type(v) is get_args(kind)[0]
+                                                    for v in value):
+            return tuple(value)
+    elif type(value) in [t for k in get_args(kind) or (kind,) for t in _JSON_TYPES[k]]:
+        return value
+    raise ConfigError(f"config key {key!r} must be {name}, got {value!r}")
+
+
+def from_json(cls, obj, where: str = ""):
+    """The dataclass cls from a JSON object, each value checked against its
+    field's declared type. Keys it does not declare raise ConfigError; keys
+    left out take its defaults."""
+    if not isinstance(obj, dict):
+        section = f"key {where[:-1]!r}" if where else "file"
+        raise ConfigError(f"config {section} must hold a JSON object")
+    declared = {f.name: f.type for f in fields(cls)}  # type as written, e.g. "str | None"
+    unknown = [key for key in obj if key not in declared]
+    if unknown:
+        raise ConfigError(f"unknown config key {where + unknown[0]!r}")
+    hints = get_type_hints(cls)
+    return cls(**{key: _json_value(hints[key], declared[key], value, where + key)
+                  for key, value in obj.items()})

@@ -15,13 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from .data import HEALTHY, PD
-from .errors import (
-    EmptyInput,
-    EmptyMatrix,
-    LengthMismatch,
-    NonFiniteScore,
-    SingleClassLabels,
-)
+from .errors import DataError
+from .jsontext import finite_floats, finite_number
 
 MEASURES = ("accuracy", "recall", "precision", "f_measure", "auc")
 MEASURE_TITLES = {
@@ -51,10 +46,9 @@ def confusion(labels, predictions) -> ConfusionMatrix:
     labels = np.asarray(labels)
     predictions = np.asarray(predictions)
     if labels.shape != predictions.shape:
-        raise LengthMismatch(
-            f"labels ({labels.shape}) and predictions ({predictions.shape}) differ")
+        raise DataError(f"labels ({labels.shape}) and predictions ({predictions.shape}) differ")
     if labels.size == 0:
-        raise EmptyInput("cannot build a confusion matrix from zero records")
+        raise DataError("cannot build a confusion matrix from zero records")
     tp = int(np.count_nonzero((labels == PD) & (predictions == PD)))
     fp = int(np.count_nonzero((labels == HEALTHY) & (predictions == PD)))
     tn = int(np.count_nonzero((labels == HEALTHY) & (predictions == HEALTHY)))
@@ -90,7 +84,7 @@ def summary_metrics(cm: ConfusionMatrix) -> SummaryMetrics:
     """
     total = cm.total
     if total == 0:
-        raise EmptyMatrix("confusion matrix is empty")
+        raise DataError("confusion matrix is empty")
     support_pd = cm.tp + cm.fn
     support_h = cm.tn + cm.fp
     p_pd, r_pd, f_pd = _prf(cm.tp, cm.fp, cm.fn)
@@ -128,14 +122,14 @@ def roc(labels, scores) -> RocCurve:
     labels = np.asarray(labels)
     scores = np.asarray(scores, dtype=np.float64)
     if labels.shape != scores.shape:
-        raise LengthMismatch("labels and scores differ in length")
+        raise DataError("labels and scores differ in length")
     if not np.isfinite(scores).all():
         # NaN never equals itself, so it would make a block of its own
-        raise NonFiniteScore("ROC scores must be finite")
+        raise DataError("ROC scores must be finite")
     n_pos = int(np.count_nonzero(labels == PD))
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise SingleClassLabels("ROC needs both classes present")
+        raise DataError("ROC needs both classes present")
     order = np.argsort(-scores, kind="stable")
     ranked = scores[order]
     ends = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
@@ -180,16 +174,22 @@ class EvaluationReport:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "EvaluationReport":
-        c = obj["confusion"]
-        thresholds = tuple(float(t) for t in obj["roc"]["thresholds"])
-        curve = RocCurve(thresholds, tuple(obj["roc"]["fpr"]),
-                         tuple(obj["roc"]["tpr"]), obj["auc"])
-        return cls(
-            ConfusionMatrix(c["tp"], c["fp"], c["tn"], c["fn"]),
-            SummaryMetrics(obj["accuracy"], obj["recall"], obj["precision"],
-                           obj["f_measure"]),
-            curve,
-        )
+        """Raises ValueError unless the confusion counts are ints, each
+        measure a finite number and the ROC rates equal lists of finite numbers."""
+        counts = [obj["confusion"][key] for key in ("tp", "fp", "tn", "fn")]
+        if not all(type(n) is int for n in counts):
+            raise ValueError(f"the confusion counts must be integers, got {counts}")
+        for measure in MEASURES:
+            if not finite_number(obj[measure]):
+                raise ValueError(f"{measure} must be a finite number, got {obj[measure]!r}")
+        rates = obj["roc"]
+        curve = RocCurve(tuple(float(t) for t in rates["thresholds"]),
+                         tuple(finite_floats(rates["fpr"], "fpr").tolist()),
+                         tuple(finite_floats(rates["tpr"], "tpr").tolist()), obj["auc"])
+        if not len(curve.thresholds) == len(curve.fpr) == len(curve.tpr):
+            raise ValueError("the ROC thresholds, fpr and tpr differ in length")
+        return cls(ConfusionMatrix(*counts),
+                   SummaryMetrics(*(obj[measure] for measure in MEASURES[:4])), curve)
 
     def value(self, measure: str) -> float:
         if measure == "auc":

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import PD, Dataset
-from .errors import ConfigError, NonNormalizedInput, SingleClassTraining
+from .errors import ConfigError, DataError
 from .jsontext import finite_floats
 from .rng import derive_stream
 
@@ -182,10 +182,10 @@ def mlp_train(train: Dataset, config: MlpConfig = MlpConfig(), seed: int = 42) -
     """
     feats = train.features
     if feats.size and (not np.isfinite(feats).all() or feats.min() < 0.0 or feats.max() > 1.0):
-        raise NonNormalizedInput("MLP input must be normalized into [0, 1]")
+        raise DataError("MLP input must be normalized into [0, 1]")
     counts = train.class_counts()
     if counts[0] == 0 or counts[1] == 0:
-        raise SingleClassTraining("MLP training needs both classes")
+        raise DataError("MLP training needs both classes")
     n, m = feats.shape
     stream = derive_stream(seed, "mlp")
     net = _Network(config.hidden_units, m)

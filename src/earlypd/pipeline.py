@@ -2,19 +2,19 @@
 
 One root seed drives everything through labeled streams ("generate", "split",
 "mlp", "tree/<i>"), so reruns with the same config are byte-identical and
-enabling or disabling one model never changes what the others see. All
-artifact content is computed in memory before anything touches disk; a
-failure therefore leaves no partial artifacts behind.
+enabling or disabling one model never changes what the others see. Every
+model is trained and evaluated before anything touches disk, so a run that
+fails on the way writes no file. A write that fails part way removes the files
+it had written; over an earlier run it is not atomic (see _write_files).
 """
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable, get_args, get_origin, get_type_hints
+from typing import Callable
 
 from ._version import __version__
 from .bayesnet import BayesNetConfig, BayesNetModel, bn_score_batch, bn_train
@@ -22,7 +22,7 @@ from .boostlr import BoostConfig, BoostedModel, adaboost_train, boosted_score_ba
 from .data import Dataset, export_csv, ingest_csv
 from .errors import ConfigError
 from .forest import ForestConfig, ForestModel, forest_score_batch, forest_train, usable_cpus
-from .jsontext import json_text
+from .jsontext import from_json, json_text, read_json
 from .metrics import (
     evaluate_scores,
     render_report_csv,
@@ -120,52 +120,13 @@ class PipelineConfig:
         return asdict(self)
 
 
-# The Python types a JSON value may have for each declared type. JSON has one
-# number type, so an int stands for a float; a bool is never a number here.
-_JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,),
-               type(None): (type(None),)}
-
-
-def _json_value(kind, name: str, value, key: str):
-    """value if it has the declared type kind (spelled name), else ConfigError."""
-    if is_dataclass(kind):
-        return _from_json(kind, value, key + ".")
-    if get_origin(kind) is tuple:  # tuple[str, ...] is a JSON list of strings
-        if isinstance(value, (list, tuple)) and all(type(v) is get_args(kind)[0]
-                                                    for v in value):
-            return tuple(value)
-    elif type(value) in [t for k in get_args(kind) or (kind,) for t in _JSON_TYPES[k]]:
-        return value
-    raise ConfigError(f"config key {key!r} must be {name}, got {value!r}")
-
-
-def _from_json(cls, obj, where: str = ""):
-    """cls from a JSON object. Keys it does not declare raise ConfigError;
-    keys left out take its defaults."""
-    if not isinstance(obj, dict):
-        section = f"key {where[:-1]!r}" if where else "file"
-        raise ConfigError(f"config {section} must hold a JSON object")
-    declared = {f.name: f.type for f in fields(cls)}  # type as written, e.g. "str | None"
-    unknown = [key for key in obj if key not in declared]
-    if unknown:
-        raise ConfigError(f"unknown config key {where + unknown[0]!r}")
-    hints = get_type_hints(cls)
-    return cls(**{key: _json_value(hints[key], declared[key], value, where + key)
-                  for key, value in obj.items()})
-
-
 def config_from_dict(obj: dict) -> PipelineConfig:
     """PipelineConfig from a parsed JSON config file."""
-    return _from_json(PipelineConfig, obj)
+    return from_json(PipelineConfig, obj)
 
 
 def load_config(path) -> PipelineConfig:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config file is not valid JSON: {err}") from None
-    return config_from_dict(obj)
+    return read_json(path, "a config file", config_from_dict)
 
 
 def acquire_dataset(config: PipelineConfig) -> Dataset:
@@ -208,20 +169,16 @@ def load_model_file(path) -> tuple:
     """(kind, model) from a saved model file, dispatched on its stored kind.
     A file of another version, or a stored setting out of its bound (a forest
     of no trees), is a malformed file too."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-        kind = obj["kind"]
-        version = obj.get("version")
-        if not (type(version) is int and version == MODEL_VERSION):
-            raise ValueError(f"version {version!r}; this earlypd reads model files of "
-                             f"version {MODEL_VERSION}, so retrain the model")
-        return kind, MODELS[kind].model.from_json_dict(obj)
-    # OverflowError: a JSON integer beyond the doubles, or beyond int64 where an
-    # index or count is read
-    except (ConfigError, KeyError, IndexError, TypeError, ValueError, OverflowError) as err:
-        raise ConfigError(f"{path} is not a saved model file "
-                          f"({type(err).__name__}: {err})") from None
+    return read_json(path, "a saved model file", _model_from_json)
+
+
+def _model_from_json(obj) -> tuple:
+    kind = obj["kind"]
+    version = obj.get("version")
+    if not (type(version) is int and version == MODEL_VERSION):
+        raise ValueError(f"version {version!r}; this earlypd reads model files of "
+                         f"version {MODEL_VERSION}, so retrain the model")
+    return kind, MODELS[kind].model.from_json_dict(obj)
 
 
 def evaluate_models(models: dict, train: Dataset, test: Dataset) -> dict:
@@ -278,7 +235,8 @@ def _write_files(out_dir, files) -> list:
     """Write (relative path, content) pairs under out_dir; returns the paths.
 
     content is the text to write, or a function that writes the path it is
-    given. If any write fails, the files written so far are removed.
+    given. If any write fails, the files written so far are removed. Over an
+    earlier run, that removes its copies of them too and leaves its later ones.
     """
     out = Path(out_dir)
     (out / "models").mkdir(parents=True, exist_ok=True)
@@ -306,7 +264,7 @@ def write_artifacts(result: ExperimentResult, out_dir) -> list:
 
     Timestamps and the host's CPU count live only in metadata.json, so every
     other artifact is byte-identical across reruns of the same config. If any
-    write fails, the files written so far are removed.
+    write fails, the files written so far are removed, as _write_files says.
     """
     config = result.config
     files = _training_files(config, result.dataset, result.stats, result.models)

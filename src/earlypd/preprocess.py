@@ -7,7 +7,6 @@ first, and per-class train counts use round-half-up of fraction * class size.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -15,14 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset
-from .errors import (
-    BinsTooFew,
-    ClassTooSmall,
-    ConfigError,
-    EmptyDataset,
-    MissingFeatureStats,
-)
-from .jsontext import finite_number, json_text
+from .errors import ConfigError, DataError
+from .jsontext import finite_number, json_text, read_json
 from .rng import derive_stream
 
 
@@ -59,7 +52,7 @@ def normalize_fit_transform(ds: Dataset):
     Constant columns map to 0. Returns (scaled dataset, NormalizationStats).
     """
     if len(ds) == 0:
-        raise EmptyDataset("cannot fit normalization on zero records")
+        raise DataError("cannot fit normalization on zero records")
     lo = map(float, ds.features.min(axis=0))
     hi = map(float, ds.features.max(axis=0))
     stats = NormalizationStats(ds.schema, tuple(zip(lo, hi)))
@@ -69,7 +62,7 @@ def normalize_fit_transform(ds: Dataset):
 def normalize_apply(ds: Dataset, stats: NormalizationStats) -> Dataset:
     """Scale with previously fitted stats, clamping results into [0, 1]."""
     if stats.schema != ds.schema or len(stats.pairs) != len(ds.schema):
-        raise MissingFeatureStats("normalization stats do not match the dataset schema")
+        raise DataError("normalization stats do not match the dataset schema")
     lo = np.array([p[0] for p in stats.pairs])
     hi = np.array([p[1] for p in stats.pairs])
     span = hi - lo
@@ -102,8 +95,7 @@ def stratified_split(ds: Dataset, train_fraction: float, seed: int):
     for cls in (0, 1):
         members = [int(i) for i in np.nonzero(labels == cls)[0]]
         if len(members) < 2:
-            raise ClassTooSmall(
-                f"class {cls} has {len(members)} records, need at least 2")
+            raise DataError(f"class {cls} has {len(members)} records, need at least 2")
         stream.shuffle(members)
         k = _round_half_up(train_fraction * len(members))
         train_idx.extend(members[:k])
@@ -166,11 +158,11 @@ def discretize_fit(ds: Dataset, bins: int = 10,
     shrink; a constant column keeps no cuts at all.
     """
     if bins < 2:
-        raise BinsTooFew(f"need at least 2 bins, got {bins}")
+        raise DataError(f"need at least 2 bins, got {bins}")
     if strategy not in DISCRETIZE_STRATEGIES:
         raise ConfigError(f"unknown discretization strategy {strategy!r}")
     if len(ds) == 0:
-        raise EmptyDataset("cannot fit discretization on zero records")
+        raise DataError("cannot fit discretization on zero records")
     all_cuts = []
     for j in range(ds.features.shape[1]):
         col = ds.features[:, j]
@@ -207,15 +199,12 @@ def save_sidecar(path, stats: NormalizationStats,
 
 def load_sidecar(path):
     """(NormalizationStats, DiscretizationMap or None) from a sidecar file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        schema = payload["schema"]
-        stats = NormalizationStats.from_json_dict(payload["normalization"], schema)
-        dmap = None
-        if "discretization" in payload:
-            dmap = DiscretizationMap.from_json_dict(payload["discretization"], schema)
-    except (KeyError, IndexError, TypeError, ValueError) as err:
-        raise ConfigError(f"{path} is not a preprocess sidecar "
-                          f"({type(err).__name__}: {err})") from None
+    return read_json(path, "a preprocess sidecar", _sidecar_from_json)
+
+
+def _sidecar_from_json(payload) -> tuple:
+    schema = payload["schema"]
+    stats = NormalizationStats.from_json_dict(payload["normalization"], schema)
+    dmap = (DiscretizationMap.from_json_dict(payload["discretization"], schema)
+            if "discretization" in payload else None)
     return stats, dmap

@@ -14,7 +14,6 @@ at all.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from importlib import resources
 
@@ -29,7 +28,8 @@ from .data import (
     compute_ratios,
     nine_digit,
 )
-from .errors import ConfigError, EmptyCohort
+from .errors import ConfigError, DataError
+from .jsontext import finite_number, from_json, read_json
 from .preprocess import _round_half_up
 from .rng import derive_stream
 
@@ -62,37 +62,35 @@ class GeneratorParams:
     version: int
     features: dict
     # optional extension, off by default: [(feature_a, feature_b, rho), ...]
-    # mixes the pre-truncation z-scores of feature_b with feature_a's
+    # mixes the pre-truncation z-scores of feature_b with feature_a's; a file
+    # holds each pair as {"a": feature_a, "b": feature_b, "rho": rho}
     correlation_pairs: tuple = ()
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "GeneratorParams":
+        """Malformed parameters raise ConfigError, KeyError, TypeError or ValueError."""
+        if not isinstance(obj, dict):
+            raise ConfigError("generator parameters must be a JSON object")
         feats = {}
         for name in RAW_FEATURES:
             if name not in obj.get("features", {}):
                 raise ConfigError(f"generator config is missing feature {name!r}")
-            raw = dict(obj["features"][name])
-            raw.pop("comment", None)
-            try:
-                feats[name] = FeatureParams(**raw)
-            except TypeError as err:
-                raise ConfigError(f"bad parameters for {name!r}: {err}") from None
+            raw = obj["features"][name]
+            if isinstance(raw, dict):
+                raw = {key: value for key, value in raw.items() if key != "comment"}
+            feats[name] = from_json(FeatureParams, raw, f"features.{name}.")
         pairs = []
         for p in obj.get("correlation_pairs", []):
-            if isinstance(p, dict):
-                try:
-                    a, b, rho = p["a"], p["b"], float(p["rho"])
-                except KeyError as err:
-                    raise ConfigError(f"correlation pair missing key {err}") from None
-            else:
-                a, b, rho = p
+            if not isinstance(p, dict):
+                raise ConfigError(f"correlation pair {p!r} must be a JSON object")
+            a, b, rho = p["a"], p["b"], p["rho"]
             if a not in RAW_FEATURES or b not in RAW_FEATURES:
                 raise ConfigError(f"correlation pair ({a}, {b}) names unknown features")
             if RAW_FEATURES.index(a) >= RAW_FEATURES.index(b):
                 raise ConfigError("correlation pair must list the earlier feature first")
-            if not -1.0 <= rho <= 1.0:
-                raise ConfigError(f"correlation {rho} outside [-1, 1]")
-            pairs.append((a, b, rho))
+            if not (finite_number(rho) and -1.0 <= rho <= 1.0):
+                raise ConfigError(f"correlation {rho!r} is not a number in [-1, 1]")
+            pairs.append((a, b, float(rho)))
         return cls(int(obj.get("version", 1)), feats, tuple(pairs))
 
     def to_json_dict(self) -> dict:
@@ -114,11 +112,8 @@ class GeneratorParams:
 def load_params(path=None) -> GeneratorParams:
     """Generator parameters from a JSON file, or the packaged defaults."""
     if path is None:
-        text = resources.files("earlypd").joinpath("default_cohort.json").read_text("utf-8")
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    return GeneratorParams.from_json_dict(json.loads(text))
+        path = resources.files("earlypd") / "default_cohort.json"
+    return read_json(path, "a generator parameters file", GeneratorParams.from_json_dict)
 
 
 @dataclass(frozen=True)
@@ -144,7 +139,7 @@ def generate(config: GenerateConfig, seed: int) -> Dataset:
     9-significant-digit CSV rendering so export / ingest round-trips exactly.
     """
     if config.n_healthy + config.n_pd == 0:
-        raise EmptyCohort("asked to generate zero records")
+        raise DataError("asked to generate zero records")
     params = load_params(config.params_path)
     mixers = {b: (a, rho) for a, b, rho in params.correlation_pairs}
     stream = derive_stream(seed, "generate")

@@ -36,7 +36,7 @@ from earlypd.data import (
     compute_ratios,
     format_value,
 )
-from earlypd.errors import EmptyModel, UnreadableCsv
+from earlypd.errors import DataError, UnreadableCsv
 from earlypd.forest import DecisionTree, _draw_features
 from earlypd.metrics import RocCurve
 from earlypd.rng import derive_stream
@@ -50,7 +50,7 @@ def logistic_score(model, features) -> float:
 def boosted_score(model, features) -> float:
     """Alpha-weighted share of rounds voting PD."""
     if not model.rounds:
-        raise EmptyModel("boosted model has no rounds")
+        raise DataError("boosted model has no rounds")
     x = np.asarray(features, dtype=np.float64)
     total = sum(r.alpha for r in model.rounds)
     pd_mass = sum(r.alpha for r in model.rounds

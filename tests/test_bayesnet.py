@@ -19,7 +19,7 @@ from earlypd.bayesnet import (
     family_log_score,
     k2_search,
 )
-from earlypd.errors import ConfigError, SingleClassTraining
+from earlypd.errors import ConfigError, DataError
 from earlypd.metrics import roc
 
 from conftest import make_dataset
@@ -235,7 +235,7 @@ def test_posterior_matches_enumeration_on_all_small_structures():
 
 def test_train_rejects_single_class():
     X = np.random.default_rng(3).random((8, 2))
-    with pytest.raises(SingleClassTraining):
+    with pytest.raises(DataError, match="Bayes net training needs both classes"):
         bn_train(make_dataset(X, [1] * 8))
 
 

@@ -19,7 +19,7 @@ from earlypd.boostlr import (
     logistic_train,
     reweight,
 )
-from earlypd.errors import EmptyModel, NonFiniteFeature, SingleClassWeight
+from earlypd.errors import DataError
 
 from conftest import make_dataset
 from reference import boosted_score, logistic_score
@@ -171,7 +171,7 @@ def test_adaboost_unlearnable_data_keeps_no_rounds(xor_dataset):
     # round is discarded and no usable model remains
     model = adaboost_train(xor_dataset, max_rounds=5)
     assert model.rounds == ()
-    with pytest.raises(EmptyModel):
+    with pytest.raises(DataError, match="boosted model has no rounds"):
         boosted_score_batch(model, xor_dataset.features)
 
 
@@ -229,15 +229,15 @@ def test_batch_scores_match_scalar(small_split):
 
 def test_single_class_rejected():
     X = np.array([[0.1], [0.2], [0.3]])
-    with pytest.raises(SingleClassWeight):
+    with pytest.raises(DataError, match="both classes need positive total weight"):
         logistic_train(make_dataset(X, [1, 1, 1]))
     # both labels present but one side carries zero weight
-    with pytest.raises(SingleClassWeight):
+    with pytest.raises(DataError, match="both classes need positive total weight"):
         logistic_train(make_dataset(X, [0, 1, 1]), np.array([0.0, 0.5, 0.5]))
 
 
 def test_non_finite_features_rejected():
     X = np.array([[0.1], [np.nan], [0.3]])
-    with pytest.raises(NonFiniteFeature):
+    with pytest.raises(DataError, match="feature matrix contains non-finite values"):
         logistic_train(make_dataset(X, [0, 1, 1]))
 

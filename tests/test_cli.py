@@ -10,6 +10,7 @@ import pytest
 from earlypd.cli import main
 from earlypd.data import ingest_csv
 from earlypd.pipeline import load_model_file
+from earlypd.synth import load_params
 
 from conftest import datasets_equal
 from reference import node_list_forest_text
@@ -322,6 +323,82 @@ def test_report_rejects_malformed_file(tmp_path, capsys):
         err = json.loads(lines[0])
         assert err["error"] == "config"
         assert argv[2] in err["message"]
+
+
+# Each JSON input: (the command that reads the file given as bad, the run
+# directory and a scratch directory; the valid JSON it was made from).
+JSON_INPUTS = {
+    "config": (lambda bad, run, tmp: ["experiment", "--config", bad, "--out", tmp / "o"],
+               lambda run: json.loads((run / "run_config.json").read_text())),
+    "params": (lambda bad, run, tmp: ["generate", "--params", bad, "--out", tmp / "c.csv"],
+               lambda run: load_params().to_json_dict()),
+    "model": (lambda bad, run, tmp: ["evaluate", "--model", bad, "--input", run / "cohort.csv",
+                                     "--preprocess", run / "preprocess.json"],
+              lambda run: json.loads((run / "models" / "mlp.json").read_text())),
+    "preprocess": (lambda bad, run, tmp: ["evaluate", "--model", run / "models" / "forest.json",
+                                          "--input", run / "cohort.csv", "--preprocess", bad],
+                   lambda run: json.loads((run / "preprocess.json").read_text())),
+    "evaluations": (lambda bad, run, tmp: ["report", "--evaluations", bad],
+                    lambda run: json.loads((run / "evaluations.json").read_text())),
+    "roc svg": (lambda bad, run, tmp: ["roc", "--evaluations", bad, "--model", "mlp",
+                                       "--format", "svg"],
+                lambda run: json.loads((run / "evaluations.json").read_text())),
+}
+
+# Ways to spoil every input, each from the valid JSON to the bad file's bytes.
+SPOILED_FILES = {
+    "not_utf8": lambda obj: b"\xff\xfe" + json.dumps(obj).encode("utf-16-le"),
+    "truncated": lambda obj: json.dumps(obj)[:40].encode(),
+    "array": lambda obj: json.dumps([obj]).encode(),
+    "nested_too_deep": lambda obj: b"[" * 100_000 + b"]" * 100_000,
+}
+
+# One value of the wrong type, or the wrong shape, in each input.
+WRONG_VALUES = {
+    "config": {"string_train_fraction": lambda c: c.update(train_fraction="0.7")},
+    "params": {
+        "string_mean_pd": lambda p: p["features"]["csf_ttau"].update(mean_pd="168"),
+        "string_rho": lambda p: p["correlation_pairs"].append(
+            {"a": "sbr_putamen_left", "b": "sbr_putamen_right", "rho": "0.9"}),
+        "two_item_pair": lambda p: p["correlation_pairs"].append(
+            ["sbr_putamen_left", "sbr_putamen_right"]),
+        "feature_not_an_object": lambda p: p["features"].update(csf_ttau=[168.0, 40.0]),
+    },
+    "model": {"string_weight": lambda m: m["w_hidden"].__setitem__(0, "0.5")},
+    "preprocess": {"string_min": lambda s: s["normalization"]["upsit_total"].update(min="12")},
+    "evaluations": {
+        "string_auc": lambda e: e["models"]["mlp"]["testing"].update(auc="0.99"),
+        "no_training_split": lambda e: e["models"]["forest"].pop("training"),
+    },
+    "roc svg": {
+        "string_fpr": lambda e: e["models"]["mlp"]["testing"]["roc"]["fpr"].__setitem__(1, "0.1"),
+        "short_tpr": lambda e: e["models"]["mlp"]["testing"]["roc"]["tpr"].pop(),
+    },
+}
+
+
+def _spoil(source: str, case: str, obj) -> bytes:
+    if case in SPOILED_FILES:
+        return SPOILED_FILES[case](obj)
+    WRONG_VALUES[source][case](obj)
+    return json.dumps(obj).encode()
+
+
+@pytest.mark.parametrize("source, case", [
+    (source, case) for source in JSON_INPUTS
+    for case in [*SPOILED_FILES, *WRONG_VALUES[source]]])
+def test_malformed_json_input_exits_2(exp_dir, tmp_path, capsys, source, case):
+    _config, run = exp_dir
+    command, valid = JSON_INPUTS[source]
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(_spoil(source, case, valid(run)))
+    rc = main([str(arg) for arg in command(bad, run, tmp_path)])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(lines) == 1, lines  # one JSON line, no traceback
+    err = json.loads(lines[0])
+    assert err["error"] == "config"
+    assert str(bad) in err["message"]
 
 
 def test_roc_subcommand(exp_dir, tmp_path, capsys):

@@ -29,13 +29,7 @@ from earlypd.data import (
     record_violations,
     validate_file,
 )
-from earlypd.errors import (
-    DataError,
-    DivisionByZeroDenominator,
-    MissingColumn,
-    NonNumericCell,
-    RangeViolation,
-)
+from earlypd.errors import DataError, MissingColumn, NonNumericCell, RangeViolation
 from earlypd.synth import GenerateConfig, generate
 
 from conftest import datasets_equal
@@ -55,9 +49,10 @@ def test_compute_ratios_hand_values():
 
 
 def test_compute_ratios_zero_denominator():
-    with pytest.raises(DivisionByZeroDenominator):
+    message = "ratio denominators csf_abeta42 and csf_ttau must be nonzero"
+    with pytest.raises(DataError, match=message):
         compute_ratios(0.0, 200.0, 50.0)
-    with pytest.raises(DivisionByZeroDenominator):
+    with pytest.raises(DataError, match=message):
         compute_ratios(1000.0, 0.0, 50.0)
 
 

@@ -16,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 import earlypd.forest
 from earlypd.cli import main
 from earlypd.data import PD
-from earlypd.errors import DataError, SingleClassTraining
+from earlypd.errors import DataError
 from earlypd.forest import (
     DecisionTree,
     ForestConfig,
@@ -365,7 +365,7 @@ def test_forest_beats_chance(small_split):
 
 def test_forest_single_class_raises():
     ds = make_dataset([[0.1], [0.6]], [1, 1])
-    with pytest.raises(SingleClassTraining):
+    with pytest.raises(DataError, match="forest training needs both classes"):
         forest_train(ds, ForestConfig(trees=1))
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from earlypd.data import PD
-from earlypd.errors import NonNormalizedInput, SingleClassTraining
+from earlypd.errors import DataError
 from earlypd.mlp import (
     MlpConfig,
     MlpModel,
@@ -133,13 +133,13 @@ def test_training_is_seed_deterministic(xor_dataset):
 
 def test_training_rejects_unnormalized_features():
     ds = make_dataset([[0.5, 3.0], [0.2, 0.1]], [0, 1])
-    with pytest.raises(NonNormalizedInput):
+    with pytest.raises(DataError, match=r"MLP input must be normalized into \[0, 1\]"):
         mlp_train(ds, MlpConfig(epochs=1))
 
 
 def test_training_rejects_single_class():
     ds = make_dataset([[0.1, 0.2], [0.3, 0.4]], [1, 1])
-    with pytest.raises(SingleClassTraining):
+    with pytest.raises(DataError, match="MLP training needs both classes"):
         mlp_train(ds, MlpConfig(epochs=1))
 
 

@@ -3,6 +3,7 @@ run, and artifact writing with its cleanup guarantee."""
 
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 import earlypd
 import earlypd.pipeline
 from earlypd.data import export_csv, ingest_csv
-from earlypd.errors import ConfigError, EmptyCohort
+from earlypd.errors import ConfigError, DataError
 from earlypd.mlp import MlpConfig
 from earlypd.forest import ForestConfig, forest_score_batch, usable_cpus
 from earlypd.synth import GenerateConfig
@@ -449,10 +450,14 @@ def test_run_and_write_round_trips_report(tmp_path):
 
 
 def test_generated_cohort_rejects_bad_counts():
-    with pytest.raises(EmptyCohort):
+    with pytest.raises(DataError, match="asked to generate zero records"):
         run_experiment(fast_config(generate=GenerateConfig(n_healthy=0, n_pd=0)))
 
 
 def test_package_exports_resolve():
     missing = [name for name in earlypd.__all__ if not hasattr(earlypd, name)]
     assert missing == []
+    # the submodules and helpers the imports bind are not exported
+    assert not [name for name in earlypd.__all__
+                if isinstance(getattr(earlypd, name), types.ModuleType)]
+    assert len(earlypd.__all__) == len(set(earlypd.__all__)) == 61

@@ -6,13 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from earlypd.data import FEATURE_NAMES
-from earlypd.errors import (
-    BinsTooFew,
-    ClassTooSmall,
-    ConfigError,
-    EmptyDataset,
-    MissingFeatureStats,
-)
+from earlypd.errors import ConfigError, DataError
 from earlypd.preprocess import (
     DiscretizationMap,
     NormalizationStats,
@@ -44,7 +38,7 @@ def test_normalize_constant_feature_maps_to_zero():
 
 def test_normalize_empty_dataset_raises():
     ds = make_dataset(np.empty((0, 2)), [])
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(DataError, match="cannot fit normalization on zero records"):
         normalize_fit_transform(ds)
 
 
@@ -60,7 +54,7 @@ def test_normalize_apply_schema_mismatch():
     train = make_dataset([[0.0], [10.0]], [0, 1])
     _, stats = normalize_fit_transform(train)
     other = make_dataset([[1.0, 2.0]], [0], schema=("a", "b"))
-    with pytest.raises(MissingFeatureStats):
+    with pytest.raises(DataError, match="normalization stats do not match the dataset schema"):
         normalize_apply(other, stats)
 
 
@@ -136,7 +130,7 @@ def test_split_is_seed_deterministic():
 
 def test_split_class_too_small():
     ds = _labeled_dataset(1, 10)
-    with pytest.raises(ClassTooSmall):
+    with pytest.raises(DataError, match="class 0 has 1 records, need at least 2"):
         stratified_split(ds, 0.7, 0)
 
 
@@ -186,7 +180,7 @@ def test_discretize_constant_feature_single_bin():
 
 def test_discretize_errors():
     ds = make_dataset([[1.0], [2.0]], [0, 1])
-    with pytest.raises(BinsTooFew):
+    with pytest.raises(DataError, match="need at least 2 bins, got 1"):
         discretize_fit(ds, bins=1)
     with pytest.raises(ConfigError):
         discretize_fit(ds, bins=4, strategy="mystery")

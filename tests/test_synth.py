@@ -13,7 +13,7 @@ from earlypd.data import (
     export_csv,
     validate_file,
 )
-from earlypd.errors import ConfigError, EmptyCohort
+from earlypd.errors import ConfigError, DataError
 from earlypd.synth import (
     RAW_FEATURES,
     FeatureParams,
@@ -116,7 +116,7 @@ def test_separation_zero_cohort_has_no_signal():
 
 
 def test_empty_cohort_raises():
-    with pytest.raises(EmptyCohort):
+    with pytest.raises(DataError, match="asked to generate zero records"):
         generate(GenerateConfig(n_healthy=0, n_pd=0), 42)
 
 
