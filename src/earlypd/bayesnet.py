@@ -15,13 +15,13 @@ unseen parent configurations fall back to the uniform prior.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .data import PD, Dataset
 from .errors import ConfigError, DataError
-from .jsontext import finite_floats
+from .jsontext import finite_floats, settings
 from .preprocess import DISCRETIZE_STRATEGIES, DiscretizationMap, discretize_fit
 
 CLASS_NODE = 0
@@ -193,10 +193,7 @@ class BayesNetModel:
     def to_json_dict(self) -> dict:
         return {
             "kind": "bayesnet",
-            "bins": self.config.bins,
-            "strategy": self.config.strategy,
-            "max_parents": self.config.max_parents,
-            "alpha": self.config.alpha,
+            **asdict(self.config),
             "arities": list(self.net.arities),
             "parents": [list(p) for p in self.net.parents],
             "cpts": [[float(v) for v in cpt.ravel()] for cpt in self.net.cpts],
@@ -231,10 +228,8 @@ class BayesNetModel:
                 raise ValueError(f"node {node}'s CPT must hold {shape[0]} x {shape[1]} "
                                  f"probabilities in [0, 1]")
             cpts.append(cpt.reshape(shape))
-        net = DiscreteNet(arities, parents, tuple(cpts))
-        cfg = BayesNetConfig(obj["bins"], obj["strategy"], obj["max_parents"],
-                             obj["alpha"])
-        return cls(net, dmap, cfg)
+        return cls(DiscreteNet(arities, parents, tuple(cpts)), dmap,
+                   settings(BayesNetConfig, obj))
 
 
 def _node_matrix(ds: Dataset, dmap: DiscretizationMap) -> np.ndarray:

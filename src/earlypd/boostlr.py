@@ -12,13 +12,13 @@ by alpha-weighted hard votes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .data import HEALTHY, PD, Dataset
 from .errors import ConfigError, DataError
-from .jsontext import finite_floats, finite_number
+from .jsontext import finite_floats, finite_number, settings
 
 GRAD_TOL = 1e-8
 MAX_ITER = 200
@@ -175,15 +175,13 @@ class BoostRound:
 
 @dataclass(frozen=True, eq=False)
 class BoostedModel:
-    rounds: tuple
-    ridge: float
-    max_rounds: int
+    rounds: tuple  # at least one
+    config: BoostConfig
 
     def to_json_dict(self) -> dict:
         return {
             "kind": "boostlr",
-            "ridge": self.ridge,
-            "max_rounds": self.max_rounds,
+            **asdict(self.config),
             "rounds": [
                 {
                     "coef": [float(c) for c in r.model.coef],
@@ -196,9 +194,12 @@ class BoostedModel:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "BoostedModel":
-        """Rounds from a saved model. Raises ValueError unless every round's
-        coef is a flat list of finite numbers of the same length, and its
-        intercept and alpha are finite numbers."""
+        """Rounds from a saved model. Raises ValueError unless there is a
+        round, every round's coef is a flat list of finite numbers of the same
+        length, and its intercept and alpha are finite numbers."""
+        config = settings(BoostConfig, obj)
+        if not obj["rounds"]:
+            raise ValueError("boosted model has no rounds")
         rounds = []
         for i, r in enumerate(obj["rounds"]):
             coef = finite_floats(r["coef"], f"round {i} coef")
@@ -209,9 +210,9 @@ class BoostedModel:
             if not (finite_number(r["intercept"]) and finite_number(r["alpha"])):
                 raise ValueError(f"round {i} intercept {r['intercept']!r} and alpha "
                                  f"{r['alpha']!r} must be finite numbers")
-            lm = LogisticModel(coef, r["intercept"], obj["ridge"], True, False, ())
+            lm = LogisticModel(coef, r["intercept"], config.ridge, True, False, ())
             rounds.append(BoostRound(lm, r["alpha"], 0.0, 1.0, 0.5))
-        return cls(tuple(rounds), obj["ridge"], obj["max_rounds"])
+        return cls(tuple(rounds), config)
 
 
 def adaboost_train(train: Dataset, max_rounds: int = BoostConfig.max_rounds,
@@ -221,8 +222,10 @@ def adaboost_train(train: Dataset, max_rounds: int = BoostConfig.max_rounds,
     Round error e is the weighted 0/1 error of hard predictions at threshold
     0.5. A round with e >= 0.5 is discarded and boosting stops; a perfect
     round (e = 0) is kept with a capped alpha and stops the loop; otherwise
-    misclassified weights scale by (1-e)/e and are renormalized.
+    misclassified weights scale by (1-e)/e and are renormalized. Raises
+    DataError when not even the first round beats chance.
     """
+    config = BoostConfig(max_rounds, ridge)
     n = len(train)
     y = train.labels
     weights = np.full(n, 1.0 / n)
@@ -242,13 +245,13 @@ def adaboost_train(train: Dataset, max_rounds: int = BoostConfig.max_rounds,
         weights = reweight(weights, misclassified, error)
         rounds.append(BoostRound(model, alpha, error, float(weights.sum()),
                                  float(weights[misclassified].sum())))
-    return BoostedModel(tuple(rounds), ridge, max_rounds)
+    if not rounds:
+        raise DataError("no boosting round beats chance on the training data")
+    return BoostedModel(tuple(rounds), config)
 
 
 def boosted_score_batch(model: BoostedModel, features) -> np.ndarray:
     """Alpha-weighted share of rounds voting PD, for each record."""
-    if not model.rounds:
-        raise DataError("boosted model has no rounds")
     X = np.asarray(features, dtype=np.float64)
     total = sum(r.alpha for r in model.rounds)
     pd_mass = np.zeros(X.shape[0])

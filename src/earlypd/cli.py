@@ -160,7 +160,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     stats, _dmap = load_sidecar(args.preprocess)
     scaled = normalize_apply(ds, stats)
     width = MODELS[kind].inputs(model)
-    if width is not None and width != scaled.features.shape[1]:
+    if width != scaled.features.shape[1]:
         raise ConfigError(f"{args.model} scores {width} features, but "
                           f"{args.input} has {scaled.features.shape[1]}")
     report = evaluate_scores(scaled.labels,

@@ -53,12 +53,13 @@ from __future__ import annotations
 import math
 import os
 import pickle
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .data import HEALTHY, PD, Dataset
 from .errors import ConfigError, DataError
+from .jsontext import settings
 from .rng import SplitMix64, derive_stream
 
 
@@ -293,9 +294,8 @@ class ForestModel:
     def to_json_dict(self) -> dict:
         return {
             "kind": "forest",
-            "trees": [t.to_json_dict() for t in self.trees],
-            "feature_subset": self.config.feature_subset,
-            "bootstrap": self.config.bootstrap,
+            **asdict(self.config),
+            "trees": [t.to_json_dict() for t in self.trees],  # in place of their count
             "seed": self.seed,
             "n_features": self.n_features,
         }
@@ -303,8 +303,8 @@ class ForestModel:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ForestModel":
         trees = tuple(DecisionTree.from_json_dict(t, obj["n_features"]) for t in obj["trees"])
-        cfg = ForestConfig(len(trees), obj["feature_subset"], obj["bootstrap"])
-        return cls(trees, cfg, obj["seed"], obj["n_features"])
+        return cls(trees, settings(ForestConfig, obj, trees=len(trees)), obj["seed"],
+                   obj["n_features"])
 
 
 def usable_cpus() -> int:

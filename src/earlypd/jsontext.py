@@ -13,8 +13,9 @@ joined once, at the end.
 Every JSON input is read by read_json, so a malformed file ends in one
 ConfigError naming it. Numbers are read back through finite_number and
 finite_floats, which accept only a JSON int or float that is a finite double
-(float() and np.array would take "0.5" and count true as 1), and settings
-through from_json, which checks each value against its field's declared type.
+(float() and np.array would take "0.5" and count true as 1). Settings, of a
+config, params or model file alike, are read through from_json, which checks
+each value against its field's declared type.
 """
 
 from __future__ import annotations
@@ -105,21 +106,21 @@ def read_json(path, what: str, parse):
         raise ConfigError(f"{path} is not {what} ({type(err).__name__}: {err})") from None
 
 
-# The Python types a JSON value may have for each declared type. JSON has one
-# number type, so an int stands for a float; a bool is never a number here.
-_JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,),
-               type(None): (type(None),)}
-
-
 def _json_value(kind, name: str, value, key: str):
-    """value if it has the declared type kind (spelled name), else ConfigError."""
+    """value if it has the declared type kind (spelled name), else ConfigError.
+    An int stands for a float, which must be finite (not JSON Infinity or NaN,
+    nor the flag values inf or nan); a bool is never a number here."""
     if is_dataclass(kind):
         return from_json(kind, value, key + ".")
-    if get_origin(kind) is tuple:  # tuple[str, ...] is a JSON list of strings
-        if isinstance(value, (list, tuple)) and all(type(v) is get_args(kind)[0]
-                                                    for v in value):
-            return tuple(value)
-    elif type(value) in [t for k in get_args(kind) or (kind,) for t in _JSON_TYPES[k]]:
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is tuple and isinstance(value, (list, tuple)):  # tuple[X, ...]: a JSON list
+        return tuple(_json_value(args[0], args[0].__name__, v, f"{key}[{i}]")
+                     for i, v in enumerate(value))
+    if origin is dict and isinstance(value, dict):  # dict[str, X]: a JSON object
+        return {k: _json_value(args[1], args[1].__name__, v, f"{key}.{k}")
+                for k, v in value.items()}
+    if origin not in (tuple, dict) and any(finite_number(value) if k is float
+                                           else type(value) is k for k in args or (kind,)):
         return value
     raise ConfigError(f"config key {key!r} must be {name}, got {value!r}")
 
@@ -138,3 +139,16 @@ def from_json(cls, obj, where: str = ""):
     hints = get_type_hints(cls)
     return cls(**{key: _json_value(hints[key], declared[key], value, where + key)
                   for key, value in obj.items()})
+
+
+def settings(cls, obj: dict, **given):
+    """from_json(cls) of the keys of obj that name cls's fields, or of given."""
+    return from_json(cls, {f.name: given[f.name] if f.name in given else obj[f.name]
+                           for f in fields(cls)})
+
+
+def check_version(version, expected: int, remedy: str) -> None:
+    """Refuse a file whose stored format version is not the int expected."""
+    if not (type(version) is int and version == expected):
+        raise ConfigError(f"version {version!r}; this earlypd reads version {expected}, "
+                          f"so {remedy}")

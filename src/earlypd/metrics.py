@@ -9,14 +9,14 @@ report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .data import HEALTHY, PD
 from .errors import DataError
-from .jsontext import finite_floats, finite_number
+from .jsontext import finite_floats, finite_number, from_json, settings
 
 MEASURES = ("accuracy", "recall", "precision", "f_measure", "auc")
 MEASURE_TITLES = {
@@ -158,12 +158,8 @@ class EvaluationReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "confusion": {"tp": self.confusion.tp, "fp": self.confusion.fp,
-                          "tn": self.confusion.tn, "fn": self.confusion.fn},
-            "accuracy": self.metrics.accuracy,
-            "recall": self.metrics.recall,
-            "precision": self.metrics.precision,
-            "f_measure": self.metrics.f_measure,
+            "confusion": asdict(self.confusion),
+            **asdict(self.metrics),
             "auc": self.roc.auc,
             # The origin threshold is +inf; JSON has no literal for it, so
             # non-finite thresholds are stored as strings.
@@ -174,22 +170,18 @@ class EvaluationReport:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "EvaluationReport":
-        """Raises ValueError unless the confusion counts are ints, each
-        measure a finite number and the ROC rates equal lists of finite numbers."""
-        counts = [obj["confusion"][key] for key in ("tp", "fp", "tn", "fn")]
-        if not all(type(n) is int for n in counts):
-            raise ValueError(f"the confusion counts must be integers, got {counts}")
-        for measure in MEASURES:
-            if not finite_number(obj[measure]):
-                raise ValueError(f"{measure} must be a finite number, got {obj[measure]!r}")
+        """Raises ConfigError or ValueError unless the confusion counts are ints,
+        each measure a finite number and the ROC rates equal lists of finite numbers."""
+        if not finite_number(obj["auc"]):
+            raise ValueError(f"auc must be a finite number, got {obj['auc']!r}")
         rates = obj["roc"]
         curve = RocCurve(tuple(float(t) for t in rates["thresholds"]),
                          tuple(finite_floats(rates["fpr"], "fpr").tolist()),
                          tuple(finite_floats(rates["tpr"], "tpr").tolist()), obj["auc"])
         if not len(curve.thresholds) == len(curve.fpr) == len(curve.tpr):
             raise ValueError("the ROC thresholds, fpr and tpr differ in length")
-        return cls(ConfusionMatrix(*counts),
-                   SummaryMetrics(*(obj[measure] for measure in MEASURES[:4])), curve)
+        return cls(from_json(ConfusionMatrix, obj["confusion"], "confusion."),
+                   settings(SummaryMetrics, obj), curve)
 
     def value(self, measure: str) -> float:
         if measure == "auc":

@@ -22,13 +22,13 @@ all its steps, by one stacked matmul that runs the same dot product per row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .data import PD, Dataset
 from .errors import ConfigError, DataError
-from .jsontext import finite_floats
+from .jsontext import finite_floats, settings
 from .rng import derive_stream
 
 
@@ -65,10 +65,7 @@ class MlpModel:
     def to_json_dict(self) -> dict:
         return {
             "kind": "mlp",
-            "hidden_units": self.config.hidden_units,
-            "learning_rate": self.config.learning_rate,
-            "momentum": self.config.momentum,
-            "epochs": self.config.epochs,
+            **asdict(self.config),
             "seed": self.seed,
             "shape_hidden": list(self.w_hidden.shape),
             "shape_output": list(self.w_output.shape),
@@ -79,16 +76,15 @@ class MlpModel:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "MlpModel":
-        """Raises ValueError unless the weights are finite numbers and
-        w_output is (2, hidden + 1) for the hidden layer of w_hidden."""
+        """Raises ValueError unless the weights and epoch_mse are finite
+        numbers and w_output is (2, hidden + 1) for the hidden layer of w_hidden."""
         w1 = finite_floats(obj["w_hidden"], "w_hidden").reshape(obj["shape_hidden"])
         w2 = finite_floats(obj["w_output"], "w_output").reshape(obj["shape_output"])
         if w1.ndim != 2 or w2.shape != (2, w1.shape[0] + 1):
             raise ValueError(f"weight shapes {list(w1.shape)} and {list(w2.shape)} do not "
                              f"make a network of one hidden layer and two outputs")
-        cfg = MlpConfig(obj["hidden_units"], obj["learning_rate"],
-                        obj["momentum"], obj["epochs"])
-        return cls(w1, w2, cfg, obj["seed"], tuple(obj["epoch_mse"]))
+        return cls(w1, w2, settings(MlpConfig, obj), obj["seed"],
+                   tuple(finite_floats(obj["epoch_mse"], "epoch_mse").tolist()))
 
 
 def _sigmoid(z):

@@ -22,7 +22,7 @@ from .boostlr import BoostConfig, BoostedModel, adaboost_train, boosted_score_ba
 from .data import Dataset, export_csv, ingest_csv
 from .errors import ConfigError
 from .forest import ForestConfig, ForestModel, forest_score_batch, forest_train, usable_cpus
-from .jsontext import from_json, json_text, read_json
+from .jsontext import check_version, from_json, json_text, read_json
 from .metrics import (
     evaluate_scores,
     render_report_csv,
@@ -54,9 +54,7 @@ class ModelSpec:
     train: Callable  # (training Dataset, PipelineConfig) -> model
     score: Callable  # (model, feature matrix) -> PD scores
     model: type  # to_json_dict() / from_json_dict() for the saved model file
-    # model -> the number of feature columns it scores, or None where the
-    # saved model does not record it
-    inputs: Callable = lambda model: None
+    inputs: Callable  # model -> the number of feature columns it scores
 
 
 # Canonical order: training, report rows and artifact files all follow it.
@@ -81,7 +79,7 @@ MODELS = {
         lambda train, config: adaboost_train(train, config.boostlr.max_rounds,
                                              config.boostlr.ridge),
         lambda model, features: boosted_score_batch(model, features), BoostedModel,
-        lambda model: len(model.rounds[0].model.coef) if model.rounds else None),
+        lambda model: len(model.rounds[0].model.coef)),
 }
 MODEL_ORDER = tuple(MODELS)
 DISPLAY_NAMES = {name: spec.display_name for name, spec in MODELS.items()}
@@ -174,10 +172,7 @@ def load_model_file(path) -> tuple:
 
 def _model_from_json(obj) -> tuple:
     kind = obj["kind"]
-    version = obj.get("version")
-    if not (type(version) is int and version == MODEL_VERSION):
-        raise ValueError(f"version {version!r}; this earlypd reads model files of "
-                         f"version {MODEL_VERSION}, so retrain the model")
+    check_version(obj.get("version"), MODEL_VERSION, "retrain the model")
     return kind, MODELS[kind].model.from_json_dict(obj)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, DataError
-from .jsontext import finite_number, json_text, read_json
+from .jsontext import check_version, finite_number, json_text, read_json
 from .rng import derive_stream
 
 
@@ -180,6 +180,9 @@ def discretize_fit(ds: Dataset, bins: int = 10,
     return DiscretizationMap(ds.schema, tuple(all_cuts))
 
 
+SIDECAR_VERSION = 1  # a sidecar of any other version is refused on load
+
+
 def save_sidecar(path, stats: NormalizationStats,
                  dmap: DiscretizationMap | None = None) -> None:
     """Write normalization stats (and discretization cuts if any) as JSON.
@@ -188,7 +191,7 @@ def save_sidecar(path, stats: NormalizationStats,
     keyed by name.
     """
     payload = {
-        "version": 1,
+        "version": SIDECAR_VERSION,
         "schema": list(stats.schema),
         "normalization": stats.to_json_dict(),
     }
@@ -204,6 +207,7 @@ def load_sidecar(path):
 
 def _sidecar_from_json(payload) -> tuple:
     schema = payload["schema"]
+    check_version(payload.get("version"), SIDECAR_VERSION, "rerun train to rewrite it")
     stats = NormalizationStats.from_json_dict(payload["normalization"], schema)
     dmap = (DiscretizationMap.from_json_dict(payload["discretization"], schema)
             if "discretization" in payload else None)

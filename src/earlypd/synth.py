@@ -14,7 +14,9 @@ at all.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 
 import numpy as np
@@ -22,14 +24,17 @@ import numpy as np
 from .data import (
     FEATURE_NAMES,
     HEALTHY,
+    INTEGER_FEATURES,
+    NONNEGATIVE_FEATURES,
     PD,
+    POSITIVE_FEATURES,
     RATIO_FEATURES,
     Dataset,
     compute_ratios,
     nine_digit,
 )
 from .errors import ConfigError, DataError
-from .jsontext import finite_number, from_json, read_json
+from .jsontext import check_version, from_json, read_json
 from .preprocess import _round_half_up
 from .rng import derive_stream
 
@@ -46,6 +51,12 @@ class FeatureParams:
     min: float
     max: float
     integer_flag: bool
+    comment: str | None = None
+
+    def __post_init__(self):
+        if not (self.sd_healthy >= 0 and self.sd_pd >= 0 and self.min <= self.max):
+            raise ConfigError(f"sds must be >= 0 and min <= max, got sds {self.sd_healthy} "
+                              f"and {self.sd_pd}, min {self.min} and max {self.max}")
 
     def at_separation(self, label: int, separation: float):
         """(mean, sd) for one class with the class gap scaled by separation."""
@@ -58,62 +69,47 @@ class FeatureParams:
 
 
 @dataclass(frozen=True)
+class CorrelationPair:
+    """Mixes the pre-truncation z-scores of feature b with feature a's."""
+
+    a: str
+    b: str
+    rho: float
+
+    def __post_init__(self):
+        if self.a not in RAW_FEATURES or self.b not in RAW_FEATURES:
+            raise ConfigError(f"correlation pair ({self.a}, {self.b}) names unknown features")
+        if RAW_FEATURES.index(self.a) >= RAW_FEATURES.index(self.b):
+            raise ConfigError("correlation pair must list the earlier feature first")
+        if not -1.0 <= self.rho <= 1.0:
+            raise ConfigError(f"correlation {self.rho!r} is not a number in [-1, 1]")
+
+
+@dataclass(frozen=True)
 class GeneratorParams:
     version: int
-    features: dict
-    # optional extension, off by default: [(feature_a, feature_b, rho), ...]
-    # mixes the pre-truncation z-scores of feature_b with feature_a's; a file
-    # holds each pair as {"a": feature_a, "b": feature_b, "rho": rho}
-    correlation_pairs: tuple = ()
+    features: dict[str, FeatureParams]
+    correlation_pairs: tuple[CorrelationPair, ...] = ()  # optional, none by default
+    comment: str | None = None
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "GeneratorParams":
-        """Malformed parameters raise ConfigError, KeyError, TypeError or ValueError."""
-        if not isinstance(obj, dict):
-            raise ConfigError("generator parameters must be a JSON object")
-        feats = {}
-        for name in RAW_FEATURES:
-            if name not in obj.get("features", {}):
-                raise ConfigError(f"generator config is missing feature {name!r}")
-            raw = obj["features"][name]
-            if isinstance(raw, dict):
-                raw = {key: value for key, value in raw.items() if key != "comment"}
-            feats[name] = from_json(FeatureParams, raw, f"features.{name}.")
-        pairs = []
-        for p in obj.get("correlation_pairs", []):
-            if not isinstance(p, dict):
-                raise ConfigError(f"correlation pair {p!r} must be a JSON object")
-            a, b, rho = p["a"], p["b"], p["rho"]
-            if a not in RAW_FEATURES or b not in RAW_FEATURES:
-                raise ConfigError(f"correlation pair ({a}, {b}) names unknown features")
-            if RAW_FEATURES.index(a) >= RAW_FEATURES.index(b):
-                raise ConfigError("correlation pair must list the earlier feature first")
-            if not (finite_number(rho) and -1.0 <= rho <= 1.0):
-                raise ConfigError(f"correlation {rho!r} is not a number in [-1, 1]")
-            pairs.append((a, b, float(rho)))
-        return cls(int(obj.get("version", 1)), feats, tuple(pairs))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "features": {
-                name: {
-                    "mean_healthy": fp.mean_healthy, "sd_healthy": fp.sd_healthy,
-                    "mean_pd": fp.mean_pd, "sd_pd": fp.sd_pd,
-                    "min": fp.min, "max": fp.max, "integer_flag": fp.integer_flag,
-                }
-                for name, fp in self.features.items()
-            },
-            "correlation_pairs": [{"a": a, "b": b, "rho": rho}
-                                  for a, b, rho in self.correlation_pairs],
-        }
+    def __post_init__(self):
+        check_version(self.version, 1, "update the parameters file")
+        if set(self.features) != set(RAW_FEATURES):
+            raise ConfigError(f"features {sorted(set(self.features) ^ set(RAW_FEATURES))} "
+                              f"are missing or unknown")
+        for name, p in self.features.items():  # within the schema's ranges
+            lo, hi = INTEGER_FEATURES.get(name, (-math.inf, math.inf))
+            if (p.min < lo or p.max > hi or name in NONNEGATIVE_FEATURES and p.min < 0
+                    or name in POSITIVE_FEATURES and p.min <= 0):
+                raise ConfigError(f"features.{name} bounds [{p.min}, {p.max}] reach "
+                                  f"outside the values the schema allows")
 
 
 def load_params(path=None) -> GeneratorParams:
     """Generator parameters from a JSON file, or the packaged defaults."""
     if path is None:
         path = resources.files("earlypd") / "default_cohort.json"
-    return read_json(path, "a generator parameters file", GeneratorParams.from_json_dict)
+    return read_json(path, "a generator parameters file", partial(from_json, GeneratorParams))
 
 
 @dataclass(frozen=True)
@@ -141,7 +137,7 @@ def generate(config: GenerateConfig, seed: int) -> Dataset:
     if config.n_healthy + config.n_pd == 0:
         raise DataError("asked to generate zero records")
     params = load_params(config.params_path)
-    mixers = {b: (a, rho) for a, b, rho in params.correlation_pairs}
+    mixers = {p.b: (p.a, p.rho) for p in params.correlation_pairs}
     stream = derive_stream(seed, "generate")
     labels = [HEALTHY] * config.n_healthy + [PD] * config.n_pd
     rows = []

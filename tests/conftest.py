@@ -15,6 +15,10 @@ from earlypd.synth import GenerateConfig, generate
 
 DATA_DIR = Path(__file__).parent / "data"
 
+# Stored versions that a model file, a sidecar or a params file of version 1
+# must not carry: missing, other ints, and a bool or float that equals 1.
+OTHER_VERSIONS = [None, 0, 2, True, 1.0]
+
 
 @pytest.fixture(autouse=True)
 def no_child_left():

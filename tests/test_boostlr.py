@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from earlypd.boostlr import (
+    BoostConfig,
     BoostedModel,
     BoostRound,
     LogisticModel,
@@ -168,11 +169,9 @@ def test_reweight_random_mass_properties():
 
 def test_adaboost_unlearnable_data_keeps_no_rounds(xor_dataset):
     # the base learner lands exactly on the chance boundary, so the first
-    # round is discarded and no usable model remains
-    model = adaboost_train(xor_dataset, max_rounds=5)
-    assert model.rounds == ()
-    with pytest.raises(DataError, match="boosted model has no rounds"):
-        boosted_score_batch(model, xor_dataset.features)
+    # round is discarded; a model of no rounds could never score a record
+    with pytest.raises(DataError, match="no boosting round beats chance"):
+        adaboost_train(xor_dataset, max_rounds=5)
 
 
 def test_adaboost_separable_data_stops_after_one_round():
@@ -210,7 +209,7 @@ def test_boosted_score_weights_votes_by_alpha():
         BoostRound(votes_pd, 2.0, 0.1, 1.0, 0.5),
         BoostRound(votes_hd, 1.0, 0.2, 1.0, 0.5),
     )
-    model = BoostedModel(rounds, 0.0, 2)
+    model = BoostedModel(rounds, BoostConfig(2, 0.0))
     scores = boosted_score_batch(model, [[1.0], [0.0]])
     assert scores == pytest.approx([2 / 3, 1 / 3], abs=1e-15)
 

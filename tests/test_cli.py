@@ -3,6 +3,7 @@ byte-level determinism of artifact directories."""
 
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -253,6 +254,9 @@ SIDECAR_DEFECTS = {
     "extra feature": lambda p: p["normalization"].update(extra={"min": 0, "max": 1}),
     "true cut": lambda p: p["discretization"]["upsit_total"].update(cuts=[True]),
     "int beyond the doubles": lambda p: p["normalization"]["csf_ttau"].update(max=10**400),
+    "version 7": lambda p: p.update(version=7),
+    "string version": lambda p: p.update(version="1"),
+    "no version": lambda p: p.pop("version"),
 }
 
 
@@ -331,7 +335,7 @@ JSON_INPUTS = {
     "config": (lambda bad, run, tmp: ["experiment", "--config", bad, "--out", tmp / "o"],
                lambda run: json.loads((run / "run_config.json").read_text())),
     "params": (lambda bad, run, tmp: ["generate", "--params", bad, "--out", tmp / "c.csv"],
-               lambda run: load_params().to_json_dict()),
+               lambda run: json.loads(json.dumps(asdict(load_params())))),
     "model": (lambda bad, run, tmp: ["evaluate", "--model", bad, "--input", run / "cohort.csv",
                                      "--preprocess", run / "preprocess.json"],
               lambda run: json.loads((run / "models" / "mlp.json").read_text())),
@@ -363,6 +367,12 @@ WRONG_VALUES = {
         "two_item_pair": lambda p: p["correlation_pairs"].append(
             ["sbr_putamen_left", "sbr_putamen_right"]),
         "feature_not_an_object": lambda p: p["features"].update(csf_ttau=[168.0, 40.0]),
+        "string_version": lambda p: p.update(version="7"),
+        "version_2": lambda p: p.update(version=2),
+        "min_above_max": lambda p: p["features"]["upsit_total"].update(min=50, max=10),
+        "negative_concentrations": lambda p: p["features"]["csf_abeta42"].update(
+            min=-100, max=-50),
+        "negative_sd": lambda p: p["features"]["csf_ttau"].update(sd_pd=-1.0),
     },
     "model": {"string_weight": lambda m: m["w_hidden"].__setitem__(0, "0.5")},
     "preprocess": {"string_min": lambda s: s["normalization"]["upsit_total"].update(min="12")},
@@ -475,6 +485,52 @@ def test_bad_config_value_exits_2(tmp_path, capsys):
         assert len(lines) == 1, lines  # one JSON line, no traceback
         assert json.loads(lines[0])["error"] == "config"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags, config, key", [
+    (["--separation", "inf"], None, "generate.separation"),
+    (["--separation", "nan"], None, "generate.separation"),
+    ([], {"boostlr": {"ridge": math.inf}}, "boostlr.ridge"),
+    ([], {"bayesnet": {"alpha": math.inf}}, "bayesnet.alpha"),
+    ([], {"mlp": {"learning_rate": math.inf}}, "mlp.learning_rate"),
+], ids=["separation inf", "separation nan", "ridge", "alpha", "learning_rate"])
+def test_non_finite_setting_exits_2(tmp_path, capsys, flags, config, key):
+    if config is None:
+        argv = ["generate", *flags]
+    else:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))  # writes Infinity
+        argv = ["experiment", "--config", str(path)]
+    rc = main(argv + ["--out", str(tmp_path / "out")])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(lines) == 1, lines  # one JSON line, no traceback or warning
+    err = json.loads(lines[0])
+    assert err["error"] == "config"
+    assert key in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_refuses_a_boosted_model_of_no_rounds(tmp_path, capsys):
+    # eight copies of one record, labels alternating: no boosting round beats
+    # chance, and a model of no rounds could never score a record
+    source = tmp_path / "one.csv"
+    assert main(["generate", "--out", str(source), "--n-healthy", "1", "--n-pd", "0"]) == 0
+    header, record = source.read_text().splitlines()
+    features = record.split(",")[1:-1]
+    flat = tmp_path / "flat.csv"
+    rows = [",".join([f"S{i}", *features, str(i % 2)]) for i in range(8)]
+    flat.write_text("\n".join([header, *rows]) + "\n")
+    capsys.readouterr()
+    out = tmp_path / "run"
+    rc = main(["train", "--input", str(flat), "--models", "boostlr", "--out", str(out)])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(lines) == 1, lines  # one JSON line, no traceback
+    err = json.loads(lines[0])
+    assert err["error"] == "data"
+    assert "no boosting round beats chance" in err["message"]
+    assert not (out / "models" / "boostlr.json").exists()
 
 
 def test_data_error_payload_carries_location(tmp_path, capsys):

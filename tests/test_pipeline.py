@@ -4,17 +4,22 @@ run, and artifact writing with its cleanup guarantee."""
 import json
 import math
 import types
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import earlypd
 import earlypd.pipeline
 from earlypd.data import export_csv, ingest_csv
 from earlypd.errors import ConfigError, DataError
+from earlypd.bayesnet import BayesNetConfig
+from earlypd.boostlr import BoostConfig
 from earlypd.mlp import MlpConfig
 from earlypd.forest import ForestConfig, forest_score_batch, usable_cpus
-from earlypd.synth import GenerateConfig
+from earlypd.synth import GenerateConfig, load_params
 from earlypd.pipeline import (
     DISPLAY_NAMES,
     MODEL_ORDER,
@@ -32,6 +37,8 @@ from earlypd.pipeline import (
     train_models,
     write_artifacts,
 )
+
+from conftest import OTHER_VERSIONS
 
 FAST = {
     "mlp": MlpConfig(hidden_units=4, epochs=40),
@@ -300,6 +307,7 @@ BAYESNET_DEFECTS = {
     "null probability": lambda obj: obj["cpts"][0].__setitem__(0, None),
     "string probability": lambda obj: obj["cpts"][0].__setitem__(0, "0.5"),
     "true probability": lambda obj: obj["cpts"][0].__setitem__(0, True),
+    "float bins": lambda obj: obj.update(bins=10.0),
 }
 
 
@@ -316,6 +324,9 @@ MLP_DEFECTS = {
     "weight beyond the doubles": lambda obj: obj["w_hidden"].__setitem__(0, 10**400),
     "string weight": lambda obj: obj["w_hidden"].__setitem__(0, "0.5"),
     "true weight": lambda obj: obj["w_output"].__setitem__(1, True),
+    "true epochs": lambda obj: obj.update(epochs=True),
+    "fractional epochs": lambda obj: obj.update(epochs=2.5),
+    "string epoch_mse": lambda obj: obj.update(epoch_mse="abc"),
 }
 
 # obj -> None, each breaking a saved boosted model
@@ -328,9 +339,19 @@ BOOSTLR_DEFECTS = {
     "true alpha": lambda obj: obj["rounds"][0].__setitem__("alpha", True),
     "NaN alpha": lambda obj: obj["rounds"][-1].__setitem__("alpha", math.nan),
     "alpha beyond the doubles": lambda obj: obj["rounds"][0].__setitem__("alpha", 10**400),
+    "string ridge": lambda obj: obj.update(ridge="x"),
+    "true max_rounds": lambda obj: obj.update(max_rounds=True),
+    "no rounds": lambda obj: obj["rounds"].clear(),
 }
 
-DEFECTS = {"bayesnet": BAYESNET_DEFECTS, "mlp": MLP_DEFECTS, "boostlr": BOOSTLR_DEFECTS}
+# obj -> None, each breaking the settings of a saved forest
+FOREST_SETTING_DEFECTS = {
+    "string bootstrap": lambda obj: obj.update(bootstrap="yes"),
+    "fractional feature_subset": lambda obj: obj.update(feature_subset=2.5),
+}
+
+DEFECTS = {"bayesnet": BAYESNET_DEFECTS, "mlp": MLP_DEFECTS, "boostlr": BOOSTLR_DEFECTS,
+           "forest": FOREST_SETTING_DEFECTS}
 
 
 def _assert_defect_rejected(kind, defect, model, tmp_path):
@@ -355,8 +376,13 @@ def test_malformed_boosted_file_is_rejected(defect, fast_models, tmp_path):
     _assert_defect_rejected("boostlr", defect, fast_models["boostlr"], tmp_path)
 
 
+@pytest.mark.parametrize("defect", FOREST_SETTING_DEFECTS)
+def test_malformed_forest_settings_are_rejected(defect, fast_models, tmp_path):
+    _assert_defect_rejected("forest", defect, fast_models["forest"], tmp_path)
+
+
 @pytest.mark.parametrize("kind", MODEL_ORDER)
-@pytest.mark.parametrize("version", [None, 0, 2, True, 1.0], ids=repr)
+@pytest.mark.parametrize("version", OTHER_VERSIONS, ids=repr)
 def test_model_file_of_another_version_is_rejected(kind, version, fast_models, tmp_path):
     path = tmp_path / f"{kind}.json"
     save_model_file(fast_models[kind], path)
@@ -369,6 +395,67 @@ def test_model_file_of_another_version_is_rejected(kind, version, fast_models, t
     path.write_text(json.dumps(obj))
     with pytest.raises(ConfigError, match="is not a saved model file .*version.*retrain"):
         load_model_file(path)
+
+
+def _key_paths(obj, prefix=()):
+    """The key path of every value in a JSON object, nested objects included."""
+    for key, value in obj.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+# The settings a file holds, as key paths: every key of a config file, every
+# key of a params file with one feature standing for all ten, which are read
+# alike, and the settings-dataclass fields of each model file (a forest file
+# keeps its trees where ForestConfig has their count).
+SETTINGS_PATHS = {
+    "config": list(_key_paths(asdict(PipelineConfig()))),
+    "params": [path for path in _key_paths(asdict(load_params()))
+               if len(path) == 1 or path[1] == "csf_ttau"],
+    **{kind: [(f.name,) for f in fields(cls) if (kind, f.name) != ("forest", "trees")]
+       for kind, cls in (("mlp", MlpConfig), ("bayesnet", BayesNetConfig),
+                         ("forest", ForestConfig), ("boostlr", BoostConfig))},
+}
+
+# JSON values of a wrong type for most settings, or out of every bound
+ODD_VALUES = (st.text(max_size=4) | st.booleans() | st.none() | st.integers()
+              | st.sampled_from([10**400, 1e308, -1e308]) | st.floats()
+              | st.lists(st.integers(), max_size=2)
+              | st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+
+
+@pytest.fixture(scope="module")
+def settings_files(fast_models, tmp_path_factory):
+    """(directory, {source: (valid JSON text, loader)}) for the fuzz test."""
+    root = tmp_path_factory.mktemp("settings")
+    files = {"config": (json.dumps(asdict(PipelineConfig())), load_config),
+             "params": (json.dumps(asdict(load_params())), load_params)}
+    for kind, model in fast_models.items():
+        save_model_file(model, root / "model.json")
+        files[kind] = ((root / "model.json").read_text(), load_model_file)
+    return root, files
+
+
+@pytest.mark.parametrize("source", sorted(SETTINGS_PATHS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_settings_readers_return_or_raise_config_error(settings_files, source, data):
+    root, files = settings_files
+    path = data.draw(st.sampled_from(SETTINGS_PATHS[source]), label="path")
+    value = data.draw(ODD_VALUES, label="value")
+    text, loader = files[source]
+    obj = json.loads(text)
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    bad = root / "bad.json"
+    bad.write_text(json.dumps(obj))
+    try:
+        loader(bad)
+    except ConfigError:
+        pass  # any other exception fails the test
 
 
 EXPECTED_FILES = {

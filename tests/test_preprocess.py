@@ -1,5 +1,7 @@
 """Normalization, stratified splitting, and discretization behavior."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from earlypd.preprocess import (
 )
 from earlypd.synth import GenerateConfig, generate
 
-from conftest import datasets_equal, make_dataset
+from conftest import OTHER_VERSIONS, datasets_equal, make_dataset
 
 
 def test_normalize_hand_example():
@@ -208,6 +210,22 @@ def test_sidecar_without_discretization(tmp_path):
     assert dmap2 is None
     assert stats2.pairs == stats.pairs
     assert stats2.schema == ds.schema
+
+
+@pytest.mark.parametrize("version", OTHER_VERSIONS, ids=repr)
+def test_sidecar_of_another_version_is_rejected(version, tmp_path):
+    _, stats = normalize_fit_transform(make_dataset([[0.0, 3.0], [4.0, 9.0]], [0, 1]))
+    path = tmp_path / "preprocess.json"
+    save_sidecar(path, stats)
+    payload = json.loads(path.read_text())
+    assert payload["version"] == 1
+    if version is None:
+        del payload["version"]
+    else:
+        payload["version"] = version
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError, match="is not a preprocess sidecar .*version"):
+        load_sidecar(path)
 
 
 def test_normalization_stats_json_round_trip():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from earlypd.synth import (
     load_params,
 )
 
-from conftest import datasets_equal
+from conftest import OTHER_VERSIONS, datasets_equal
 
 
 def test_default_spec_counts_and_ids():
@@ -165,13 +166,13 @@ def test_monotone_difficulty_in_separation():
 def test_params_file_round_trip(tmp_path):
     params = load_params()
     path = tmp_path / "params.json"
-    path.write_text(json.dumps(params.to_json_dict()))
+    path.write_text(json.dumps(asdict(params)))
     again = load_params(path)
     assert again == params
 
 
 def test_params_missing_feature_rejected(tmp_path):
-    obj = load_params().to_json_dict()
+    obj = asdict(load_params())
     del obj["features"]["csf_ttau"]
     path = tmp_path / "params.json"
     path.write_text(json.dumps(obj))
@@ -179,8 +180,57 @@ def test_params_missing_feature_rejected(tmp_path):
         load_params(path)
 
 
+@pytest.mark.parametrize("version", OTHER_VERSIONS, ids=repr)
+def test_params_of_another_version_are_rejected(version, tmp_path):
+    obj = asdict(load_params())
+    if version is None:
+        del obj["version"]
+    else:
+        obj["version"] = version
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ConfigError, match="is not a generator parameters file .*version"):
+        load_params(path)
+
+
+@pytest.mark.parametrize("feature, change", [
+    ("upsit_total", {"max": 41}),
+    ("rbdsq_total", {"min": -1}),
+    ("csf_ptau181", {"min": 0.0}),
+    ("sbr_putamen_left", {"min": -0.5}),
+])
+def test_params_bounds_must_fit_the_schema(feature, change, tmp_path):
+    # each would generate records that validate rejects
+    obj = asdict(load_params())
+    obj["features"][feature].update(change)
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ConfigError, match=f"{feature} bounds"):
+        load_params(path)
+
+
+def test_params_comments_are_kept_and_unknown_keys_refused(tmp_path):
+    obj = asdict(load_params())
+    obj["features"]["csf_ttau"]["comment"] = "pg/mL"
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(obj))
+    params = load_params(path)
+    assert params.comment.startswith("Invented")
+    assert params.features["csf_ttau"].comment == "pg/mL"
+    for where, key in ((obj, "note"), (obj["features"]["csf_ttau"], "mean")):
+        where[key] = 1.0
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ConfigError, match=f"unknown config key .*{key}"):
+            load_params(path)
+        del where[key]
+    obj["features"]["csf_total"] = obj["features"]["csf_ttau"]
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ConfigError, match="csf_total"):
+        load_params(path)
+
+
 def test_params_bad_correlation_rejected(tmp_path):
-    obj = load_params().to_json_dict()
+    obj = asdict(load_params())
     obj["correlation_pairs"] = [
         {"a": "sbr_putamen_left", "b": "sbr_putamen_right", "rho": 1.7}]
     path = tmp_path / "params.json"
@@ -190,7 +240,7 @@ def test_params_bad_correlation_rejected(tmp_path):
 
 
 def test_correlation_pairs_induce_correlation(tmp_path):
-    obj = load_params().to_json_dict()
+    obj = asdict(load_params())
     obj["correlation_pairs"] = [
         {"a": "sbr_putamen_left", "b": "sbr_putamen_right", "rho": 0.9}]
     path = tmp_path / "params.json"
@@ -232,7 +282,7 @@ def test_generated_csv_digests(tmp_path):
     config = GenerateConfig(37, 53, 0.4)
     assert _csv_digest(generate(config, 9), tmp_path) == (
         "dd2fb0d069990ada05b6d66d6fe0480044642435e5364f7eeef03521a9013ce8")
-    obj = load_params().to_json_dict()
+    obj = asdict(load_params())
     obj["correlation_pairs"] = [
         {"a": "sbr_putamen_left", "b": "sbr_putamen_right", "rho": 0.9}]
     path = tmp_path / "params.json"
