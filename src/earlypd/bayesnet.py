@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import PD, Dataset
 from .errors import ConfigError, DataError
-from .jsontext import finite_floats, settings
+from .jsontext import json_array, settings
 from .preprocess import DISCRETIZE_STRATEGIES, DiscretizationMap, discretize_fit
 
 CLASS_NODE = 0
@@ -222,12 +222,10 @@ class BayesNetModel:
                     and list(pa) == [p for p in range(node) if p in pa]):
                 raise ValueError(f"node {node} has parents {list(pa)}; they must be "
                                  f"distinct earlier nodes in ascending order")
-            shape = (_n_configs(pa, arities), arities[node])
-            cpt = finite_floats(flat, f"node {node}'s CPT")
-            if cpt.shape != (shape[0] * shape[1],) or not ((cpt >= 0) & (cpt <= 1)).all():
-                raise ValueError(f"node {node}'s CPT must hold {shape[0]} x {shape[1]} "
-                                 f"probabilities in [0, 1]")
-            cpts.append(cpt.reshape(shape))
+            cpt = json_array(flat, f"node {node}'s CPT", (_n_configs(pa, arities), arities[node]))
+            if not ((cpt >= 0) & (cpt <= 1)).all():
+                raise ValueError(f"node {node}'s CPT must hold probabilities in [0, 1]")
+            cpts.append(cpt)
         return cls(DiscreteNet(arities, parents, tuple(cpts)), dmap,
                    settings(BayesNetConfig, obj))
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import HEALTHY, PD, Dataset
 from .errors import ConfigError, DataError
-from .jsontext import finite_floats, finite_number, settings
+from .jsontext import finite_number, json_array, settings
 
 GRAD_TOL = 1e-8
 MAX_ITER = 200
@@ -42,7 +42,6 @@ class BoostConfig:
 class LogisticModel:
     coef: np.ndarray
     intercept: float
-    ridge: float
     converged: bool
     hit_iteration_limit: bool
     objective_path: tuple  # objective after the start point and each accepted step
@@ -117,7 +116,7 @@ def _fit_weighted(X, y, weights, ridge):
             # no step along the Newton direction helps; treat as stalled
             break
     hit_limit = not converged
-    return LogisticModel(beta[:m].copy(), float(beta[m]), ridge, converged,
+    return LogisticModel(beta[:m].copy(), float(beta[m]), converged,
                          hit_limit, tuple(path))
 
 
@@ -202,15 +201,12 @@ class BoostedModel:
             raise ValueError("boosted model has no rounds")
         rounds = []
         for i, r in enumerate(obj["rounds"]):
-            coef = finite_floats(r["coef"], f"round {i} coef")
-            width = len(rounds[0].model.coef) if rounds else coef.size
-            if coef.shape != (width,):
-                raise ValueError(f"round {i} coef has shape {coef.shape}; every round "
-                                 f"needs the flat width ({width},) of round 0")
+            coef = json_array(r["coef"], f"round {i} coef",
+                              rounds[0].model.coef.shape if rounds else (-1,))
             if not (finite_number(r["intercept"]) and finite_number(r["alpha"])):
                 raise ValueError(f"round {i} intercept {r['intercept']!r} and alpha "
                                  f"{r['alpha']!r} must be finite numbers")
-            lm = LogisticModel(coef, r["intercept"], config.ridge, True, False, ())
+            lm = LogisticModel(coef, r["intercept"], True, False, ())
             rounds.append(BoostRound(lm, r["alpha"], 0.0, 1.0, 0.5))
         return cls(tuple(rounds), config)
 

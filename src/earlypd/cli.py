@@ -157,8 +157,7 @@ def _write_or_print(text: str, out) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     kind, model = load_model_file(args.model)
     ds = ingest_csv(args.input)
-    stats, _dmap = load_sidecar(args.preprocess)
-    scaled = normalize_apply(ds, stats)
+    scaled = normalize_apply(ds, load_sidecar(args.preprocess))
     width = MODELS[kind].inputs(model)
     if width != scaled.features.shape[1]:
         raise ConfigError(f"{args.model} scores {width} features, but "

@@ -135,18 +135,12 @@ def record_violations(features, labels) -> list:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Immutable column store: ids, (n, 13) float features, int labels.
-
-    ``normalization`` is None for raw data; after min-max scaling it holds the
-    per-feature (min, max) pairs the values were scaled with, and every stored
-    feature value lies in [0, 1].
-    """
+    """Immutable column store: ids, (n, 13) float features, int labels."""
 
     subject_ids: tuple
     features: np.ndarray
     labels: np.ndarray
     schema: tuple = FEATURE_NAMES
-    normalization: tuple | None = None
 
     def __post_init__(self):
         feats = np.ascontiguousarray(self.features, dtype=np.float64)

@@ -59,7 +59,7 @@ import numpy as np
 
 from .data import HEALTHY, PD, Dataset
 from .errors import ConfigError, DataError
-from .jsontext import settings
+from .jsontext import json_array, settings
 from .rng import SplitMix64, derive_stream
 
 
@@ -139,24 +139,14 @@ class DecisionTree:
         a leaf has feature -1 and children -1; and a split node's feature is
         an integer below n_features and its children integers after it and
         within the tree, so that every walk from the root reaches a leaf."""
-        # a bool is an int to Python and to numpy; only the thresholds may be floats
-        types = {"feature": (int,), "threshold": (int, float), "left": (int,),
-                 "right": (int,), "counts": (int,)}
-        columns = {key: obj[key] for key in types}
-        if not all(type(column) is list for column in columns.values()):
-            raise ValueError("every column of a tree must be a list")
-        n = len(columns["feature"])
-        lengths = [len(column) for column in columns.values()]
-        if n == 0 or lengths != [n, n, n, n, 2 * n]:
-            raise ValueError(f"a tree of n > 0 nodes needs n features, thresholds, left "
-                             f"and right children and 2n counts, got {lengths}")
-        for key, allowed in types.items():
-            if not set(map(type, columns[key])).issubset(allowed):
-                raise ValueError(f"the tree's {key} column must hold only "
-                                 f"{' or '.join(t.__name__ for t in allowed)} values")
-        feature, left, right, counts = (np.array(columns[key], dtype=np.int64)
-                                        for key in ("feature", "left", "right", "counts"))
-        counts = counts.reshape(n, 2)
+        feature = json_array(obj["feature"], "the tree's feature column", dtype=np.int64)
+        n = feature.size
+        if n == 0:
+            raise ValueError("a tree needs at least one node")
+        threshold = json_array(obj["threshold"], "the tree's threshold column", (n,))
+        left, right = (json_array(obj[key], f"the tree's {key} column", (n,), np.int64)
+                       for key in ("left", "right"))
+        counts = json_array(obj["counts"], "the tree's counts column", (n, 2), np.int64)
         if (counts < 0).any():
             raise ValueError("every node's counts must be non-negative")
         node = np.arange(n)
@@ -170,8 +160,7 @@ class DecisionTree:
                 f"node {i} has feature {feature[i]} and children {left[i]} and {right[i]}; "
                 f"a leaf has feature and children -1, a split node a feature below "
                 f"{n_features} and children between {i + 1} and {n - 1}")
-        return cls(feature, np.array(columns["threshold"], dtype=np.float64), left, right,
-                   counts)
+        return cls(feature, threshold, left, right, counts)
 
 
 def _draw_features(stream: SplitMix64, m: int, k: int) -> list:

@@ -11,11 +11,11 @@ lays the items out exactly as the indented encoder does. The pieces are
 joined once, at the end.
 
 Every JSON input is read by read_json, so a malformed file ends in one
-ConfigError naming it. Numbers are read back through finite_number and
-finite_floats, which accept only a JSON int or float that is a finite double
-(float() and np.array would take "0.5" and count true as 1). Settings, of a
-config, params or model file alike, are read through from_json, which checks
-each value against its field's declared type.
+ConfigError naming it. A number is read through finite_number, and a saved
+array through json_array, which also states its shape; both take only a JSON
+int or float that is a finite double (float() and np.array would take "0.5"
+and count true as 1). Settings, of a config, params or model file alike, go
+through from_json, which checks each value against its field's declared type.
 """
 
 from __future__ import annotations
@@ -79,16 +79,19 @@ def finite_number(v) -> bool:
         return False
 
 
-def finite_floats(values, what: str) -> np.ndarray:
-    """A JSON list of finite numbers as a float64 array. Raises ValueError
-    naming what for anything else in the list, OverflowError for an int
-    beyond the doubles."""
-    if type(values) is not list or not set(map(type, values)) <= {int, float}:
-        raise ValueError(f"{what} must be a list of numbers")
-    array = np.array(values, dtype=np.float64)
-    if not np.isfinite(array).all():
-        raise ValueError(f"{what} must hold finite numbers")
-    return array
+def json_array(values, what: str, shape=(-1,), dtype=np.float64) -> np.ndarray:
+    """A JSON list of finite numbers as an array of dtype and shape; an int64
+    array takes only JSON ints, and a bool is never a number. Raises
+    ValueError naming what for any other list or for a count that does not
+    fill shape, OverflowError for an int beyond dtype."""
+    kinds = {int} if dtype == np.int64 else {int, float}
+    if not (type(values) is list and set(map(type, values)) <= kinds
+            and np.isfinite(array := np.array(values, dtype=dtype)).all()):
+        raise ValueError(f"{what} must be a list of finite {np.dtype(dtype).name} values")
+    try:
+        return array.reshape(shape)
+    except ValueError:
+        raise ValueError(f"{what} has {array.size} values, not the shape {shape}") from None
 
 
 def read_json(path, what: str, parse):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import HEALTHY, PD
 from .errors import DataError
-from .jsontext import finite_floats, finite_number, from_json, settings
+from .jsontext import finite_number, from_json, json_array, settings
 
 MEASURES = ("accuracy", "recall", "precision", "f_measure", "auc")
 MEASURE_TITLES = {
@@ -171,15 +171,18 @@ class EvaluationReport:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "EvaluationReport":
         """Raises ConfigError or ValueError unless the confusion counts are ints,
-        each measure a finite number and the ROC rates equal lists of finite numbers."""
+        each measure a finite number, the first ROC threshold "inf" and the
+        others, fpr and tpr lists of finite numbers of one length."""
         if not finite_number(obj["auc"]):
             raise ValueError(f"auc must be a finite number, got {obj['auc']!r}")
         rates = obj["roc"]
-        curve = RocCurve(tuple(float(t) for t in rates["thresholds"]),
-                         tuple(finite_floats(rates["fpr"], "fpr").tolist()),
-                         tuple(finite_floats(rates["tpr"], "tpr").tolist()), obj["auc"])
-        if not len(curve.thresholds) == len(curve.fpr) == len(curve.tpr):
-            raise ValueError("the ROC thresholds, fpr and tpr differ in length")
+        if rates["thresholds"][0] != "inf":
+            raise ValueError("the first ROC threshold must be 'inf'")
+        thresholds = json_array(rates["thresholds"][1:], "the ROC thresholds after 'inf'")
+        fpr = json_array(rates["fpr"], "fpr", (thresholds.size + 1,))
+        tpr = json_array(rates["tpr"], "tpr", fpr.shape)
+        curve = RocCurve((math.inf, *thresholds.tolist()), tuple(fpr.tolist()),
+                         tuple(tpr.tolist()), obj["auc"])
         return cls(from_json(ConfusionMatrix, obj["confusion"], "confusion."),
                    settings(SummaryMetrics, obj), curve)
 

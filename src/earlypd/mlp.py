@@ -28,7 +28,7 @@ import numpy as np
 
 from .data import PD, Dataset
 from .errors import ConfigError, DataError
-from .jsontext import finite_floats, settings
+from .jsontext import json_array, settings
 from .rng import derive_stream
 
 
@@ -78,13 +78,13 @@ class MlpModel:
     def from_json_dict(cls, obj: dict) -> "MlpModel":
         """Raises ValueError unless the weights and epoch_mse are finite
         numbers and w_output is (2, hidden + 1) for the hidden layer of w_hidden."""
-        w1 = finite_floats(obj["w_hidden"], "w_hidden").reshape(obj["shape_hidden"])
-        w2 = finite_floats(obj["w_output"], "w_output").reshape(obj["shape_output"])
+        w1 = json_array(obj["w_hidden"], "w_hidden", obj["shape_hidden"])
+        w2 = json_array(obj["w_output"], "w_output", obj["shape_output"])
         if w1.ndim != 2 or w2.shape != (2, w1.shape[0] + 1):
             raise ValueError(f"weight shapes {list(w1.shape)} and {list(w2.shape)} do not "
                              f"make a network of one hidden layer and two outputs")
         return cls(w1, w2, settings(MlpConfig, obj), obj["seed"],
-                   tuple(finite_floats(obj["epoch_mse"], "epoch_mse").tolist()))
+                   tuple(json_array(obj["epoch_mse"], "epoch_mse").tolist()))
 
 
 def _sigmoid(z):

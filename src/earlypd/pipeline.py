@@ -218,8 +218,7 @@ def _training_files(config: PipelineConfig, dataset: Dataset, stats, models: dic
     files = []
     if config.input is None:
         files.append(("cohort.csv", partial(export_csv, dataset)))
-    dmap = models["bayesnet"].dmap if "bayesnet" in models else None
-    files.append(("preprocess.json", lambda path: save_sidecar(path, stats, dmap)))
+    files.append(("preprocess.json", partial(save_sidecar, stats=stats)))
     files += [(f"models/{name}.json", partial(save_model_file, model))
               for name, model in models.items()]
     files.append(("run_config.json", json_text(config.to_json_dict())))

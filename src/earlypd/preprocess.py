@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, DataError
-from .jsontext import check_version, finite_number, json_text, read_json
+from .jsontext import check_version, finite_number, json_array, json_text, read_json
 from .rng import derive_stream
 
 
@@ -69,8 +69,7 @@ def normalize_apply(ds: Dataset, stats: NormalizationStats) -> Dataset:
     safe = np.where(span == 0, 1.0, span)
     scaled = np.where(span == 0, 0.0, (ds.features - lo) / safe)
     scaled = np.clip(scaled, 0.0, 1.0)
-    return Dataset(ds.subject_ids, scaled, ds.labels, ds.schema,
-                   normalization=stats.pairs)
+    return Dataset(ds.subject_ids, scaled, ds.labels, ds.schema)
 
 
 def _round_half_up(x: float) -> int:
@@ -129,7 +128,7 @@ class DiscretizationMap:
         return out
 
     def to_json_dict(self) -> dict:
-        return {name: {"cuts": list(c)} for name, c in zip(self.schema, self.cuts)}
+        return {name: {"cuts": [float(v) for v in c]} for name, c in zip(self.schema, self.cuts)}
 
     @classmethod
     def from_json_dict(cls, obj: dict, schema) -> "DiscretizationMap":
@@ -139,13 +138,11 @@ class DiscretizationMap:
         if len(obj) != len(names):
             raise ValueError(f"the discretization has {len(obj)} features, "
                              f"the schema {len(names)}")
-        cuts = tuple(tuple(obj[n]["cuts"]) for n in names)
+        cuts = tuple(json_array(obj[n]["cuts"], f"the cuts of {n}").tolist() for n in names)
         for name, c in zip(names, cuts):
-            if not (all(map(finite_number, c))
-                    and all(a < b for a, b in zip(c, c[1:]))):
-                raise ValueError(f"the cuts of {name} must be finite numbers in "
-                                 f"strictly ascending order, got {list(c)}")
-        return cls(names, cuts)
+            if not all(a < b for a, b in zip(c, c[1:])):
+                raise ValueError(f"the cuts of {name} must ascend strictly, got {c}")
+        return cls(names, tuple(map(tuple, cuts)))
 
 
 def discretize_fit(ds: Dataset, bins: int = 10,
@@ -183,32 +180,23 @@ def discretize_fit(ds: Dataset, bins: int = 10,
 SIDECAR_VERSION = 1  # a sidecar of any other version is refused on load
 
 
-def save_sidecar(path, stats: NormalizationStats,
-                 dmap: DiscretizationMap | None = None) -> None:
-    """Write normalization stats (and discretization cuts if any) as JSON.
-
-    The schema list records feature order; the per-feature mappings are
-    keyed by name.
-    """
+def save_sidecar(path, stats: NormalizationStats) -> None:
+    """Write normalization stats as JSON: the schema list records feature
+    order, and the per-feature mappings are keyed by name."""
     payload = {
         "version": SIDECAR_VERSION,
         "schema": list(stats.schema),
         "normalization": stats.to_json_dict(),
     }
-    if dmap is not None:
-        payload["discretization"] = dmap.to_json_dict()
     Path(path).write_text(json_text(payload), encoding="utf-8")
 
 
-def load_sidecar(path):
-    """(NormalizationStats, DiscretizationMap or None) from a sidecar file."""
+def load_sidecar(path) -> NormalizationStats:
+    """The NormalizationStats of a sidecar file; a discretization key is ignored."""
     return read_json(path, "a preprocess sidecar", _sidecar_from_json)
 
 
-def _sidecar_from_json(payload) -> tuple:
-    schema = payload["schema"]
+def _sidecar_from_json(payload) -> NormalizationStats:
+    schema = payload["schema"]  # before payload.get: a JSON array has no get
     check_version(payload.get("version"), SIDECAR_VERSION, "rerun train to rewrite it")
-    stats = NormalizationStats.from_json_dict(payload["normalization"], schema)
-    dmap = (DiscretizationMap.from_json_dict(payload["discretization"], schema)
-            if "discretization" in payload else None)
-    return stats, dmap
+    return NormalizationStats.from_json_dict(payload["normalization"], schema)

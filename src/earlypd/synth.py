@@ -103,6 +103,8 @@ class GeneratorParams:
                     or name in POSITIVE_FEATURES and p.min <= 0):
                 raise ConfigError(f"features.{name} bounds [{p.min}, {p.max}] reach "
                                   f"outside the values the schema allows")
+            if name in INTEGER_FEATURES and not p.integer_flag:
+                raise ConfigError(f"features.{name} is a score, so its integer_flag must be true")
 
 
 def load_params(path=None) -> GeneratorParams:
@@ -137,6 +139,10 @@ def generate(config: GenerateConfig, seed: int) -> Dataset:
     if config.n_healthy + config.n_pd == 0:
         raise DataError("asked to generate zero records")
     params = load_params(config.params_path)
+    for name, p in params.features.items():
+        if not np.isfinite([p.at_separation(c, config.separation) for c in (HEALTHY, PD)]).all():
+            raise ConfigError(f"generate.separation {config.separation} takes the class "
+                              f"means or sds of {name} beyond the doubles")
     mixers = {p.b: (p.a, p.rho) for p in params.correlation_pairs}
     stream = derive_stream(seed, "generate")
     labels = [HEALTHY] * config.n_healthy + [PD] * config.n_pd

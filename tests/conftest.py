@@ -71,11 +71,10 @@ def make_dataset(features, labels, schema=None) -> Dataset:
 
 
 def datasets_equal(a: Dataset, b: Dataset) -> bool:
-    """Same ids, schema, scaling, features and labels."""
+    """Same ids, schema, features and labels."""
     return (
         a.schema == b.schema
         and a.subject_ids == b.subject_ids
-        and a.normalization == b.normalization
         and np.array_equal(a.features, b.features)
         and np.array_equal(a.labels, b.labels)
     )

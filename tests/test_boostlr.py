@@ -28,7 +28,7 @@ from reference import boosted_score, logistic_score
 
 def _model(coef, intercept):
     return LogisticModel(np.asarray(coef, dtype=np.float64), float(intercept),
-                         0.0, True, False, ())
+                         True, False, ())
 
 
 def test_score_at_log3_margin():

@@ -252,7 +252,6 @@ SIDECAR_DEFECTS = {
     "true min": lambda p: p["normalization"]["csf_ttau"].update(min=True),
     "min above max": lambda p: p["normalization"]["sbr_caudate_left"].update(min=1e9),
     "extra feature": lambda p: p["normalization"].update(extra={"min": 0, "max": 1}),
-    "true cut": lambda p: p["discretization"]["upsit_total"].update(cuts=[True]),
     "int beyond the doubles": lambda p: p["normalization"]["csf_ttau"].update(max=10**400),
     "version 7": lambda p: p.update(version=7),
     "string version": lambda p: p.update(version="1"),
@@ -357,6 +356,20 @@ SPOILED_FILES = {
     "nested_too_deep": lambda obj: b"[" * 100_000 + b"]" * 100_000,
 }
 
+
+def _thresholds(e) -> list:
+    return e["models"]["mlp"]["testing"]["roc"]["thresholds"]
+
+
+# ROC thresholds that are not "inf" followed by one finite number per other point
+THRESHOLD_DEFECTS = {
+    "true_threshold": lambda e: _thresholds(e).__setitem__(1, True),
+    "nan_threshold": lambda e: _thresholds(e).__setitem__(1, "nan"),
+    "string_threshold": lambda e: _thresholds(e).__setitem__(1, "0.5"),
+    "first_threshold_not_inf": lambda e: _thresholds(e).__setitem__(0, 2.0),
+    "one_threshold_too_many": lambda e: _thresholds(e).append(0.0),
+}
+
 # One value of the wrong type, or the wrong shape, in each input.
 WRONG_VALUES = {
     "config": {"string_train_fraction": lambda c: c.update(train_fraction="0.7")},
@@ -373,16 +386,22 @@ WRONG_VALUES = {
         "negative_concentrations": lambda p: p["features"]["csf_abeta42"].update(
             min=-100, max=-50),
         "negative_sd": lambda p: p["features"]["csf_ttau"].update(sd_pd=-1.0),
+        "fractional_upsit_total": lambda p: p["features"]["upsit_total"].update(
+            integer_flag=False),
+        "fractional_rbdsq_total": lambda p: p["features"]["rbdsq_total"].update(
+            integer_flag=False),
     },
     "model": {"string_weight": lambda m: m["w_hidden"].__setitem__(0, "0.5")},
     "preprocess": {"string_min": lambda s: s["normalization"]["upsit_total"].update(min="12")},
     "evaluations": {
         "string_auc": lambda e: e["models"]["mlp"]["testing"].update(auc="0.99"),
         "no_training_split": lambda e: e["models"]["forest"].pop("training"),
+        **THRESHOLD_DEFECTS,
     },
     "roc svg": {
         "string_fpr": lambda e: e["models"]["mlp"]["testing"]["roc"]["fpr"].__setitem__(1, "0.1"),
         "short_tpr": lambda e: e["models"]["mlp"]["testing"]["roc"]["tpr"].pop(),
+        **THRESHOLD_DEFECTS,
     },
 }
 
@@ -488,15 +507,19 @@ def test_bad_config_value_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags, config, key", [
-    (["--separation", "inf"], None, "generate.separation"),
-    (["--separation", "nan"], None, "generate.separation"),
+    (["generate", "--separation", "inf"], None, "generate.separation"),
+    (["generate", "--separation", "nan"], None, "generate.separation"),
+    # finite, but it takes the class means and sds beyond the doubles
+    (["generate", "--separation", "1e308"], None, "generate.separation"),
+    (["experiment", "--separation", "1e308"], None, "generate.separation"),
     ([], {"boostlr": {"ridge": math.inf}}, "boostlr.ridge"),
     ([], {"bayesnet": {"alpha": math.inf}}, "bayesnet.alpha"),
     ([], {"mlp": {"learning_rate": math.inf}}, "mlp.learning_rate"),
-], ids=["separation inf", "separation nan", "ridge", "alpha", "learning_rate"])
+], ids=["separation inf", "separation nan", "separation 1e308", "experiment separation 1e308",
+        "ridge", "alpha", "learning_rate"])
 def test_non_finite_setting_exits_2(tmp_path, capsys, flags, config, key):
     if config is None:
-        argv = ["generate", *flags]
+        argv = flags
     else:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))  # writes Infinity

@@ -23,6 +23,11 @@ trees became columns. UNVERSIONED_GOLDEN and the second FOREST_GOLDEN digest
 keep the digests from before that: the models loaded from the new files give
 those bytes again through the old layout, so every tree and weight is the
 one pinned first.
+
+preprocess.json moved once, when it stopped keeping a copy of the Bayes net's
+cuts, which its model file holds. SIDECAR_WITH_CUTS_GOLDEN keeps the digest
+from before that: the new sidecar with the model file's discretization added
+back gives those bytes again, so only the cuts left it.
 """
 
 import hashlib
@@ -32,6 +37,7 @@ import pytest
 
 from earlypd.cli import main
 from earlypd.data import export_csv
+from earlypd.jsontext import json_text
 from earlypd.pipeline import (
     acquire_dataset,
     config_from_dict,
@@ -52,7 +58,7 @@ GOLDEN = {
     "models/boostlr.json": "3228801dbf82caf84bd043c60c4a0046dbab37989b453f9cb63d52af794c1834",
     "models/forest.json": "4dbcd1c0d9cfd99d1367587d084ced2c6d6588a4028d6c1621d891151d2a016d",
     "models/mlp.json": "37b577ebf4f0b56ae90b856f8b478eed4d35769bc1911aa0dfcafc16422b9323",
-    "preprocess.json": "041ccd6a78fa6c5b3090a5025e4b4f62c40b95051a52b1f13fff52ae6fe81bee",
+    "preprocess.json": "a19a5e508d3559f6499ad99babc8a9ea8af79e48b228082c0a522bdd1e0e6dc1",
     "report.csv": "846fa1211e8fc60767ff62625c89956325f4cb15fc4085dd5978145fed28f7df",
     "report.txt": "78ccc139a672cbd9c75729d9c991702ea530bb0a3d9aaa41915656c16950c091",
     "roc_bayesnet_test.csv": "ec85d78dc2004dd9602dc9938ebac79d779bf67f5f30e53c15598bb711165fab",
@@ -105,6 +111,19 @@ def test_default_models_keep_their_unversioned_content(default_run, tmp_path):
             assert obj.pop("version") == 1
             digests[name] = _sha256(json.dumps(obj, indent=2, sort_keys=True) + "\n")
     assert digests == UNVERSIONED_GOLDEN
+
+
+# preprocess.json when it also held the Bayes net's cuts
+SIDECAR_WITH_CUTS_GOLDEN = "041ccd6a78fa6c5b3090a5025e4b4f62c40b95051a52b1f13fff52ae6fe81bee"
+
+
+def test_default_sidecar_lost_only_the_cuts(default_run, tmp_path):
+    write_artifacts(default_run, tmp_path)
+    sidecar = json.loads((tmp_path / "preprocess.json").read_text(encoding="utf-8"))
+    model = json.loads((tmp_path / "models" / "bayesnet.json").read_text(encoding="utf-8"))
+    assert "discretization" not in sidecar
+    sidecar["discretization"] = model["discretization"]
+    assert _sha256(json_text(sidecar)) == SIDECAR_WITH_CUTS_GOLDEN
 
 
 EVALUATE_GOLDEN = {

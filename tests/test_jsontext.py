@@ -1,5 +1,6 @@
 """The artifact JSON writer gives the bytes of the standard library's indented
-encoder, and the settings reader from_json checks each value's declared type."""
+encoder, the settings reader from_json checks each value's declared type, and
+the array reader json_array takes only finite JSON numbers of the shape asked."""
 
 from __future__ import annotations
 
@@ -7,12 +8,13 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from earlypd.errors import ConfigError
-from earlypd.jsontext import from_json, json_text
+from earlypd.jsontext import from_json, json_array, json_text
 
 SCALARS = (st.floats(allow_nan=True, allow_infinity=True)
            | st.integers()
@@ -94,3 +96,54 @@ def test_from_json_floats_take_ints_and_the_doubles_edge():
     got = from_json(Settings, {"scale": 3, "cap": -1e308})
     assert (got.scale, got.cap) == (3, -1e308)
     assert from_json(Settings, {"cap": None}).cap is None
+
+
+def test_json_array_reads_finite_numbers_to_a_shape():
+    got = json_array([1, 2.5, -0.0, 1e308, -1e308, 6], "w", (2, 3))
+    assert got.dtype == np.float64 and got.shape == (2, 3)
+    assert got.tolist() == [[1.0, 2.5, -0.0], [1e308, -1e308, 6.0]]
+    counts = json_array([0, 3, 2**62, -1], "counts", (2, 2), np.int64)
+    assert counts.dtype == np.int64 and counts.tolist() == [[0, 3], [2**62, -1]]
+    assert json_array([], "cuts").shape == (0,)
+
+
+@pytest.mark.parametrize("shape, n", [((-1,), 5), ((5,), 5), ((-1, 2), 6), ((3, -1), 6)])
+def test_json_array_minus_one_takes_the_rest(shape, n):
+    got = json_array(list(range(n)), "w", shape)
+    assert got.size == n and got.ndim == len(shape)
+    assert all(want in (-1, have) for want, have in zip(shape, got.shape))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64])
+@pytest.mark.parametrize("values", [[True], [1, False], ["0.5"], [None], [[1]], [{"a": 1}],
+                                    [math.nan], [math.inf], [1, -math.inf], "1",
+                                    {"a": 1}, None, 3, (1, 2)],
+                         ids=["true", "false", "string", "null", "list", "object", "nan",
+                              "inf", "-inf", "a string", "an object", "null list",
+                              "an int", "a tuple"])
+def test_json_array_refuses_what_is_not_a_list_of_finite_numbers(values, dtype):
+    with pytest.raises(ValueError, match="^the w column must be a list of finite"):
+        json_array(values, "the w column", dtype=dtype)
+
+
+def test_json_array_int64_takes_only_ints():
+    for values in ([1.0], [1, 2.5], [0.0, 1]):
+        with pytest.raises(ValueError, match="^left must be a list of finite int64 values"):
+            json_array(values, "left", dtype=np.int64)
+
+
+def test_json_array_ints_beyond_the_dtype_overflow():
+    # read_json turns the OverflowError into a ConfigError naming the file
+    with pytest.raises(OverflowError):
+        json_array([1.0, 10**400], "w")
+    with pytest.raises(OverflowError):
+        json_array([2**63], "left", dtype=np.int64)
+
+
+@pytest.mark.parametrize("values, shape", [([1, 2, 3], (2,)), ([1, 2, 3], (4,)),
+                                           ([1, 2, 3], (-1, 2)), ([], (1,)),
+                                           ([1, 2, 3, 4], (3, 2))])
+def test_json_array_count_must_fill_the_shape(values, shape):
+    with pytest.raises(ValueError, match=rf"^node 3's CPT has {len(values)} values, not the "
+                                         rf"shape \({shape[0]},"):
+        json_array(values, "node 3's CPT", shape)

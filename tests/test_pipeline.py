@@ -13,12 +13,15 @@ from hypothesis import strategies as st
 
 import earlypd
 import earlypd.pipeline
+from earlypd.cli import _load_evaluations
 from earlypd.data import export_csv, ingest_csv
 from earlypd.errors import ConfigError, DataError
 from earlypd.bayesnet import BayesNetConfig
 from earlypd.boostlr import BoostConfig
 from earlypd.mlp import MlpConfig
 from earlypd.forest import ForestConfig, forest_score_batch, usable_cpus
+from earlypd.jsontext import finite_number
+from earlypd.preprocess import load_sidecar
 from earlypd.synth import GenerateConfig, load_params
 from earlypd.pipeline import (
     DISPLAY_NAMES,
@@ -456,6 +459,77 @@ def test_settings_readers_return_or_raise_config_error(settings_files, source, d
         loader(bad)
     except ConfigError:
         pass  # any other exception fails the test
+
+
+def _array_paths(value, prefix=()):
+    """The key path of every saved array in a JSON value: each non-empty list
+    of scalars, and each object of numbers (a sidecar's min and max, a
+    confusion matrix)."""
+    if isinstance(value, dict):
+        items = list(value.items())
+    elif isinstance(value, list):
+        items = list(enumerate(value))
+    else:
+        return
+    if items and all(type(v) in (int, float) if isinstance(value, dict)
+                     else not isinstance(v, (dict, list)) for _key, v in items):
+        yield prefix
+    for key, child in items:
+        yield from _array_paths(child, prefix + (key,))
+
+
+# JSON values no saved array holds, and a marker for dropping its last element
+ARRAY_DEFECTS = (st.text(max_size=4) | st.booleans() | st.none()
+                 | st.sampled_from([10**400, 1e308, -1e308, "drop last"])
+                 | st.lists(st.integers(), max_size=2)
+                 | st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+
+
+@pytest.fixture(scope="module")
+def fitted_files(tmp_path_factory):
+    """(directory, {source: (valid JSON, its array paths, loader)}) for the
+    fuzz test: a run's model files, sidecar and evaluations file."""
+    root = tmp_path_factory.mktemp("fitted")
+    run_and_write(fast_config(), root / "run")
+    sources = {f"models/{kind}.json": load_model_file for kind in MODEL_ORDER}
+    sources.update({"preprocess.json": load_sidecar, "evaluations.json": _load_evaluations})
+    files = {}
+    for name, loader in sources.items():
+        obj = json.loads((root / "run" / name).read_text())
+        files[name] = (obj, list(_array_paths(obj)), loader)
+    return root, files
+
+
+@pytest.mark.parametrize("source", [*(f"models/{kind}.json" for kind in MODEL_ORDER),
+                                    "preprocess.json", "evaluations.json"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_array_readers_return_or_raise_config_error(fitted_files, source, data):
+    # One element of one saved array set to an odd value, or the array's last
+    # element dropped: the loader returns or raises ConfigError, and where a
+    # number became a value that is not a number, it raises ConfigError.
+    root, files = fitted_files
+    valid, paths, loader = files[source]
+    obj = json.loads(json.dumps(valid))
+    array = obj
+    for key in data.draw(st.sampled_from(paths), label="array"):
+        array = array[key]
+    value = data.draw(ARRAY_DEFECTS, label="value")
+    refused = False
+    if value == "drop last":
+        del array[list(array)[-1] if isinstance(array, dict) else -1]
+    else:
+        key = data.draw(st.sampled_from(list(array)) if isinstance(array, dict)
+                        else st.integers(0, len(array) - 1), label="element")
+        refused = finite_number(array[key]) and type(value) not in (int, float)
+        array[key] = value
+    bad = root / "bad.json"
+    bad.write_text(json.dumps(obj))
+    try:
+        loader(bad)
+    except ConfigError:
+        return  # any other exception fails the test
+    assert not refused, "a loader took a value that is not a number"
 
 
 EXPECTED_FILES = {

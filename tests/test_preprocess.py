@@ -29,7 +29,6 @@ def test_normalize_hand_example():
     scaled, stats = normalize_fit_transform(ds)
     assert np.allclose(scaled.features, [[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]])
     assert stats.pairs == ((0.0, 10.0), (10.0, 30.0))
-    assert scaled.normalization == stats.pairs
 
 
 def test_normalize_constant_feature_maps_to_zero():
@@ -190,26 +189,38 @@ def test_discretize_errors():
 
 def test_sidecar_round_trip(tmp_path):
     cohort = generate(GenerateConfig(n_healthy=10, n_pd=14), 2)
-    scaled, stats = normalize_fit_transform(cohort)
-    dmap = discretize_fit(scaled, bins=5)
+    _scaled, stats = normalize_fit_transform(cohort)
     path = tmp_path / "preprocess.json"
-    save_sidecar(path, stats, dmap)
-    stats2, dmap2 = load_sidecar(path)
+    save_sidecar(path, stats)
+    stats2 = load_sidecar(path)
     assert stats2.schema == stats.schema == FEATURE_NAMES
     assert stats2.pairs == stats.pairs
-    assert dmap2.schema == dmap.schema
-    assert all(list(a) == list(b) for a, b in zip(dmap2.cuts, dmap.cuts))
 
 
 def test_sidecar_without_discretization(tmp_path):
+    # the Bayes net keeps its cuts in its own model file; the sidecar holds
+    # the normalization alone
     ds = make_dataset([[0.0, 3.0], [4.0, 9.0]], [0, 1])
     _, stats = normalize_fit_transform(ds)
     path = tmp_path / "preprocess.json"
     save_sidecar(path, stats)
-    stats2, dmap2 = load_sidecar(path)
-    assert dmap2 is None
+    assert sorted(json.loads(path.read_text())) == ["normalization", "schema", "version"]
+    stats2 = load_sidecar(path)
     assert stats2.pairs == stats.pairs
     assert stats2.schema == ds.schema
+
+
+def test_sidecar_with_a_discretization_key_loads_the_same_stats(tmp_path):
+    # a sidecar written when it also held the Bayes net's cuts
+    cohort = generate(GenerateConfig(n_healthy=10, n_pd=14), 2)
+    scaled, stats = normalize_fit_transform(cohort)
+    path = tmp_path / "preprocess.json"
+    save_sidecar(path, stats)
+    payload = json.loads(path.read_text())
+    payload["discretization"] = discretize_fit(scaled, bins=5).to_json_dict()
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    assert load_sidecar(old) == load_sidecar(path) == stats
 
 
 @pytest.mark.parametrize("version", OTHER_VERSIONS, ids=repr)
