@@ -12,6 +12,12 @@ in schema order, then label (0 healthy, 1 PD). Floats are written with 9
 significant digits, which round-trips exactly for any file this package
 itself writes.
 
+Export writes BLOCK_ROWS rows at a time, each formatted by one "%" format:
+the subject id as csv.writer writes it (an id with no comma, double quote,
+"\r" or "\n" as it is), each feature as "%.9g" (format_value's text,
+"24" for 24.0 and "1e+21" for 1e21) and the label as an integer. The header
+is the 15 column names joined by commas, and every line ends in "\n".
+
 Ingest reads BLOCK_ROWS rows at a time by one of two routes, with the same
 results. A plain block (every line a subject id and 14 unquoted decimal
 cells, no quote, carriage return or NUL) is read with one np.loadtxt call.
@@ -23,6 +29,7 @@ route from the start, and one with a quoted cell from that cell's block on.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 from dataclasses import dataclass, replace
 
@@ -76,8 +83,9 @@ def _ratios(abeta42, ttau, ptau181):
 
 
 def compute_ratios(abeta42: float, ttau: float, ptau181: float):
-    """(ttau/abeta42, ptau181/abeta42, ptau181/ttau) for positive inputs."""
-    if abeta42 == 0 or ttau == 0:
+    """(ttau/abeta42, ptau181/abeta42, ptau181/ttau) for positive inputs,
+    elementwise on arrays too."""
+    if np.any(abeta42 == 0) or np.any(ttau == 0):
         raise DataError("ratio denominators csf_abeta42 and csf_ttau must be nonzero")
     return _ratios(abeta42, ttau, ptau181)
 
@@ -364,17 +372,42 @@ def format_value(x: float) -> str:
     return f"{float(x):.9g}"
 
 
-def nine_digit(x: float) -> float:
-    """The closest double to the 9-significant-digit decimal rendering of x."""
-    return float(format_value(x))
+def nine_digit(x) -> np.ndarray:
+    """The closest doubles to the 9-significant-digit decimal renderings of
+    the values of x, as an array of x's shape, formatted and parsed in one
+    pass."""
+    values = np.asarray(x, dtype=np.float64)
+    flat = values.ravel().tolist()
+    text = ("%.9g," * len(flat)) % tuple(flat)
+    return np.array(list(map(float, text.split(",")[:-1]))).reshape(values.shape)
+
+
+def _csv_cells(ids) -> list:
+    """The subject ids as csv.writer writes the first cell of a row."""
+    ids = list(map(str, ids))
+    joined = "".join(ids)
+    if not any(c in joined for c in ',"\r\n'):
+        return ids
+    cells = []
+    for sid in ids:
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerow([sid, ""])
+        cells.append(buffer.getvalue()[:-2])
+    return cells
 
 
 def export_csv(ds: Dataset, path) -> None:
+    """Write ds as the CSV layout above, BLOCK_ROWS records per write: each
+    row is its subject id (quoted as csv.writer quotes it), every feature in
+    "%.9g" format, which is format_value's text, and the label."""
+    row_format = "%s," + "%.9g," * ds.features.shape[1] + "%d\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for sid, row, label in zip(ds.subject_ids, ds.features, ds.labels):
-            writer.writerow([sid, *(format_value(v) for v in row), int(label)])
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        for start in range(0, len(ds), BLOCK_ROWS):
+            stop = start + BLOCK_ROWS
+            rows = zip(_csv_cells(ds.subject_ids[start:stop]),
+                       ds.features[start:stop].tolist(), ds.labels[start:stop].tolist())
+            fh.write("".join([row_format % (sid, *row, label) for sid, row, label in rows]))
 
 
 def validate_file(path) -> list:

@@ -59,7 +59,7 @@ import numpy as np
 
 from .data import HEALTHY, PD, Dataset
 from .errors import ConfigError, DataError
-from .jsontext import json_array, settings
+from .jsontext import json_array, json_typed, settings
 from .rng import SplitMix64, derive_stream
 
 
@@ -291,9 +291,10 @@ class ForestModel:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ForestModel":
-        trees = tuple(DecisionTree.from_json_dict(t, obj["n_features"]) for t in obj["trees"])
-        return cls(trees, settings(ForestConfig, obj, trees=len(trees)), obj["seed"],
-                   obj["n_features"])
+        n_features = json_typed(int, obj["n_features"], "n_features")
+        trees = tuple(DecisionTree.from_json_dict(t, n_features) for t in obj["trees"])
+        return cls(trees, settings(ForestConfig, obj, trees=len(trees)),
+                   json_typed(int, obj["seed"], "seed"), n_features)
 
 
 def usable_cpus() -> int:

@@ -128,6 +128,12 @@ def _json_value(kind, name: str, value, key: str):
     raise ConfigError(f"config key {key!r} must be {name}, got {value!r}")
 
 
+def json_typed(kind, value, key: str):
+    """value if it has the type kind, checked as from_json checks a field;
+    else ConfigError naming key."""
+    return _json_value(kind, kind.__name__, value, key)
+
+
 def from_json(cls, obj, where: str = ""):
     """The dataclass cls from a JSON object, each value checked against its
     field's declared type. Keys it does not declare raise ConfigError; keys

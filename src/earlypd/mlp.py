@@ -28,7 +28,7 @@ import numpy as np
 
 from .data import PD, Dataset
 from .errors import ConfigError, DataError
-from .jsontext import json_array, settings
+from .jsontext import json_array, json_typed, settings
 from .rng import derive_stream
 
 
@@ -83,7 +83,7 @@ class MlpModel:
         if w1.ndim != 2 or w2.shape != (2, w1.shape[0] + 1):
             raise ValueError(f"weight shapes {list(w1.shape)} and {list(w2.shape)} do not "
                              f"make a network of one hidden layer and two outputs")
-        return cls(w1, w2, settings(MlpConfig, obj), obj["seed"],
+        return cls(w1, w2, settings(MlpConfig, obj), json_typed(int, obj["seed"], "seed"),
                    tuple(json_array(obj["epoch_mse"], "epoch_mse").tolist()))
 
 

@@ -22,6 +22,14 @@ Derivation map used by the pipeline:
 one bound per draw, in one numpy computation, with the same values and the
 same final state. So a forest's bootstrap sample is one call, and so are the
 draws of an epoch's shuffle.
+
+``SplitMix64.normals`` makes a run of standard normals by Box-Muller, each
+from two consecutive outputs: u1 = ((u >> 11) + 1) / 2**53, which lies in
+(0, 1] so its log is finite, then u2 = (u >> 11) / 2**53, and the normal
+sqrt(-2 log u1) cos(2 pi u2). numpy computes the outputs and both uniforms,
+which are exact; ``math`` computes the square root, log and cosine of each
+pair, because numpy's transcendentals need not give the same bits. Both
+methods take their outputs from one numpy form of the mixer.
 """
 
 from __future__ import annotations
@@ -78,15 +86,26 @@ class SplitMix64:
             if u < limit:
                 return u % n
 
+    def _outputs(self, count: int) -> np.ndarray:
+        """The next ``count`` outputs of next_u64 as one uint64 array; the
+        state advances past them. The i-th output depends only on
+        ``state + i * gamma``, so all are computed at once."""
+        steps = np.arange(1, count + 1, dtype=np.uint64)
+        z = np.uint64(self._state) + steps * np.uint64(_GAMMA)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        self._state = (self._state + count * _GAMMA) & _MASK64
+        return z
+
     def below_array(self, n, count: int | None = None) -> np.ndarray:
         """Draws of ``below(b)`` for each bound b of ``n`` in turn, as one
         uint64 array, leaving the state where those calls of ``below`` would.
 
         ``n`` is one bound, drawn from ``count`` times, or an array of bounds,
-        one draw each. The i-th output depends only on ``state + i * gamma``,
-        so all are computed at once. If one lands in its bound's rejected
-        tail (about one in 1e16 at the pipeline's sizes), the draws are made
-        one by one instead.
+        one draw each. If an output lands in its bound's rejected tail (about
+        one in 1e16 at the pipeline's sizes), the draws are made one by one
+        instead.
         """
         bounds = np.asarray(n).reshape(-1)
         if count is None:
@@ -94,18 +113,24 @@ class SplitMix64:
         if bounds.size and bounds.min() < 1:
             raise ValueError("below_array() needs every bound >= 1")
         bounds = bounds.astype(np.uint64)
-        steps = np.arange(1, count + 1, dtype=np.uint64)
-        z = np.uint64(self._state) + steps * np.uint64(_GAMMA)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z ^= z >> np.uint64(31)
+        start = self._state
+        z = self._outputs(count)
         # below(b) rejects u >= 2**64 - 2**64 % b, that is u > ~(2**64 % b),
         # and 2**64 % b is (0 - b) % b in wrapping uint64 arithmetic
         if (z > ~((np.uint64(0) - bounds) % bounds)).any():
+            self._state = start
             return np.array([self.below(int(b)) for b in np.broadcast_to(bounds, count)],
                             dtype=np.uint64)
-        self._state = (self._state + count * _GAMMA) & _MASK64
         return z % bounds
+
+    def normals(self, count: int) -> list:
+        """The next ``count`` standard normals by Box-Muller, as Python
+        floats, two outputs each (see the module docstring)."""
+        u = self._outputs(2 * count) >> np.uint64(11)
+        u1 = ((u[0::2] + np.uint64(1)) / 9007199254740992.0).tolist()
+        u2 = (u[1::2] / 9007199254740992.0).tolist()
+        sqrt, log, cos, two_pi = math.sqrt, math.log, math.cos, 2.0 * math.pi
+        return [sqrt(-2.0 * log(a)) * cos(two_pi * b) for a, b in zip(u1, u2)]
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates, iterating from the last index down: index i
@@ -114,28 +139,6 @@ class SplitMix64:
         draws = self.below_array(np.arange(last + 1, 1, -1)).tolist()
         for i, j in zip(range(last, 0, -1), draws):
             items[i], items[j] = items[j], items[i]
-
-    def normal(self) -> float:
-        """Standard normal via Box-Muller. Consumes two uniforms per call."""
-        # u1 shifted into (0, 1] so log() is always finite
-        u1 = ((self.next_u64() >> 11) + 1) / 9007199254740992.0
-        u2 = (self.next_u64() >> 11) / 9007199254740992.0
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
-    def truncated_normal(self, mean: float, sd: float, lo: float, hi: float,
-                         max_rejects: int = 100) -> float:
-        """Normal draw restricted to [lo, hi].
-
-        Rejection sampling; after ``max_rejects`` failed draws the next draw
-        is clamped to the boundary instead, so the call always terminates and
-        consumes a bounded number of stream values.
-        """
-        for _ in range(max_rejects):
-            x = mean + sd * self.normal()
-            if lo <= x <= hi:
-                return x
-        x = mean + sd * self.normal()
-        return min(max(x, lo), hi)
 
 
 def derive_stream(seed: int, label: str) -> SplitMix64:

@@ -9,11 +9,23 @@ generated record satisfies the schema's ratio-consistency invariant.
 ``separation`` interpolates both class means and class sds toward their
 shared midpoint: 1.0 keeps the configured gap, 0.0 makes the two class
 distributions identical, so a zero-separation cohort carries no label signal
-at all.
+at all. Above 1 the sds are extrapolated too, and a separation that takes a
+class sd below 0 is refused.
+
+Draws: the "generate" stream's normals form one fixed sequence, taken
+NORMALS_PER_CALL at a time from ``SplitMix64.normals``. Values take them in
+record order, then schema order. A truncated value takes normals until one
+lands in [min, max]; after MAX_REJECTS rejections the next one is clamped.
+A value of a correlation pair's second feature takes exactly one normal and
+is clamped. Rejections decide only which value gets which normal, so the
+chunk size changes no value. Each block of BLOCK_ROWS records is then
+rounded (integer features) and snapped to nine significant digits (float
+features, then the ratios computed from them) one column set at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -22,6 +34,7 @@ from importlib import resources
 import numpy as np
 
 from .data import (
+    BLOCK_ROWS,
     FEATURE_NAMES,
     HEALTHY,
     INTEGER_FEATURES,
@@ -35,11 +48,17 @@ from .data import (
 )
 from .errors import ConfigError, DataError
 from .jsontext import check_version, from_json, read_json
-from .preprocess import _round_half_up
 from .rng import derive_stream
 
 # raw (sampled) features; ratios are derived afterwards
 RAW_FEATURES = tuple(n for n in FEATURE_NAMES if n not in RATIO_FEATURES)
+_RAW_COLUMNS = [FEATURE_NAMES.index(n) for n in RAW_FEATURES]
+_RATIO_COLUMNS = [FEATURE_NAMES.index(n) for n in RATIO_FEATURES]
+_CSF_COLUMNS = [RAW_FEATURES.index(n) for n in ("csf_abeta42", "csf_ttau", "csf_ptau181")]
+# normals taken from the "generate" stream per call; any size gives the same cohort
+NORMALS_PER_CALL = 2048
+# a truncated value rejected this many times clamps its next draw
+MAX_REJECTS = 100
 
 
 @dataclass(frozen=True)
@@ -105,6 +124,11 @@ class GeneratorParams:
                                   f"outside the values the schema allows")
             if name in INTEGER_FEATURES and not p.integer_flag:
                 raise ConfigError(f"features.{name} is a score, so its integer_flag must be true")
+        mixed = {pair.b for pair in self.correlation_pairs}
+        for pair in self.correlation_pairs:
+            if pair.a in mixed:
+                raise ConfigError(f"correlation pair ({pair.a}, {pair.b}) mixes with "
+                                  f"{pair.a}, the second feature of another pair")
 
 
 def load_params(path=None) -> GeneratorParams:
@@ -128,6 +152,78 @@ class GenerateConfig:
             raise ConfigError(f"separation must be >= 0, got {self.separation}")
 
 
+def _class_plans(params: GeneratorParams, separation: float) -> list:
+    """Per class, per raw feature: (mean, sd, min, max, mix). mix is None for
+    a truncated value, else (partner column, partner mean, partner sd, rho,
+    sqrt(1 - rho**2)) for the second feature of a correlation pair."""
+    moments = {}
+    for name, p in params.features.items():
+        moments[name] = [p.at_separation(c, separation) for c in (HEALTHY, PD)]
+        if not np.isfinite(moments[name]).all():
+            raise ConfigError(f"generate.separation {separation} takes the class "
+                              f"means or sds of {name} beyond the doubles")
+        for label, (_mean, sd) in zip(("healthy", "PD"), moments[name]):
+            if sd < 0:
+                raise ConfigError(f"generate.separation {separation} makes the {label} "
+                                  f"sd of {name} negative ({sd})")
+    mixers = {pair.b: pair for pair in params.correlation_pairs}
+    plans = []
+    for label in (HEALTHY, PD):
+        plan = []
+        for name in RAW_FEATURES:
+            mean, sd = moments[name][label]
+            p = params.features[name]
+            mix = None
+            if name in mixers:
+                a, rho = mixers[name].a, mixers[name].rho
+                mix = (RAW_FEATURES.index(a), *moments[a][label], rho, (1 - rho ** 2) ** 0.5)
+            plan.append((mean, sd, p.min, p.max, mix))
+        plans.append(plan)
+    return plans
+
+
+def _raw_records(plans, labels, draw):
+    """Each record's raw features in RAW_FEATURES order, drawn value by value
+    from draw(), before rounding and snapping."""
+    for label in labels:
+        row = []
+        for mean, sd, lo, hi, mix in plans[label]:
+            if mix is None:
+                for _ in range(MAX_REJECTS):
+                    x = mean + sd * draw()
+                    if lo <= x <= hi:
+                        break
+                else:
+                    x = min(max(mean + sd * draw(), lo), hi)
+            else:
+                # mix with the partner's pre-rounding z-score, clamp instead of rejecting
+                partner, partner_mean, partner_sd, rho, rest = mix
+                z = (row[partner] - partner_mean) / partner_sd if partner_sd else 0.0
+                x = min(max(mean + sd * (rho * z + rest * draw()), lo), hi)
+            row.append(x)
+        yield row
+
+
+def _finish(raw: np.ndarray, params: GeneratorParams) -> np.ndarray:
+    """The (m, 13) records of an (m, 10) block of raw features: integer
+    features rounded half up into their bounds, float features and then the
+    ratios computed from them snapped to nine digits."""
+    floats = []
+    for j, name in enumerate(RAW_FEATURES):
+        p = params.features[name]
+        if p.integer_flag:
+            raw[:, j] = np.clip(np.floor(raw[:, j] + 0.5), float(int(p.min)), float(int(p.max)))
+        else:
+            floats.append(j)
+    raw[:, floats] = nine_digit(raw[:, floats])
+    records = np.empty((raw.shape[0], len(FEATURE_NAMES)))
+    records[:, _RAW_COLUMNS] = raw
+    with np.errstate(over="ignore"):
+        records[:, _RATIO_COLUMNS] = nine_digit(np.column_stack(
+            compute_ratios(*raw[:, _CSF_COLUMNS].T)))
+    return records
+
+
 def generate(config: GenerateConfig, seed: int) -> Dataset:
     """Sample a labeled cohort. The same config and seed give the same dataset.
 
@@ -139,36 +235,14 @@ def generate(config: GenerateConfig, seed: int) -> Dataset:
     if config.n_healthy + config.n_pd == 0:
         raise DataError("asked to generate zero records")
     params = load_params(config.params_path)
-    for name, p in params.features.items():
-        if not np.isfinite([p.at_separation(c, config.separation) for c in (HEALTHY, PD)]).all():
-            raise ConfigError(f"generate.separation {config.separation} takes the class "
-                              f"means or sds of {name} beyond the doubles")
-    mixers = {p.b: (p.a, p.rho) for p in params.correlation_pairs}
+    plans = _class_plans(params, config.separation)
     stream = derive_stream(seed, "generate")
+    draw = itertools.chain.from_iterable(
+        map(stream.normals, itertools.repeat(NORMALS_PER_CALL))).__next__
     labels = [HEALTHY] * config.n_healthy + [PD] * config.n_pd
-    rows = []
-    for label in labels:
-        values = {}
-        zscores = {}
-        for name in RAW_FEATURES:
-            p = params.features[name]
-            mean, sd = p.at_separation(label, config.separation)
-            if name in mixers:
-                # correlated path: mix z-scores, clamp instead of rejecting
-                partner, rho = mixers[name]
-                z = rho * zscores[partner] + (1 - rho ** 2) ** 0.5 * stream.normal()
-                x = min(max(mean + sd * z, p.min), p.max)
-            else:
-                x = stream.truncated_normal(mean, sd, p.min, p.max)
-                zscores[name] = (x - mean) / sd if sd else 0.0
-            if p.integer_flag:
-                x = float(min(max(_round_half_up(x), int(p.min)), int(p.max)))
-            else:
-                x = nine_digit(x)
-            values[name] = x
-        ratios = compute_ratios(values["csf_abeta42"], values["csf_ttau"],
-                                values["csf_ptau181"])
-        values.update(zip(RATIO_FEATURES, map(nine_digit, ratios)))
-        rows.append([values[name] for name in FEATURE_NAMES])
-    ids = tuple(f"SYN{i:05d}" for i in range(1, len(rows) + 1))
-    return Dataset(ids, np.array(rows), labels)
+    records = _raw_records(plans, labels, draw)
+    blocks = []
+    while block := list(itertools.islice(records, BLOCK_ROWS)):
+        blocks.append(_finish(np.array(block), params))
+    ids = tuple(f"SYN{i:05d}" for i in range(1, len(labels) + 1))
+    return Dataset(ids, np.concatenate(blocks), labels)

@@ -1,10 +1,10 @@
 """Independent references for the package's batch scorers, split rule, tree
-grower, tree descent, ROC curve, network trainer, shuffle, record rules and
-CSV reader, and the node-list forest writer.
+grower, tree descent, ROC curve, network trainer, shuffle, record rules,
+cohort generator, CSV reader and writer, and the node-list forest writer.
 
 Most functions work on one record (or one split, one feature of a node's
-split search, one training step or one draw) at a time, with plain Python
-control flow. The level-wise tree walk, the looped ROC and the CSV reader
+split search, one training step, one draw or one generated value) at a
+time, with plain Python control flow. The level-wise tree walk, the looped ROC and the CSV reader
 that splits every row with csv.reader reach the same result as the package's
 code by another route. The vectorized code in the package is checked against
 them. The node-list writer gives the bytes of a forest file before the
@@ -15,6 +15,7 @@ digests of the old one. None of this runs in the pipeline.
 import csv
 import itertools
 import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -33,13 +34,16 @@ from earlypd.data import (
     RATIO_REL_TOL,
     _check_header,
     _parse_block,
+    Dataset,
     compute_ratios,
     format_value,
 )
 from earlypd.errors import DataError, UnreadableCsv
 from earlypd.forest import DecisionTree, _draw_features
 from earlypd.metrics import RocCurve
+from earlypd.preprocess import _round_half_up
 from earlypd.rng import derive_stream
+from earlypd.synth import RAW_FEATURES, load_params
 
 
 def logistic_score(model, features) -> float:
@@ -379,3 +383,65 @@ def with_csv_reader(read, path):
     read by csv_read_blocks."""
     with mock.patch.object(data, "_read_blocks", csv_read_blocks):
         return read(path)
+
+
+def reference_normal(stream) -> float:
+    """Standard normal via Box-Muller from two next_u64 calls."""
+    # u1 shifted into (0, 1] so log() is always finite
+    u1 = ((stream.next_u64() >> 11) + 1) / 9007199254740992.0
+    u2 = (stream.next_u64() >> 11) / 9007199254740992.0
+    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+
+def reference_truncated_normal(stream, mean, sd, lo, hi, max_rejects=100) -> float:
+    """A normal draw in [lo, hi] by rejection; after max_rejects rejections
+    the next draw is clamped to the bounds."""
+    for _ in range(max_rejects):
+        x = mean + sd * reference_normal(stream)
+        if lo <= x <= hi:
+            return x
+    x = mean + sd * reference_normal(stream)
+    return min(max(x, lo), hi)
+
+
+def reference_generate(config, seed) -> Dataset:
+    """synth.generate one record and one value at a time, each value drawn,
+    rounded or snapped on its own, without its config checks."""
+    params = load_params(config.params_path)
+    mixers = {p.b: (p.a, p.rho) for p in params.correlation_pairs}
+    stream = derive_stream(seed, "generate")
+    labels = [HEALTHY] * config.n_healthy + [PD] * config.n_pd
+    rows = []
+    for label in labels:
+        values = {}
+        zscores = {}
+        for name in RAW_FEATURES:
+            p = params.features[name]
+            mean, sd = p.at_separation(label, config.separation)
+            if name in mixers:
+                partner, rho = mixers[name]
+                z = rho * zscores[partner] + (1 - rho ** 2) ** 0.5 * reference_normal(stream)
+                x = min(max(mean + sd * z, p.min), p.max)
+            else:
+                x = reference_truncated_normal(stream, mean, sd, p.min, p.max)
+                zscores[name] = (x - mean) / sd if sd else 0.0
+            if p.integer_flag:
+                x = float(min(max(_round_half_up(x), int(p.min)), int(p.max)))
+            else:
+                x = float(format_value(x))
+            values[name] = x
+        ratios = compute_ratios(values["csf_abeta42"], values["csf_ttau"],
+                                values["csf_ptau181"])
+        values.update((name, float(format_value(r))) for name, r in zip(RATIO_FEATURES, ratios))
+        rows.append([values[name] for name in FEATURE_NAMES])
+    ids = tuple(f"SYN{i:05d}" for i in range(1, len(rows) + 1))
+    return Dataset(ids, np.array(rows), labels)
+
+
+def reference_export_csv(ds, path) -> None:
+    """data.export_csv with csv.writer writing one row at a time."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(data.CSV_COLUMNS)
+        for sid, row, label in zip(ds.subject_ids, ds.features, ds.labels):
+            writer.writerow([sid, *(format_value(v) for v in row), int(label)])

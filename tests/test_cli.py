@@ -534,6 +534,23 @@ def test_non_finite_setting_exits_2(tmp_path, capsys, flags, config, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["generate", "experiment"])
+def test_separation_that_makes_a_class_sd_negative_exits_2(tmp_path, capsys, command):
+    obj = asdict(load_params())
+    obj["features"]["csf_ttau"].update(sd_healthy=1.0, sd_pd=30.0)
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    rc = main([command, "--params", str(params), "--separation", "3", "--out", str(out)])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(lines) == 1, lines
+    err = json.loads(lines[0])
+    assert err["error"] == "config"
+    assert "generate.separation" in err["message"] and "csf_ttau" in err["message"]
+    assert not out.exists()
+
+
 def test_train_refuses_a_boosted_model_of_no_rounds(tmp_path, capsys):
     # eight copies of one record, labels alternating: no boosting round beats
     # chance, and a model of no rounds could never score a record

@@ -4,6 +4,7 @@ import csv
 import functools
 import itertools
 import math
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -502,3 +503,39 @@ def test_nine_digit_round_trips_through_text(x):
 @given(st.floats(min_value=1e-3, max_value=1e6))
 def test_nine_digit_relative_error_bound(x):
     assert abs(nine_digit(x) - x) <= 5e-9 * x
+
+
+# any double: the edge values, and hypothesis's own draws
+CELL_VALUES = st.one_of(st.sampled_from([-0.0, 0.0, 1e-10, 1e21, 24.0, -3.0, 1e16, 5e-324,
+                                         math.inf, -math.inf, math.nan]),
+                        st.floats(), st.integers(-10**12, 10**12).map(float))
+
+
+@given(st.lists(CELL_VALUES, max_size=40))
+def test_nine_digit_equals_format_value_per_element(values):
+    got = nine_digit(np.array(values).reshape(-1, 2) if len(values) % 2 == 0 else values)
+    assert got.shape == ((len(values) // 2, 2) if len(values) % 2 == 0 else (len(values),))
+    want = [float(format_value(v)) for v in values]
+    assert [x.hex() for x in got.ravel().tolist()] == [x.hex() for x in want]
+
+
+# ids with the characters csv.writer quotes, or that it might, among others
+SUBJECT_IDS = st.one_of(st.sampled_from(["a,b", 'say "x"', "two words", "", "line\nend",
+                                         "cr\rid", " lead", "\x00"]),
+                        st.text(st.characters(blacklist_categories=("Cs",)), max_size=6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(SUBJECT_IDS, st.lists(CELL_VALUES, min_size=13, max_size=13),
+                               st.sampled_from([HEALTHY, PD])), max_size=9),
+       block_rows=st.sampled_from([1, 2, 4, BLOCK_ROWS]))
+def test_export_equals_csv_writer(rows, block_rows, tmp_path_factory):
+    """export_csv's blocks against csv.writer row by row: the same bytes."""
+    ids = tuple(sid for sid, _row, _label in rows)
+    features = np.array([row for _sid, row, _label in rows]).reshape(-1, 13)
+    ds = Dataset(ids, features, [label for _sid, _row, label in rows])
+    folder = tmp_path_factory.mktemp("export")
+    with unittest.mock.patch("earlypd.data.BLOCK_ROWS", block_rows):
+        export_csv(ds, folder / "got.csv")
+    reference.reference_export_csv(ds, folder / "want.csv")
+    assert (folder / "got.csv").read_bytes() == (folder / "want.csv").read_bytes()

@@ -330,6 +330,8 @@ MLP_DEFECTS = {
     "true epochs": lambda obj: obj.update(epochs=True),
     "fractional epochs": lambda obj: obj.update(epochs=2.5),
     "string epoch_mse": lambda obj: obj.update(epoch_mse="abc"),
+    "string seed": lambda obj: obj.update(seed="not a seed"),
+    "fractional seed": lambda obj: obj.update(seed=42.0),
 }
 
 # obj -> None, each breaking a saved boosted model
@@ -351,6 +353,9 @@ BOOSTLR_DEFECTS = {
 FOREST_SETTING_DEFECTS = {
     "string bootstrap": lambda obj: obj.update(bootstrap="yes"),
     "fractional feature_subset": lambda obj: obj.update(feature_subset=2.5),
+    "list seed": lambda obj: obj.update(seed=[1]),
+    "true seed": lambda obj: obj.update(seed=True),
+    "fractional n_features": lambda obj: obj.update(n_features=13.5),
 }
 
 DEFECTS = {"bayesnet": BAYESNET_DEFECTS, "mlp": MLP_DEFECTS, "boostlr": BOOSTLR_DEFECTS,

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from earlypd.rng import SplitMix64, derive_stream, fnv1a64
 
-from reference import reference_shuffle
+from reference import reference_normal, reference_shuffle, reference_truncated_normal
 
 
 def test_splitmix64_published_vectors_seed_zero():
@@ -91,23 +91,37 @@ def test_shuffle_is_a_permutation():
 
 
 def test_normal_moments():
-    g = SplitMix64(15)
-    xs = np.array([g.normal() for _ in range(20_000)])
+    xs = np.array(SplitMix64(15).normals(20_000))
     assert abs(xs.mean()) < 0.05
     assert abs(xs.std() - 1.0) < 0.05
 
 
+@pytest.mark.parametrize("count", [0, 1, 2, 2047, 2048, 2049, 5000])
+def test_normals_equal_scalar_draws(count):
+    for seed in (0, count, 2**64 - 1):
+        a, b = SplitMix64(seed), SplitMix64(seed)
+        got = a.normals(count)
+        want = [reference_normal(b) for _ in range(count)]
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        assert a._state == b._state
+    # two calls continue the one sequence
+    a, b = SplitMix64(3), SplitMix64(3)
+    assert a.normals(count) + a.normals(3) == b.normals(count + 3)
+
+
 def test_truncated_normal_respects_bounds():
     g = SplitMix64(21)
-    xs = [g.truncated_normal(0.0, 3.0, -1.0, 2.0) for _ in range(2000)]
+    xs = [reference_truncated_normal(g, 0.0, 3.0, -1.0, 2.0) for _ in range(2000)]
     assert all(-1.0 <= x <= 2.0 for x in xs)
 
 
 def test_truncated_normal_clamps_impossible_window():
-    # Window 40 sigma away: rejection cannot succeed, falls back to clamping.
+    # Window 40 sigma away: rejection cannot succeed, falls back to clamping
+    # after 101 normals.
     g = SplitMix64(22)
-    x = g.truncated_normal(0.0, 1.0, 40.0, 41.0)
-    assert 40.0 <= x <= 41.0
+    x = reference_truncated_normal(g, 0.0, 1.0, 40.0, 41.0)
+    assert x == 40.0
+    assert g._state == SplitMix64(22 + 202 * 0x9E3779B97F4A7C15)._state
 
 
 def test_derive_stream_labels_are_independent():
@@ -132,5 +146,4 @@ def test_next_u64_is_64_bit(seed):
 
 
 def test_normal_is_finite():
-    g = SplitMix64(33)
-    assert all(math.isfinite(g.normal()) for _ in range(1000))
+    assert all(map(math.isfinite, SplitMix64(33).normals(1000)))

@@ -6,6 +6,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from earlypd.data import (
     FEATURE_NAMES,
@@ -25,6 +27,7 @@ from earlypd.synth import (
 )
 
 from conftest import OTHER_VERSIONS, datasets_equal
+from reference import reference_generate
 
 
 def test_default_spec_counts_and_ids():
@@ -271,6 +274,28 @@ def test_golden_first_record_pin():
     assert first["ratio_ttau_abeta"] == pytest.approx(expected[0], rel=1e-8)
 
 
+def _params_file(tmp_path, edit) -> str:
+    """A params file: the packaged defaults with edit(obj) applied."""
+    obj = asdict(load_params())
+    edit(obj)
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def _clamped_pd(obj):
+    # the PD mean sits above the bounds and the sd is 0, so every PD value
+    # is rejected 100 times and its 101st draw is clamped
+    feature = obj["features"]["sbr_caudate_left"]
+    feature["mean_pd"] = feature["max"] + 1.0
+    feature["sd_pd"] = 0.0
+
+
+def _putamen_pair(obj):
+    obj["correlation_pairs"] = [
+        {"a": "sbr_putamen_left", "b": "sbr_putamen_right", "rho": 0.9}]
+
+
 def _csv_digest(ds, tmp_path) -> str:
     out = tmp_path / "cohort.csv"
     export_csv(ds, out)
@@ -282,11 +307,75 @@ def test_generated_csv_digests(tmp_path):
     config = GenerateConfig(37, 53, 0.4)
     assert _csv_digest(generate(config, 9), tmp_path) == (
         "dd2fb0d069990ada05b6d66d6fe0480044642435e5364f7eeef03521a9013ce8")
-    obj = asdict(load_params())
-    obj["correlation_pairs"] = [
-        {"a": "sbr_putamen_left", "b": "sbr_putamen_right", "rho": 0.9}]
-    path = tmp_path / "params.json"
-    path.write_text(json.dumps(obj))
-    correlated = GenerateConfig(37, 53, 0.4, params_path=str(path))
+    correlated = GenerateConfig(37, 53, 0.4, params_path=_params_file(tmp_path, _putamen_pair))
     assert _csv_digest(generate(correlated, 9), tmp_path) == (
         "00c1bfd7c95b34ef4c7202150e5c2720a8d160677a86dc62760066c614bfe5c2")
+
+
+@pytest.mark.parametrize("sizes, seed, edit, digest", [
+    ((920, 2010), 1501, None,
+     "ad37d6be98b2aba4855010b1f103a61607d908745c66d6029c6dacfb4583876f"),
+    ((920, 2010), 1502, _putamen_pair,
+     "b14683a8c1214e0624cf89516bf910597ea820a58081eb09a821f95577239db0"),
+    ((30, 40), 1503, _clamped_pd,
+     "700d409da9150256188e6ff258025f1bbb6ce34df0424320dfcc166da78e4246"),
+], ids=["large_cohort", "correlated", "clamped"])
+def test_cohort_digests_across_many_draws(sizes, seed, edit, digest, tmp_path):
+    """Cohorts whose draws run to tens of thousands of normals: the 5x
+    cohort, the same with a correlated pair, and one that clamps a feature."""
+    params_path = _params_file(tmp_path, edit) if edit else None
+    config = GenerateConfig(*sizes, params_path=params_path)
+    assert _csv_digest(generate(config, seed), tmp_path) == digest
+
+
+@pytest.fixture(scope="module")
+def putamen_params(tmp_path_factory) -> str:
+    return _params_file(tmp_path_factory.mktemp("params"), _putamen_pair)
+
+
+@settings(max_examples=25, deadline=None)
+@given(sizes=st.tuples(st.integers(0, 300), st.integers(0, 300)).filter(any),
+       separation=st.sampled_from([0.0, 0.4, 1.0, 2.5]),
+       seed=st.integers(0, 2**64 - 1), correlated=st.booleans())
+@example(sizes=(0, 1), separation=2.5, seed=1502, correlated=True)
+@example(sizes=(300, 300), separation=0.0, seed=40, correlated=False)
+def test_generate_equals_scalar_reference(sizes, separation, seed, correlated,
+                                          putamen_params):
+    """The chunked draws and block snapping against one value at a time."""
+    config = GenerateConfig(*sizes, separation,
+                            params_path=putamen_params if correlated else None)
+    got, want = generate(config, seed), reference_generate(config, seed)
+    assert got.subject_ids == want.subject_ids
+    assert got.features.tobytes() == want.features.tobytes()
+    assert np.array_equal(got.labels, want.labels)
+
+
+def test_clamped_values_sit_on_the_bound(tmp_path):
+    config = GenerateConfig(3, 4, params_path=_params_file(tmp_path, _clamped_pd))
+    ds = generate(config, 8)
+    column = ds.features[:, FEATURE_NAMES.index("sbr_caudate_left")]
+    bound = load_params().features["sbr_caudate_left"].max
+    assert (column[ds.labels == 1] == bound).all()
+    assert (column[ds.labels == 0] < bound).all()
+    assert datasets_equal(ds, reference_generate(config, 8))
+
+
+def test_separation_that_makes_a_class_sd_negative_is_refused(tmp_path):
+    def widen(obj):
+        obj["features"]["csf_ttau"].update(sd_healthy=1.0, sd_pd=30.0)
+    path = _params_file(tmp_path, widen)
+    # the healthy sd at separation 3 is 15.5 + 3 * (1 - 15.5) = -28
+    with pytest.raises(ConfigError, match=r"generate.separation 3.0 makes the healthy "
+                                          r"sd of csf_ttau negative \(-28.0\)"):
+        generate(GenerateConfig(5, 5, 3.0, params_path=path), 1)
+    assert len(generate(GenerateConfig(5, 5, 1.0, params_path=path), 1)) == 10
+
+
+def test_chained_correlation_pairs_are_refused(tmp_path):
+    def chain(obj):
+        obj["correlation_pairs"] = [
+            {"a": "sbr_caudate_left", "b": "sbr_caudate_right", "rho": 0.5},
+            {"a": "sbr_caudate_right", "b": "sbr_putamen_left", "rho": 0.5}]
+    with pytest.raises(ConfigError, match="mixes with sbr_caudate_right, the second "
+                                          "feature of another pair"):
+        load_params(_params_file(tmp_path, chain))
