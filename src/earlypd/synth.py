@@ -124,8 +124,11 @@ class GeneratorParams:
                                   f"outside the values the schema allows")
             if name in INTEGER_FEATURES and not p.integer_flag:
                 raise ConfigError(f"features.{name} is a score, so its integer_flag must be true")
-        mixed = {pair.b for pair in self.correlation_pairs}
+        mixed = {pair.b: pair for pair in self.correlation_pairs}
         for pair in self.correlation_pairs:
+            if (other := mixed[pair.b]) is not pair:
+                raise ConfigError(f"correlation pairs ({pair.a}, {pair.b}) and ({other.a}, "
+                                  f"{other.b}) share their second feature {pair.b}")
             if pair.a in mixed:
                 raise ConfigError(f"correlation pair ({pair.a}, {pair.b}) mixes with "
                                   f"{pair.a}, the second feature of another pair")

@@ -1,15 +1,17 @@
 """Independent references for the package's batch scorers, split rule, tree
-grower, tree descent, ROC curve, network trainer, shuffle, record rules,
-cohort generator, CSV reader and writer, and the node-list forest writer.
+grower, tree descent, ROC curve and its corner thinning, network trainer,
+shuffle, record rules, cohort generator, CSV reader and writer, and the
+node-list forest writer.
 
 Most functions work on one record (or one split, one feature of a node's
 split search, one training step, one draw or one generated value) at a
-time, with plain Python control flow. The level-wise tree walk, the looped ROC and the CSV reader
-that splits every row with csv.reader reach the same result as the package's
-code by another route. The vectorized code in the package is checked against
-them. The node-list writer gives the bytes of a forest file before the
-columnar layout, so trees loaded from a new file can be checked against the
-digests of the old one. None of this runs in the pipeline.
+time, with plain Python control flow. The level-wise tree walk, the looped
+ROC and the CSV reader that splits every row with csv.reader reach the same
+result as the package's code by another route. The vectorized code in the
+package is checked against them. The node-list writer gives the bytes of a
+forest file before the columnar layout, so trees loaded from a new file can
+be checked against the digests of the old one. None of this runs in the
+pipeline.
 """
 
 import csv
@@ -150,6 +152,25 @@ def loop_roc(labels, scores):
         tpr.append(y)
         i = j
     return RocCurve(tuple(thresholds), tuple(fpr), tuple(tpr), auc)
+
+
+def reference_thin(curve, labels):
+    """loop_roc's curve on labels with each inner point dropped whose steps
+    from the point before and to the point after are parallel, walked point
+    by point with the cross product of the counts in Python ints. Each rate
+    is a count over its class size, so the counts are the rates times the
+    sizes, rounded."""
+    n_pos = sum(int(label) == PD for label in labels)
+    n_neg = len(labels) - n_pos
+    counts = [(round(x * n_neg), round(y * n_pos)) for x, y in zip(curve.fpr, curve.tpr)]
+    keep = [0]
+    for i in range(1, len(counts) - 1):
+        (x0, y0), (x1, y1), (x2, y2) = counts[i - 1], counts[i], counts[i + 1]
+        if (x1 - x0) * (y2 - y1) != (y1 - y0) * (x2 - x1):
+            keep.append(i)
+    keep.append(len(counts) - 1)
+    return RocCurve(*(tuple(points[i] for i in keep)
+                      for points in (curve.thresholds, curve.fpr, curve.tpr)), curve.auc)
 
 
 def entropy(pd_count, n):

@@ -16,6 +16,7 @@ from earlypd.synth import load_params
 from conftest import datasets_equal
 from reference import node_list_forest_text
 from test_pipeline import DEFECTS, FOREST_DEFECTS
+from test_synth import SHARED_SECOND_FEATURE
 
 FAST_CONFIG = {
     "seed": 9,
@@ -548,6 +549,22 @@ def test_separation_that_makes_a_class_sd_negative_exits_2(tmp_path, capsys, com
     err = json.loads(lines[0])
     assert err["error"] == "config"
     assert "generate.separation" in err["message"] and "csf_ttau" in err["message"]
+    assert not out.exists()
+
+
+def test_params_with_pairs_sharing_a_second_feature_exit_2(tmp_path, capsys):
+    obj = asdict(load_params())
+    obj["correlation_pairs"] = SHARED_SECOND_FEATURE
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(obj))
+    out = tmp_path / "cohort.csv"
+    rc = main(["generate", "--params", str(params), "--out", str(out)])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(lines) == 1, lines
+    err = json.loads(lines[0])
+    assert err["error"] == "config"
+    assert "(sbr_caudate_left, sbr_putamen_right) and (sbr_putamen_left, " in err["message"]
     assert not out.exists()
 
 

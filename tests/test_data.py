@@ -288,6 +288,48 @@ def test_three_block_cohort_ingests_bit_identical(tmp_path):
                                  f"subject_id {cohort.subject_ids[0]!r} already used in row 1")]
 
 
+# case: (row -> its subject_id cell as written, with upsit_total 99 in row 4
+# or not; validate_file's findings). A quoted id sends the file down the
+# csv.reader route. With two rows a block, rows 3 and 4 share one, and row 7
+# repeats an id of the first block.
+ID_FAULTS = {
+    "repeat within a block": ({4: "SYN00003"}, True, [
+        (4, "subject_id", "RangeViolation", "subject_id 'SYN00003' already used in row 3"),
+        (4, "upsit_total", "RangeViolation", "upsit_total must lie in [0, 40], got 99.0")]),
+    "repeat of an earlier block": ({7: "SYN00001"}, False, [
+        (7, "subject_id", "RangeViolation", "subject_id 'SYN00001' already used in row 1")]),
+    "blank and whitespace ids": ({2: "", 5: "   "}, False, [
+        (2, "subject_id", "RangeViolation", "subject_id is empty"),
+        (5, "subject_id", "RangeViolation", "subject_id is empty")]),
+    "quoted id": ({3: '"S,3"', 6: '"S,3"'}, False, [
+        (6, "subject_id", "RangeViolation", "subject_id 'S,3' already used in row 3")]),
+}
+
+
+@pytest.mark.parametrize("block_rows", [2, BLOCK_ROWS])
+@pytest.mark.parametrize("case", ID_FAULTS)
+def test_subject_id_findings_across_blocks(tmp_path, case, block_rows):
+    """Blank and repeated ids give the same findings, rows and messages
+    whatever the block size, and on either reading route."""
+    ids, bad_score, want = ID_FAULTS[case]
+    p = tmp_path / "ids.csv"
+    export_csv(generate(GenerateConfig(n_healthy=4, n_pd=4), 7), p)
+    lines = p.read_text().splitlines()
+    for row, cell in ids.items():
+        lines[row] = cell + "," + lines[row].split(",", 1)[1]
+    if bad_score:
+        cells = lines[4].split(",")
+        lines[4] = ",".join([cells[0], "99", *cells[2:]])
+    p.write_text("\n".join(lines) + "\n")
+    with unittest.mock.patch("earlypd.data.BLOCK_ROWS", block_rows):
+        assert validate_file(p) == want
+        with pytest.raises(RangeViolation) as err:
+            ingest_csv(p)
+    row, column, _kind, message = want[0]
+    assert (err.value.row, err.value.column) == (row, column)
+    assert str(err.value) == f"row {row}, column {column}: {message}"
+
+
 @pytest.mark.parametrize("n_healthy, n_pd, blank_rows, non_numeric_row, range_rows", [
     pytest.param(3, 3, (), 2, (3, 5), id="2"),
     pytest.param(3, 3, (), 4, (3, 5), id="4"),

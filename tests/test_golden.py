@@ -28,19 +28,32 @@ preprocess.json moved once, when it stopped keeping a copy of the Bayes net's
 cuts, which its model file holds. SIDECAR_WITH_CUTS_GOLDEN keeps the digest
 from before that: the new sidecar with the model file's discretization added
 back gives those bytes again, so only the cuts left it.
+
+The ROC curves moved once, when they came to keep only their corners: the
+origin, the last point and each point where the curve turns. A point on the
+straight segment between two corners changes neither the drawn curve nor the
+AUC, and at 20,000 records such points made most of an evaluate output's
+bytes. FULL_ROC_GOLDEN keeps
+the digests from before that: with every curve replaced by loop_roc's
+unthinned curve on the same labels and scores, the same outputs give those
+bytes again, so only the dropped points left them.
 """
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
+from earlypd import metrics
 from earlypd.cli import main
 from earlypd.data import export_csv
 from earlypd.jsontext import json_text
+from earlypd.metrics import roc_csv
 from earlypd.pipeline import (
     acquire_dataset,
     config_from_dict,
+    evaluate_models,
     load_model_file,
     prepare_splits,
     save_model_file,
@@ -49,11 +62,11 @@ from earlypd.pipeline import (
 )
 from earlypd.synth import GenerateConfig, generate
 
-from reference import node_list_forest_text
+from reference import loop_roc, node_list_forest_text
 
 GOLDEN = {
     "cohort.csv": "b3065d07230e50b4e930f92b2c4346ba3527760588f55a65844d83350ab286d3",
-    "evaluations.json": "746afa0ae8f107fe12bea916c523dbe39fa0db91fe3ae877680c74b54f4ca4f1",
+    "evaluations.json": "85be2fe035020dd0a54c925b5c3111cc445c5ff23a7393227c26bf36ca2ed29f",
     "models/bayesnet.json": "78b7f5d0583cf7248a4584378fdf0cfb867205adf0f5916ae3d792b844b8f3e2",
     "models/boostlr.json": "3228801dbf82caf84bd043c60c4a0046dbab37989b453f9cb63d52af794c1834",
     "models/forest.json": "4dbcd1c0d9cfd99d1367587d084ced2c6d6588a4028d6c1621d891151d2a016d",
@@ -61,14 +74,14 @@ GOLDEN = {
     "preprocess.json": "a19a5e508d3559f6499ad99babc8a9ea8af79e48b228082c0a522bdd1e0e6dc1",
     "report.csv": "846fa1211e8fc60767ff62625c89956325f4cb15fc4085dd5978145fed28f7df",
     "report.txt": "78ccc139a672cbd9c75729d9c991702ea530bb0a3d9aaa41915656c16950c091",
-    "roc_bayesnet_test.csv": "ec85d78dc2004dd9602dc9938ebac79d779bf67f5f30e53c15598bb711165fab",
-    "roc_bayesnet_test.svg": "8659eab69b36e21bd9912b5350e5119cf88de3d4f649b16f0e12d99ba2795f74",
-    "roc_boostlr_test.csv": "80856e200587c9facaee2941e2acdca2eee21c7a797421ef3723683cc7b04154",
-    "roc_boostlr_test.svg": "5a31a7e0cb37d821b6ba622ae9dd9bd0f972cc9c8074f3b9ca2a8cd220fe89ca",
-    "roc_forest_test.csv": "c36b6c479e398bf52465b426ac589ee7b3c016df6aad8988229b5fc6659f2838",
-    "roc_forest_test.svg": "f5e840227ff374f4b5b21b9dc761026957289a2991d5caae0fe8ef27e9e74acd",
-    "roc_mlp_test.csv": "6a27425f1ca2aaea9c27d64caccb00047a684301d1b8a4156c4be8c82bcbd8e6",
-    "roc_mlp_test.svg": "67ff7e547eecae248998c77a1d92888da54d404e4e7f5c80fbd9d083beef3827",
+    "roc_bayesnet_test.csv": "5b7f21378d0a9cc4d23d5583a7a7b7b1fcf23a60841823e41f107311d89795f9",
+    "roc_bayesnet_test.svg": "b768caa89f69dd1a2d867c60b9ffc0ccaf16b6eadd618ad3fe74beab62b5b0a0",
+    "roc_boostlr_test.csv": "7d015694d427909882f406b7883cb52ae1a91513f5ef7d8cf0642fea39b46a08",
+    "roc_boostlr_test.svg": "0edf5ea1f52e2bd5af1f08f1d5b3bc76b02774c1c5d48a938f884ada1bc7e1df",
+    "roc_forest_test.csv": "39ba6e50fcbcd616d7ff1b3207909617005c0537932fbcb3a5ec2be30b4f589d",
+    "roc_forest_test.svg": "59ee05e1eed67f5b8decead6542810c71ff0adfd9f539fa48cf9af039699d037",
+    "roc_mlp_test.csv": "54c85cbbcca998ce9e640b4417dc88fa0e86505c365b4eb064eda31710236729",
+    "roc_mlp_test.svg": "c1f9922dd86182749a6ffc20bd9be7a1325b5dc7afdc1a6f0a17e47eaec9f3bd",
     "run_config.json": "4b6cfcf596c09d196219cc6b0e8efa787381a2a54f61db88aded3665274bcb3e",
 }
 
@@ -127,15 +140,16 @@ def test_default_sidecar_lost_only_the_cuts(default_run, tmp_path):
 
 
 EVALUATE_GOLDEN = {
-    "bayesnet": "d5b241aa4e4c40435044140a5abae1657b0b3944d8d25cca7967bc20817c1e98",
-    "boostlr": "3fd677773917564cca7e0df6550182b76b66411378a79a8ec7c154d3fd10b74d",
-    "forest": "164abe1a97ad217deb1857d9e644f1e6eca6305a38683676cdab4877cbb5f5cb",
-    "mlp": "e6bd53ec36b4d99f92b7ec80c60c21ae997f598461085111860a4a4fdfc6f2b3",
+    "bayesnet": "dd6b6c4210bed7644a2b57cff22fdabf575b395296ee202dce779f9b0d6429c2",
+    "boostlr": "0fc6eac9eccd58aeeec4ce1fba870ade342ba5a12bd1238c0072a5498f27e5f1",
+    "forest": "e53dc086ee6c06caa9e2cd68acba37cba61a8ce0ede038bf02c48c803fdef738",
+    "mlp": "4a3ed8348451939e5df84ae86921770559bbc3132d363552ae31cae49e30e8e5",
 }
 
 
-def test_saved_models_score_digests(default_run, tmp_path, capsys):
-    write_artifacts(default_run, tmp_path)
+def _evaluate_digests(run, tmp_path) -> dict:
+    """Digest of `earlypd evaluate --out` per model of run, on the 3,000-record cohort."""
+    write_artifacts(run, tmp_path)
     cohort = tmp_path / "score.csv"
     export_csv(generate(GenerateConfig(n_healthy=942, n_pd=2058), 43), cohort)
     digests = {}
@@ -145,8 +159,48 @@ def test_saved_models_score_digests(default_run, tmp_path, capsys):
                      "--input", str(cohort), "--preprocess", str(tmp_path / "preprocess.json"),
                      "--out", str(out)]) == 0
         digests[model] = hashlib.sha256(out.read_bytes()).hexdigest()
+    return digests
+
+
+def test_saved_models_score_digests(default_run, tmp_path, capsys):
+    assert _evaluate_digests(default_run, tmp_path) == EVALUATE_GOLDEN
     capsys.readouterr()
-    assert digests == EVALUATE_GOLDEN
+
+
+# The digests from before ROC curves kept only their corners: the run's
+# files, and (keyed by model) the evaluate outputs.
+FULL_ROC_GOLDEN = {
+    "evaluations.json": "746afa0ae8f107fe12bea916c523dbe39fa0db91fe3ae877680c74b54f4ca4f1",
+    "roc_bayesnet_test.csv": "ec85d78dc2004dd9602dc9938ebac79d779bf67f5f30e53c15598bb711165fab",
+    "roc_bayesnet_test.svg": "8659eab69b36e21bd9912b5350e5119cf88de3d4f649b16f0e12d99ba2795f74",
+    "roc_boostlr_test.csv": "80856e200587c9facaee2941e2acdca2eee21c7a797421ef3723683cc7b04154",
+    "roc_boostlr_test.svg": "5a31a7e0cb37d821b6ba622ae9dd9bd0f972cc9c8074f3b9ca2a8cd220fe89ca",
+    "roc_forest_test.csv": "c36b6c479e398bf52465b426ac589ee7b3c016df6aad8988229b5fc6659f2838",
+    "roc_forest_test.svg": "f5e840227ff374f4b5b21b9dc761026957289a2991d5caae0fe8ef27e9e74acd",
+    "roc_mlp_test.csv": "6a27425f1ca2aaea9c27d64caccb00047a684301d1b8a4156c4be8c82bcbd8e6",
+    "roc_mlp_test.svg": "67ff7e547eecae248998c77a1d92888da54d404e4e7f5c80fbd9d083beef3827",
+    "bayesnet": "d5b241aa4e4c40435044140a5abae1657b0b3944d8d25cca7967bc20817c1e98",
+    "boostlr": "3fd677773917564cca7e0df6550182b76b66411378a79a8ec7c154d3fd10b74d",
+    "forest": "164abe1a97ad217deb1857d9e644f1e6eca6305a38683676cdab4877cbb5f5cb",
+    "mlp": "e6bd53ec36b4d99f92b7ec80c60c21ae997f598461085111860a4a4fdfc6f2b3",
+}
+
+
+def _with_full_curves(run):
+    """run with its models evaluated again; called with metrics.roc patched to
+    loop_roc, every curve is the unthinned one on the same labels and scores."""
+    return replace(run, evaluations=evaluate_models(run.models, run.train, run.test))
+
+
+def test_curves_moved_only_by_keeping_corners(default_run, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(metrics, "roc", loop_roc)
+    full = _with_full_curves(default_run)
+    write_artifacts(full, tmp_path / "run")
+    digests = {name: hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
+               for name in FULL_ROC_GOLDEN if name not in EVALUATE_GOLDEN}
+    digests.update(_evaluate_digests(full, tmp_path / "evaluate"))
+    capsys.readouterr()
+    assert digests == FULL_ROC_GOLDEN
 
 
 # case: (config overrides, digest of the file, digest of its trees written by
@@ -180,3 +234,27 @@ def test_forest_model_digests(case, tmp_path):
     save_model_file(train_models(config, train)["forest"], path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == want
     assert _sha256(node_list_forest_text(load_model_file(path)[1])) == want_node_list
+
+
+def test_files_with_full_curves_still_load(default_run, tmp_path, capsys, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(metrics, "roc", loop_roc)
+        full = _with_full_curves(default_run)
+    write_artifacts(default_run, tmp_path / "thin")
+    write_artifacts(full, tmp_path / "full")
+    capsys.readouterr()
+
+    def printed(command, run, *options):
+        assert main([command, "--evaluations", str(tmp_path / run / "evaluations.json"),
+                     *options]) == 0
+        return capsys.readouterr().out
+    for options, name in ((["--format", "csv"], "report.csv"), ([], "report.txt")):
+        assert (printed("report", "full", *options) == printed("report", "thin", *options)
+                == (tmp_path / "thin" / name).read_text())
+    dropped = 0
+    for name, by_split in full.evaluations.items():
+        for split, report in by_split.items():
+            # the loader keeps every point the file holds
+            assert printed("roc", "full", "--model", name, "--split", split) == roc_csv(report.roc)
+            dropped += len(report.roc.fpr) - len(default_run.evaluations[name][split].roc.fpr)
+    assert dropped > 0

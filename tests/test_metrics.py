@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from earlypd.data import HEALTHY, PD
 from earlypd.errors import DataError
 from earlypd.metrics import (
     MEASURES,
@@ -26,7 +27,7 @@ from earlypd.metrics import (
     summary_metrics,
 )
 
-from reference import loop_roc
+from reference import loop_roc, reference_thin
 
 
 def test_confusion_hand_counts():
@@ -180,9 +181,43 @@ def _bits(values):
 @settings(max_examples=200, deadline=None)
 def test_roc_matches_loop_reference_bit_for_bit(case):
     labels, scores = case
-    got, want = roc(labels, scores), loop_roc(labels, scores)
+    got, want = roc(labels, scores), reference_thin(loop_roc(labels, scores), labels)
     for field in ("thresholds", "fpr", "tpr", "auc"):
         assert np.array_equal(_bits(getattr(got, field)), _bits(getattr(want, field))), field
+
+
+@st.composite
+def _tied_roc_inputs(draw):
+    n = draw(st.integers(2, 200))
+    labels = draw(arrays(np.int64, n, elements=st.integers(0, 1)))
+    labels[0] = 1 - labels[-1]  # both classes present
+    scores = draw(arrays(np.float64, n, elements=st.floats(0.0, 1.0)))
+    return labels, np.round(scores, draw(st.integers(0, 2)))
+
+
+@given(_tied_roc_inputs())
+@settings(max_examples=200, deadline=None)
+def test_roc_keeps_exactly_the_corners(case):
+    labels, scores = case
+    full, curve = loop_roc(labels, scores), roc(labels, scores)
+    # each point's counts, from the records scored at or above its threshold
+    counts = [(int(np.sum((scores >= t) & (labels == HEALTHY))),
+               int(np.sum((scores >= t) & (labels == PD)))) for t in full.thresholds]
+    kept = [full.thresholds.index(t) for t in curve.thresholds]
+    assert kept[0] == 0 and kept[-1] == len(full.thresholds) - 1
+    assert curve.fpr == tuple(full.fpr[i] for i in kept)
+    assert curve.tpr == tuple(full.tpr[i] for i in kept)
+    assert _bits(curve.auc) == _bits(full.auc)
+
+    def cross(a, b, c):
+        return ((counts[b][0] - counts[a][0]) * (counts[c][1] - counts[b][1])
+                - (counts[b][1] - counts[a][1]) * (counts[c][0] - counts[b][0]))
+    for i in kept[1:-1]:  # a kept inner point is a corner of the full curve
+        assert cross(i - 1, i, i + 1) != 0
+    for a, b in zip(kept, kept[1:]):  # a dropped point lies on the segment
+        for j in range(a + 1, b):
+            assert cross(a, j, b) == 0
+            assert all(counts[a][k] <= counts[j][k] <= counts[b][k] for k in (0, 1))
 
 
 def test_roc_curve_is_monotone(small_split):

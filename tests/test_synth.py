@@ -379,3 +379,19 @@ def test_chained_correlation_pairs_are_refused(tmp_path):
     with pytest.raises(ConfigError, match="mixes with sbr_caudate_right, the second "
                                           "feature of another pair"):
         load_params(_params_file(tmp_path, chain))
+
+
+# two pairs that mix into one second feature: only one could take effect
+SHARED_SECOND_FEATURE = [
+    {"a": "sbr_caudate_left", "b": "sbr_putamen_right", "rho": 0.95},
+    {"a": "sbr_putamen_left", "b": "sbr_putamen_right", "rho": 0.0}]
+
+
+def test_pairs_sharing_a_second_feature_are_refused(tmp_path):
+    def share(obj):
+        obj["correlation_pairs"] = SHARED_SECOND_FEATURE
+    with pytest.raises(ConfigError, match=r"correlation pairs \(sbr_caudate_left, "
+                                          r"sbr_putamen_right\) and \(sbr_putamen_left, "
+                                          r"sbr_putamen_right\) share their second feature "
+                                          r"sbr_putamen_right"):
+        load_params(_params_file(tmp_path, share))
