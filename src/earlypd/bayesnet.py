@@ -194,7 +194,6 @@ class BayesNetModel:
         return {
             "kind": "bayesnet",
             **asdict(self.config),
-            "arities": list(self.net.arities),
             "parents": [list(p) for p in self.net.parents],
             "cpts": [[float(v) for v in cpt.ravel()] for cpt in self.net.cpts],
             "schema": list(self.dmap.schema),
@@ -203,15 +202,11 @@ class BayesNetModel:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "BayesNetModel":
-        """Raises ValueError unless the network fits its discretization map:
-        a binary class node, one more value per feature than it has cuts,
-        each node's parents distinct earlier nodes in ascending order, and
-        one CPT row of probabilities per parent configuration."""
+        """Raises ValueError unless each node's parents are distinct earlier
+        nodes in ascending order and its CPT holds a row of probabilities per
+        parent configuration, of the arities the class and the cuts give."""
         dmap = DiscretizationMap.from_json_dict(obj["discretization"], obj["schema"])
         arities = (2,) + dmap.arities()
-        if list(obj["arities"]) != list(arities):
-            raise ValueError(f"arities {obj['arities']} do not match a binary class and "
-                             f"the discretization's cuts, {list(arities)}")
         parents = tuple(tuple(p) for p in obj["parents"])
         if len(parents) != len(arities) or len(obj["cpts"]) != len(arities):
             raise ValueError(f"a net of {len(arities)} nodes needs {len(arities)} parent "

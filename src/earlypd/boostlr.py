@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import HEALTHY, PD, Dataset
 from .errors import ConfigError, DataError
-from .jsontext import finite_number, json_array, settings
+from .jsontext import json_array, json_typed, settings
 
 GRAD_TOL = 1e-8
 MAX_ITER = 200
@@ -42,9 +42,9 @@ class BoostConfig:
 class LogisticModel:
     coef: np.ndarray
     intercept: float
-    converged: bool
-    hit_iteration_limit: bool
-    objective_path: tuple  # objective after the start point and each accepted step
+    converged: bool | None
+    hit_iteration_limit: bool | None
+    objective_path: tuple | None  # objective after the start point and each accepted step
 
 
 def _scores(coef, intercept, X):
@@ -167,9 +167,9 @@ def reweight(weights, misclassified, error):
 class BoostRound:
     model: LogisticModel
     alpha: float
-    error: float
-    weight_sum_after: float
-    misclassified_mass_after: float
+    error: float | None
+    weight_sum_after: float | None
+    misclassified_mass_after: float | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,9 +193,10 @@ class BoostedModel:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "BoostedModel":
-        """Rounds from a saved model. Raises ValueError unless there is a
-        round, every round's coef is a flat list of finite numbers of the same
-        length, and its intercept and alpha are finite numbers."""
+        """Rounds from a saved model, each with None for its training record.
+        Raises ConfigError or ValueError unless there is a round, the coefs are
+        flat lists of finite numbers of one length, each intercept is finite and
+        each alpha above 0, as training writes, and the alphas' sum is finite."""
         config = settings(BoostConfig, obj)
         if not obj["rounds"]:
             raise ValueError("boosted model has no rounds")
@@ -203,11 +204,14 @@ class BoostedModel:
         for i, r in enumerate(obj["rounds"]):
             coef = json_array(r["coef"], f"round {i} coef",
                               rounds[0].model.coef.shape if rounds else (-1,))
-            if not (finite_number(r["intercept"]) and finite_number(r["alpha"])):
-                raise ValueError(f"round {i} intercept {r['intercept']!r} and alpha "
-                                 f"{r['alpha']!r} must be finite numbers")
-            lm = LogisticModel(coef, r["intercept"], True, False, ())
-            rounds.append(BoostRound(lm, r["alpha"], 0.0, 1.0, 0.5))
+            intercept = json_typed(float, r["intercept"], f"rounds[{i}].intercept")
+            alpha = json_typed(float, r["alpha"], f"rounds[{i}].alpha")
+            if not alpha > 0:
+                raise ValueError(f"round {i} alpha must be above 0, got {alpha!r}")
+            lm = LogisticModel(coef, intercept, None, None, None)
+            rounds.append(BoostRound(lm, alpha, None, None, None))
+        if not math.isfinite(sum(r.alpha for r in rounds)):
+            raise ValueError("the rounds' alphas must have a finite sum")
         return cls(tuple(rounds), config)
 
 

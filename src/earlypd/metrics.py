@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import HEALTHY, PD
 from .errors import DataError
-from .jsontext import finite_number, from_json, json_array, settings
+from .jsontext import from_json, json_array, json_typed, settings
 
 MEASURES = ("accuracy", "recall", "precision", "f_measure", "auc")
 MEASURE_TITLES = {
@@ -181,8 +181,7 @@ class EvaluationReport:
         """Raises ConfigError or ValueError unless the confusion counts are ints,
         each measure a finite number, the first ROC threshold "inf" and the
         others, fpr and tpr lists of finite numbers of one length."""
-        if not finite_number(obj["auc"]):
-            raise ValueError(f"auc must be a finite number, got {obj['auc']!r}")
+        auc = json_typed(float, obj["auc"], "auc")
         rates = obj["roc"]
         if rates["thresholds"][0] != "inf":
             raise ValueError("the first ROC threshold must be 'inf'")
@@ -190,7 +189,7 @@ class EvaluationReport:
         fpr = json_array(rates["fpr"], "fpr", (thresholds.size + 1,))
         tpr = json_array(rates["tpr"], "tpr", fpr.shape)
         curve = RocCurve((math.inf, *thresholds.tolist()), tuple(fpr.tolist()),
-                         tuple(tpr.tolist()), obj["auc"])
+                         tuple(tpr.tolist()), auc)
         return cls(from_json(ConfusionMatrix, obj["confusion"], "confusion."),
                    settings(SummaryMetrics, obj), curve)
 

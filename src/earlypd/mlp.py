@@ -67,8 +67,6 @@ class MlpModel:
             "kind": "mlp",
             **asdict(self.config),
             "seed": self.seed,
-            "shape_hidden": list(self.w_hidden.shape),
-            "shape_output": list(self.w_output.shape),
             "w_hidden": [float(v) for v in self.w_hidden.ravel()],
             "w_output": [float(v) for v in self.w_output.ravel()],
             "epoch_mse": list(self.epoch_mse),
@@ -76,14 +74,14 @@ class MlpModel:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "MlpModel":
-        """Raises ValueError unless the weights and epoch_mse are finite
-        numbers and w_output is (2, hidden + 1) for the hidden layer of w_hidden."""
-        w1 = json_array(obj["w_hidden"], "w_hidden", obj["shape_hidden"])
-        w2 = json_array(obj["w_output"], "w_output", obj["shape_output"])
-        if w1.ndim != 2 or w2.shape != (2, w1.shape[0] + 1):
-            raise ValueError(f"weight shapes {list(w1.shape)} and {list(w2.shape)} do not "
-                             f"make a network of one hidden layer and two outputs")
-        return cls(w1, w2, settings(MlpConfig, obj), json_typed(int, obj["seed"], "seed"),
+        """Raises ValueError unless the weights and epoch_mse are finite numbers
+        and the weights fill (hidden_units, 2 or more) and (2, hidden_units + 1)."""
+        config = settings(MlpConfig, obj)
+        w1 = json_array(obj["w_hidden"], "w_hidden", (config.hidden_units, -1))
+        if w1.shape[1] < 2:  # a row holds a bias and at least one feature weight
+            raise ValueError(f"w_hidden has {w1.size} values for {config.hidden_units} rows")
+        w2 = json_array(obj["w_output"], "w_output", (2, config.hidden_units + 1))
+        return cls(w1, w2, config, json_typed(int, obj["seed"], "seed"),
                    tuple(json_array(obj["epoch_mse"], "epoch_mse").tolist()))
 
 

@@ -155,7 +155,7 @@ def score_batch(name: str, model, features):
 
 
 # The model file format. A file of any other version is refused on load.
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 def save_model_file(model, path) -> None:

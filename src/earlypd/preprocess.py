@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, DataError
-from .jsontext import check_version, finite_number, json_array, json_text, read_json
+from .jsontext import check_version, json_array, json_text, json_typed, read_json
 from .rng import derive_stream
 
 
@@ -32,17 +32,17 @@ class NormalizationStats:
 
     @classmethod
     def from_json_dict(cls, obj: dict, schema) -> "NormalizationStats":
-        """Raises ValueError unless obj holds a (min, max) pair of finite
-        numbers with min <= max for exactly the schema's names."""
+        """Raises ConfigError or ValueError unless obj holds a (min, max) pair
+        of finite numbers with min <= max for exactly the schema's names."""
         names = tuple(schema)
         if set(obj) != set(names):
             raise ValueError(f"the normalization names {sorted(obj)}, "
                              f"the schema {list(names)}")
-        pairs = tuple((obj[n]["min"], obj[n]["max"]) for n in names)
+        pairs = tuple(tuple(json_typed(float, obj[n][end], f"normalization.{n}.{end}")
+                            for end in ("min", "max")) for n in names)
         for name, (lo, hi) in zip(names, pairs):
-            if not (finite_number(lo) and finite_number(hi) and lo <= hi):
-                raise ValueError(f"the min and max of {name} must be finite numbers "
-                                 f"with min <= max, got {lo!r} and {hi!r}")
+            if not lo <= hi:
+                raise ValueError(f"the min of {name}, {lo!r}, is above its max, {hi!r}")
         return cls(names, pairs)
 
 

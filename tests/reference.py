@@ -121,6 +121,19 @@ def node_list_forest_text(model) -> str:
     }, indent=2, sort_keys=True) + "\n"
 
 
+def v1_model_dict(model) -> dict:
+    """A model's file as the version 1 writer laid it out: the version 2 dict
+    with "version": 1, and an MLP's weight shapes or a Bayes net's arities
+    stored beside the settings and cuts they follow from."""
+    obj = {**model.to_json_dict(), "version": 1}
+    if obj["kind"] == "mlp":
+        obj.update(shape_hidden=list(model.w_hidden.shape),
+                   shape_output=list(model.w_output.shape))
+    elif obj["kind"] == "bayesnet":
+        obj["arities"] = list(model.net.arities)
+    return obj
+
+
 def loop_roc(labels, scores):
     """metrics.roc with a running count: each block of equal scores is walked
     record by record, and the AUC is a running sum of trapezoids. Takes the

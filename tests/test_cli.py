@@ -3,6 +3,9 @@ byte-level determinism of artifact directories."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -10,13 +13,16 @@ import pytest
 
 from earlypd.cli import main
 from earlypd.data import ingest_csv
+from earlypd.jsontext import json_text
 from earlypd.pipeline import load_model_file
 from earlypd.synth import load_params
 
 from conftest import datasets_equal
-from reference import node_list_forest_text
-from test_pipeline import DEFECTS, FOREST_DEFECTS
+from reference import node_list_forest_text, v1_model_dict
+from test_pipeline import DEFECTS, FOREST_DEFECTS, _set_alphas
 from test_synth import SHARED_SECOND_FEATURE
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 FAST_CONFIG = {
     "seed": 9,
@@ -190,8 +196,7 @@ def test_evaluate_rejects_non_model_json(exp_dir, tmp_path, capsys):
     wide_forest.write_text(json.dumps(forest))
     wide_mlp = tmp_path / "wide_mlp.json"
     mlp = json.loads((out / "models" / "mlp.json").read_text())
-    mlp["w_hidden"] += [0.0] * mlp["shape_hidden"][0]
-    mlp["shape_hidden"][1] += 1
+    mlp["w_hidden"] += [0.0] * mlp["hidden_units"]  # one column more
     wide_mlp.write_text(json.dumps(mlp))
     # a boosted model 12 wide in every round, and one whose rounds differ
     narrow_boost = tmp_path / "narrow_boostlr.json"
@@ -206,7 +211,7 @@ def test_evaluate_rejects_non_model_json(exp_dir, tmp_path, capsys):
     narrow_bn = tmp_path / "narrow_bayesnet.json"
     bn = json.loads((out / "models" / "bayesnet.json").read_text())
     del bn["discretization"][bn["schema"].pop()]
-    for key in ("arities", "parents", "cpts"):
+    for key in ("parents", "cpts"):
         bn[key].pop()
     narrow_bn.write_text(json.dumps(bn))
     # (model file, sidecar, the file the error names)
@@ -291,6 +296,32 @@ def test_evaluate_rejects_node_list_forest(exp_dir, tmp_path, capsys):
     message = json.loads(lines[0])["message"]
     assert str(old) in message
     assert "version None" in message and "retrain" in message
+
+
+def test_module_entry_point_refuses_bad_model_files(exp_dir, tmp_path):
+    # `python -m earlypd` in a fresh interpreter, as a user runs it: a model
+    # file of version 1 and a boosted file with a negative alpha each end in
+    # one JSON line on stderr naming the file, with no warning before it
+    _config, out = exp_dir
+    v1 = tmp_path / "mlp_v1.json"
+    v1.write_text(json_text(v1_model_dict(load_model_file(out / "models" / "mlp.json")[1])))
+    boost = json.loads((out / "models" / "boostlr.json").read_text())
+    _set_alphas(boost, 1, -1)
+    negative = tmp_path / "boostlr_alphas_1_-1.json"
+    negative.write_text(json.dumps(boost))
+    path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    for model in (v1, negative):
+        done = subprocess.run(
+            [sys.executable, "-m", "earlypd", "evaluate", "--model", str(model),
+             "--input", str(out / "cohort.csv"), "--preprocess", str(out / "preprocess.json")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 2, done.stderr
+        assert done.stdout == ""
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1, lines
+        err = json.loads(lines[0])
+        assert err["error"] == "config" and str(model) in err["message"]
 
 
 def test_report_subcommand(exp_dir, tmp_path, capsys):

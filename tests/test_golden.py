@@ -18,11 +18,19 @@ times the default size, and the default cohort with one feature per node,
 every feature per node, and no bootstrap. A change to the split search or the
 bootstrap draw that moves any node shows here.
 
-The model files moved once, when they gained a version and the forest's
-trees became columns. UNVERSIONED_GOLDEN and the second FOREST_GOLDEN digest
+The model files first moved when they gained a version and the forest's
+trees became columns. UNVERSIONED_GOLDEN and the last FOREST_GOLDEN digest
 keep the digests from before that: the models loaded from the new files give
 those bytes again through the old layout, so every tree and weight is the
 one pinned first.
+
+They moved again at version 2, when the MLP's weight shapes and the Bayes
+net's arities left them, since the loader derives the shapes from hidden_units
+and the arities from the cuts. V1_MODEL_GOLDEN and the middle FOREST_GOLDEN
+digest keep the version 1 files: each model loaded from its version 2 file and
+written in the version 1 layout (the version 2 dict with those keys added back
+and "version": 1) gives those bytes again, so only the layout moved, and
+EVALUATE_GOLDEN shows that no score did.
 
 preprocess.json moved once, when it stopped keeping a copy of the Bayes net's
 cuts, which its model file holds. SIDECAR_WITH_CUTS_GOLDEN keeps the digest
@@ -62,15 +70,15 @@ from earlypd.pipeline import (
 )
 from earlypd.synth import GenerateConfig, generate
 
-from reference import loop_roc, node_list_forest_text
+from reference import loop_roc, node_list_forest_text, v1_model_dict
 
 GOLDEN = {
     "cohort.csv": "b3065d07230e50b4e930f92b2c4346ba3527760588f55a65844d83350ab286d3",
     "evaluations.json": "85be2fe035020dd0a54c925b5c3111cc445c5ff23a7393227c26bf36ca2ed29f",
-    "models/bayesnet.json": "78b7f5d0583cf7248a4584378fdf0cfb867205adf0f5916ae3d792b844b8f3e2",
-    "models/boostlr.json": "3228801dbf82caf84bd043c60c4a0046dbab37989b453f9cb63d52af794c1834",
-    "models/forest.json": "4dbcd1c0d9cfd99d1367587d084ced2c6d6588a4028d6c1621d891151d2a016d",
-    "models/mlp.json": "37b577ebf4f0b56ae90b856f8b478eed4d35769bc1911aa0dfcafc16422b9323",
+    "models/bayesnet.json": "726c60b66a5429a20a1029e32960df83338536d39af55fef09dc3f846fbe35b6",
+    "models/boostlr.json": "253c010202349808e55aa453a1ffd150a8b0688dfd6c25f98198f026b461438b",
+    "models/forest.json": "0e267a9dbe359d87f9236397c40d1c6558552972364ca8fd937da36830aa61d5",
+    "models/mlp.json": "a14313ad1770988dc74a979f9b38171826aed588dea438947af8c48b6a51002e",
     "preprocess.json": "a19a5e508d3559f6499ad99babc8a9ea8af79e48b228082c0a522bdd1e0e6dc1",
     "report.csv": "846fa1211e8fc60767ff62625c89956325f4cb15fc4085dd5978145fed28f7df",
     "report.txt": "78ccc139a672cbd9c75729d9c991702ea530bb0a3d9aaa41915656c16950c091",
@@ -96,9 +104,31 @@ def test_default_run_artifact_digests(default_run, tmp_path):
     assert digests == GOLDEN
 
 
+# The model files of version 1, before they left out what the loader derives.
+# Each model loaded from its version 2 file, written in the version 1 layout,
+# gives these bytes again.
+V1_MODEL_GOLDEN = {
+    "models/bayesnet.json": "78b7f5d0583cf7248a4584378fdf0cfb867205adf0f5916ae3d792b844b8f3e2",
+    "models/boostlr.json": "3228801dbf82caf84bd043c60c4a0046dbab37989b453f9cb63d52af794c1834",
+    "models/forest.json": "4dbcd1c0d9cfd99d1367587d084ced2c6d6588a4028d6c1621d891151d2a016d",
+    "models/mlp.json": "37b577ebf4f0b56ae90b856f8b478eed4d35769bc1911aa0dfcafc16422b9323",
+}
+
+
+def test_version_2_models_give_the_version_1_bytes(default_run, tmp_path):
+    digests = {}
+    for name, model in default_run.models.items():
+        path = tmp_path / f"{name}.json"
+        save_model_file(model, path)
+        loaded = load_model_file(path)[1]
+        digests[f"models/{name}.json"] = _sha256(json_text(v1_model_dict(loaded)))
+    assert digests == V1_MODEL_GOLDEN
+
+
 # The model files' digests before they carried a version and saved each tree
-# as columns. Their content has not moved: without the version, and with the
-# forest's trees written back as node lists, they give these bytes again.
+# as columns. Their content has not moved: in the version 1 layout without the
+# version, and with the forest's trees written back as node lists, they give
+# these bytes again.
 UNVERSIONED_GOLDEN = {
     "models/bayesnet.json": "dedb6a2b58cc22182cec9b986faf3a2db486f65faf90c5777e6eaa3c7fb46423",
     "models/boostlr.json": "f384f89fe5fa5b30a2eaeac81475886d7f9f8746354fc590067f5f2960adaa5a",
@@ -115,12 +145,12 @@ def test_default_models_keep_their_unversioned_content(default_run, tmp_path):
     write_artifacts(default_run, tmp_path)
     digests = {}
     for name in UNVERSIONED_GOLDEN:
-        path = tmp_path / name
+        model = load_model_file(tmp_path / name)[1]
         if name == "models/forest.json":
             # every tree loaded from the columns, written by the node-list writer
-            digests[name] = _sha256(node_list_forest_text(load_model_file(path)[1]))
+            digests[name] = _sha256(node_list_forest_text(model))
         else:
-            obj = json.loads(path.read_text(encoding="utf-8"))
+            obj = v1_model_dict(model)
             assert obj.pop("version") == 1
             digests[name] = _sha256(json.dumps(obj, indent=2, sort_keys=True) + "\n")
     assert digests == UNVERSIONED_GOLDEN
@@ -203,23 +233,28 @@ def test_curves_moved_only_by_keeping_corners(default_run, tmp_path, capsys, mon
     assert digests == FULL_ROC_GOLDEN
 
 
-# case: (config overrides, digest of the file, digest of its trees written by
-# the node-list writer, as UNVERSIONED_GOLDEN)
+# case: (config overrides, digest of the file, digest of the loaded forest
+# written in the version 1 layout, as V1_MODEL_GOLDEN, and digest of its trees
+# written by the node-list writer, as UNVERSIONED_GOLDEN)
 FOREST_GOLDEN = {
     "cohort 920/2010, 10 trees": (
         {"generate": {"n_healthy": 920, "n_pd": 2010}, "forest": {"trees": 10}},
+        "a77d1fa365422b165d834b84ff198ca6c761487f5551c8dc00f4096b2e1953f2",
         "dd9ebc6e05ec9751f95006b8992e554cb7da7a251b3bdfae2f39da708cd798d3",
         "64618e2013bebf10795c4ade0376219d0eda7e083dc88efa9aabe96a1b13e3ea"),
     "feature_subset 1": (
         {"forest": {"feature_subset": 1}},
+        "d59e705286f254f855249fafcffc1a4559d6ea436185869e804bd8acb408a5ea",
         "33db6b9c5f142aaf368753aaa4f1e5ef19820519e99303945c8db7ac43d43b16",
         "f6a03a531d32b13116df2804e5256cd7b861cfbb50ad00b973215047560520dc"),
     "feature_subset 13": (
         {"forest": {"feature_subset": 13}},
+        "efd2f391be24d86b1007ddb7fe1f06bc19b57493b65d4e66aa43ffcbd840c04f",
         "e3d15941c526b14da979763a21cbb67720e8d25610660186de5b46bd116beab4",
         "a8ffcb4b5066bc4bf92da8393bc997d41b22b132f12e27601727356fbd6cd717"),
     "no bootstrap": (
         {"forest": {"bootstrap": False}},
+        "9921fe0595457c0676ed464bc04c5a99e37bc9c2a584d16b830623d46e6bf398",
         "996994fb2e2cb9ac59b2b030dee9d38fd90397b28d2d5983cd71c08a64f15447",
         "081ef6442c9c5b5772d8b408ea8e3bc01c2d0d5cf5f38939459ea830c166542c"),
 }
@@ -227,13 +262,15 @@ FOREST_GOLDEN = {
 
 @pytest.mark.parametrize("case", FOREST_GOLDEN)
 def test_forest_model_digests(case, tmp_path):
-    overrides, want, want_node_list = FOREST_GOLDEN[case]
+    overrides, want, want_v1, want_node_list = FOREST_GOLDEN[case]
     config = config_from_dict({"models": ["forest"], **overrides})
     train, _test, _stats = prepare_splits(config, acquire_dataset(config))
     path = tmp_path / "forest.json"
     save_model_file(train_models(config, train)["forest"], path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == want
-    assert _sha256(node_list_forest_text(load_model_file(path)[1])) == want_node_list
+    loaded = load_model_file(path)[1]
+    assert _sha256(json_text(v1_model_dict(loaded))) == want_v1
+    assert _sha256(node_list_forest_text(loaded)) == want_node_list
 
 
 def test_files_with_full_curves_still_load(default_run, tmp_path, capsys, monkeypatch):

@@ -4,7 +4,7 @@ run, and artifact writing with its cleanup guarantee."""
 import json
 import math
 import types
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -26,6 +26,7 @@ from earlypd.synth import GenerateConfig, load_params
 from earlypd.pipeline import (
     DISPLAY_NAMES,
     MODEL_ORDER,
+    MODEL_VERSION,
     PipelineConfig,
     acquire_dataset,
     config_from_dict,
@@ -41,7 +42,7 @@ from earlypd.pipeline import (
     write_artifacts,
 )
 
-from conftest import OTHER_VERSIONS
+from conftest import OTHER_MODEL_VERSIONS
 
 FAST = {
     "mlp": MlpConfig(hidden_units=4, epochs=40),
@@ -204,6 +205,34 @@ def fast_models(small_split):
     return train_models(fast_config(), train)
 
 
+def _assert_same_fields(loaded, trained, where="model"):
+    """loaded equals trained field by field, through nested dataclasses and
+    tuples, with each array of the same dtype and bits."""
+    if is_dataclass(trained):
+        assert type(loaded) is type(trained), where
+        for f in fields(trained):
+            _assert_same_fields(getattr(loaded, f.name), getattr(trained, f.name),
+                                f"{where}.{f.name}")
+    elif isinstance(trained, np.ndarray):
+        assert loaded.dtype == trained.dtype and np.array_equal(loaded, trained), where
+    elif isinstance(trained, tuple):
+        assert type(loaded) is tuple and len(loaded) == len(trained), where
+        for i, (a, b) in enumerate(zip(loaded, trained)):
+            _assert_same_fields(a, b, f"{where}[{i}]")
+    else:
+        assert type(loaded) is type(trained) and loaded == trained, where
+
+
+def _without_training_record(model):
+    """A boosted model as its file gives it back: each round's training
+    record, which the file does not hold, is None."""
+    return replace(model, rounds=tuple(
+        replace(r, error=None, weight_sum_after=None, misclassified_mass_after=None,
+                model=replace(r.model, converged=None, hit_iteration_limit=None,
+                              objective_path=None))
+        for r in model.rounds))
+
+
 @pytest.mark.parametrize("kind", MODEL_ORDER)
 def test_model_file_round_trip(kind, fast_models, small_split, tmp_path):
     _train, test = small_split
@@ -212,6 +241,13 @@ def test_model_file_round_trip(kind, fast_models, small_split, tmp_path):
     save_model_file(model, first)
     loaded_kind, again = load_model_file(first)
     assert loaded_kind == kind
+    if kind == "boostlr":
+        # nothing is made up for what the file does not hold
+        assert all(r.error is not None for r in model.rounds)
+        model_as_saved = _without_training_record(model)
+    else:
+        model_as_saved = model
+    _assert_same_fields(again, model_as_saved)
     assert np.array_equal(score_batch(kind, again, test.features),
                           score_batch(kind, model, test.features))
     second = tmp_path / "second.json"
@@ -291,13 +327,14 @@ def _infinite_cut(obj):
 
 
 def _extra_cpt_row(obj):
-    obj["cpts"][1] += [0.5] * obj["arities"][1]
+    # a row of node 1's arity: one more than the first feature's cuts
+    obj["cpts"][1] += [0.5] * (len(obj["discretization"][obj["schema"][0]]["cuts"]) + 1)
 
 
 # obj -> None, each breaking a saved Bayes net
 BAYESNET_DEFECTS = {
     "schema of 12 names": lambda obj: obj["schema"].pop(),
-    "feature of arity 1": lambda obj: obj["arities"].__setitem__(1, 1),
+    "feature of arity 1": lambda obj: _cuts(obj).clear(),
     "two cuts more than the arity": _two_cuts_more,
     "one cut fewer than the arity": _cut_fewer,
     "cuts descending": _cuts_descending,
@@ -314,16 +351,15 @@ BAYESNET_DEFECTS = {
 }
 
 
-def _output_weight_short(obj):
-    del obj["w_output"][-2:]
-    obj["shape_output"][1] -= 1
-
-
 # obj -> None, each breaking a saved MLP
 MLP_DEFECTS = {
     "null weight": lambda obj: obj["w_hidden"].__setitem__(0, None),
     "weight overflowing to infinity": lambda obj: obj["w_hidden"].__setitem__(0, 1e999),
-    "output layer one weight short": _output_weight_short,
+    "output layer one weight short": lambda obj: obj.update(w_output=obj["w_output"][:-2]),
+    "hidden weights not a multiple of hidden_units": lambda obj: obj["w_hidden"].append(0.5),
+    "no hidden weights": lambda obj: obj["w_hidden"].clear(),
+    "only bias hidden weights": lambda obj: obj.update(w_hidden=[0.5] * obj["hidden_units"]),
+    "one hidden unit fewer": lambda obj: obj.update(hidden_units=obj["hidden_units"] - 1),
     "weight beyond the doubles": lambda obj: obj["w_hidden"].__setitem__(0, 10**400),
     "string weight": lambda obj: obj["w_hidden"].__setitem__(0, "0.5"),
     "true weight": lambda obj: obj["w_output"].__setitem__(1, True),
@@ -333,6 +369,12 @@ MLP_DEFECTS = {
     "string seed": lambda obj: obj.update(seed="not a seed"),
     "fractional seed": lambda obj: obj.update(seed=42.0),
 }
+
+
+def _set_alphas(obj, *alphas):
+    """One round per alpha, each the first round with that alpha."""
+    obj["rounds"] = [dict(obj["rounds"][0], alpha=alpha) for alpha in alphas]
+
 
 # obj -> None, each breaking a saved boosted model
 BOOSTLR_DEFECTS = {
@@ -347,6 +389,12 @@ BOOSTLR_DEFECTS = {
     "string ridge": lambda obj: obj.update(ridge="x"),
     "true max_rounds": lambda obj: obj.update(max_rounds=True),
     "no rounds": lambda obj: obj["rounds"].clear(),
+    # alphas that adaboost_train never writes: it keeps only rounds of error
+    # below 0.5, whose alpha is above 0
+    "alphas 1 and -1": lambda obj: _set_alphas(obj, 1, -1),
+    "alphas 1e308 and 1e308": lambda obj: _set_alphas(obj, 1e308, 1e308),
+    "alphas -2 and 1": lambda obj: _set_alphas(obj, -2, 1),
+    "zero alpha": lambda obj: obj["rounds"][-1].__setitem__("alpha", 0),
 }
 
 # obj -> None, each breaking the settings of a saved forest
@@ -390,12 +438,12 @@ def test_malformed_forest_settings_are_rejected(defect, fast_models, tmp_path):
 
 
 @pytest.mark.parametrize("kind", MODEL_ORDER)
-@pytest.mark.parametrize("version", OTHER_VERSIONS, ids=repr)
+@pytest.mark.parametrize("version", OTHER_MODEL_VERSIONS, ids=repr)
 def test_model_file_of_another_version_is_rejected(kind, version, fast_models, tmp_path):
     path = tmp_path / f"{kind}.json"
     save_model_file(fast_models[kind], path)
     obj = json.loads(path.read_text())
-    assert obj["version"] == 1
+    assert obj["version"] == MODEL_VERSION == 2
     if version is None:
         del obj["version"]
     else:
