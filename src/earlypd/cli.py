@@ -42,6 +42,7 @@ from .pipeline import (
     config_from_dict,
     load_config,
     load_model_file,
+    roc_title,
     run_and_write,
     score_batch,
     train_and_write,
@@ -157,11 +158,13 @@ def _write_or_print(text: str, out) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     kind, model = load_model_file(args.model)
     ds = ingest_csv(args.input)
-    scaled = normalize_apply(ds, load_sidecar(args.preprocess))
-    width = MODELS[kind].inputs(model)
-    if width != scaled.features.shape[1]:
-        raise ConfigError(f"{args.model} scores {width} features, but "
-                          f"{args.input} has {scaled.features.shape[1]}")
+    stats = load_sidecar(args.preprocess)
+    for path, inputs in ((args.model, MODELS[kind].inputs(model)),
+                         (args.preprocess, stats.schema)):
+        has = ds.schema if isinstance(inputs, tuple) else len(ds.schema)
+        if inputs != has:
+            raise ConfigError(f"{path} reads features {inputs}, but {args.input} has {has}")
+    scaled = normalize_apply(ds, stats)
     report = evaluate_scores(scaled.labels,
                              score_batch(kind, model, scaled.features))
     payload = {"model": kind, "records": len(ds), **report.to_json_dict()}
@@ -196,7 +199,7 @@ def cmd_roc(args: argparse.Namespace) -> int:
         raise ConfigError(f"no evaluation for model {args.model!r}")
     curve = reports[args.model][args.split].roc
     if args.format == "svg":
-        text = roc_svg(curve, f"ROC ({DISPLAY_NAMES[args.model]}, {args.split} split)")
+        text = roc_svg(curve, roc_title(args.model, args.split))
     else:
         text = roc_csv(curve)
     return _write_or_print(text, args.out)

@@ -39,20 +39,22 @@ PD votes in its own vote array, and the arrays are summed: the votes are
 whole numbers far below 2**53, so the sum is exact in any order.
 
 A child runs only its share (tree_grow or add_pd_votes, neither of which
-calls BLAS), pickles the result, or the exception it raised, into a pipe
-and ends with os._exit, so it never returns into its caller's frames. The
-parent re-raises a child's exception, and raises ChildProcessError for a
-child that ends with no result. It reads every pipe to its end before
-waiting for the child, since a result can outgrow the pipe's buffer, and
-it reaps every child and closes every pipe even when its own share raises.
-One usable CPU, or no os.fork, means no child at all.
+calls BLAS), pickles the result, or the exception it raised, into its own
+unlinked file in TMPDIR and ends with os._exit, so it never returns into its
+caller's frames. A file never fills, so no child waits on the parent, which
+runs its own share, reaps every child, even when its own share raises, and
+only then reads the files. It re-raises a child's exception, and raises
+ChildProcessError for a child that ends with no result. One usable CPU, or
+no os.fork, means no child at all; more need a writable TMPDIR.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import pickle
+import tempfile
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -313,60 +315,43 @@ def _split_work(fn, count: int) -> list:
     workers = max(1, min(usable_cpus(), count))
     shares = [range(count * i // workers, count * (i + 1) // workers)
               for i in range(workers)]
-    pids, fds = [], []  # the children and the read ends of their pipes
-    try:
-        for share in shares[1:]:
-            read_fd, write_fd = os.pipe()
-            fds.append(read_fd)
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _run_child(fn, share, fds, write_fd)
-            finally:
-                os.close(write_fd)
-            pids.append(pid)
-        results = [fn(shares[0])]
-        payloads = [_read_to_end(fd) for fd in fds]
-    finally:
-        for fd in fds:
-            os.close(fd)
-        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-    for pid, payload, status in zip(pids, payloads, statuses):
-        if status != 0:
-            raise ChildProcessError(f"forest worker {pid} ended with status "
-                                    f"{os.waitstatus_to_exitcode(status)} and no result")
-        ok, value = pickle.loads(payload)
-        if not ok:
-            raise value
-        results.append(value)
+    children = []  # (pid, the file its outcome goes to)
+    with contextlib.ExitStack() as files:
+        try:
+            for share in shares[1:]:
+                file = files.enter_context(tempfile.TemporaryFile())
+                if (pid := os.fork()) == 0:
+                    _run_child(fn, share, file)
+                children.append((pid, file))
+            results = [fn(shares[0])]
+        finally:
+            statuses = [os.waitpid(pid, 0)[1] for pid, _file in children]
+        for (pid, file), status in zip(children, statuses):
+            if status != 0:
+                raise ChildProcessError(f"forest worker {pid} ended with status "
+                                        f"{os.waitstatus_to_exitcode(status)} and no result")
+            file.seek(0)
+            ok, value = pickle.load(file)
+            if not ok:
+                raise value
+            results.append(value)
     return results
 
 
-def _run_child(fn, share, fds, write_fd) -> None:
-    """In a forked child: write the pickled (True, fn(share)), or (False,
-    the exception it raised), to write_fd, and end. The status is 0 only
-    when the whole outcome was written. Never returns."""
+def _run_child(fn, share, file) -> None:
+    """In a forked child: pickle (True, fn(share)), or (False, its exception),
+    into file, and end with status 0 only once all of it is written."""
     status = 1
     try:
-        for fd in fds:  # every read end, so a closed one in the parent breaks the pipe
-            os.close(fd)
         try:
             outcome = (True, fn(share))
         except BaseException as err:  # noqa: BLE001 - the parent re-raises it
             outcome = (False, err)
-        data = memoryview(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
-        while data:
-            data = data[os.write(write_fd, data):]
+        pickle.dump(outcome, file, pickle.HIGHEST_PROTOCOL)
+        file.flush()
         status = 0
     finally:
         os._exit(status)
-
-
-def _read_to_end(fd) -> bytes:
-    chunks = []
-    while chunk := os.read(fd, 1 << 20):
-        chunks.append(chunk)
-    return b"".join(chunks)
 
 
 def forest_train(train: Dataset, config: ForestConfig = ForestConfig(),

@@ -4,12 +4,13 @@ One root seed drives everything through labeled streams ("generate", "split",
 "mlp", "tree/<i>"), so reruns with the same config are byte-identical and
 enabling or disabling one model never changes what the others see. Every
 model is trained and evaluated before anything touches disk, so a run that
-fails on the way writes no file. A write that fails part way removes the files
-it had written; over an earlier run it is not atomic (see _write_files).
+fails on the way writes no file. A write is staged, then renamed into place,
+so one that fails leaves the directory as it was (see _write_files).
 """
 
 from __future__ import annotations
 
+import tempfile
 import time
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -54,7 +55,7 @@ class ModelSpec:
     train: Callable  # (training Dataset, PipelineConfig) -> model
     score: Callable  # (model, feature matrix) -> PD scores
     model: type  # to_json_dict() / from_json_dict() for the saved model file
-    inputs: Callable  # model -> the number of feature columns it scores
+    inputs: Callable  # model -> the feature names it scores in order, or their number
 
 
 # Canonical order: training, report rows and artifact files all follow it.
@@ -68,7 +69,7 @@ MODELS = {
         "BayesNet",
         lambda train, config: bn_train(train, config.bayesnet),
         lambda model, features: bn_score_batch(model, features), BayesNetModel,
-        lambda model: len(model.dmap.schema)),
+        lambda model: model.dmap.schema),
     "forest": ModelSpec(
         "Random Forest",
         lambda train, config: forest_train(train, config.forest, config.seed),
@@ -83,6 +84,11 @@ MODELS = {
 }
 MODEL_ORDER = tuple(MODELS)
 DISPLAY_NAMES = {name: spec.display_name for name, spec in MODELS.items()}
+
+
+def roc_title(name: str, split: str) -> str:
+    """The title of a model's ROC plot on a split, "training" or "testing"."""
+    return f"ROC ({DISPLAY_NAMES[name]}, {split.removesuffix('ing')} split)"
 
 
 @dataclass(frozen=True)
@@ -229,36 +235,33 @@ def _write_files(out_dir, files) -> list:
     """Write (relative path, content) pairs under out_dir; returns the paths.
 
     content is the text to write, or a function that writes the path it is
-    given. If any write fails, the files written so far are removed. Over an
-    earlier run, that removes its copies of them too and leaves its later ones.
+    given. All are written into a .staging-* directory in out_dir, then, if no
+    target is a directory, renamed into place: a write that fails leaves out_dir
+    as it was, but a crash while renaming can leave a mix of two runs.
     """
     out = Path(out_dir)
     (out / "models").mkdir(parents=True, exist_ok=True)
-    written = []
-    try:
+    with tempfile.TemporaryDirectory(prefix=".staging-", dir=out) as staging:
+        staging = Path(staging)
+        (staging / "models").mkdir()
         for name, content in files:
-            path = out / name
             if callable(content):
-                content(path)
+                content(staging / name)
             else:
-                path.write_text(content, encoding="utf-8")
-            written.append(path)
-    except Exception:
-        for path in written:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        raise
-    return written
+                (staging / name).write_text(content, encoding="utf-8")
+        targets = [out / name for name, _content in files]
+        if blocked := [path for path in targets if path.is_dir()]:
+            raise IsADirectoryError(f"{blocked[0]} is a directory")
+        for name, _content in files:
+            (staging / name).replace(out / name)
+    return targets
 
 
 def write_artifacts(result: ExperimentResult, out_dir) -> list:
     """Write every experiment artifact under out_dir; returns written paths.
 
     Timestamps and the host's CPU count live only in metadata.json, so every
-    other artifact is byte-identical across reruns of the same config. If any
-    write fails, the files written so far are removed, as _write_files says.
+    other artifact is byte-identical across reruns of the same config.
     """
     config = result.config
     files = _training_files(config, result.dataset, result.stats, result.models)
@@ -275,8 +278,7 @@ def write_artifacts(result: ExperimentResult, out_dir) -> list:
     for name in config.ordered_models():
         curve = result.evaluations[name]["testing"].roc
         files.append((f"roc_{name}_test.csv", roc_csv(curve)))
-        files.append((f"roc_{name}_test.svg",
-                      roc_svg(curve, f"ROC ({DISPLAY_NAMES[name]}, test split)")))
+        files.append((f"roc_{name}_test.svg", roc_svg(curve, roc_title(name, "testing"))))
     metadata = {
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "package_version": __version__,

@@ -214,6 +214,17 @@ def test_evaluate_rejects_non_model_json(exp_dir, tmp_path, capsys):
     for key in ("parents", "cpts"):
         bn[key].pop()
     narrow_bn.write_text(json.dumps(bn))
+    # a Bayes net and a sidecar listing two features of the CSV in swapped
+    # places; the two have the same number of cuts, so the tables still fit
+    swapped_bn = tmp_path / "swapped_bayesnet.json"
+    swapped_sidecar = tmp_path / "swapped_preprocess.json"
+    for source, swapped in ((out / "models" / "bayesnet.json", swapped_bn),
+                            (sidecar, swapped_sidecar)):
+        obj = json.loads(source.read_text())
+        names = obj["schema"]
+        i, j = names.index("sbr_caudate_left"), names.index("sbr_putamen_right")
+        names[i], names[j] = names[j], names[i]
+        swapped.write_text(json.dumps(obj))
     # (model file, sidecar, the file the error names)
     cases = [
         (out / "run_config.json", sidecar, out / "run_config.json"),
@@ -225,6 +236,8 @@ def test_evaluate_rejects_non_model_json(exp_dir, tmp_path, capsys):
         (narrow_boost, sidecar, narrow_boost),
         (mixed_boost, sidecar, mixed_boost),
         (narrow_bn, sidecar, narrow_bn),
+        (swapped_bn, sidecar, swapped_bn),
+        (model, swapped_sidecar, swapped_sidecar),
     ]
     for name, defect in FOREST_DEFECTS.items():
         forest = json.loads(model.read_text())
@@ -475,6 +488,15 @@ def test_roc_subcommand(exp_dir, tmp_path, capsys):
                "--model", "mlp", "--format", "svg", "--out", str(svg)])
     assert rc == 0
     assert svg.read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("model", ["mlp", "bayesnet", "forest", "boostlr"])
+def test_roc_svg_reproduces_the_run_file(exp_dir, tmp_path, model):
+    _config, out = exp_dir
+    svg = tmp_path / "curve.svg"
+    assert main(["roc", "--evaluations", str(out / "evaluations.json"),
+                 "--model", model, "--format", "svg", "--out", str(svg)]) == 0
+    assert svg.read_bytes() == (out / f"roc_{model}_test.svg").read_bytes()
 
 
 def test_roc_missing_model_is_config_error(exp_dir, tmp_path, capsys):

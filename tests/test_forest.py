@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -447,12 +448,33 @@ def test_error_in_the_callers_share_still_reaps_every_child(monkeypatch):
     def fail_in_the_first_share(share):
         if share.start == 0:
             raise DataError("bad first share")
-        return np.zeros(50_000)  # more than a pipe holds, so the child blocks writing
+        return np.zeros(50_000)  # a result the size of a share's votes
 
     with pytest.raises(DataError, match="bad first share"):
         _split_work(fail_in_the_first_share, 3)
     if fds_before is not None:
         assert len(os.listdir("/proc/self/fd")) == fds_before
+
+
+def _open_fds():
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+def test_split_work_leaves_no_descriptor_or_temporary_file(tmp_path, monkeypatch):
+    _set_cpus(monkeypatch, 3)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    fds_before = _open_fds()
+
+    def fail_in_a_child(share):
+        if share.start > 0:
+            raise DataError("bad tree")
+        return np.zeros(50_000)
+
+    assert _split_work(list, 6) == [[0, 1], [2, 3], [4, 5]]
+    assert _open_fds() == fds_before and os.listdir(tmp_path) == []
+    with pytest.raises(DataError, match="bad tree"):
+        _split_work(fail_in_a_child, 6)
+    assert _open_fds() == fds_before and os.listdir(tmp_path) == []
 
 
 def test_child_that_ends_without_a_result(monkeypatch):
@@ -487,4 +509,18 @@ def test_train_reports_a_lost_worker_as_one_json_line(tmp_path, monkeypatch, cap
     assert len(lines) == 1, lines  # one JSON line, no traceback
     err = json.loads(lines[0])
     assert err["error"] == "io" and "forest worker" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_without_a_usable_tmpdir_writes_no_run(tmp_path, monkeypatch, capsys):
+    _set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 9, "models": ["forest"], "forest": {"trees": 4},
+                                  "generate": {"n_healthy": 24, "n_pd": 40}}))
+    rc = main(["train", "--config", str(config), "--out", str(tmp_path / "out")])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(lines) == 1, lines  # one JSON line, no traceback
+    assert json.loads(lines[0])["error"] == "io"
     assert not (tmp_path / "out").exists()

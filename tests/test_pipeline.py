@@ -5,6 +5,7 @@ import json
 import math
 import types
 from dataclasses import asdict, fields, is_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -624,25 +625,77 @@ def test_write_artifacts_skips_cohort_for_csv_input(small_cohort, tmp_path):
     assert all(p.exists() for p in written)
 
 
-def test_write_artifacts_cleans_up_on_failure(tmp_path, monkeypatch):
-    save = earlypd.pipeline.save_model_file
+def _disk_full(*args, **kwargs):
+    raise OSError("disk full")
 
-    def boom(model, path):
-        if path.name == "forest.json":
-            # the cohort, the sidecar and the MLP model are already written
-            assert (path.parent / "mlp.json").is_file()
+
+def _fail_saving(model_file):
+    def setup(monkeypatch, out):
+        save = earlypd.pipeline.save_model_file
+
+        def boom(model, path):
+            if path.name == model_file:
+                path.write_text("half a model")
+                raise OSError("disk full")
+            save(model, path)
+
+        monkeypatch.setattr(earlypd.pipeline, "save_model_file", boom)
+    return setup
+
+
+def _fail_writing_run_config(monkeypatch, out):
+    write_text = Path.write_text
+
+    def boom(path, *args, **kwargs):
+        if path.name == "run_config.json":
             raise OSError("disk full")
-        save(model, path)
+        return write_text(path, *args, **kwargs)
 
-    monkeypatch.setattr(earlypd.pipeline, "save_model_file", boom)
-    config = fast_config(models=("mlp", "forest"))
-    # `earlypd experiment` and `earlypd train` share the writer and its cleanup
+    monkeypatch.setattr(Path, "write_text", boom)
+
+
+def _directory_at_run_config(monkeypatch, out):
+    target = out / "run_config.json"
+    if target.is_file():
+        target.unlink()
+    target.mkdir(parents=True)
+    (target / "kept.txt").write_text("not earlypd's")
+
+
+# Each way to make a write fail, set up on the (monkeypatch, run directory)
+# before the write. Both writers write every file these name.
+WRITE_FAILURES = {
+    "cohort": lambda mp, out: mp.setattr(earlypd.pipeline, "export_csv", _disk_full),
+    "sidecar": lambda mp, out: mp.setattr(earlypd.pipeline, "save_sidecar", _disk_full),
+    **{f"models/{name}.json": _fail_saving(f"{name}.json") for name in MODEL_ORDER},
+    "text file": _fail_writing_run_config,
+    "directory target": _directory_at_run_config,
+}
+
+
+def _files(root) -> dict:
+    """Every file under root, by relative path, with its bytes."""
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in root.rglob("*") if p.is_file()}
+
+
+def test_write_artifacts_cleans_up_on_failure(tmp_path, monkeypatch):
+    config = fast_config()
+    # `earlypd experiment` and `earlypd train` share the writer and its guarantee
     for write in (run_and_write, train_and_write):
-        out = tmp_path / write.__name__
-        with pytest.raises(OSError):
-            write(config, out)
-        leftovers = [p for p in out.rglob("*") if p.is_file()]
-        assert leftovers == [], write.__name__
+        earlier = tmp_path / "earlier" / write.__name__
+        run_and_write(replace(config, seed=12), earlier)
+        (earlier / "notes.txt").write_text("a file earlypd did not write")
+        for failure, setup in WRITE_FAILURES.items():
+            for out in (tmp_path / failure / write.__name__, earlier):
+                with monkeypatch.context() as mp:
+                    setup(mp, out)
+                    before = _files(out)
+                    with pytest.raises(OSError):
+                        write(config, out)
+                # what was there is left byte for byte, with no staging directory
+                assert _files(out) == before, (write.__name__, failure, out)
+                assert not list(out.glob(".staging-*")), (write.__name__, failure)
 
 
 def test_runs_are_deterministic():
