@@ -6,18 +6,28 @@ per-record weight updates with momentum. Weights start uniform in [-0.5, 0.5)
 and the record order is reshuffled every epoch, both driven by the stream
 derived from (seed, "mlp"), so training is bit-reproducible.
 
-A training step is 21 numpy calls that write into preallocated buffers and
-allocate nothing. It carries signs: the input row arrives negated, the
-hidden and output activations are stored negated, and the step leaves the
-negated error and the negated gradient behind. So both matmuls return -z,
-the argument exp needs, and no call is spent on a negation. The bits are
-those of the plain expressions (np.append, np.outer, v -= lr * g, the loss
+A training step is 21 numpy calls that write into preallocated buffers. It
+carries signs: the input row arrives negated, the hidden and output
+activations are stored negated, and the step leaves the negated error and
+the negated gradient behind. So both forward products return -z, the
+argument exp needs, and no call is spent on a negation. The bits are those
+of the plain expressions (np.append, @, np.outer, v -= lr * g, the loss
 taken per record), because negation is exact and round-to-nearest is
 symmetric in sign: w @ (-x) == -(w @ x) for any summation order, with or
 without fused multiply-add, and likewise 1 + (-a) == 1 - a,
 (-1) / t == -(1 / t), (-a) * (-b) == a * b and a + (-b) == a - b. The
 loss terms err @ err are taken once per epoch, from the negated errors of
 all its steps, by one stacked matmul that runs the same dot product per row.
+
+The five products are np.dot calls, cheaper than @ and a broadcast multiply,
+each on the BLAS kernel and shape that @ runs: a gemv for w1 @ -x, one for
+w2 @ [-a1, -1], and for w2[:, :h].T @ d2 the gemv on h rows that
+np.dot(d2, w2[:, :h]) runs on its copy of the block (the step's one
+allocation); uncopied or transposed, other rows fall in OpenBLAS's tail loop
+and the bits differ at some h. An outer product's cell is the rounded
+product added to +0, so a zero input cell gives +0 where multiply gives -0.
+That zero meets a weight w only in v = mom * v + lr * g and w += v, and
+w + 0 == w + -0, as w is never -0 (it starts as u - 0.5; x + -x is +0).
 """
 
 from __future__ import annotations
@@ -93,7 +103,7 @@ class _Network:
     """One network's weights, velocity and negated gradient, each held in one
     flat buffer with a (hidden, m + 1) and a (2, hidden + 1) view, and its
     training step, built once as a closure over the scratch arrays it writes
-    into, so that a step allocates nothing."""
+    into, so that a step allocates only np.dot's copy of w2[:, :h]."""
 
     def __init__(self, hidden: int, m: int):
         n1 = hidden * (m + 1)
@@ -112,14 +122,14 @@ class _Network:
         (views g1, g2) and its negated output error into nerr.
 
         nx is the input row with its bias 1.0, negated; x is the same row
-        unnegated; the loss is 0.5 * (nerr @ nerr). This is the single
-        gradient implementation, used by training and by the
-        finite-difference check. Each numpy call writes into its last
-        argument (a positional out costs less than out=).
+        unnegated, shaped (1, m + 1); the loss is 0.5 * (nerr @ nerr). It is
+        the one gradient implementation, for training and the gradient check.
+        Each call writes into its last argument (positional out costs less
+        than out=); the module docstring says why the np.dot calls keep bits.
         """
-        matmul, exp, add, multiply, divide = np.matmul, np.exp, np.add, np.multiply, np.divide
+        dot, exp, add, multiply, divide = np.dot, np.exp, np.add, np.multiply, np.divide
         w1, w2, g1, g2 = self.w1, self.w2, self.g1, self.g2
-        w2h_t = w2[:, :h].T
+        w2h = w2[:, :h]
         # act = [-a1 (h), -1.0 (the bias input), -out (2)]
         act = np.empty(h + 3)
         act[h] = -1.0
@@ -131,16 +141,16 @@ class _Network:
         ones1, ones2, neg1, neg2 = ones[:h], ones[:2], neg[:h], neg[:2]
         t1, t2 = np.empty(h), np.empty(2)
         d1, d2 = np.empty(h), np.empty(2)
-        d1_col, d2_col = d1[:, None], d2[:, None]
+        d1_col, d2_col, na1b_row = d1[:, None], d2[:, None], na1b[None, :]
 
         def step(nx, x, target, nerr):
             # -a1 = -1 / (1 + exp(-z1)), where w1 @ -x is -z1
-            matmul(w1, nx, t1)
+            dot(w1, nx, t1)
             exp(t1, t1)
             add(ones1, t1, t1)
             divide(neg1, t1, na1)
             # -out likewise from w2 @ [-a1, -1] = -z2
-            matmul(w2, na1b, t2)
+            dot(w2, na1b, t2)
             exp(t2, t2)
             add(ones2, t2, t2)
             divide(neg2, t2, nout)
@@ -150,12 +160,12 @@ class _Network:
             # d2 = (-err * -out) * (1 - out); -g2 = outer(d2, -a1b)
             multiply(nerr, nout, d2)
             multiply(d2, onep2, d2)
-            multiply(d2_col, na1b, g2)
-            # -d1 = ((w2[:, :h].T @ d2) * -a1) * (1 - a1); -g1 = outer(-d1, x)
-            matmul(w2h_t, d2, d1)
+            dot(d2_col, na1b_row, g2)
+            # -d1 = ((d2 @ w2[:, :h]) * -a1) * (1 - a1); -g1 = outer(-d1, x)
+            dot(d2, w2h, d1)
             multiply(d1, na1, d1)
             multiply(d1, onep1, d1)
-            multiply(d1_col, x, g1)
+            dot(d1_col, x, g1)
 
         return step
 
@@ -191,7 +201,7 @@ def mlp_train(train: Dataset, config: MlpConfig = MlpConfig(), seed: int = 42) -
     # one-hot targets: column 0 healthy, column 1 PD
     targets = np.zeros((n, 2))
     targets[np.arange(n), (train.labels == PD).astype(int)] = 1.0
-    rows, neg_rows, target_rows = list(xb), list(-xb), list(targets)
+    rows, neg_rows, target_rows = list(xb[:, None, :]), list(-xb), list(targets)
     # row k holds the negated output error of an epoch's k-th step
     errs = np.empty((n, 2))
     err_rows = list(errs)
@@ -236,12 +246,12 @@ def mlp_gradient_check(model: MlpModel, features, target, step: float = 1e-5) ->
     net.w1[...] = model.w_hidden
     net.w2[...] = model.w_output
     xb = np.append(np.asarray(features, dtype=np.float64), 1.0)
-    neg_xb = -xb
+    neg_xb, xb_row = -xb, xb[None, :]
     target = np.asarray(target, dtype=np.float64)
     nerr = np.empty(2)
 
     def loss() -> float:
-        net.step(neg_xb, xb, target, nerr)
+        net.step(neg_xb, xb_row, target, nerr)
         return 0.5 * float(nerr @ nerr)
 
     loss()

@@ -1,7 +1,7 @@
 """Independent references for the package's batch scorers, split rule, tree
-grower, tree descent, ROC curve and its corner thinning, network trainer,
-shuffle, record rules, cohort generator, CSV reader and writer, and the
-node-list forest writer.
+grower, tree descent, ROC curve and its corner thinning, network trainer and
+training step, shuffle, record rules, cohort generator, CSV reader and
+writer, and the node-list forest writer.
 
 Most functions work on one record (or one split, one feature of a node's
 split search, one training step, one draw or one generated value) at a
@@ -341,6 +341,20 @@ def reference_mlp_train(train, config, seed):
             w2 += v2
         epoch_mse.append(sq_sum / n)
     return w1, w2, tuple(epoch_mse)
+
+
+def reference_step(w1, w2, x, target):
+    """One training step with np.matmul and broadcast np.multiply, in the
+    step's own signs and order of operations: (nerr, g1, g2), the negated
+    output error and the negated gradients. x ends with its bias 1.0."""
+    h = w1.shape[0]
+    na1 = -1.0 / (1.0 + np.exp(np.matmul(w1, -x)))
+    na1b = np.append(na1, -1.0)
+    nout = -1.0 / (1.0 + np.exp(np.matmul(w2, na1b)))
+    nerr = nout + target
+    d2 = (nerr * nout) * (1.0 + nout)
+    d1 = (np.matmul(w2[:, :h].T, d2) * na1) * (1.0 + na1)
+    return nerr, np.multiply(d1[:, None], x), np.multiply(d2[:, None], na1b)
 
 
 def joint_oracle(net, assignment) -> float:

@@ -19,7 +19,7 @@ from earlypd.preprocess import normalize_fit_transform
 from earlypd.synth import GenerateConfig, generate
 
 from conftest import make_dataset
-from reference import reference_mlp_train
+from reference import reference_mlp_train, reference_step
 
 
 def _sig(z: float) -> float:
@@ -66,9 +66,9 @@ def test_step_gradient_matches_hand_derivation():
     # a step on another record first, so a buffer the next step fails to
     # overwrite would show
     x = np.array([0.1, 0.9, 1.0])
-    net.step(-x, x, np.array([0.0, 1.0]), nerr)
+    net.step(-x, x[None, :], np.array([0.0, 1.0]), nerr)
     x = np.array([0.8, 0.4, 1.0])
-    net.step(-x, x, np.array([1.0, 0.0]), nerr)
+    net.step(-x, x[None, :], np.array([1.0, 0.0]), nerr)
     loss = 0.5 * float(nerr @ nerr)
 
     a = _sig(0.5 * 0.8 - 0.25 * 0.4 + 0.1)
@@ -169,17 +169,58 @@ def cohort_60_80():
     return normalize_fit_transform(generate(GenerateConfig(60, 80), 3))[0]
 
 
+@pytest.fixture()
+def zero_heavy():
+    """Normalized-looking records with exact zeros: one feature always 0, one
+    nonzero in a single record and about 30% zero cells elsewhere."""
+    rng = np.random.default_rng(24)
+    feats = rng.random((40, 6))
+    feats[rng.random(feats.shape) < 0.3] = 0.0
+    feats[:, 0] = 0.0
+    feats[:, 1] = 0.0
+    feats[17, 1] = 0.6
+    return make_dataset(feats, [i % 2 for i in range(40)])
+
+
 @pytest.mark.parametrize("data, config, seed", [
     ("small_train", MlpConfig(hidden_units=1, epochs=60), 5),
     ("xor_dataset", MlpConfig(hidden_units=4, epochs=200), 7),
     ("cohort_60_80", MlpConfig(hidden_units=8, epochs=30), 3),
     ("cohort_60_80", MlpConfig(hidden_units=16, learning_rate=1.7, momentum=0.9,
                                epochs=30), 3),
-], ids=["one_hidden_unit", "xor", "cohort_60_80", "wide_fast_heavy_momentum"])
+    ("zero_heavy", MlpConfig(hidden_units=1, momentum=0.9, epochs=40), 9),
+], ids=["one_hidden_unit", "xor", "cohort_60_80", "wide_fast_heavy_momentum",
+        "zero_cells"])
 def test_training_is_bit_identical_to_reference(data, config, seed, request):
     train = request.getfixturevalue(data)
     model = mlp_train(train, config, seed)
     w1, w2, epoch_mse = reference_mlp_train(train, config, seed)
     assert np.array_equal(model.w_hidden, w1)
     assert np.array_equal(model.w_output, w2)
+    # array_equal takes -0.0 == 0.0; the bytes tell the two zeros apart
+    assert model.w_hidden.tobytes() == w1.tobytes()
+    assert model.w_output.tobytes() == w2.tobytes()
     assert model.epoch_mse == epoch_mse
+
+
+@pytest.mark.parametrize("hidden", [1, 2, 3, 7, 8, 16])
+def test_step_products_match_matmul_and_multiply(hidden):
+    # at hidden 2, 3 and 7 an uncopied (h % 4 == 3) or transposed
+    # (h % 4 in (2, 3)) w2[:, :h] block puts other rows in the gemv tail loop
+    m = 13
+    net = _Network(hidden, m)
+    rng = np.random.default_rng(hidden)
+    nerr = np.empty(2)
+    for trial in range(2000):
+        net.w[...] = rng.uniform(-2.0, 2.0, net.w.size)
+        x = rng.random(m + 1)
+        x[rng.random(m + 1) < 0.3] = 0.0
+        x[m] = 1.0
+        target = np.eye(2)[trial % 2]
+        net.step(-x, x[None, :], target, nerr)
+        want_nerr, want_g1, want_g2 = reference_step(net.w1, net.w2, x, target)
+        # only a zero's sign may differ, and only in the gradient
+        assert nerr.tobytes() == want_nerr.tobytes() and np.array_equal(
+            net.g1, want_g1) and np.array_equal(net.g2, want_g2), (
+            f"np.dot and np.matmul/np.multiply disagree on this BLAS at hidden "
+            f"{hidden}, trial {trial}: the step's products no longer keep the bits")
