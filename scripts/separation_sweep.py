@@ -30,14 +30,22 @@ def parse_args(argv=None):
     parser.add_argument("--n-pd", type=int, default=240)
     parser.add_argument("--csv", default=None,
                         help="also write the per-run values to this CSV")
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    if args.seeds < 1:
+        parser.error(f"--seeds must be at least 1, got {args.seeds}")
+    try:
+        args.separations = [float(s) for s in args.separations.split(",") if s.strip()]
+    except ValueError as err:
+        parser.error(f"--separations: {err}")
+    if not args.separations:
+        parser.error("--separations needs at least one value")
+    return args
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    separations = [float(s) for s in args.separations.split(",") if s.strip()]
     rows = []
-    for separation in separations:
+    for separation in args.separations:
         for seed in range(args.seeds):
             config = PipelineConfig(
                 seed=seed,
@@ -54,7 +62,7 @@ def main(argv=None) -> int:
     header = "separation " + " ".join(f"{m:>10}" for m in MODEL_ORDER)
     print(header)
     print("-" * len(header))
-    for separation in separations:
+    for separation in args.separations:
         cells = []
         for model in MODEL_ORDER:
             values = [auc for sep, _, m, auc in rows

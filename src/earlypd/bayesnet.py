@@ -157,14 +157,6 @@ class DiscreteNet:
         return post[0] if single else post
 
 
-def fit_net(data: np.ndarray, arities, max_parents: int = 2,
-            alpha: float = 0.5) -> DiscreteNet:
-    parents = k2_search(data, arities, max_parents)
-    cpts = tuple(cpt_estimate(data, node, parents[node], arities, alpha)
-                 for node in range(len(arities)))
-    return DiscreteNet(tuple(arities), parents, cpts)
-
-
 @dataclass(frozen=True)
 class BayesNetConfig:
     bins: int = 10
@@ -239,8 +231,10 @@ def bn_train(train: Dataset, config: BayesNetConfig = BayesNetConfig()) -> Bayes
     dmap = discretize_fit(train, config.bins, config.strategy)
     data = _node_matrix(train, dmap)
     arities = (2,) + dmap.arities()
-    net = fit_net(data, arities, config.max_parents, config.alpha)
-    return BayesNetModel(net, dmap, config)
+    parents = k2_search(data, arities, config.max_parents)
+    cpts = tuple(cpt_estimate(data, node, parents[node], arities, config.alpha)
+                 for node in range(len(arities)))
+    return BayesNetModel(DiscreteNet(arities, parents, cpts), dmap, config)
 
 
 def bn_score_batch(model: BayesNetModel, features) -> np.ndarray:

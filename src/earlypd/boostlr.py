@@ -43,7 +43,6 @@ class LogisticModel:
     coef: np.ndarray
     intercept: float
     converged: bool | None
-    hit_iteration_limit: bool | None
     objective_path: tuple | None  # objective after the start point and each accepted step
 
 
@@ -115,9 +114,7 @@ def _fit_weighted(X, y, weights, ridge):
         if not improved:
             # no step along the Newton direction helps; treat as stalled
             break
-    hit_limit = not converged
-    return LogisticModel(beta[:m].copy(), float(beta[m]), converged,
-                         hit_limit, tuple(path))
+    return LogisticModel(beta[:m].copy(), float(beta[m]), converged, tuple(path))
 
 
 def logistic_train(train: Dataset, weights=None,
@@ -125,8 +122,9 @@ def logistic_train(train: Dataset, weights=None,
     """Fit on a dataset with optional per-record weights (default uniform).
 
     Raises DataError unless both classes carry positive total weight, and on
-    NaN or infinite inputs. Hitting the iteration limit is reported on the
-    model, not raised.
+    NaN or infinite inputs. A fit that stops before its gradient test passes
+    (at the iteration limit, or on a step that no halving improves) is not
+    raised: the model's converged is False.
     """
     X = train.features
     y = (train.labels == PD).astype(np.float64)
@@ -208,7 +206,7 @@ class BoostedModel:
             alpha = json_typed(float, r["alpha"], f"rounds[{i}].alpha")
             if not alpha > 0:
                 raise ValueError(f"round {i} alpha must be above 0, got {alpha!r}")
-            lm = LogisticModel(coef, intercept, None, None, None)
+            lm = LogisticModel(coef, intercept, None, None)
             rounds.append(BoostRound(lm, alpha, None, None, None))
         if not math.isfinite(sum(r.alpha for r in rounds)):
             raise ValueError("the rounds' alphas must have a finite sum")

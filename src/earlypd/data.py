@@ -20,10 +20,13 @@ is the 15 column names joined by commas, and every line ends in "\n".
 
 Ingest reads BLOCK_ROWS rows at a time by one of two routes, with the same
 results. A plain block (every line a subject id and 14 unquoted decimal
-cells, no quote, carriage return or NUL) is read with one np.loadtxt call.
-From the first block that is not plain, csv.reader splits every row to the
-end of the file, at its own speed: a file with CRLF line ends takes that
-route from the start, and one with a quoted cell from that cell's block on.
+cells, no quote, carriage return or NUL) needs no csv.reader: its lines are
+its rows. From the first block that is not plain, csv.reader splits every
+row to the end of the file: a file with CRLF line ends takes that route from
+the start, and one with a quoted cell from that cell's block on. Either way
+a block's numbers are read by one np.loadtxt call over its rows' bodies, the
+text after each subject id; a block that call refuses is read row by row for
+the exact error.
 """
 
 from __future__ import annotations
@@ -223,31 +226,20 @@ def location(row: int, column) -> str:
     return f"row {row}, column {column}" if column else f"row {row}"
 
 
-# Data rows converted per np.array call. Ingest holds one block of cell lists
-# at a time, so this also bounds the reader's memory.
+# Data rows per block. Ingest holds one block of lines or cell lists at a
+# time, so this also bounds the reader's memory.
 BLOCK_ROWS = 1024
-
-
-def _convert(block):
-    """The (m, 14) numbers of a block in one conversion, or None if a row has
-    the wrong cell count or a cell is not a finite number."""
-    if any(len(cells) != len(CSV_COLUMNS) for _row, cells in block):
-        return None
-    try:
-        values = np.array([cells[1:] for _row, cells in block], dtype=np.float64)
-    except ValueError:
-        return None
-    return values if np.isfinite(values).all() else None
 
 
 def _parse_block(block, seen_ids, values=None):
     """(ids, values, findings) for a block of (row_number, cells) pairs.
 
     values is the (m, 14) matrix of the rows whose cells all parse, in file
-    order, and ids are their subject ids. A caller that has already read a
-    block's rows into a finite (m, 14) matrix passes it as values; the cells
-    of each pair then need only the subject id as their first item. findings lists (row_number, error
-    class, column, message) in row order. Within a row, an empty subject_id,
+    order, and ids are their subject ids. The plain route passes the matrix
+    it has read as values; the cells of each pair then need only the subject
+    id as their first item. Otherwise a block of 15-cell rows goes to
+    _body_values whole, and a block it refuses to _parse_row row by row.
+    findings lists (row_number, error class, column, message) in row order. Within a row, an empty subject_id,
     or one already in seen_ids (id -> first row, shared across blocks), comes
     first; then either the row's NonNumericCell or every RangeViolation of
     its values, in schema order. column is None for a row with the wrong cell
@@ -263,8 +255,9 @@ def _parse_block(block, seen_ids, values=None):
                              f"subject_id {sid!r} already used in row {seen_ids[sid]}"))
         else:
             seen_ids[sid] = row_number
-    if values is None:
-        values = _convert(block)
+    # a row of the wrong cell count must not be joined into a body of 14
+    if values is None and all(len(cells) == len(CSV_COLUMNS) for _row, cells in block):
+        values = _body_values([",".join(cells[1:]) for _row, cells in block])
     if values is None:
         # row by row, for the exact message and column of each bad cell
         parsed, rows = [], []
@@ -283,23 +276,30 @@ def _parse_block(block, seen_ids, values=None):
     return [cells[0] for _row, cells in block], values, findings
 
 
-# The characters a plain line may hold after its subject_id: decimal cells,
-# commas and the line's end. Within them float() and np.loadtxt read every
+# The characters a row body may hold: decimal cells, commas and the line's
+# end. Within them float() and np.loadtxt read every
 # cell alike, to the bit (tests/test_data.py pins this).
 _PLAIN = b"0123456789.eE+-,\n"
 
 
 def _plain_values(lines, parts):
     """The (m, 14) matrix of a block of raw lines, or None unless every line
-    is a plain record: unquoted, 15 cells, each cell after the subject_id a
-    finite decimal. parts holds each line's partition at its first comma."""
+    is a plain record: no quote, carriage return or NUL, no line longer than
+    csv.reader's field limit, and a body _body_values reads. parts holds each
+    line's partition at its first comma."""
     text = "".join(lines)
     if '"' in text or "\r" in text or "\0" in text:
         return None
     # csv.reader rejects a cell longer than its field limit
     if max(map(len, lines)) > csv.field_size_limit():
         return None
-    bodies = [cells for _sid, _comma, cells in parts]
+    return _body_values([cells for _sid, _comma, cells in parts])
+
+
+def _body_values(bodies):
+    """The (m, 14) matrix of m row bodies in one np.loadtxt call, or None
+    unless each body is 14 finite decimal cells joined by commas. A body is
+    the text of a row after its subject_id and first comma."""
     # a blank or id-only line has an empty body, which loadtxt would skip
     if "" in bodies or "\n" in bodies:
         return None
@@ -311,7 +311,7 @@ def _plain_values(lines, parts):
                             dtype=np.float64)
     except ValueError:
         return None
-    if values.shape != (len(lines), len(CSV_COLUMNS) - 1) or not np.isfinite(values).all():
+    if values.shape != (len(bodies), len(CSV_COLUMNS) - 1) or not np.isfinite(values).all():
         return None
     return values
 

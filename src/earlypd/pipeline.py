@@ -5,7 +5,8 @@ One root seed drives everything through labeled streams ("generate", "split",
 enabling or disabling one model never changes what the others see. Every
 model is trained and evaluated before anything touches disk, so a run that
 fails on the way writes no file. A write is staged, then renamed into place,
-so one that fails leaves the directory as it was (see _write_files).
+so one that fails leaves the directory as it was, and one that succeeds
+removes the files of an earlier run that it did not write (see _write_files).
 """
 
 from __future__ import annotations
@@ -84,6 +85,12 @@ MODELS = {
 }
 MODEL_ORDER = tuple(MODELS)
 DISPLAY_NAMES = {name: spec.display_name for name, spec in MODELS.items()}
+# Every file a run may write under its output directory. A run removes the
+# ones it did not write, so no file of an earlier run is left beside it.
+RUN_FILES = ("cohort.csv", "preprocess.json", "run_config.json", "evaluations.json",
+             "report.csv", "report.txt", "metadata.json") + tuple(
+    name for model in MODEL_ORDER
+    for name in (f"models/{model}.json", f"roc_{model}_test.csv", f"roc_{model}_test.svg"))
 
 
 def roc_title(name: str, split: str) -> str:
@@ -237,7 +244,9 @@ def _write_files(out_dir, files) -> list:
     content is the text to write, or a function that writes the path it is
     given. All are written into a .staging-* directory in out_dir, then, if no
     target is a directory, renamed into place: a write that fails leaves out_dir
-    as it was, but a crash while renaming can leave a mix of two runs.
+    as it was, but a crash while renaming can leave a mix of two runs. Last,
+    each regular file at a RUN_FILES name that was not written is removed;
+    files at other names stay.
     """
     out = Path(out_dir)
     (out / "models").mkdir(parents=True, exist_ok=True)
@@ -254,6 +263,10 @@ def _write_files(out_dir, files) -> list:
             raise IsADirectoryError(f"{blocked[0]} is a directory")
         for name, _content in files:
             (staging / name).replace(out / name)
+    written = {name for name, _content in files}
+    for name in RUN_FILES:
+        if name not in written and (out / name).is_file():
+            (out / name).unlink()
     return targets
 
 

@@ -6,12 +6,12 @@ writer, and the node-list forest writer.
 Most functions work on one record (or one split, one feature of a node's
 split search, one training step, one draw or one generated value) at a
 time, with plain Python control flow. The level-wise tree walk, the looped
-ROC and the CSV reader that splits every row with csv.reader reach the same
-result as the package's code by another route. The vectorized code in the
-package is checked against them. The node-list writer gives the bytes of a
-forest file before the columnar layout, so trees loaded from a new file can
-be checked against the digests of the old one. None of this runs in the
-pipeline.
+ROC and the CSV reader that splits every row with csv.reader and converts
+each row alone reach the same result as the package's code by another
+route. The vectorized code in the package is checked against them. The
+node-list writer gives the bytes of a forest file before the columnar
+layout, so trees loaded from a new file can be checked against the digests
+of the old one. None of this runs in the pipeline.
 """
 
 import csv
@@ -411,9 +411,8 @@ def record_violations(vector, label) -> list:
 
 
 def csv_read_blocks(path):
-    """data._read_blocks with csv.reader splitting every row, and each block
-    converted by data._convert (through _parse_block), whatever the block
-    holds."""
+    """data._read_blocks with csv.reader splitting every row, whatever the
+    block holds."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -428,8 +427,10 @@ def csv_read_blocks(path):
 
 def with_csv_reader(read, path):
     """read(path), for data.ingest_csv or data.validate_file, with its blocks
-    read by csv_read_blocks."""
-    with mock.patch.object(data, "_read_blocks", csv_read_blocks):
+    read by csv_read_blocks and every row converted by data._parse_row: the
+    bulk conversion refuses every block."""
+    with (mock.patch.object(data, "_read_blocks", csv_read_blocks),
+          mock.patch.object(data, "_body_values", lambda bodies: None)):
         return read(path)
 
 

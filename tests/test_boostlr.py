@@ -28,7 +28,7 @@ from reference import boosted_score, logistic_score
 
 def _model(coef, intercept):
     return LogisticModel(np.asarray(coef, dtype=np.float64), float(intercept),
-                         True, False, ())
+                         True, ())
 
 
 def test_score_at_log3_margin():
@@ -93,7 +93,6 @@ def test_converges_on_overlapping_classes():
     y = np.array([0] * 40 + [1] * 40)
     model = logistic_train(make_dataset(X, y), ridge=1e-3)
     assert model.converged
-    assert not model.hit_iteration_limit
     grad = logistic_gradient(model.coef, model.intercept, X,
                              y.astype(np.float64), np.full(80, 1.0 / 80), 1e-3)
     assert np.abs(grad).max() <= 1e-8

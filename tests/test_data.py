@@ -386,15 +386,17 @@ def csv_scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("reader") / "cohort.csv"
 
 
-# cells the two routes must treat alike: plain ones the row rules reject, and
-# ones outside the plain alphabet that float() and np.loadtxt read apart
+# cells the two routes must treat alike: plain ones the row rules reject, ones
+# outside the plain alphabet that float() and np.loadtxt read apart, and a
+# quoted one whose newline np.loadtxt would take for a line end
 ODD_CELLS = ("1e", ".", "1e400", " 1", "1_0", "\x1c1", "\uff11", "1\x00", '"2.5"',
-             "n/a", "", "-1", "77", "1e-400", "+.5E+1")
+             "n/a", "", "-1", "77", "1e-400", "+.5E+1", '"1\n5"')
 ROW = st.integers(0, 2048)
 MUTATIONS = st.one_of(
     st.tuples(st.sampled_from(["blank", "id only", "trailing comma", "extra cell",
                                "quoted id", "crlf"]), ROW),
     st.tuples(st.just("duplicate id"), ROW, ROW),
+    st.tuples(st.just("merged cells"), ROW, st.integers(2, len(CSV_COLUMNS) - 1)),
     st.tuples(st.just("cell"), ROW, st.integers(1, len(CSV_COLUMNS) - 1),
               st.sampled_from(ODD_CELLS)),
 )
@@ -420,6 +422,11 @@ def _mutate(lines, mutation):
     elif kind == "duplicate id":  # a later or earlier line takes this line's id
         other = args[0] % len(lines)
         lines[other] = sid + "," + lines[other].partition(",")[2]
+    elif kind == "merged cells":  # two data cells quoted as one that holds a comma
+        cells = lines[row].split(",")
+        k = min(args[0], len(cells) - 1)
+        cells[k - 1:k + 1] = ['"' + ",".join(cells[k - 1:k + 1]) + '"']
+        lines[row] = ",".join(cells)
     else:
         cells = lines[row].split(",")
         cells[args[0] % len(cells)] = args[1]
@@ -458,11 +465,16 @@ def _outcome(read, path):
 # a subject_id longer than csv.reader's field limit, before plain cells
 @example(n_rows=3, mutations=[("cell", 1, 0, "x" * (csv.field_size_limit() + 1))],
          ending="\n", bom=False, final_end=True)
+# a row of 14 cells whose two merged cells hold the 14 numbers between them,
+# and a quoted cell holding a line end
+@example(n_rows=3, mutations=[("merged cells", 0, 2)], ending="\n", bom=False, final_end=True)
+@example(n_rows=3, mutations=[("cell", 1, 3, '"1\n5"')], ending="\n", bom=False,
+         final_end=True)
 def test_reader_matches_csv_reader_reference(cohort_lines, csv_scratch, n_rows, mutations,
                                              ending, bom, final_end):
     """ingest_csv and validate_file give what they give with every row split by
-    csv.reader, on files around the block size with blank, short, long, quoted,
-    CRLF and odd-celled lines."""
+    csv.reader and converted alone, on files around the block size with blank,
+    short, long, quoted, CRLF, merged-cell and odd-celled lines."""
     header, *lines = cohort_lines[:n_rows + 1]
     for mutation in mutations:
         _mutate(lines, mutation)

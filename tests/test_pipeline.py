@@ -3,7 +3,6 @@ run, and artifact writing with its cleanup guarantee."""
 
 import json
 import math
-import types
 from dataclasses import asdict, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -12,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import earlypd
 import earlypd.pipeline
 from earlypd.cli import _load_evaluations
 from earlypd.data import export_csv, ingest_csv
@@ -229,8 +227,7 @@ def _without_training_record(model):
     record, which the file does not hold, is None."""
     return replace(model, rounds=tuple(
         replace(r, error=None, weight_sum_after=None, misclassified_mass_after=None,
-                model=replace(r.model, converged=None, hit_iteration_limit=None,
-                              objective_path=None))
+                model=replace(r.model, converged=None, objective_path=None))
         for r in model.rounds))
 
 
@@ -698,6 +695,31 @@ def test_write_artifacts_cleans_up_on_failure(tmp_path, monkeypatch):
                 assert not list(out.glob(".staging-*")), (write.__name__, failure)
 
 
+TRAINING_FILES = {"preprocess.json", "run_config.json", "models/boostlr.json"}
+
+
+# (writer, models, read the CSV input) for a first and a second run into one
+# directory, and the files the second leaves there besides notes.txt
+@pytest.mark.parametrize("first, second, left", [
+    ((run_and_write, ("mlp", "forest"), False), (run_and_write, ("forest",), False),
+     EXPECTED_FILES | {"models/forest.json", "roc_forest_test.csv", "roc_forest_test.svg"}),
+    ((run_and_write, MODEL_ORDER, False), (train_and_write, ("boostlr",), True),
+     TRAINING_FILES),
+    # the bayesnet model of other data must not stay beside the new sidecar
+    ((train_and_write, ("mlp", "bayesnet"), False), (train_and_write, ("boostlr",), True),
+     TRAINING_FILES),
+])
+def test_rerun_removes_the_earlier_runs_files(small_cohort, tmp_path, first, second, left):
+    source = tmp_path / "input.csv"
+    export_csv(small_cohort, source)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("a file earlypd did not write")
+    for write, models, from_csv in (first, second):
+        write(fast_config(models=models, input=str(source) if from_csv else None), out)
+    assert set(_files(out)) == left | {"notes.txt"}
+
+
 def test_runs_are_deterministic():
     config = fast_config(models=("forest", "bayesnet"))
     first = run_experiment(config)
@@ -720,11 +742,3 @@ def test_generated_cohort_rejects_bad_counts():
     with pytest.raises(DataError, match="asked to generate zero records"):
         run_experiment(fast_config(generate=GenerateConfig(n_healthy=0, n_pd=0)))
 
-
-def test_package_exports_resolve():
-    missing = [name for name in earlypd.__all__ if not hasattr(earlypd, name)]
-    assert missing == []
-    # the submodules and helpers the imports bind are not exported
-    assert not [name for name in earlypd.__all__
-                if isinstance(getattr(earlypd, name), types.ModuleType)]
-    assert len(earlypd.__all__) == len(set(earlypd.__all__)) == 61
