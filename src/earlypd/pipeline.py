@@ -85,12 +85,13 @@ MODELS = {
 }
 MODEL_ORDER = tuple(MODELS)
 DISPLAY_NAMES = {name: spec.display_name for name, spec in MODELS.items()}
-# Every file a run may write under its output directory. A run removes the
-# ones it did not write, so no file of an earlier run is left beside it.
-RUN_FILES = ("cohort.csv", "preprocess.json", "run_config.json", "evaluations.json",
-             "report.csv", "report.txt", "metadata.json") + tuple(
-    name for model in MODEL_ORDER
-    for name in (f"models/{model}.json", f"roc_{model}_test.csv", f"roc_{model}_test.svg"))
+# The run layout, the one place its names are spelled: every file a run may
+# write under its output directory. A run removes those it did not write.
+TRAINING_FILES = ("cohort.csv", "preprocess.json", "run_config.json")
+RESULT_FILES = ("evaluations.json", "report.csv", "report.txt", "metadata.json")
+MODEL_FILES = ("models/{}.json", "roc_{}_test.csv", "roc_{}_test.svg")  # per model
+RUN_FILES = TRAINING_FILES + RESULT_FILES + tuple(
+    form.format(model) for model in MODEL_ORDER for form in MODEL_FILES)
 
 
 def roc_title(name: str, split: str) -> str:
@@ -228,25 +229,24 @@ def run_experiment(config: PipelineConfig) -> ExperimentResult:
 
 def _training_files(config: PipelineConfig, dataset: Dataset, stats, models: dict) -> list:
     """(relative path, content) pairs that `train` and `experiment` both write."""
-    files = []
-    if config.input is None:
-        files.append(("cohort.csv", partial(export_csv, dataset)))
-    files.append(("preprocess.json", partial(save_sidecar, stats=stats)))
-    files += [(f"models/{name}.json", partial(save_model_file, model))
+    cohort, sidecar, run_config = TRAINING_FILES
+    files = [(cohort, partial(export_csv, dataset))] if config.input is None else []
+    files.append((sidecar, partial(save_sidecar, stats=stats)))
+    files += [(MODEL_FILES[0].format(name), partial(save_model_file, model))
               for name, model in models.items()]
-    files.append(("run_config.json", json_text(config.to_json_dict())))
+    files.append((run_config, json_text(config.to_json_dict())))
     return files
 
 
-def _write_files(out_dir, files) -> list:
+def _write_files(out_dir, files, input_path) -> list:
     """Write (relative path, content) pairs under out_dir; returns the paths.
 
     content is the text to write, or a function that writes the path it is
     given. All are written into a .staging-* directory in out_dir, then, if no
     target is a directory, renamed into place: a write that fails leaves out_dir
     as it was, but a crash while renaming can leave a mix of two runs. Last,
-    each regular file at a RUN_FILES name that was not written is removed;
-    files at other names stay.
+    each regular file at a RUN_FILES name that was not written is removed,
+    unless it is the CSV the run read (input_path); files at other names stay.
     """
     out = Path(out_dir)
     (out / "models").mkdir(parents=True, exist_ok=True)
@@ -263,10 +263,10 @@ def _write_files(out_dir, files) -> list:
             raise IsADirectoryError(f"{blocked[0]} is a directory")
         for name, _content in files:
             (staging / name).replace(out / name)
-    written = {name for name, _content in files}
-    for name in RUN_FILES:
-        if name not in written and (out / name).is_file():
-            (out / name).unlink()
+    read = input_path and Path(input_path).resolve()
+    for path in {out / name for name in RUN_FILES} - set(targets):
+        if path.is_file() and path.resolve() != read:
+            path.unlink()
     return targets
 
 
@@ -285,13 +285,15 @@ def write_artifacts(result: ExperimentResult, out_dir) -> list:
             for name, by_split in result.evaluations.items()
         },
     }
-    files += [("evaluations.json", json_text(evaluations)),
-              ("report.csv", result.report_csv),
-              ("report.txt", result.report_text)]
+    evaluations_file, report_table, report_text, metadata_file = RESULT_FILES
+    files += [(evaluations_file, json_text(evaluations)),
+              (report_table, result.report_csv),
+              (report_text, result.report_text)]
     for name in config.ordered_models():
         curve = result.evaluations[name]["testing"].roc
-        files.append((f"roc_{name}_test.csv", roc_csv(curve)))
-        files.append((f"roc_{name}_test.svg", roc_svg(curve, roc_title(name, "testing"))))
+        _model, roc_table, roc_plot = (form.format(name) for form in MODEL_FILES)
+        files.append((roc_table, roc_csv(curve)))
+        files.append((roc_plot, roc_svg(curve, roc_title(name, "testing"))))
     metadata = {
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "package_version": __version__,
@@ -300,8 +302,8 @@ def write_artifacts(result: ExperimentResult, out_dir) -> list:
         # the forest's trees are grown and scored in this many processes at most
         "processes": usable_cpus(),
     }
-    files.append(("metadata.json", json_text(metadata)))
-    return _write_files(out_dir, files)
+    files.append((metadata_file, json_text(metadata)))
+    return _write_files(out_dir, files, config.input)
 
 
 def run_and_write(config: PipelineConfig, out_dir) -> ExperimentResult:
@@ -316,5 +318,5 @@ def train_and_write(config: PipelineConfig, out_dir) -> tuple:
     ds = acquire_dataset(config)
     train, _test, stats = prepare_splits(config, ds)
     models = train_models(config, train)
-    _write_files(out_dir, _training_files(config, ds, stats, models))
+    _write_files(out_dir, _training_files(config, ds, stats, models), config.input)
     return train, models

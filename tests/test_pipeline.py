@@ -720,6 +720,23 @@ def test_rerun_removes_the_earlier_runs_files(small_cohort, tmp_path, first, sec
     assert set(_files(out)) == left | {"notes.txt"}
 
 
+@pytest.mark.parametrize("write", [run_and_write, train_and_write])
+@pytest.mark.parametrize("relative", [False, True])
+def test_rerun_keeps_the_cohort_it_reads(small_cohort, tmp_path, monkeypatch, write, relative):
+    # generate --out DIR/cohort.csv, then a run that reads it into DIR: the
+    # cohort sits at a layout name the run does not write, yet is its input
+    out = tmp_path / "out"
+    run_and_write(fast_config(models=("mlp", "forest")), out)
+    export_csv(small_cohort, out / "cohort.csv")
+    cohort = (out / "cohort.csv").read_bytes()
+    if relative:
+        monkeypatch.chdir(out)
+    source, target = ("cohort.csv", ".") if relative else (str(out / "cohort.csv"), out)
+    write(fast_config(models=("boostlr",), input=source), target)
+    assert (out / "cohort.csv").read_bytes() == cohort
+    assert not (out / "models" / "mlp.json").exists()
+
+
 def test_runs_are_deterministic():
     config = fast_config(models=("forest", "bayesnet"))
     first = run_experiment(config)
