@@ -14,6 +14,8 @@ import argparse
 import sys
 
 from earlypd.boostlr import BoostConfig
+from earlypd.cli import error_exit
+from earlypd.errors import ConfigError, DataError
 from earlypd.forest import ForestConfig
 from earlypd.mlp import MlpConfig
 from earlypd.pipeline import MODEL_ORDER, PipelineConfig, run_experiment
@@ -44,6 +46,13 @@ def parse_args(argv=None):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    try:
+        return sweep(args)
+    except (DataError, ConfigError, OSError) as err:
+        return error_exit(err)  # one JSON line on stderr, as earlypd prints
+
+
+def sweep(args) -> int:
     rows = []
     for separation in args.separations:
         for seed in range(args.seeds):

@@ -257,6 +257,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def error_exit(err: DataError | ConfigError | OSError) -> int:
+    """Print err as one JSON line on stderr; return its exit code."""
+    if isinstance(err, DataError):
+        payload = {"error": "data", "kind": type(err).__name__, "message": str(err)}
+        if err.row is not None:
+            payload["row"] = err.row
+        if err.column is not None:
+            payload["column"] = err.column
+    else:
+        payload = {"error": "config" if isinstance(err, ConfigError) else "io",
+                   "message": str(err)}
+    print(json.dumps(payload), file=sys.stderr)
+    return 2 if isinstance(err, ConfigError) else 1
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -266,23 +281,8 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except DataError as err:
-        payload = {"error": "data", "kind": type(err).__name__,
-                   "message": str(err)}
-        if err.row is not None:
-            payload["row"] = err.row
-        if err.column is not None:
-            payload["column"] = err.column
-        print(json.dumps(payload), file=sys.stderr)
-        return 1
-    except ConfigError as err:
-        print(json.dumps({"error": "config", "message": str(err)}),
-              file=sys.stderr)
-        return 2
-    except OSError as err:
-        print(json.dumps({"error": "io", "message": str(err)}),
-              file=sys.stderr)
-        return 1
+    except (DataError, ConfigError, OSError) as err:
+        return error_exit(err)
 
 
 if __name__ == "__main__":

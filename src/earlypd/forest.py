@@ -59,7 +59,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import HEALTHY, PD, Dataset
+from .data import PD, Dataset
 from .errors import ConfigError, DataError
 from .jsontext import json_array, json_typed, settings
 from .rng import SplitMix64, derive_stream
@@ -90,12 +90,6 @@ class DecisionTree:
 
     def n_nodes(self) -> int:
         return len(self.feature)
-
-    def predict_batch(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        votes = np.zeros(X.shape[0])
-        self.add_pd_votes(list(np.ascontiguousarray(X.T)), votes)
-        return np.where(votes > 0, PD, HEALTHY)
 
     def add_pd_votes(self, columns, votes) -> None:
         """Add 1.0 to votes[r] for every record r that reaches a PD leaf,

@@ -111,8 +111,8 @@ def read_json(path, what: str, parse):
 
 def _json_value(kind, name: str, value, key: str):
     """value if it has the declared type kind (spelled name), else ConfigError.
-    An int stands for a float, which must be finite (not JSON Infinity or NaN,
-    nor the flag values inf or nan); a bool is never a number here."""
+    An int stands for a float and is read as one; it must be finite (not JSON
+    Infinity or NaN, nor the flag values inf or nan); a bool is never a number."""
     if is_dataclass(kind):
         return from_json(kind, value, key + ".")
     origin, args = get_origin(kind), get_args(kind)
@@ -124,7 +124,7 @@ def _json_value(kind, name: str, value, key: str):
                 for k, v in value.items()}
     if origin not in (tuple, dict) and any(finite_number(value) if k is float
                                            else type(value) is k for k in args or (kind,)):
-        return value
+        return float(value) if type(value) is int and float in (args or (kind,)) else value
     raise ConfigError(f"config key {key!r} must be {name}, got {value!r}")
 
 

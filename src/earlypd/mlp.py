@@ -6,7 +6,7 @@ per-record weight updates with momentum. Weights start uniform in [-0.5, 0.5)
 and the record order is reshuffled every epoch, both driven by the stream
 derived from (seed, "mlp"), so training is bit-reproducible.
 
-A training step is 21 numpy calls that write into preallocated buffers. It
+A training step is 20 numpy calls that write into preallocated buffers. It
 carries signs: the input row arrives negated, the hidden and output
 activations are stored negated, and the step leaves the negated error and
 the negated gradient behind. So both forward products return -z, the
@@ -28,6 +28,11 @@ and the bits differ at some h. An outer product's cell is the rounded
 product added to +0, so a zero input cell gives +0 where multiply gives -0.
 That zero meets a weight w only in v = mom * v + lr * g and w += v, and
 w + 0 == w + -0, as w is never -0 (it starts as u - 0.5; x + -x is +0).
+
+The velocity v and the negated gradient g are the halves of one buffer, so
+mom * v and lr * g are one multiply by [mom, ..., lr, ...]. Each cell is the
+same correctly rounded product as with a scalar factor, which numpy would
+convert from a Python float on every call.
 """
 
 from __future__ import annotations
@@ -96,21 +101,22 @@ class MlpModel:
 
 
 def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
+    with np.errstate(over="ignore"):  # exp(-z) = inf gives 1 / (1 + inf) = 0
+        return 1.0 / (1.0 + np.exp(-z))
 
 
 class _Network:
-    """One network's weights, velocity and negated gradient, each held in one
-    flat buffer with a (hidden, m + 1) and a (2, hidden + 1) view, and its
-    training step, built once as a closure over the scratch arrays it writes
-    into, so that a step allocates only np.dot's copy of w2[:, :h]."""
+    """One network's weights w, and its velocity and negated gradient in
+    vg = [v | g]; w and g have a (hidden, m + 1) and a (2, hidden + 1) view.
+    Its training step is built once as a closure over the scratch arrays it
+    writes into, so that a step allocates only np.dot's copy of w2[:, :h]."""
 
     def __init__(self, hidden: int, m: int):
         n1 = hidden * (m + 1)
         size = n1 + 2 * (hidden + 1)
         self.w = np.empty(size)
-        self.v = np.zeros(size)
-        self.g = np.empty(size)
+        self.vg = np.zeros(2 * size)
+        self.v, self.g = self.vg[:size], self.vg[size:]
         self.w1 = self.w[:n1].reshape(hidden, m + 1)
         self.w2 = self.w[n1:].reshape(2, hidden + 1)
         self.g1 = self.g[:n1].reshape(hidden, m + 1)
@@ -193,7 +199,7 @@ def mlp_train(train: Dataset, config: MlpConfig = MlpConfig(), seed: int = 42) -
     n, m = feats.shape
     stream = derive_stream(seed, "mlp")
     net = _Network(config.hidden_units, m)
-    w, v, g, step = net.w, net.v, net.g, net.step
+    w, v, g, vg, step = net.w, net.v, net.g, net.vg, net.step
     # w_hidden row by row, then w_output row by row: the flat buffer's order
     for k in range(w.size):
         w[k] = stream.uniform() - 0.5
@@ -206,7 +212,7 @@ def mlp_train(train: Dataset, config: MlpConfig = MlpConfig(), seed: int = 42) -
     errs = np.empty((n, 2))
     err_rows = list(errs)
     sq = np.empty((n, 1, 1))
-    lr, mom = config.learning_rate, config.momentum
+    scale = np.repeat([config.momentum, config.learning_rate], w.size)
     multiply, add = np.multiply, np.add
     epoch_mse = []
     order = list(range(n))
@@ -215,8 +221,7 @@ def mlp_train(train: Dataset, config: MlpConfig = MlpConfig(), seed: int = 42) -
         for i, nerr in zip(order, err_rows):
             step(neg_rows[i], rows[i], target_rows[i], nerr)
             # v = mom * v + lr * -g; w += v
-            multiply(v, mom, v)
-            multiply(g, lr, g)
+            multiply(vg, scale, vg)
             add(v, g, v)
             add(w, v, w)
         # err @ err per step, each row the same dot product a 1-D err @ err runs

@@ -74,6 +74,14 @@ def tree_predict(tree, x) -> int:
     return PD if p > h else HEALTHY
 
 
+def tree_predict_batch(tree, X) -> np.ndarray:
+    """The class of each record of X, from the tree's add_pd_votes."""
+    X = np.asarray(X, dtype=np.float64)
+    votes = np.zeros(X.shape[0])
+    tree.add_pd_votes(list(np.ascontiguousarray(X.T)), votes)
+    return np.where(votes > 0, PD, HEALTHY)
+
+
 def levelwise_predict_batch(tree, X) -> np.ndarray:
     """Every record moves down one level per pass, all records together."""
     X = np.asarray(X, dtype=np.float64)

@@ -35,6 +35,7 @@ from earlypd.rng import derive_stream
 from earlypd.synth import generate
 
 from conftest import make_dataset
+from reference import tree_predict_batch
 
 
 def test_criterion_01_default_cohort_performance(default_run):
@@ -261,7 +262,7 @@ def test_criterion_08_forest_degenerates_to_plain_tree():
         probes = rng.normal(size=(40, m))
         for batch in (X, probes):
             assert np.array_equal(forest_score_batch(forest, batch),
-                                  tree.predict_batch(batch).astype(np.float64))
+                                  tree_predict_batch(tree, batch).astype(np.float64))
 
 
 def test_criterion_09_split_contract(default_run):

@@ -588,6 +588,29 @@ def test_non_finite_setting_exits_2(tmp_path, capsys, flags, config, key):
     assert not (tmp_path / "out").exists()
 
 
+def test_an_int_beyond_int64_reads_as_a_float_setting(tmp_path, capsys):
+    # 10**30 is no int64, so numpy cannot take it as a Python int
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(FAST_CONFIG, boostlr={"ridge": 10**30})))
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(config), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads((out / "run_config.json").read_text())["boostlr"]["ridge"] == 1e30
+
+
+def test_an_int_beyond_int64_reads_as_a_boosted_alpha(exp_dir, tmp_path, capsys):
+    _config, out = exp_dir
+    boost = json.loads((out / "models" / "boostlr.json").read_text())
+    boost["rounds"][0]["alpha"] = 10**30
+    model = tmp_path / "boostlr.json"
+    model.write_text(json.dumps(boost))
+    rc = main(["evaluate", "--model", str(model), "--input", str(out / "cohort.csv"),
+               "--preprocess", str(out / "preprocess.json")])
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == ""
+    assert 0.0 <= json.loads(captured.out)["auc"] <= 1.0
+
+
 @pytest.mark.parametrize("command", ["generate", "experiment"])
 def test_separation_that_makes_a_class_sd_negative_exits_2(tmp_path, capsys, command):
     obj = asdict(load_params())

@@ -41,6 +41,7 @@ from reference import (
     levelwise_predict_batch,
     reference_tree_grow,
     tree_predict,
+    tree_predict_batch,
 )
 
 # 1.0 and the next three doubles above it: the midpoint of two neighbours
@@ -81,7 +82,7 @@ def test_tree_grow_one_dimensional_midpoint():
     tree = tree_grow(X, y, k=1, stream=SplitMix64(1))
     assert tree.feature[0] == 0
     assert tree.threshold[0] == 0.5  # midpoint between the two values
-    assert list(tree.predict_batch([[0.2], [0.8]])) == [0, 1]
+    assert list(tree_predict_batch(tree, [[0.2], [0.8]])) == [0, 1]
 
 
 def test_root_split_has_the_largest_info_gain():
@@ -222,7 +223,7 @@ def test_tree_fits_training_data_exactly():
     X = rng.random((60, 5))
     y = rng.integers(0, 2, 60)
     tree = tree_grow(X, y, k=5, stream=SplitMix64(3))
-    assert list(tree.predict_batch(X)) == list(y)
+    assert list(tree_predict_batch(tree, X)) == list(y)
 
 
 def test_tree_leaf_tie_predicts_healthy():
@@ -230,7 +231,7 @@ def test_tree_leaf_tie_predicts_healthy():
         feature=np.array([-1]), threshold=np.zeros(1),
         left=np.zeros(1, dtype=np.int64), right=np.zeros(1, dtype=np.int64),
         counts=np.array([[3, 3]]))
-    assert list(leaf.predict_batch([[0.0], [1.0]])) == [0, 0]
+    assert list(tree_predict_batch(leaf, [[0.0], [1.0]])) == [0, 0]
 
 
 def test_tree_serialization_round_trip():
@@ -263,7 +264,7 @@ def test_predict_batch_matches_scalar():
     y = rng.integers(0, 2, 30)
     tree = tree_grow(X, y, k=4, stream=SplitMix64(11))
     probe = rng.random((100, 4))
-    assert list(tree.predict_batch(probe)) == [tree_predict(tree, row) for row in probe]
+    assert list(tree_predict_batch(tree, probe)) == [tree_predict(tree, row) for row in probe]
 
 
 def _levelwise_forest_score(trees, X):
@@ -295,7 +296,8 @@ def _forests_and_probes(draw):
 def test_forest_scores_match_levelwise_reference(case):
     trees, probes = case
     for tree in trees:
-        assert np.array_equal(tree.predict_batch(probes), levelwise_predict_batch(tree, probes))
+        assert np.array_equal(tree_predict_batch(tree, probes),
+                              levelwise_predict_batch(tree, probes))
     model = ForestModel(tuple(trees), ForestConfig(len(trees)), 0, probes.shape[1])
     got = forest_score_batch(model, probes)
     assert np.array_equal(got.view(np.uint64),
@@ -332,8 +334,8 @@ def test_forest_without_bootstrap_single_tree_equals_plain_tree():
     from earlypd.rng import derive_stream
     plain = tree_grow(X, y, k=6, stream=derive_stream(21, "tree/0"))
     probe = rng.random((200, 6))
-    assert np.array_equal(model.trees[0].predict_batch(probe),
-                          plain.predict_batch(probe))
+    assert np.array_equal(tree_predict_batch(model.trees[0], probe),
+                          tree_predict_batch(plain, probe))
 
 
 def test_forest_training_is_deterministic(small_split):

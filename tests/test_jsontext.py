@@ -94,7 +94,7 @@ def test_from_json_takes_only_finite_numbers_as_floats(value):
 
 def test_from_json_floats_take_ints_and_the_doubles_edge():
     got = from_json(Settings, {"scale": 3, "cap": -1e308})
-    assert (got.scale, got.cap) == (3, -1e308)
+    assert (got.scale, got.cap) == (3, -1e308) and type(got.scale) is float
     assert from_json(Settings, {"cap": None}).cap is None
 
 

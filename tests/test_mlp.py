@@ -1,6 +1,7 @@
 """Perceptron training, hand-checked forward math, and the gradient oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +160,21 @@ def test_score_clamps_out_of_range_inputs():
     assert outside == pytest.approx(inside, abs=1e-15)
 
 
+def test_score_saturates_an_extreme_weight_without_a_warning():
+    # exp(1e308) overflows to inf and the hidden unit's activation to 0;
+    # warnings are errors here, so a stray RuntimeWarning fails the test
+    model = _hand_model()
+    w1 = model.w_hidden.copy()
+    w1[0, 0] = -1e308
+    extreme = MlpModel(w1, model.w_output, model.config, seed=0, epoch_mse=())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scores = mlp_score_batch(extreme, [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
+    assert np.isfinite(scores).all() and ((scores >= 0.0) & (scores <= 1.0)).all()
+    out_h, out_p = _sig(-0.2), _sig(0.7)  # the output units with a1 = 0
+    assert scores[0] == pytest.approx(out_p / (out_h + out_p), abs=1e-15)
+
+
 @pytest.fixture()
 def small_train(small_split):
     return small_split[0]
@@ -189,8 +205,10 @@ def zero_heavy():
     ("cohort_60_80", MlpConfig(hidden_units=16, learning_rate=1.7, momentum=0.9,
                                epochs=30), 3),
     ("zero_heavy", MlpConfig(hidden_units=1, momentum=0.9, epochs=40), 9),
+    # momentum 0 turns each negative velocity into -0 before g is added
+    ("cohort_60_80", MlpConfig(hidden_units=3, momentum=0.0, epochs=30), 3),
 ], ids=["one_hidden_unit", "xor", "cohort_60_80", "wide_fast_heavy_momentum",
-        "zero_cells"])
+        "zero_cells", "no_momentum"])
 def test_training_is_bit_identical_to_reference(data, config, seed, request):
     train = request.getfixturevalue(data)
     model = mlp_train(train, config, seed)

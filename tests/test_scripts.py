@@ -1,6 +1,7 @@
 """Smoke tests for the command line scripts under scripts/."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -41,3 +42,19 @@ def test_separation_sweep_refuses_an_empty_grid(argv, message, capsys):
         sweep.main(argv)
     assert exit_info.value.code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, error, message", [
+    (["--separations", "-1"], "config", "separation must be >= 0, got -1.0"),
+    (["--n-healthy", "-1"], "config", "cohort sizes cannot be negative"),
+    (["--n-healthy", "1", "--n-pd", "1"], "data", "class 0 has 1 records, need at least 2"),
+], ids=["negative separation", "negative cohort", "one record per class"])
+def test_separation_sweep_reports_a_pipeline_error_as_one_json_line(argv, error, message,
+                                                                    capsys):
+    sweep = _load("separation_sweep")
+    rc = sweep.main(argv + ["--seeds", "1"])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == (2 if error == "config" else 1)
+    assert len(lines) == 1, lines  # one JSON line, no traceback
+    err = json.loads(lines[0])
+    assert err["error"] == error and err["message"] == message
