@@ -10,6 +10,9 @@ Cooper-Herskovits log marginal likelihood, evaluated through log-gamma.
 CPT cells use Laplace-style smoothing: P = (N_jk + alpha) / (N_j + alpha * r)
 with alpha = 0.5 by default, so every probability is strictly positive and
 unseen parent configurations fall back to the uniform prior.
+
+Features enter as bins: per-feature cut points fitted on the training records
+by discretize_fit and kept in the model file.
 """
 
 from __future__ import annotations
@@ -22,9 +25,76 @@ import numpy as np
 from .data import PD, Dataset
 from .errors import ConfigError, DataError
 from .jsontext import json_array, settings
-from .preprocess import DISCRETIZE_STRATEGIES, DiscretizationMap, discretize_fit
 
 CLASS_NODE = 0
+
+DISCRETIZE_STRATEGIES = ("equal_frequency", "equal_width")
+
+
+@dataclass(frozen=True)
+class DiscretizationMap:
+    """Per-feature ascending cut points. Empty tuple means a single bin.
+
+    A value lands in bin ``searchsorted(cuts, value, side="right")``, i.e.
+    values below the first cut go to bin 0 and a value equal to a cut goes to
+    the upper bin. Values beyond the training range therefore clamp to the
+    first or last bin on their own.
+    """
+
+    schema: tuple
+    cuts: tuple
+
+    def arities(self) -> tuple:
+        return tuple(len(c) + 1 for c in self.cuts)
+
+    def bin_matrix(self, features: np.ndarray) -> np.ndarray:
+        out = np.empty(features.shape, dtype=np.int64)
+        for j, cuts in enumerate(self.cuts):
+            out[:, j] = np.searchsorted(np.asarray(cuts), features[:, j], side="right")
+        return out
+
+    def to_json_dict(self) -> dict:
+        return {name: {"cuts": [float(v) for v in c]} for name, c in zip(self.schema, self.cuts)}
+
+    @classmethod
+    def from_json_dict(cls, obj: dict, schema) -> "DiscretizationMap":
+        """Raises ValueError unless obj holds the cuts of exactly the schema's
+        names, each list finite numbers in strictly ascending order."""
+        names = tuple(schema)
+        if len(obj) != len(names):
+            raise ValueError(f"the discretization has {len(obj)} features, "
+                             f"the schema {len(names)}")
+        cuts = tuple(json_array(obj[n]["cuts"], f"the cuts of {n}").tolist() for n in names)
+        for name, c in zip(names, cuts):
+            if not all(a < b for a, b in zip(c, c[1:])):
+                raise ValueError(f"the cuts of {name} must ascend strictly, got {c}")
+        return cls(names, tuple(map(tuple, cuts)))
+
+
+def discretize_fit(ds: Dataset, config: BayesNetConfig) -> DiscretizationMap:
+    """Fit per-feature cut points of config.bins bins on the given records.
+
+    equal_frequency places cuts at empirical quantiles (linear interpolation),
+    equal_width spaces them evenly over [min, max]. Duplicate cuts and cuts
+    outside the open value range are dropped, so the effective bin count can
+    shrink; a constant column keeps no cuts at all.
+    """
+    if len(ds) == 0:
+        raise DataError("cannot fit discretization on zero records")
+    all_cuts = []
+    for j in range(ds.features.shape[1]):
+        col = ds.features[:, j]
+        lo, hi = float(col.min()), float(col.max())
+        if config.strategy == "equal_frequency":
+            raw = np.quantile(col, np.arange(1, config.bins) / config.bins)
+        else:
+            raw = lo + np.arange(1, config.bins) * (hi - lo) / config.bins
+        kept = []
+        for c in map(float, raw):
+            if lo < c < hi and (not kept or c > kept[-1]):
+                kept.append(c)
+        all_cuts.append(tuple(kept))
+    return DiscretizationMap(ds.schema, tuple(all_cuts))
 
 
 def _config_codes(data: np.ndarray, parents, arities) -> np.ndarray:
@@ -39,18 +109,13 @@ def _config_codes(data: np.ndarray, parents, arities) -> np.ndarray:
 
 
 def _n_configs(parents, arities) -> int:
-    out = 1
-    for p in parents:
-        out *= arities[p]
-    return out
+    return math.prod(arities[p] for p in parents)
 
 
 def family_counts(data: np.ndarray, node: int, parents, arities) -> np.ndarray:
     """(n_parent_configs, node_arity) table of joint counts."""
     r = arities[node]
     rows = _n_configs(parents, arities)
-    if data.shape[0] == 0:
-        return np.zeros((rows, r), dtype=np.int64)
     codes = _config_codes(data, parents, arities) * r + data[:, node]
     return np.bincount(codes, minlength=rows * r).reshape(rows, r)
 
@@ -77,7 +142,7 @@ def family_log_score(data: np.ndarray, node: int, parents, arities) -> float:
     return score
 
 
-def k2_search(data: np.ndarray, arities, max_parents: int = 2,
+def k2_search(data: np.ndarray, arities, max_parents: int,
               naive_start: bool = True) -> tuple:
     """Greedy parent selection per node in ordering index order.
 
@@ -112,8 +177,7 @@ def k2_search(data: np.ndarray, arities, max_parents: int = 2,
     return tuple(all_parents)
 
 
-def cpt_estimate(data: np.ndarray, node: int, parents, arities,
-                 alpha: float = 0.5) -> np.ndarray:
+def cpt_estimate(data: np.ndarray, node: int, parents, arities, alpha: float) -> np.ndarray:
     """Smoothed conditional probability table, one row per parent config.
 
     alpha must be > 0, which BayesNetConfig enforces."""
@@ -228,7 +292,7 @@ def bn_train(train: Dataset, config: BayesNetConfig = BayesNetConfig()) -> Bayes
     counts = train.class_counts()
     if counts[0] == 0 or counts[1] == 0:
         raise DataError("Bayes net training needs both classes")
-    dmap = discretize_fit(train, config.bins, config.strategy)
+    dmap = discretize_fit(train, config)
     data = _node_matrix(train, dmap)
     arities = (2,) + dmap.arities()
     parents = k2_search(data, arities, config.max_parents)

@@ -236,13 +236,12 @@ def adaboost_train(train: Dataset, max_rounds: int = BoostConfig.max_rounds,
         error = float(weights[misclassified].sum())
         if error >= 0.5:
             break
-        alpha = boost_alpha(error, n)
-        if error == 0.0:
-            rounds.append(BoostRound(model, alpha, error, float(weights.sum()), 0.0))
-            break
-        weights = reweight(weights, misclassified, error)
-        rounds.append(BoostRound(model, alpha, error, float(weights.sum()),
+        if error > 0.0:
+            weights = reweight(weights, misclassified, error)
+        rounds.append(BoostRound(model, boost_alpha(error, n), error, float(weights.sum()),
                                  float(weights[misclassified].sum())))
+        if error == 0.0:
+            break
     if not rounds:
         raise DataError("no boosting round beats chance on the training data")
     return BoostedModel(tuple(rounds), config)

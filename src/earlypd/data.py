@@ -179,8 +179,8 @@ class Dataset:
         return replace(
             self,
             subject_ids=tuple(self.subject_ids[i] for i in idx),
-            features=self.features[idx] if idx else np.empty((0, len(self.schema))),
-            labels=self.labels[idx] if idx else np.empty((0,), dtype=np.int64),
+            features=self.features[idx],
+            labels=self.labels[idx],
         )
 
 

@@ -101,8 +101,7 @@ class MlpModel:
 
 
 def _sigmoid(z):
-    with np.errstate(over="ignore"):  # exp(-z) = inf gives 1 / (1 + inf) = 0
-        return 1.0 / (1.0 + np.exp(-z))
+    return 1.0 / (1.0 + np.exp(-z))
 
 
 class _Network:
@@ -189,6 +188,7 @@ def mlp_train(train: Dataset, config: MlpConfig = MlpConfig(), seed: int = 42) -
     Requires min-max normalized inputs (every feature in [0, 1]) and both
     classes present. Records the mean squared error of each epoch, measured
     on the forward passes made during that epoch (before each update).
+    Raises DataError when the weights diverge to a non-finite value.
     """
     feats = train.features
     if feats.size and (not np.isfinite(feats).all() or feats.min() < 0.0 or feats.max() > 1.0):
@@ -216,18 +216,23 @@ def mlp_train(train: Dataset, config: MlpConfig = MlpConfig(), seed: int = 42) -
     multiply, add = np.multiply, np.add
     epoch_mse = []
     order = list(range(n))
-    for _ in range(config.epochs):
-        stream.shuffle(order)
-        for i, nerr in zip(order, err_rows):
-            step(neg_rows[i], rows[i], target_rows[i], nerr)
-            # v = mom * v + lr * -g; w += v
-            multiply(vg, scale, vg)
-            add(v, g, v)
-            add(w, v, w)
-        # err @ err per step, each row the same dot product a 1-D err @ err runs
-        np.matmul(errs[:, None, :], errs[:, :, None], sq)
-        # the steps' 2 * (0.5 * err @ err) summed one after another, in step order
-        epoch_mse.append(float(np.cumsum(2.0 * (0.5 * sq.ravel()))[-1]) / n)
+    # a saturated unit overflows exp harmlessly; a diverged fit is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(config.epochs):
+            stream.shuffle(order)
+            for i, nerr in zip(order, err_rows):
+                step(neg_rows[i], rows[i], target_rows[i], nerr)
+                # v = mom * v + lr * -g; w += v
+                multiply(vg, scale, vg)
+                add(v, g, v)
+                add(w, v, w)
+            # err @ err per step, each row the same dot product a 1-D err @ err runs
+            np.matmul(errs[:, None, :], errs[:, :, None], sq)
+            # the steps' 2 * (0.5 * err @ err) summed one after another, in step order
+            epoch_mse.append(float(np.cumsum(2.0 * (0.5 * sq.ravel()))[-1]) / n)
+    if not np.isfinite(w).all():
+        raise DataError(f"MLP training diverged to non-finite weights; lower learning_rate "
+                        f"({config.learning_rate}) or momentum ({config.momentum})")
     net.w1.setflags(write=False)
     net.w2.setflags(write=False)
     return MlpModel(net.w1, net.w2, config, seed, tuple(epoch_mse))
@@ -236,7 +241,8 @@ def mlp_train(train: Dataset, config: MlpConfig = MlpConfig(), seed: int = 42) -
 def mlp_score_batch(model: MlpModel, features) -> np.ndarray:
     """PD share of the output activations; inputs are clamped into [0, 1]."""
     x = np.clip(np.asarray(features, dtype=np.float64), 0.0, 1.0)
-    out = _forward_batch(model.w_hidden, model.w_output, x)
+    with np.errstate(over="ignore"):  # a matmul or exp may overflow; 1 / (1 + inf) = 0
+        out = _forward_batch(model.w_hidden, model.w_output, x)
     return out[:, 1] / out.sum(axis=1)
 
 

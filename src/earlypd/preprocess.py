@@ -1,4 +1,4 @@
-"""Min-max normalization, stratified splitting and discretization.
+"""Min-max normalization, stratified splitting and the normalization sidecar.
 
 The split is reproducible across platforms: per-class index lists are
 shuffled with a SplitMix64 stream derived from (seed, "split"), healthy class
@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, DataError
-from .jsontext import check_version, json_array, json_text, json_typed, read_json
+from .jsontext import check_version, json_text, json_typed, read_json
 from .rng import derive_stream
 
 
@@ -100,81 +100,6 @@ def stratified_split(ds: Dataset, train_fraction: float, seed: int):
         train_idx.extend(members[:k])
         test_idx.extend(members[k:])
     return ds.subset(sorted(train_idx)), ds.subset(sorted(test_idx))
-
-
-DISCRETIZE_STRATEGIES = ("equal_frequency", "equal_width")
-
-
-@dataclass(frozen=True)
-class DiscretizationMap:
-    """Per-feature ascending cut points. Empty tuple means a single bin.
-
-    A value lands in bin ``searchsorted(cuts, value, side="right")``, i.e.
-    values below the first cut go to bin 0 and a value equal to a cut goes to
-    the upper bin. Values beyond the training range therefore clamp to the
-    first or last bin on their own.
-    """
-
-    schema: tuple
-    cuts: tuple
-
-    def arities(self) -> tuple:
-        return tuple(len(c) + 1 for c in self.cuts)
-
-    def bin_matrix(self, features: np.ndarray) -> np.ndarray:
-        out = np.empty(features.shape, dtype=np.int64)
-        for j, cuts in enumerate(self.cuts):
-            out[:, j] = np.searchsorted(np.asarray(cuts), features[:, j], side="right")
-        return out
-
-    def to_json_dict(self) -> dict:
-        return {name: {"cuts": [float(v) for v in c]} for name, c in zip(self.schema, self.cuts)}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict, schema) -> "DiscretizationMap":
-        """Raises ValueError unless obj holds the cuts of exactly the schema's
-        names, each list finite numbers in strictly ascending order."""
-        names = tuple(schema)
-        if len(obj) != len(names):
-            raise ValueError(f"the discretization has {len(obj)} features, "
-                             f"the schema {len(names)}")
-        cuts = tuple(json_array(obj[n]["cuts"], f"the cuts of {n}").tolist() for n in names)
-        for name, c in zip(names, cuts):
-            if not all(a < b for a, b in zip(c, c[1:])):
-                raise ValueError(f"the cuts of {name} must ascend strictly, got {c}")
-        return cls(names, tuple(map(tuple, cuts)))
-
-
-def discretize_fit(ds: Dataset, bins: int = 10,
-                   strategy: str = "equal_frequency") -> DiscretizationMap:
-    """Fit per-feature cut points on the given records.
-
-    equal_frequency places cuts at empirical quantiles (linear interpolation),
-    equal_width spaces them evenly over [min, max]. Duplicate cuts and cuts
-    outside the open value range are dropped, so the effective bin count can
-    shrink; a constant column keeps no cuts at all.
-    """
-    if bins < 2:
-        raise DataError(f"need at least 2 bins, got {bins}")
-    if strategy not in DISCRETIZE_STRATEGIES:
-        raise ConfigError(f"unknown discretization strategy {strategy!r}")
-    if len(ds) == 0:
-        raise DataError("cannot fit discretization on zero records")
-    all_cuts = []
-    for j in range(ds.features.shape[1]):
-        col = ds.features[:, j]
-        lo, hi = float(col.min()), float(col.max())
-        if strategy == "equal_frequency":
-            qs = np.arange(1, bins) / bins
-            raw = np.quantile(col, qs)
-        else:
-            raw = lo + np.arange(1, bins) * (hi - lo) / bins
-        kept = []
-        for c in map(float, raw):
-            if lo < c < hi and (not kept or c > kept[-1]):
-                kept.append(c)
-        all_cuts.append(tuple(kept))
-    return DiscretizationMap(ds.schema, tuple(all_cuts))
 
 
 SIDECAR_VERSION = 1  # a sidecar of any other version is refused on load

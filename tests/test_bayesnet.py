@@ -1,6 +1,6 @@
-"""Discrete Bayes net: counting tables, family scores against a factorial
-oracle, K2 structure search, posterior inference against brute-force
-enumeration, and the end-to-end classifier."""
+"""Discrete Bayes net: discretization, counting tables, family scores against
+a factorial oracle, K2 structure search, posterior inference against
+brute-force enumeration, and the end-to-end classifier."""
 
 import itertools
 import math
@@ -12,9 +12,11 @@ import pytest
 from earlypd.bayesnet import (
     BayesNetConfig,
     DiscreteNet,
+    DiscretizationMap,
     bn_score_batch,
     bn_train,
     cpt_estimate,
+    discretize_fit,
     family_counts,
     family_log_score,
     k2_search,
@@ -46,6 +48,50 @@ def _score_oracle(table, arity):
         for c in counts:
             product *= math.factorial(c)
     return math.log(product)
+
+
+def test_discretize_equal_frequency_hand_example():
+    values = np.array([[v] for v in [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]])
+    ds = make_dataset(values, [0, 1] * 4)
+    dmap = discretize_fit(ds, BayesNetConfig(bins=4, strategy="equal_frequency"))
+    cuts = dmap.cuts[0]
+    assert len(cuts) == 3
+    assert list(dmap.bin_matrix(ds.features)[:, 0]) == [0, 0, 1, 1, 2, 2, 3, 3]
+
+
+def test_discretize_equal_width_hand_example():
+    values = np.array([[v] for v in [0.0, 1.0, 2.0, 3.0, 4.0]])
+    ds = make_dataset(values, [0, 1, 0, 1, 0])
+    dmap = discretize_fit(ds, BayesNetConfig(bins=4, strategy="equal_width"))
+    assert list(dmap.cuts[0]) == [1.0, 2.0, 3.0]
+    assert list(dmap.bin_matrix(ds.features)[:, 0]) == [0, 1, 2, 3, 3]
+
+
+def test_discretize_unseen_values_clamp_to_edge_bins():
+    ds = make_dataset([[0.0], [1.0], [2.0], [3.0]], [0, 1, 0, 1])
+    dmap = discretize_fit(ds, BayesNetConfig(bins=2))
+    lo, hi = dmap.bin_matrix(np.array([[-100.0], [100.0]]))[:, 0]
+    assert lo == 0
+    assert hi == dmap.arities()[0] - 1
+
+
+def test_discretize_constant_feature_single_bin():
+    ds = make_dataset([[5.0], [5.0], [5.0]], [0, 1, 0])
+    dmap = discretize_fit(ds, BayesNetConfig(bins=4))
+    assert dmap.arities()[0] == 1
+    assert dmap.bin_matrix(np.array([[5.0]]))[0, 0] == 0
+
+
+def test_discretize_zero_records():
+    with pytest.raises(DataError, match="cannot fit discretization on zero records"):
+        discretize_fit(make_dataset(np.empty((0, 1)), []), BayesNetConfig())
+
+
+def test_discretization_map_json_round_trip():
+    dmap = DiscretizationMap(("a",), (np.array([0.25, 0.5]),))
+    again = DiscretizationMap.from_json_dict(dmap.to_json_dict(), dmap.schema)
+    assert again.schema == dmap.schema
+    assert list(again.cuts[0]) == [0.25, 0.5]
 
 
 def test_family_counts_hand_example():
@@ -119,7 +165,7 @@ def test_cpt_unseen_config_falls_back_to_uniform():
     assert counts[0] / counts[0].sum() == pytest.approx([1 / 3, 2 / 3], abs=1e-15)
     assert counts[1].sum() == 0
     # every row of a table is a distribution
-    assert cpt_estimate(data, 1, (0,), (2, 2)).sum(axis=1) == pytest.approx([1, 1])
+    assert cpt_estimate(data, 1, (0,), (2, 2), 0.5).sum(axis=1) == pytest.approx([1, 1])
 
 
 def test_k2_naive_start_keeps_class_parent():
@@ -277,3 +323,8 @@ def test_out_of_range_values_clamp(small_split):
 def test_config_rejects_unknown_strategy():
     with pytest.raises(ConfigError, match="bogus"):
         BayesNetConfig(strategy="bogus")
+
+
+def test_config_rejects_a_single_bin():
+    with pytest.raises(ConfigError, match="bins must be >= 2, got 1"):
+        BayesNetConfig(bins=1)

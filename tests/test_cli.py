@@ -611,6 +611,37 @@ def test_an_int_beyond_int64_reads_as_a_boosted_alpha(exp_dir, tmp_path, capsys)
     assert 0.0 <= json.loads(captured.out)["auc"] <= 1.0
 
 
+def _mlp_config(tmp_path, **mlp):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(FAST_CONFIG, models=["mlp"],
+                                      mlp=dict(FAST_CONFIG["mlp"], **mlp))))
+    return config
+
+
+@pytest.mark.parametrize("command", ["train", "experiment"])
+def test_a_diverged_mlp_exits_1_and_writes_nothing(tmp_path, capsys, command):
+    config = _mlp_config(tmp_path, learning_rate=1e308, momentum=0.99)
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(config), "--out", str(out)])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(lines) == 1, lines  # one JSON line, no numpy warning
+    err = json.loads(lines[0])
+    assert err["error"] == "data"
+    assert "learning_rate (1e+308)" in err["message"] and "momentum (0.99)" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "experiment"])
+def test_a_saturated_mlp_trains_without_a_warning(tmp_path, capsys, command):
+    # exp overflows in the step; warnings are errors here, and stderr stays empty
+    config = _mlp_config(tmp_path, learning_rate=1e6)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (out / "models" / "mlp.json").exists()
+
+
 @pytest.mark.parametrize("command", ["generate", "experiment"])
 def test_separation_that_makes_a_class_sd_negative_exits_2(tmp_path, capsys, command):
     obj = asdict(load_params())

@@ -533,6 +533,9 @@ def test_dataset_subset(fixture_csv):
     assert a.subject_ids + b.subject_ids == ds.subject_ids
     assert np.array_equal(np.vstack([a.features, b.features]), ds.features)
     assert np.array_equal(np.concatenate([a.labels, b.labels]), ds.labels)
+    empty = ds.subset([])
+    assert empty.features.shape == (0, len(ds.schema)) and empty.features.dtype == np.float64
+    assert empty.labels.shape == (0,) and empty.labels.dtype == np.int64
 
 
 def test_dataset_shape_checks():

@@ -175,6 +175,20 @@ def test_score_saturates_an_extreme_weight_without_a_warning():
     assert scores[0] == pytest.approx(out_p / (out_h + out_p), abs=1e-15)
 
 
+def test_score_overflows_the_hidden_products_without_a_warning(small_split):
+    # every hidden weight -1e308: w1 @ x overflows to -inf in the matmul
+    # itself, before exp, and every hidden activation is 0
+    train, test = small_split
+    obj = mlp_train(train, MlpConfig(hidden_units=3, epochs=2), seed=42).to_json_dict()
+    obj["w_hidden"] = [-1e308] * len(obj["w_hidden"])
+    extreme = MlpModel.from_json_dict(obj)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scores = mlp_score_batch(extreme, test.features)
+    out_h, out_p = (_sig(b) for b in extreme.w_output[:, -1])
+    assert scores == pytest.approx([out_p / (out_h + out_p)] * len(test), abs=1e-15)
+
+
 @pytest.fixture()
 def small_train(small_split):
     return small_split[0]

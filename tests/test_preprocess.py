@@ -1,4 +1,4 @@
-"""Normalization, stratified splitting, and discretization behavior."""
+"""Normalization, stratified splitting and the normalization sidecar."""
 
 import json
 
@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from earlypd.bayesnet import BayesNetConfig, discretize_fit
 from earlypd.data import FEATURE_NAMES
 from earlypd.errors import ConfigError, DataError
 from earlypd.preprocess import (
-    DiscretizationMap,
     NormalizationStats,
-    discretize_fit,
     load_sidecar,
     normalize_apply,
     normalize_fit_transform,
@@ -147,46 +146,6 @@ def test_split_counts_within_one_of_fraction(n_h, n_pd, fraction, seed):
     assert len(train) + len(test) == n_h + n_pd
 
 
-def test_discretize_equal_frequency_hand_example():
-    values = np.array([[v] for v in [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]])
-    ds = make_dataset(values, [0, 1] * 4)
-    dmap = discretize_fit(ds, bins=4, strategy="equal_frequency")
-    cuts = dmap.cuts[0]
-    assert len(cuts) == 3
-    assert list(dmap.bin_matrix(ds.features)[:, 0]) == [0, 0, 1, 1, 2, 2, 3, 3]
-
-
-def test_discretize_equal_width_hand_example():
-    values = np.array([[v] for v in [0.0, 1.0, 2.0, 3.0, 4.0]])
-    ds = make_dataset(values, [0, 1, 0, 1, 0])
-    dmap = discretize_fit(ds, bins=4, strategy="equal_width")
-    assert list(dmap.cuts[0]) == [1.0, 2.0, 3.0]
-    assert list(dmap.bin_matrix(ds.features)[:, 0]) == [0, 1, 2, 3, 3]
-
-
-def test_discretize_unseen_values_clamp_to_edge_bins():
-    ds = make_dataset([[0.0], [1.0], [2.0], [3.0]], [0, 1, 0, 1])
-    dmap = discretize_fit(ds, bins=2)
-    lo, hi = dmap.bin_matrix(np.array([[-100.0], [100.0]]))[:, 0]
-    assert lo == 0
-    assert hi == dmap.arities()[0] - 1
-
-
-def test_discretize_constant_feature_single_bin():
-    ds = make_dataset([[5.0], [5.0], [5.0]], [0, 1, 0])
-    dmap = discretize_fit(ds, bins=4)
-    assert dmap.arities()[0] == 1
-    assert dmap.bin_matrix(np.array([[5.0]]))[0, 0] == 0
-
-
-def test_discretize_errors():
-    ds = make_dataset([[1.0], [2.0]], [0, 1])
-    with pytest.raises(DataError, match="need at least 2 bins, got 1"):
-        discretize_fit(ds, bins=1)
-    with pytest.raises(ConfigError):
-        discretize_fit(ds, bins=4, strategy="mystery")
-
-
 def test_sidecar_round_trip(tmp_path):
     cohort = generate(GenerateConfig(n_healthy=10, n_pd=14), 2)
     _scaled, stats = normalize_fit_transform(cohort)
@@ -217,7 +176,7 @@ def test_sidecar_with_a_discretization_key_loads_the_same_stats(tmp_path):
     path = tmp_path / "preprocess.json"
     save_sidecar(path, stats)
     payload = json.loads(path.read_text())
-    payload["discretization"] = discretize_fit(scaled, bins=5).to_json_dict()
+    payload["discretization"] = discretize_fit(scaled, BayesNetConfig(bins=5)).to_json_dict()
     old = tmp_path / "old.json"
     old.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     assert load_sidecar(old) == load_sidecar(path) == stats
@@ -243,10 +202,3 @@ def test_normalization_stats_json_round_trip():
     stats = NormalizationStats(("a", "b"), ((0.0, 1.0), (2.0, 5.0)))
     again = NormalizationStats.from_json_dict(stats.to_json_dict(), stats.schema)
     assert again.schema == stats.schema and again.pairs == stats.pairs
-
-
-def test_discretization_map_json_round_trip():
-    dmap = DiscretizationMap(("a",), (np.array([0.25, 0.5]),))
-    again = DiscretizationMap.from_json_dict(dmap.to_json_dict(), dmap.schema)
-    assert again.schema == dmap.schema
-    assert list(again.cuts[0]) == [0.25, 0.5]
