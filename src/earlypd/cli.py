@@ -24,10 +24,9 @@ from pathlib import Path
 from ._version import __version__
 from .data import export_csv, ingest_csv, location, validate_file
 from .errors import ConfigError, DataError
-from .jsontext import json_text, read_json
+from .jsontext import json_text
 from .metrics import (
     SPLITS,
-    EvaluationReport,
     evaluate_scores,
     render_report_csv,
     render_report_text,
@@ -41,6 +40,7 @@ from .pipeline import (
     PipelineConfig,
     config_from_dict,
     load_config,
+    load_evaluations,
     load_model_file,
     roc_title,
     run_and_write,
@@ -171,30 +171,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return _write_or_print(json_text(payload), args.out)
 
 
-def _evaluations_from_json(obj) -> tuple:
-    """(model order, {model: {split: report}}) for the known models that
-    evaluations.json lists; each must have both splits."""
-    order = [m for m in obj["model_order"] if m in MODEL_ORDER]
-    return order, {name: {split: EvaluationReport.from_json_dict(obj["models"][name][split])
-                          for split in SPLITS}
-                   for name in order}
-
-
-def _load_evaluations(path):
-    return read_json(path, "an evaluations file", _evaluations_from_json)
-
-
 def cmd_report(args: argparse.Namespace) -> int:
-    order, reports = _load_evaluations(args.evaluations)
+    reports = load_evaluations(args.evaluations)
     if args.format == "csv":
-        text = render_report_csv(reports, order)
+        text = render_report_csv(reports)
     else:
-        text = render_report_text(reports, order, DISPLAY_NAMES)
+        text = render_report_text(reports, DISPLAY_NAMES)
     return _write_or_print(text, args.out)
 
 
 def cmd_roc(args: argparse.Namespace) -> int:
-    _order, reports = _load_evaluations(args.evaluations)
+    reports = load_evaluations(args.evaluations)
     if args.model not in reports:
         raise ConfigError(f"no evaluation for model {args.model!r}")
     curve = reports[args.model][args.split].roc

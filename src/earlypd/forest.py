@@ -88,9 +88,6 @@ class DecisionTree:
     right: np.ndarray
     counts: np.ndarray  # (n_nodes, 2) healthy / pd record counts
 
-    def n_nodes(self) -> int:
-        return len(self.feature)
-
     def add_pd_votes(self, columns, votes) -> None:
         """Add 1.0 to votes[r] for every record r that reaches a PD leaf,
         where columns[f][r] is feature f of record r. A record reaches one

@@ -210,25 +210,25 @@ def evaluate_scores(labels, scores) -> EvaluationReport:
 SPLITS = ("training", "testing")
 
 
-def render_report_csv(reports: dict, model_order) -> str:
-    """Long-format CSV: measure, model, split, value (full float precision)."""
+def render_report_csv(reports: dict) -> str:
+    """Long-format CSV: measure, model, split, value (full precision), models in dict order."""
     lines = ["measure,model,split,value"]
     for measure in MEASURES:
-        for model in model_order:
+        for model, by_split in reports.items():
             for split in SPLITS:
-                value = reports[model][split].value(measure)
+                value = by_split[split].value(measure)
                 lines.append(f"{measure},{model},{split},{value!r}")
     return "\n".join(lines) + "\n"
 
 
-def render_report_text(reports: dict, model_order, display_names) -> str:
-    """Aligned text grid, one column per (model, split)."""
+def render_report_text(reports: dict, display_names) -> str:
+    """Aligned text grid, one column per (model, split), models in dict order."""
     cell_w = 11
     label_w = max(len(t) for t in MEASURE_TITLES.values()) + 2
-    inner = {m: max(len(display_names[m]), 2 * cell_w + 1) for m in model_order}
+    inner = {m: max(len(display_names[m]), 2 * cell_w + 1) for m in reports}
     header1 = " " * label_w
     header2 = " " * label_w
-    for model in model_order:
+    for model in reports:
         header1 += "| " + display_names[model].ljust(inner[model]) + " "
         pair = "Train".ljust(cell_w) + " " + "Test"
         header2 += "| " + pair.ljust(inner[model]) + " "
@@ -236,10 +236,10 @@ def render_report_text(reports: dict, model_order, display_names) -> str:
     lines = [header1.rstrip(), header2.rstrip(), rule]
     for measure in MEASURES:
         row = MEASURE_TITLES[measure].ljust(label_w)
-        for model in model_order:
+        for model, by_split in reports.items():
             cells = []
             for split in SPLITS:
-                value = reports[model][split].value(measure)
+                value = by_split[split].value(measure)
                 if measure == "accuracy":
                     cells.append(f"{100.0 * value:.4f}")
                 else:

@@ -26,6 +26,8 @@ from .errors import ConfigError
 from .forest import ForestConfig, ForestModel, forest_score_batch, forest_train, usable_cpus
 from .jsontext import check_version, from_json, json_text, read_json
 from .metrics import (
+    SPLITS,
+    EvaluationReport,
     evaluate_scores,
     render_report_csv,
     render_report_text,
@@ -59,7 +61,7 @@ class ModelSpec:
     inputs: Callable  # model -> the feature names it scores in order, or their number
 
 
-# Canonical order: training, report rows and artifact files all follow it.
+# Canonical order: train_models keys its dict in it; every later stage follows that dict.
 MODELS = {
     "mlp": ModelSpec(
         "Multilayer Perceptron",
@@ -125,9 +127,6 @@ class PipelineConfig:
         if self.normalize_on not in ("all", "train"):
             raise ConfigError("normalize_on must be 'all' or 'train'")
 
-    def ordered_models(self) -> tuple:
-        return tuple(m for m in MODEL_ORDER if m in self.models)
-
     def to_json_dict(self) -> dict:
         return asdict(self)
 
@@ -161,7 +160,9 @@ def prepare_splits(config: PipelineConfig, ds: Dataset):
 
 
 def train_models(config: PipelineConfig, train: Dataset) -> dict:
-    return {name: MODELS[name].train(train, config) for name in config.ordered_models()}
+    """{model: trained model} for the configured models, in MODELS order."""
+    return {name: spec.train(train, config) for name, spec in MODELS.items()
+            if name in config.models}
 
 
 def score_batch(name: str, model, features):
@@ -191,13 +192,10 @@ def _model_from_json(obj) -> tuple:
 
 
 def evaluate_models(models: dict, train: Dataset, test: Dataset) -> dict:
-    out = {}
-    for name, model in models.items():
-        out[name] = {
-            "training": evaluate_scores(train.labels, score_batch(name, model, train.features)),
-            "testing": evaluate_scores(test.labels, score_batch(name, model, test.features)),
-        }
-    return out
+    """{model: {split: report}}, in the order of models."""
+    return {name: {split: evaluate_scores(data.labels, score_batch(name, model, data.features))
+                   for split, data in zip(SPLITS, (train, test))}
+            for name, model in models.items()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,9 +218,8 @@ def run_experiment(config: PipelineConfig) -> ExperimentResult:
     train, test, stats = prepare_splits(config, ds)
     models = train_models(config, train)
     evaluations = evaluate_models(models, train, test)
-    order = config.ordered_models()
-    report = render_report_csv(evaluations, order)
-    text = render_report_text(evaluations, order, DISPLAY_NAMES)
+    report = render_report_csv(evaluations)
+    text = render_report_text(evaluations, DISPLAY_NAMES)
     return ExperimentResult(config, ds, train, test, stats, models, evaluations,
                             report, text, time.perf_counter() - started)
 
@@ -279,7 +276,7 @@ def write_artifacts(result: ExperimentResult, out_dir) -> list:
     config = result.config
     files = _training_files(config, result.dataset, result.stats, result.models)
     evaluations = {
-        "model_order": list(config.ordered_models()),
+        "model_order": list(result.evaluations),
         "models": {
             name: {split: report.to_json_dict() for split, report in by_split.items()}
             for name, by_split in result.evaluations.items()
@@ -289,8 +286,8 @@ def write_artifacts(result: ExperimentResult, out_dir) -> list:
     files += [(evaluations_file, json_text(evaluations)),
               (report_table, result.report_csv),
               (report_text, result.report_text)]
-    for name in config.ordered_models():
-        curve = result.evaluations[name]["testing"].roc
+    for name, by_split in result.evaluations.items():
+        curve = by_split["testing"].roc
         _model, roc_table, roc_plot = (form.format(name) for form in MODEL_FILES)
         files.append((roc_table, roc_csv(curve)))
         files.append((roc_plot, roc_svg(curve, roc_title(name, "testing"))))
@@ -304,6 +301,22 @@ def write_artifacts(result: ExperimentResult, out_dir) -> list:
     }
     files.append((metadata_file, json_text(metadata)))
     return _write_files(out_dir, files, config.input)
+
+
+def load_evaluations(path) -> dict:
+    """{model: {split: report}} from an evaluations file, in its model_order:
+    a non-empty list of distinct names from MODEL_ORDER, each with both splits."""
+    return read_json(path, "an evaluations file", _evaluations_from_json)
+
+
+def _evaluations_from_json(obj) -> dict:
+    order = obj["model_order"]
+    if not (type(order) is list and order and len(set(order)) == len(order)
+            and set(order) <= set(MODEL_ORDER)):
+        raise ConfigError(f"model_order must list distinct models of {', '.join(MODEL_ORDER)}")
+    return {name: {split: EvaluationReport.from_json_dict(obj["models"][name][split])
+                   for split in SPLITS}
+            for name in order}
 
 
 def run_and_write(config: PipelineConfig, out_dir) -> ExperimentResult:

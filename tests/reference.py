@@ -103,7 +103,7 @@ def tree_to_json_list(tree) -> list:
     """A tree in the node-list layout that model files had before the
     columnar one: one JSON object per node, in preorder."""
     nodes = []
-    for i in range(tree.n_nodes()):
+    for i in range(len(tree.feature)):
         if tree.feature[i] < 0:
             nodes.append({"leaf": [int(tree.counts[i, 0]), int(tree.counts[i, 1])]})
         else:

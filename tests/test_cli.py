@@ -357,14 +357,24 @@ def test_report_subcommand(exp_dir, tmp_path, capsys):
     assert target.read_text() == text
 
 
-def test_report_rejects_malformed_file(tmp_path, capsys):
+def test_report_rejects_malformed_file(exp_dir, tmp_path, capsys):
+    _config, out = exp_dir
     bad = tmp_path / "evaluations.json"
     not_json = tmp_path / "not_json.json"
     bad.write_text(json.dumps({"surprise": True}))
     not_json.write_text("{not json")
-    for argv in (["report", "--evaluations", str(bad)],
-                 ["report", "--evaluations", str(not_json)],
-                 ["roc", "--evaluations", str(not_json), "--model", "mlp"]):
+    argvs = [["report", "--evaluations", str(bad)],
+             ["report", "--evaluations", str(not_json)],
+             ["roc", "--evaluations", str(not_json), "--model", "mlp"]]
+    # a model_order that is not a non-empty list of distinct known models
+    valid = json.loads((out / "evaluations.json").read_text())
+    for name, order in {"string": "mlp", "empty": [], "repeated": ["mlp", "mlp"],
+                        "unknown": ["mlp", "svm"]}.items():
+        spoiled = tmp_path / f"order_{name}.json"
+        spoiled.write_text(json.dumps({**valid, "model_order": order}))
+        argvs += [["report", "--evaluations", str(spoiled), "--format", "csv"],
+                  ["roc", "--evaluations", str(spoiled), "--model", "mlp"]]
+    for argv in argvs:
         assert main(argv) == 2, argv
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1, lines  # one JSON line, no traceback

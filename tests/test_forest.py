@@ -181,7 +181,7 @@ def test_tree_grow_matches_reference(case):
     for seed in range(4):
         X, y, k = TREE_CASES[case](np.random.default_rng(seed))
         got = _assert_grows_reference_tree(X, y, k, seed)
-        assert got.n_nodes() > 1
+        assert len(got.feature) > 1
         leaf_minority = got.counts[got.feature < 0].min(axis=1)
         if case == "pure leaves":
             assert (leaf_minority == 0).all()
@@ -213,7 +213,7 @@ def test_tree_grow_splits_adjacent_doubles():
     assert 0.5 * (1.0 + hi) == 1.0
     tree = tree_grow(np.array([[1.0], [1.0], [hi], [hi]]), np.array([0, 0, 1, 1]),
                      k=1, stream=SplitMix64(0))
-    assert tree.n_nodes() == 3
+    assert len(tree.feature) == 3
     assert tree.counts.tolist() == [[2, 2], [2, 0], [0, 2]]
     assert tree.threshold[0] == hi
 
@@ -252,7 +252,7 @@ def test_tree_arrays_are_preorder():
     y = rng.integers(0, 2, 50)
     tree = tree_grow(X, y, k=3, stream=SplitMix64(2))
     # preorder: every internal node's left child is the next array slot
-    for i in range(tree.n_nodes()):
+    for i in range(len(tree.feature)):
         if tree.feature[i] >= 0:
             assert tree.left[i] == i + 1
             assert tree.right[i] > tree.left[i]

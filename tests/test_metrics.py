@@ -238,44 +238,46 @@ def test_evaluate_scores_threshold_convention():
 
 def _tiny_reports():
     labels = [0, 1, 0, 1, 1]
+    # forest before mlp, against the canonical order: renderers follow the dict
     fake = {
-        "mlp": {
-            "training": evaluate_scores(labels, [0.1, 0.9, 0.2, 0.8, 0.7]),
-            "testing": evaluate_scores(labels, [0.3, 0.6, 0.4, 0.2, 0.9]),
-        },
         "forest": {
             "training": evaluate_scores(labels, [0.0, 1.0, 0.0, 1.0, 1.0]),
             "testing": evaluate_scores(labels, [0.2, 0.4, 0.6, 0.8, 0.6]),
+        },
+        "mlp": {
+            "training": evaluate_scores(labels, [0.1, 0.9, 0.2, 0.8, 0.7]),
+            "testing": evaluate_scores(labels, [0.3, 0.6, 0.4, 0.2, 0.9]),
         },
     }
     return fake
 
 
 def test_render_report_csv_layout():
-    text = render_report_csv(_tiny_reports(), ("mlp", "forest"))
+    text = render_report_csv(_tiny_reports())
     lines = text.strip().split("\n")
     assert lines[0] == "measure,model,split,value"
     assert len(lines) == 1 + len(MEASURES) * 2 * len(SPLITS)
-    # measure-major, model, then split ordering
-    assert lines[1].startswith("accuracy,mlp,training,")
-    assert lines[2].startswith("accuracy,mlp,testing,")
-    assert lines[3].startswith("accuracy,forest,training,")
+    # measure-major, then model in the dict's order, then split
+    assert [line.rsplit(",", 1)[0] for line in lines[1:5]] == [
+        "accuracy,forest,training", "accuracy,forest,testing",
+        "accuracy,mlp,training", "accuracy,mlp,testing"]
     # values are full-precision reprs that parse back
     for line in lines[1:]:
         float(line.rsplit(",", 1)[1])
 
 
 def test_render_report_text_layout():
-    text = render_report_text(_tiny_reports(), ("mlp", "forest"),
+    text = render_report_text(_tiny_reports(),
                               {"mlp": "Multilayer Perceptron", "forest": "Random Forest"})
     lines = text.split("\n")
-    assert "Multilayer Perceptron" in lines[0]
-    assert "Random Forest" in lines[0]
+    # columns in the dict's order: the forest's left of the MLP's
+    assert 0 < lines[0].index("Random Forest") < lines[0].index("Multilayer Perceptron")
     assert lines[1].count("Train") == 2 and lines[1].count("Test") == 2
     assert lines[3].startswith("Accuracy (%)")
     assert all(len(line) <= len(lines[2]) for line in lines[3:] if line)
-    # accuracy row shows percentages
-    assert "100.0000" in lines[3] or "80.0000" in lines[3]
+    # accuracy row shows percentages, the forest's test cell before the MLP's
+    assert "100.0000" in lines[3]
+    assert lines[3].index("60.0000") < lines[3].index("80.0000")
 
 
 def test_report_json_round_trip():

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import earlypd.pipeline
-from earlypd.cli import _load_evaluations
 from earlypd.data import export_csv, ingest_csv
 from earlypd.errors import ConfigError, DataError
 from earlypd.bayesnet import BayesNetConfig
@@ -30,6 +29,7 @@ from earlypd.pipeline import (
     acquire_dataset,
     config_from_dict,
     load_config,
+    load_evaluations,
     load_model_file,
     prepare_splits,
     run_and_write,
@@ -74,9 +74,9 @@ def test_config_validation_errors():
         PipelineConfig(normalize_on="test")
 
 
-def test_ordered_models_follow_canonical_order():
-    config = PipelineConfig(models=("boostlr", "mlp"))
-    assert config.ordered_models() == ("mlp", "boostlr")
+def test_ordered_models_follow_canonical_order(small_split):
+    models = train_models(fast_config(models=("boostlr", "mlp")), small_split[0])
+    assert list(models) == ["mlp", "boostlr"]
 
 
 def test_config_json_round_trip():
@@ -543,7 +543,7 @@ def fitted_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("fitted")
     run_and_write(fast_config(), root / "run")
     sources = {f"models/{kind}.json": load_model_file for kind in MODEL_ORDER}
-    sources.update({"preprocess.json": load_sidecar, "evaluations.json": _load_evaluations})
+    sources.update({"preprocess.json": load_sidecar, "evaluations.json": load_evaluations})
     files = {}
     for name, loader in sources.items():
         obj = json.loads((root / "run" / name).read_text())
@@ -607,6 +607,19 @@ def test_write_artifacts_file_set(tmp_path):
     assert set(evals["models"]) == {"mlp", "forest"}
     config_round = json.loads((tmp_path / "out" / "run_config.json").read_text())
     assert config_from_dict(config_round) == config
+
+
+def test_load_evaluations_round_trip(tmp_path):
+    # the written file reads back as the run's evaluations: the same models
+    # in the same order, and every report equal field by field
+    result = run_experiment(fast_config(models=("boostlr", "forest")))
+    write_artifacts(result, tmp_path)
+    loaded = load_evaluations(tmp_path / "evaluations.json")
+    assert list(loaded) == list(result.evaluations) == ["forest", "boostlr"]
+    for name, by_split in result.evaluations.items():
+        assert list(loaded[name]) == list(by_split)
+        for split, report in by_split.items():
+            assert asdict(loaded[name][split]) == asdict(report), (name, split)
 
 
 def test_write_artifacts_skips_cohort_for_csv_input(small_cohort, tmp_path):
