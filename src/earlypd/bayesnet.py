@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import PD, Dataset
+from .data import FEATURE_NAMES, N_FEATURES, PD, Dataset
 from .errors import ConfigError, DataError
 from .jsontext import json_array, settings
 
@@ -41,7 +41,6 @@ class DiscretizationMap:
     first or last bin on their own.
     """
 
-    schema: tuple
     cuts: tuple
 
     def arities(self) -> tuple:
@@ -54,21 +53,20 @@ class DiscretizationMap:
         return out
 
     def to_json_dict(self) -> dict:
-        return {name: {"cuts": [float(v) for v in c]} for name, c in zip(self.schema, self.cuts)}
+        return {name: {"cuts": [float(v) for v in c]} for name, c in zip(FEATURE_NAMES, self.cuts)}
 
     @classmethod
-    def from_json_dict(cls, obj: dict, schema) -> "DiscretizationMap":
-        """Raises ValueError unless obj holds the cuts of exactly the schema's
-        names, each list finite numbers in strictly ascending order."""
-        names = tuple(schema)
-        if len(obj) != len(names):
-            raise ValueError(f"the discretization has {len(obj)} features, "
-                             f"the schema {len(names)}")
-        cuts = tuple(json_array(obj[n]["cuts"], f"the cuts of {n}").tolist() for n in names)
-        for name, c in zip(names, cuts):
+    def from_json_dict(cls, obj: dict) -> "DiscretizationMap":
+        """Raises ValueError unless obj holds the cuts of exactly the
+        FEATURE_NAMES, each list finite numbers in strictly ascending order."""
+        if len(obj) != N_FEATURES:
+            raise ValueError(f"the discretization has {len(obj)} features, the CSV {N_FEATURES}")
+        cuts = tuple(json_array(obj[n]["cuts"], f"the cuts of {n}").tolist()
+                     for n in FEATURE_NAMES)
+        for name, c in zip(FEATURE_NAMES, cuts):
             if not all(a < b for a, b in zip(c, c[1:])):
                 raise ValueError(f"the cuts of {name} must ascend strictly, got {c}")
-        return cls(names, tuple(map(tuple, cuts)))
+        return cls(tuple(map(tuple, cuts)))
 
 
 def discretize_fit(ds: Dataset, config: BayesNetConfig) -> DiscretizationMap:
@@ -94,7 +92,7 @@ def discretize_fit(ds: Dataset, config: BayesNetConfig) -> DiscretizationMap:
             if lo < c < hi and (not kept or c > kept[-1]):
                 kept.append(c)
         all_cuts.append(tuple(kept))
-    return DiscretizationMap(ds.schema, tuple(all_cuts))
+    return DiscretizationMap(tuple(all_cuts))
 
 
 def _config_codes(data: np.ndarray, parents, arities) -> np.ndarray:
@@ -252,7 +250,7 @@ class BayesNetModel:
             **asdict(self.config),
             "parents": [list(p) for p in self.net.parents],
             "cpts": [[float(v) for v in cpt.ravel()] for cpt in self.net.cpts],
-            "schema": list(self.dmap.schema),
+            "schema": list(FEATURE_NAMES),
             "discretization": self.dmap.to_json_dict(),
         }
 
@@ -260,8 +258,11 @@ class BayesNetModel:
     def from_json_dict(cls, obj: dict) -> "BayesNetModel":
         """Raises ValueError unless each node's parents are distinct earlier
         nodes in ascending order and its CPT holds a row of probabilities per
-        parent configuration, of the arities the class and the cuts give."""
-        dmap = DiscretizationMap.from_json_dict(obj["discretization"], obj["schema"])
+        parent configuration, of the arities the class and the cuts give, and
+        unless its schema lists the 13 CSV features in order."""
+        if obj["schema"] != list(FEATURE_NAMES):
+            raise ValueError(f"the schema {obj['schema']} is not the CSV's features in order")
+        dmap = DiscretizationMap.from_json_dict(obj["discretization"])
         arities = (2,) + dmap.arities()
         parents = tuple(tuple(p) for p in obj["parents"])
         if len(parents) != len(arities) or len(obj["cpts"]) != len(arities):

@@ -35,7 +35,6 @@ from .metrics import (
 )
 from .pipeline import (
     DISPLAY_NAMES,
-    MODELS,
     MODEL_ORDER,
     PipelineConfig,
     config_from_dict,
@@ -156,18 +155,12 @@ def _write_or_print(text: str, out) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    kind, model = load_model_file(args.model)
-    ds = ingest_csv(args.input)
     stats = load_sidecar(args.preprocess)
-    for path, inputs in ((args.model, MODELS[kind].inputs(model)),
-                         (args.preprocess, stats.schema)):
-        has = ds.schema if isinstance(inputs, tuple) else len(ds.schema)
-        if inputs != has:
-            raise ConfigError(f"{path} reads features {inputs}, but {args.input} has {has}")
-    scaled = normalize_apply(ds, stats)
+    kind, model = load_model_file(args.model)
+    scaled = normalize_apply(ingest_csv(args.input), stats)
     report = evaluate_scores(scaled.labels,
                              score_batch(kind, model, scaled.features))
-    payload = {"model": kind, "records": len(ds), **report.to_json_dict()}
+    payload = {"model": kind, "records": len(scaled), **report.to_json_dict()}
     return _write_or_print(json_text(payload), args.out)
 
 

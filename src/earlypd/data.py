@@ -146,18 +146,18 @@ def record_violations(features, labels) -> list:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Immutable column store: ids, (n, 13) float features, int labels."""
+    """Immutable column store: ids, (n, k) float features, int labels; k is
+    13, the FEATURE_NAMES in order, for every cohort ingested or generated."""
 
     subject_ids: tuple
     features: np.ndarray
     labels: np.ndarray
-    schema: tuple = FEATURE_NAMES
 
     def __post_init__(self):
         feats = np.ascontiguousarray(self.features, dtype=np.float64)
         labs = np.ascontiguousarray(self.labels, dtype=np.int64)
-        if feats.ndim != 2 or feats.shape[1] != len(self.schema):
-            raise ValueError("feature matrix width must match the schema")
+        if feats.ndim != 2:
+            raise ValueError("the feature matrix must be 2-D")
         if feats.shape[0] != labs.shape[0] or feats.shape[0] != len(self.subject_ids):
             raise ValueError("ids, features and labels must have equal length")
         feats.setflags(write=False)

@@ -359,11 +359,8 @@ def forest_train(train: Dataset, config: ForestConfig = ForestConfig(),
         trees = []
         for t in share:
             stream = derive_stream(seed, f"tree/{t}")
-            if config.bootstrap:
-                sample = stream.below_array(n, n)
-                trees.append(tree_grow(X[sample], y[sample], k, stream))
-            else:
-                trees.append(tree_grow(X, y, k, stream))
+            rows = stream.below_array(n, n) if config.bootstrap else slice(None)
+            trees.append(tree_grow(X[rows], y[rows], k, stream))
         return trees
 
     shares = _split_work(grow_trees, config.trees)

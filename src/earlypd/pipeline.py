@@ -21,7 +21,7 @@ from typing import Callable
 from ._version import __version__
 from .bayesnet import BayesNetConfig, BayesNetModel, bn_score_batch, bn_train
 from .boostlr import BoostConfig, BoostedModel, adaboost_train, boosted_score_batch
-from .data import Dataset, export_csv, ingest_csv
+from .data import N_FEATURES, Dataset, export_csv, ingest_csv
 from .errors import ConfigError
 from .forest import ForestConfig, ForestModel, forest_score_batch, forest_train, usable_cpus
 from .jsontext import check_version, from_json, json_text, read_json
@@ -58,7 +58,7 @@ class ModelSpec:
     train: Callable  # (training Dataset, PipelineConfig) -> model
     score: Callable  # (model, feature matrix) -> PD scores
     model: type  # to_json_dict() / from_json_dict() for the saved model file
-    inputs: Callable  # model -> the feature names it scores in order, or their number
+    inputs: Callable  # model -> the number of features it scores
 
 
 # Canonical order: train_models keys its dict in it; every later stage follows that dict.
@@ -72,7 +72,7 @@ MODELS = {
         "BayesNet",
         lambda train, config: bn_train(train, config.bayesnet),
         lambda model, features: bn_score_batch(model, features), BayesNetModel,
-        lambda model: model.dmap.schema),
+        lambda model: len(model.dmap.cuts)),
     "forest": ModelSpec(
         "Random Forest",
         lambda train, config: forest_train(train, config.forest, config.seed),
@@ -148,15 +148,11 @@ def acquire_dataset(config: PipelineConfig) -> Dataset:
 
 
 def prepare_splits(config: PipelineConfig, ds: Dataset):
-    """(train, test, stats) after normalization and stratified splitting."""
-    if config.normalize_on == "all":
-        scaled, stats = normalize_fit_transform(ds)
-        train, test = stratified_split(scaled, config.train_fraction, config.seed)
-    else:
-        raw_train, raw_test = stratified_split(ds, config.train_fraction, config.seed)
-        train, stats = normalize_fit_transform(raw_train)
-        test = normalize_apply(raw_test, stats)
-    return train, test, stats
+    """(train, test, stats): the stratified split, each side scaled by the
+    min and max of the whole cohort or of the training split (normalize_on)."""
+    train, test = stratified_split(ds, config.train_fraction, config.seed)
+    _scaled, stats = normalize_fit_transform(ds if config.normalize_on == "all" else train)
+    return normalize_apply(train, stats), normalize_apply(test, stats), stats
 
 
 def train_models(config: PipelineConfig, train: Dataset) -> dict:
@@ -180,15 +176,19 @@ def save_model_file(model, path) -> None:
 
 def load_model_file(path) -> tuple:
     """(kind, model) from a saved model file, dispatched on its stored kind.
-    A file of another version, or a stored setting out of its bound (a forest
-    of no trees), is a malformed file too."""
+    A file of another version, a stored setting out of its bound (a forest
+    of no trees) or a model that does not read the 13 CSV features is a
+    malformed file too."""
     return read_json(path, "a saved model file", _model_from_json)
 
 
 def _model_from_json(obj) -> tuple:
     kind = obj["kind"]
     check_version(obj.get("version"), MODEL_VERSION, "retrain the model")
-    return kind, MODELS[kind].model.from_json_dict(obj)
+    model = MODELS[kind].model.from_json_dict(obj)
+    if (width := MODELS[kind].inputs(model)) != N_FEATURES:
+        raise ValueError(f"the model reads {width} features, the CSV has {N_FEATURES}")
+    return kind, model
 
 
 def evaluate_models(models: dict, train: Dataset, test: Dataset) -> dict:

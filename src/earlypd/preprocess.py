@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset
+from .data import FEATURE_NAMES, Dataset
 from .errors import ConfigError, DataError
 from .jsontext import check_version, json_text, json_typed, read_json
 from .rng import derive_stream
@@ -21,29 +21,27 @@ from .rng import derive_stream
 
 @dataclass(frozen=True)
 class NormalizationStats:
-    """Per-feature (min, max) pairs in schema order."""
+    """Per-feature (min, max) pairs in FEATURE_NAMES order."""
 
-    schema: tuple
     pairs: tuple
 
     def to_json_dict(self) -> dict:
         return {name: {"min": lo, "max": hi}
-                for name, (lo, hi) in zip(self.schema, self.pairs)}
+                for name, (lo, hi) in zip(FEATURE_NAMES, self.pairs)}
 
     @classmethod
-    def from_json_dict(cls, obj: dict, schema) -> "NormalizationStats":
+    def from_json_dict(cls, obj: dict) -> "NormalizationStats":
         """Raises ConfigError or ValueError unless obj holds a (min, max) pair
-        of finite numbers with min <= max for exactly the schema's names."""
-        names = tuple(schema)
-        if set(obj) != set(names):
+        of finite numbers with min <= max for exactly the FEATURE_NAMES."""
+        if set(obj) != set(FEATURE_NAMES):
             raise ValueError(f"the normalization names {sorted(obj)}, "
-                             f"the schema {list(names)}")
+                             f"the CSV's {list(FEATURE_NAMES)}")
         pairs = tuple(tuple(json_typed(float, obj[n][end], f"normalization.{n}.{end}")
-                            for end in ("min", "max")) for n in names)
-        for name, (lo, hi) in zip(names, pairs):
+                            for end in ("min", "max")) for n in FEATURE_NAMES)
+        for name, (lo, hi) in zip(FEATURE_NAMES, pairs):
             if not lo <= hi:
                 raise ValueError(f"the min of {name}, {lo!r}, is above its max, {hi!r}")
-        return cls(names, pairs)
+        return cls(pairs)
 
 
 def normalize_fit_transform(ds: Dataset):
@@ -55,21 +53,21 @@ def normalize_fit_transform(ds: Dataset):
         raise DataError("cannot fit normalization on zero records")
     lo = map(float, ds.features.min(axis=0))
     hi = map(float, ds.features.max(axis=0))
-    stats = NormalizationStats(ds.schema, tuple(zip(lo, hi)))
+    stats = NormalizationStats(tuple(zip(lo, hi)))
     return normalize_apply(ds, stats), stats
 
 
 def normalize_apply(ds: Dataset, stats: NormalizationStats) -> Dataset:
     """Scale with previously fitted stats, clamping results into [0, 1]."""
-    if stats.schema != ds.schema or len(stats.pairs) != len(ds.schema):
-        raise DataError("normalization stats do not match the dataset schema")
+    if len(stats.pairs) != ds.features.shape[1]:
+        raise DataError(f"stats of {len(stats.pairs)} features for {ds.features.shape[1]} columns")
     lo = np.array([p[0] for p in stats.pairs])
     hi = np.array([p[1] for p in stats.pairs])
     span = hi - lo
     safe = np.where(span == 0, 1.0, span)
     scaled = np.where(span == 0, 0.0, (ds.features - lo) / safe)
     scaled = np.clip(scaled, 0.0, 1.0)
-    return Dataset(ds.subject_ids, scaled, ds.labels, ds.schema)
+    return Dataset(ds.subject_ids, scaled, ds.labels)
 
 
 def _round_half_up(x: float) -> int:
@@ -110,18 +108,21 @@ def save_sidecar(path, stats: NormalizationStats) -> None:
     order, and the per-feature mappings are keyed by name."""
     payload = {
         "version": SIDECAR_VERSION,
-        "schema": list(stats.schema),
+        "schema": list(FEATURE_NAMES),
         "normalization": stats.to_json_dict(),
     }
     Path(path).write_text(json_text(payload), encoding="utf-8")
 
 
 def load_sidecar(path) -> NormalizationStats:
-    """The NormalizationStats of a sidecar file; a discretization key is ignored."""
+    """The NormalizationStats of a sidecar file, whose schema must list the
+    13 CSV features in order; a discretization key is ignored."""
     return read_json(path, "a preprocess sidecar", _sidecar_from_json)
 
 
 def _sidecar_from_json(payload) -> NormalizationStats:
     schema = payload["schema"]  # before payload.get: a JSON array has no get
     check_version(payload.get("version"), SIDECAR_VERSION, "rerun train to rewrite it")
-    return NormalizationStats.from_json_dict(payload["normalization"], schema)
+    if schema != list(FEATURE_NAMES):
+        raise ValueError(f"the schema {schema} is not the CSV's features in order")
+    return NormalizationStats.from_json_dict(payload["normalization"])

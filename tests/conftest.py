@@ -65,20 +65,17 @@ def small_split(small_cohort):
     return stratified_split(scaled, 0.7, 5)
 
 
-def make_dataset(features, labels, schema=None) -> Dataset:
-    """Dataset from plain arrays, with generated ids and a matching schema."""
+def make_dataset(features, labels) -> Dataset:
+    """Dataset from plain arrays, with generated ids."""
     features = np.asarray(features, dtype=np.float64)
-    if schema is None:
-        schema = tuple(f"f{i}" for i in range(features.shape[1]))
     ids = tuple(f"R{i:03d}" for i in range(features.shape[0]))
-    return Dataset(ids, features, np.asarray(labels, dtype=np.int64), schema=schema)
+    return Dataset(ids, features, np.asarray(labels, dtype=np.int64))
 
 
 def datasets_equal(a: Dataset, b: Dataset) -> bool:
-    """Same ids, schema, features and labels."""
+    """Same ids, features and labels."""
     return (
-        a.schema == b.schema
-        and a.subject_ids == b.subject_ids
+        a.subject_ids == b.subject_ids
         and np.array_equal(a.features, b.features)
         and np.array_equal(a.labels, b.labels)
     )
@@ -97,4 +94,4 @@ def full_schema_random():
     rng = np.random.default_rng(77)
     X = rng.random((40, len(FEATURE_NAMES)))
     y = np.array([0, 1] * 20)
-    return make_dataset(X, y, schema=FEATURE_NAMES)
+    return make_dataset(X, y)

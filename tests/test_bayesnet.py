@@ -21,6 +21,7 @@ from earlypd.bayesnet import (
     family_log_score,
     k2_search,
 )
+from earlypd.data import FEATURE_NAMES
 from earlypd.errors import ConfigError, DataError
 from earlypd.metrics import roc
 
@@ -88,10 +89,10 @@ def test_discretize_zero_records():
 
 
 def test_discretization_map_json_round_trip():
-    dmap = DiscretizationMap(("a",), (np.array([0.25, 0.5]),))
-    again = DiscretizationMap.from_json_dict(dmap.to_json_dict(), dmap.schema)
-    assert again.schema == dmap.schema
-    assert list(again.cuts[0]) == [0.25, 0.5]
+    dmap = DiscretizationMap(((0.25, 0.5),) + ((),) * 11 + ((3.0,),))
+    again = DiscretizationMap.from_json_dict(dmap.to_json_dict())
+    assert again.cuts == dmap.cuts
+    assert list(dmap.to_json_dict()) == list(FEATURE_NAMES)
 
 
 def test_family_counts_hand_example():

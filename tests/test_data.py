@@ -534,13 +534,13 @@ def test_dataset_subset(fixture_csv):
     assert np.array_equal(np.vstack([a.features, b.features]), ds.features)
     assert np.array_equal(np.concatenate([a.labels, b.labels]), ds.labels)
     empty = ds.subset([])
-    assert empty.features.shape == (0, len(ds.schema)) and empty.features.dtype == np.float64
+    assert empty.features.shape == (0, len(FEATURE_NAMES)) and empty.features.dtype == np.float64
     assert empty.labels.shape == (0,) and empty.labels.dtype == np.int64
 
 
 def test_dataset_shape_checks():
-    with pytest.raises(ValueError):
-        Dataset(("a",), np.zeros((1, 2)), np.zeros(1, dtype=np.int64))
+    with pytest.raises(ValueError, match="2-D"):
+        Dataset(("a",), np.zeros(13), np.zeros(1, dtype=np.int64))
     with pytest.raises(ValueError):
         Dataset(("a", "b"), np.zeros((1, 13)), np.zeros(1, dtype=np.int64))
 

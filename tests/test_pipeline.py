@@ -3,6 +3,7 @@ run, and artifact writing with its cleanup guarantee."""
 
 import json
 import math
+import re
 from dataclasses import asdict, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -19,7 +20,12 @@ from earlypd.boostlr import BoostConfig
 from earlypd.mlp import MlpConfig
 from earlypd.forest import ForestConfig, forest_score_batch, usable_cpus
 from earlypd.jsontext import finite_number
-from earlypd.preprocess import load_sidecar
+from earlypd.preprocess import (
+    load_sidecar,
+    normalize_apply,
+    normalize_fit_transform,
+    stratified_split,
+)
 from earlypd.synth import GenerateConfig, load_params
 from earlypd.pipeline import (
     DISPLAY_NAMES,
@@ -41,7 +47,7 @@ from earlypd.pipeline import (
     write_artifacts,
 )
 
-from conftest import OTHER_MODEL_VERSIONS
+from conftest import OTHER_MODEL_VERSIONS, datasets_equal
 
 FAST = {
     "mlp": MlpConfig(hidden_units=4, epochs=40),
@@ -160,6 +166,24 @@ def test_prepare_splits_train_only_normalization():
     _, test_all, stats_all = prepare_splits(fast_config(normalize_on="all"), ds)
     assert stats.pairs != stats_all.pairs
     assert not np.array_equal(test.features, test_all.features)
+
+
+@pytest.mark.parametrize("normalize_on", ["all", "train"])
+def test_prepare_splits_matches_scaling_before_or_after_the_split(normalize_on):
+    # the split reads only the labels and the scaling is elementwise, so
+    # scaling after the split gives the bits of scaling the cohort first
+    config = fast_config(normalize_on=normalize_on)
+    ds = acquire_dataset(config)
+    train, test, stats = prepare_splits(config, ds)
+    if normalize_on == "all":
+        scaled, want_stats = normalize_fit_transform(ds)
+        want = stratified_split(scaled, config.train_fraction, config.seed)
+    else:
+        raw_train, raw_test = stratified_split(ds, config.train_fraction, config.seed)
+        want_train, want_stats = normalize_fit_transform(raw_train)
+        want = want_train, normalize_apply(raw_test, want_stats)
+    assert stats == want_stats
+    assert datasets_equal(train, want[0]) and datasets_equal(test, want[1])
 
 
 def test_split_is_stratified():
@@ -329,9 +353,16 @@ def _extra_cpt_row(obj):
     obj["cpts"][1] += [0.5] * (len(obj["discretization"][obj["schema"][0]]["cuts"]) + 1)
 
 
+def _swap_two_names(obj):
+    names = obj["schema"]
+    i, j = names.index("sbr_caudate_left"), names.index("sbr_putamen_right")
+    names[i], names[j] = names[j], names[i]
+
+
 # obj -> None, each breaking a saved Bayes net
 BAYESNET_DEFECTS = {
     "schema of 12 names": lambda obj: obj["schema"].pop(),
+    "two schema names swapped": _swap_two_names,
     "feature of arity 1": lambda obj: _cuts(obj).clear(),
     "two cuts more than the arity": _two_cuts_more,
     "one cut fewer than the arity": _cut_fewer,
@@ -358,6 +389,7 @@ MLP_DEFECTS = {
     "no hidden weights": lambda obj: obj["w_hidden"].clear(),
     "only bias hidden weights": lambda obj: obj.update(w_hidden=[0.5] * obj["hidden_units"]),
     "one hidden unit fewer": lambda obj: obj.update(hidden_units=obj["hidden_units"] - 1),
+    "one column wider": lambda obj: obj["w_hidden"].extend([0.0] * obj["hidden_units"]),
     "weight beyond the doubles": lambda obj: obj["w_hidden"].__setitem__(0, 10**400),
     "string weight": lambda obj: obj["w_hidden"].__setitem__(0, "0.5"),
     "true weight": lambda obj: obj["w_output"].__setitem__(1, True),
@@ -393,7 +425,15 @@ BOOSTLR_DEFECTS = {
     "alphas 1e308 and 1e308": lambda obj: _set_alphas(obj, 1e308, 1e308),
     "alphas -2 and 1": lambda obj: _set_alphas(obj, -2, 1),
     "zero alpha": lambda obj: obj["rounds"][-1].__setitem__("alpha", 0),
+    "12 coefficients wide": lambda obj: [r.update(coef=r["coef"][:12]) for r in obj["rounds"]],
 }
+
+
+def _forest_of_12(obj):
+    obj["n_features"] = 12
+    for tree in obj["trees"]:
+        tree["feature"] = [min(f, 11) for f in tree["feature"]]  # leaves keep -1
+
 
 # obj -> None, each breaking the settings of a saved forest
 FOREST_SETTING_DEFECTS = {
@@ -402,6 +442,7 @@ FOREST_SETTING_DEFECTS = {
     "list seed": lambda obj: obj.update(seed=[1]),
     "true seed": lambda obj: obj.update(seed=True),
     "fractional n_features": lambda obj: obj.update(n_features=13.5),
+    "12 features": _forest_of_12,
 }
 
 DEFECTS = {"bayesnet": BAYESNET_DEFECTS, "mlp": MLP_DEFECTS, "boostlr": BOOSTLR_DEFECTS,
@@ -415,7 +456,7 @@ def _assert_defect_rejected(kind, defect, model, tmp_path):
     obj = json.loads(path.read_text())
     DEFECTS[kind][defect](obj)
     path.write_text(json.dumps(obj))
-    with pytest.raises(ConfigError, match="is not a saved model file"):
+    with pytest.raises(ConfigError, match=f"{re.escape(str(path))} is not a saved model file"):
         load_model_file(path)
 
 

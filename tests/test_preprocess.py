@@ -1,6 +1,7 @@
 """Normalization, stratified splitting and the normalization sidecar."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from earlypd.preprocess import (
 from earlypd.synth import GenerateConfig, generate
 
 from conftest import OTHER_VERSIONS, datasets_equal, make_dataset
+from test_pipeline import _swap_two_names
 
 
 def test_normalize_hand_example():
@@ -53,8 +55,8 @@ def test_normalize_apply_clamps_unseen_values():
 def test_normalize_apply_schema_mismatch():
     train = make_dataset([[0.0], [10.0]], [0, 1])
     _, stats = normalize_fit_transform(train)
-    other = make_dataset([[1.0, 2.0]], [0], schema=("a", "b"))
-    with pytest.raises(DataError, match="normalization stats do not match the dataset schema"):
+    other = make_dataset([[1.0, 2.0]], [0])
+    with pytest.raises(DataError, match="stats of 1 features for 2 columns"):
         normalize_apply(other, stats)
 
 
@@ -151,22 +153,18 @@ def test_sidecar_round_trip(tmp_path):
     _scaled, stats = normalize_fit_transform(cohort)
     path = tmp_path / "preprocess.json"
     save_sidecar(path, stats)
-    stats2 = load_sidecar(path)
-    assert stats2.schema == stats.schema == FEATURE_NAMES
-    assert stats2.pairs == stats.pairs
+    assert json.loads(path.read_text())["schema"] == list(FEATURE_NAMES)
+    assert load_sidecar(path) == stats
 
 
 def test_sidecar_without_discretization(tmp_path):
     # the Bayes net keeps its cuts in its own model file; the sidecar holds
     # the normalization alone
-    ds = make_dataset([[0.0, 3.0], [4.0, 9.0]], [0, 1])
-    _, stats = normalize_fit_transform(ds)
+    _, stats = normalize_fit_transform(generate(GenerateConfig(n_healthy=10, n_pd=14), 2))
     path = tmp_path / "preprocess.json"
     save_sidecar(path, stats)
     assert sorted(json.loads(path.read_text())) == ["normalization", "schema", "version"]
-    stats2 = load_sidecar(path)
-    assert stats2.pairs == stats.pairs
-    assert stats2.schema == ds.schema
+    assert load_sidecar(path).pairs == stats.pairs
 
 
 def test_sidecar_with_a_discretization_key_loads_the_same_stats(tmp_path):
@@ -184,7 +182,7 @@ def test_sidecar_with_a_discretization_key_loads_the_same_stats(tmp_path):
 
 @pytest.mark.parametrize("version", OTHER_VERSIONS, ids=repr)
 def test_sidecar_of_another_version_is_rejected(version, tmp_path):
-    _, stats = normalize_fit_transform(make_dataset([[0.0, 3.0], [4.0, 9.0]], [0, 1]))
+    _, stats = normalize_fit_transform(generate(GenerateConfig(n_healthy=10, n_pd=14), 2))
     path = tmp_path / "preprocess.json"
     save_sidecar(path, stats)
     payload = json.loads(path.read_text())
@@ -198,7 +196,26 @@ def test_sidecar_of_another_version_is_rejected(version, tmp_path):
         load_sidecar(path)
 
 
+def _drop_last_feature(payload):
+    del payload["normalization"][payload["schema"].pop()]
+
+
+@pytest.mark.parametrize("change", [_swap_two_names, _drop_last_feature],
+                         ids=["two names swapped", "12 names"])
+def test_sidecar_not_naming_the_csv_features_is_rejected(change, tmp_path):
+    _, stats = normalize_fit_transform(generate(GenerateConfig(n_healthy=10, n_pd=14), 2))
+    path = tmp_path / "preprocess.json"
+    save_sidecar(path, stats)
+    payload = json.loads(path.read_text())
+    change(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError, match=f"{re.escape(str(path))} is not a preprocess "
+                                          f"sidecar .*not the CSV's features in order"):
+        load_sidecar(path)
+
+
 def test_normalization_stats_json_round_trip():
-    stats = NormalizationStats(("a", "b"), ((0.0, 1.0), (2.0, 5.0)))
-    again = NormalizationStats.from_json_dict(stats.to_json_dict(), stats.schema)
-    assert again.schema == stats.schema and again.pairs == stats.pairs
+    stats = NormalizationStats(tuple((float(i), 2.0 * i + 1) for i in range(len(FEATURE_NAMES))))
+    again = NormalizationStats.from_json_dict(stats.to_json_dict())
+    assert again == stats
+    assert list(stats.to_json_dict()) == list(FEATURE_NAMES)
