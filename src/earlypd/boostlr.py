@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import HEALTHY, PD, Dataset
+from .data import HEALTHY, N_FEATURES, PD, Dataset
 from .errors import ConfigError, DataError
 from .jsontext import json_array, json_typed, settings
 
@@ -193,15 +193,14 @@ class BoostedModel:
     def from_json_dict(cls, obj: dict) -> "BoostedModel":
         """Rounds from a saved model, each with None for its training record.
         Raises ConfigError or ValueError unless there is a round, the coefs are
-        flat lists of finite numbers of one length, each intercept is finite and
+        flat lists of N_FEATURES finite numbers, each intercept is finite and
         each alpha above 0, as training writes, and the alphas' sum is finite."""
         config = settings(BoostConfig, obj)
         if not obj["rounds"]:
             raise ValueError("boosted model has no rounds")
         rounds = []
         for i, r in enumerate(obj["rounds"]):
-            coef = json_array(r["coef"], f"round {i} coef",
-                              rounds[0].model.coef.shape if rounds else (-1,))
+            coef = json_array(r["coef"], f"round {i} coef", (N_FEATURES,))
             intercept = json_typed(float, r["intercept"], f"rounds[{i}].intercept")
             alpha = json_typed(float, r["alpha"], f"rounds[{i}].alpha")
             if not alpha > 0:

@@ -59,7 +59,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import PD, Dataset
+from .data import N_FEATURES, PD, Dataset
 from .errors import ConfigError, DataError
 from .jsontext import json_array, json_typed, settings
 from .rng import SplitMix64, derive_stream
@@ -285,6 +285,8 @@ class ForestModel:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ForestModel":
         n_features = json_typed(int, obj["n_features"], "n_features")
+        if n_features != N_FEATURES:
+            raise ValueError(f"the forest reads {n_features} features, the CSV has {N_FEATURES}")
         trees = tuple(DecisionTree.from_json_dict(t, n_features) for t in obj["trees"])
         return cls(trees, settings(ForestConfig, obj, trees=len(trees)),
                    json_typed(int, obj["seed"], "seed"), n_features)

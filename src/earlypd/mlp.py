@@ -41,7 +41,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import PD, Dataset
+from .data import N_FEATURES, PD, Dataset
 from .errors import ConfigError, DataError
 from .jsontext import json_array, json_typed, settings
 from .rng import derive_stream
@@ -90,11 +90,9 @@ class MlpModel:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "MlpModel":
         """Raises ValueError unless the weights and epoch_mse are finite numbers
-        and the weights fill (hidden_units, 2 or more) and (2, hidden_units + 1)."""
+        and the weights fill (hidden_units, N_FEATURES + 1) and (2, hidden_units + 1)."""
         config = settings(MlpConfig, obj)
-        w1 = json_array(obj["w_hidden"], "w_hidden", (config.hidden_units, -1))
-        if w1.shape[1] < 2:  # a row holds a bias and at least one feature weight
-            raise ValueError(f"w_hidden has {w1.size} values for {config.hidden_units} rows")
+        w1 = json_array(obj["w_hidden"], "w_hidden", (config.hidden_units, N_FEATURES + 1))
         w2 = json_array(obj["w_output"], "w_output", (2, config.hidden_units + 1))
         return cls(w1, w2, config, json_typed(int, obj["seed"], "seed"),
                    tuple(json_array(obj["epoch_mse"], "epoch_mse").tolist()))

@@ -21,7 +21,7 @@ from typing import Callable
 from ._version import __version__
 from .bayesnet import BayesNetConfig, BayesNetModel, bn_score_batch, bn_train
 from .boostlr import BoostConfig, BoostedModel, adaboost_train, boosted_score_batch
-from .data import N_FEATURES, Dataset, export_csv, ingest_csv
+from .data import Dataset, export_csv, ingest_csv
 from .errors import ConfigError
 from .forest import ForestConfig, ForestModel, forest_score_batch, forest_train, usable_cpus
 from .jsontext import check_version, from_json, json_text, read_json
@@ -38,7 +38,7 @@ from .mlp import MlpConfig, MlpModel, mlp_score_batch, mlp_train
 from .preprocess import (
     check_train_fraction,
     normalize_apply,
-    normalize_fit_transform,
+    normalize_fit,
     save_sidecar,
     stratified_split,
 )
@@ -57,8 +57,7 @@ class ModelSpec:
     display_name: str
     train: Callable  # (training Dataset, PipelineConfig) -> model
     score: Callable  # (model, feature matrix) -> PD scores
-    model: type  # to_json_dict() / from_json_dict() for the saved model file
-    inputs: Callable  # model -> the number of features it scores
+    model: type  # to/from_json_dict(); the reader refuses a model not of 13 features
 
 
 # Canonical order: train_models keys its dict in it; every later stage follows that dict.
@@ -66,24 +65,20 @@ MODELS = {
     "mlp": ModelSpec(
         "Multilayer Perceptron",
         lambda train, config: mlp_train(train, config.mlp, config.seed),
-        lambda model, features: mlp_score_batch(model, features), MlpModel,
-        lambda model: model.w_hidden.shape[1] - 1),
+        lambda model, features: mlp_score_batch(model, features), MlpModel),
     "bayesnet": ModelSpec(
         "BayesNet",
         lambda train, config: bn_train(train, config.bayesnet),
-        lambda model, features: bn_score_batch(model, features), BayesNetModel,
-        lambda model: len(model.dmap.cuts)),
+        lambda model, features: bn_score_batch(model, features), BayesNetModel),
     "forest": ModelSpec(
         "Random Forest",
         lambda train, config: forest_train(train, config.forest, config.seed),
-        lambda model, features: forest_score_batch(model, features), ForestModel,
-        lambda model: model.n_features),
+        lambda model, features: forest_score_batch(model, features), ForestModel),
     "boostlr": ModelSpec(
         "Boosted Logistic Regression",
         lambda train, config: adaboost_train(train, config.boostlr.max_rounds,
                                              config.boostlr.ridge),
-        lambda model, features: boosted_score_batch(model, features), BoostedModel,
-        lambda model: len(model.rounds[0].model.coef)),
+        lambda model, features: boosted_score_batch(model, features), BoostedModel),
 }
 MODEL_ORDER = tuple(MODELS)
 DISPLAY_NAMES = {name: spec.display_name for name, spec in MODELS.items()}
@@ -151,7 +146,7 @@ def prepare_splits(config: PipelineConfig, ds: Dataset):
     """(train, test, stats): the stratified split, each side scaled by the
     min and max of the whole cohort or of the training split (normalize_on)."""
     train, test = stratified_split(ds, config.train_fraction, config.seed)
-    _scaled, stats = normalize_fit_transform(ds if config.normalize_on == "all" else train)
+    stats = normalize_fit(ds if config.normalize_on == "all" else train)
     return normalize_apply(train, stats), normalize_apply(test, stats), stats
 
 
@@ -185,10 +180,7 @@ def load_model_file(path) -> tuple:
 def _model_from_json(obj) -> tuple:
     kind = obj["kind"]
     check_version(obj.get("version"), MODEL_VERSION, "retrain the model")
-    model = MODELS[kind].model.from_json_dict(obj)
-    if (width := MODELS[kind].inputs(model)) != N_FEATURES:
-        raise ValueError(f"the model reads {width} features, the CSV has {N_FEATURES}")
-    return kind, model
+    return kind, MODELS[kind].model.from_json_dict(obj)
 
 
 def evaluate_models(models: dict, train: Dataset, test: Dataset) -> dict:

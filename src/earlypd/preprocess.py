@@ -44,16 +44,21 @@ class NormalizationStats:
         return cls(pairs)
 
 
+def normalize_fit(ds: Dataset) -> NormalizationStats:
+    """Each feature's (min, max) over ds, which normalize_apply scales by."""
+    if len(ds) == 0:
+        raise DataError("cannot fit normalization on zero records")
+    lo = map(float, ds.features.min(axis=0))
+    hi = map(float, ds.features.max(axis=0))
+    return NormalizationStats(tuple(zip(lo, hi)))
+
+
 def normalize_fit_transform(ds: Dataset):
     """Scale every feature to [0, 1] by its own min and max.
 
     Constant columns map to 0. Returns (scaled dataset, NormalizationStats).
     """
-    if len(ds) == 0:
-        raise DataError("cannot fit normalization on zero records")
-    lo = map(float, ds.features.min(axis=0))
-    hi = map(float, ds.features.max(axis=0))
-    stats = NormalizationStats(tuple(zip(lo, hi)))
+    stats = normalize_fit(ds)
     return normalize_apply(ds, stats), stats
 
 

@@ -31,6 +31,7 @@ from earlypd.pipeline import (
     DISPLAY_NAMES,
     MODEL_ORDER,
     MODEL_VERSION,
+    MODELS,
     PipelineConfig,
     acquire_dataset,
     config_from_dict,
@@ -474,6 +475,19 @@ def test_malformed_boosted_file_is_rejected(defect, fast_models, tmp_path):
 @pytest.mark.parametrize("defect", FOREST_SETTING_DEFECTS)
 def test_malformed_forest_settings_are_rejected(defect, fast_models, tmp_path):
     _assert_defect_rejected("forest", defect, fast_models["forest"], tmp_path)
+
+
+@pytest.mark.parametrize("kind, defect", [("mlp", "one column wider"),
+                                          ("boostlr", "12 coefficients wide"),
+                                          ("forest", "12 features")])
+def test_model_reader_refuses_another_width(kind, defect, fast_models, tmp_path):
+    # each reader states the 13-feature width itself, without load_model_file
+    path = tmp_path / f"{kind}.json"
+    save_model_file(fast_models[kind], path)
+    obj = json.loads(path.read_text())
+    DEFECTS[kind][defect](obj)
+    with pytest.raises(ValueError, match="13|14"):
+        MODELS[kind].model.from_json_dict(obj)
 
 
 @pytest.mark.parametrize("kind", MODEL_ORDER)

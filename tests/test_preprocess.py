@@ -15,6 +15,7 @@ from earlypd.preprocess import (
     NormalizationStats,
     load_sidecar,
     normalize_apply,
+    normalize_fit,
     normalize_fit_transform,
     save_sidecar,
     stratified_split,
@@ -42,6 +43,16 @@ def test_normalize_empty_dataset_raises():
     ds = make_dataset(np.empty((0, 2)), [])
     with pytest.raises(DataError, match="cannot fit normalization on zero records"):
         normalize_fit_transform(ds)
+
+
+def test_normalize_fit_empty_dataset_raises():
+    with pytest.raises(DataError, match="cannot fit normalization on zero records"):
+        normalize_fit(make_dataset(np.empty((0, 2)), []))
+
+
+def test_normalize_fit_gives_the_stats_of_normalize_fit_transform():
+    cohort = generate(GenerateConfig(n_healthy=10, n_pd=14), 2)
+    assert normalize_fit(cohort) == normalize_fit_transform(cohort)[1]
 
 
 def test_normalize_apply_clamps_unseen_values():
