@@ -9,15 +9,28 @@ earliest drawn feature and then the lowest threshold. The threshold is the
 midpoint of the two values lo < hi, or hi where the midpoint rounds to lo
 (adjacent doubles), so records at lo and below go left and the rest right.
 
+Split scores come from one table T[c] = c * log2(c), T[0] = 0, through
+n * H(p / n) = T[n] - T[p] - T[n - p] for a side of n records, p of them
+PD. A candidate's gain times the node's size is the node's own term, the
+same for every candidate and left out, plus its score
+T[pl] + T[nl - pl] + T[pr] + T[nr - pr] - T[nl] - T[nr], added left to
+right, for nl and nr records with pl and pr PD on the left and right.
+The table is built with math.log2, not numpy's log2, whose bits depend
+on numpy's SIMD level; it has one entry per count up to the tree's record
+count, and every tree of a forest has the same count, so a process builds
+it once per forest.
+
 A node scores its drawn features together: one sort of their values, one
-running PD count, one entropy call over both sides of every candidate of
-every feature and the node itself, and one argmax over the candidates,
-listed in draw order, so the tie rules are those of scoring the features
-one at a time. The order of equal values within the sort reaches no
-candidate's counts. A node's PD count comes down from its parent's running
-count, so a leaf costs no array work. Nodes stop at purity, fewer than two
-records, or no positive gain. Leaves keep their class counts, and a leaf
-votes PD where its PD count exceeds its healthy count.
+running PD count, one score per candidate of every feature, and one argmax
+over the candidates, listed in draw order, so the tie rules are those of
+scoring the features one at a time. The order of equal values within the
+sort reaches no candidate's counts. A node's PD count comes down from its
+parent's running count, so a leaf costs no array work. Nodes stop at
+purity, fewer than two records, or a winning split of zero gain. Entropy
+is strictly concave, so the gain is zero exactly when the left side's PD
+share is the node's, pl * n == p * nl, which is tested in integers: a float
+gain can round above zero there. Leaves keep their class counts, and a
+leaf votes PD where its PD count exceeds its healthy count.
 
 Scoring sends the records down each tree node by node. A split node takes
 its feature's values of the records it holds from a feature-major copy of
@@ -51,6 +64,7 @@ no os.fork, means no child at all; more need a writable TMPDIR.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import os
 import pickle
@@ -65,16 +79,12 @@ from .jsontext import json_array, json_typed, settings
 from .rng import SplitMix64, derive_stream
 
 
-def _entropy(pd_count, n):
-    """Binary entropy in bits of 1-d float64 count arrays, every n > 0.
-    0 log 0 is 0. p and q = 1 - p share one buffer and one log2 call."""
-    size = len(n)
-    pq = np.empty(2 * size)
-    np.divide(pd_count, n, out=pq[:size])
-    np.subtract(1.0, pq[:size], out=pq[size:])
-    positive = pq > 0
-    terms = np.where(positive, -pq * np.log2(np.where(positive, pq, 1.0)), 0.0)
-    return terms[:size] + terms[size:]
+@functools.lru_cache(maxsize=1)
+def xlog2x_table(size: int) -> np.ndarray:
+    """T[c] = c * log2(c) for c = 0, ..., size, with T[0] = 0, read-only."""
+    table = np.array([0.0] + [c * math.log2(c) for c in range(1, size + 1)])
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,6 +184,7 @@ def tree_grow(X, y, k: int, stream: SplitMix64) -> DecisionTree:
     # feature-major, so a node gathers its drawn features as contiguous rows
     XT = np.ascontiguousarray(X.T)
     is_pd = (y == PD).astype(np.int64)
+    T = xlog2x_table(len(y))
     feature, threshold, left, right, counts = [], [], [], [], []
 
     # explicit stack, nodes appended when visited: pushing the right work item
@@ -202,30 +213,20 @@ def tree_grow(X, y, k: int, stream: SplitMix64) -> DecisionTree:
         sv = block.ravel()[order + np.arange(0, block.size, n)[:, None]]
         cum_pd = np.cumsum(is_pd.take(idx).take(order), axis=1)
         c, j = np.nonzero(sv[:, 1:] != sv[:, :-1])
-        nc = j.size
-        if nc == 0:
+        if j.size == 0:
             continue
-        # one entropy call scores [left sides, right sides, parent]
-        pd_side = np.empty(2 * nc + 1)
-        n_side = np.empty(2 * nc + 1)
-        pd_side[:nc] = cum_pd[c, j]
-        np.subtract(pd_count, pd_side[:nc], out=pd_side[nc:-1])
-        pd_side[-1] = pd_count
-        np.add(j, 1, out=n_side[:nc])
-        np.subtract(n, n_side[:nc], out=n_side[nc:-1])
-        n_side[-1] = n
-        ent = _entropy(pd_side, n_side)
-        # every gain is formed elementwise exactly as for a single feature, so
-        # the bits do not depend on how many features share the array
-        gains = (ent[-1]
-                 - (n_side[:nc] / n) * ent[:nc]
-                 - (n_side[nc:-1] / n) * ent[nc:-1])
+        pl = cum_pd[c, j]
+        nl = j + 1
+        pr = pd_count - pl
+        nr = n - nl
+        score = (T.take(pl) + T.take(nl - pl) + T.take(pr) + T.take(nr - pr)
+                 - T.take(nl) - T.take(nr))
         # candidates run feature-major in draw order, thresholds ascending:
         # the first maximum is the earliest drawn feature's lowest threshold
-        b = int(np.argmax(gains))
-        if not gains[b] > 0.0:
+        b = int(np.argmax(score))
+        row, left_n, left_pd = c[b], int(nl[b]), int(pl[b])
+        if left_pd * n == pd_count * left_n:  # zero gain
             continue
-        row, left_n = c[b], j[b] + 1
         lo, hi = float(sv[row, left_n - 1]), float(sv[row, left_n])
         thr = 0.5 * (lo + hi)
         if not lo < thr <= hi:  # the midpoint of adjacent doubles can round to lo
@@ -234,7 +235,6 @@ def tree_grow(X, y, k: int, stream: SplitMix64) -> DecisionTree:
         threshold[node] = thr
         # value < thr holds for exactly the first left_n records in sorted order
         ranked = idx.take(order[row])
-        left_pd = int(cum_pd[row, left_n - 1])
         stack.append((ranked[left_n:], pd_count - left_pd, node, True))
         stack.append((ranked[:left_n], left_pd, node, False))
     return DecisionTree(

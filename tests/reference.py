@@ -11,7 +11,9 @@ each row alone reach the same result as the package's code by another
 route. The vectorized code in the package is checked against them. The
 node-list writer gives the bytes of a forest file before the columnar
 layout, so trees loaded from a new file can be checked against the digests
-of the old one. None of this runs in the pipeline.
+of the old one; the entropy-formula grower grows the trees from before
+split scores came from the c * log2(c) table, so the digests taken then
+can be checked again. None of this runs in the pipeline.
 """
 
 import csv
@@ -254,10 +256,13 @@ def _best_split_for_feature(values, is_pd, parent_pd, parent_entropy):
     return float(gains[j]), float(thr)
 
 
-def reference_tree_grow(X, y, k: int, stream) -> DecisionTree:
-    """tree_grow with one split search per drawn feature: the best gain of
-    each feature in draw order, where only a strictly larger gain replaces
-    the best so far."""
+def entropy_tree_grow(X, y, k: int, stream) -> DecisionTree:
+    """tree_grow as it was before split scores came from the c * log2(c)
+    table: one split search per drawn feature, scored with the entropy
+    formula above, where only a strictly larger gain replaces the best so
+    far and a node stays a leaf unless the best float gain is above 0.
+    Patched in for tree_grow, it grows the forests of the digests taken
+    before that change, bit for bit."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     m = X.shape[1]
@@ -296,6 +301,87 @@ def reference_tree_grow(X, y, k: int, stream) -> DecisionTree:
         threshold[node] = thr
         stack.append((idx[~go_left], node, True))
         stack.append((idx[go_left], node, False))
+    return DecisionTree(
+        np.array(feature, dtype=np.int64),
+        np.array(threshold),
+        np.array(left, dtype=np.int64),
+        np.array(right, dtype=np.int64),
+        np.array(counts, dtype=np.int64),
+    )
+
+
+def xlog2x(size: int) -> list:
+    """c * log2(c) for c = 0, ..., size, one math.log2 call per count; 0 at 0."""
+    return [c * math.log2(c) if c > 0 else 0.0 for c in range(size + 1)]
+
+
+def _best_table_split(values, labels, parent_pd, T):
+    """(score, threshold, left size, left PD count) of one feature's best
+    split, one record at a time in sorted order, or None without a split.
+    The score is T[pl] + T[nl - pl] + T[pr] + T[nr - pr] - T[nl] - T[nr] in
+    Python floats, added left to right; the lowest threshold wins a tie."""
+    pairs = sorted(zip(values, labels), key=lambda pair: pair[0])
+    n = len(pairs)
+    best = None
+    pl = 0
+    for nl in range(1, n):
+        pl += pairs[nl - 1][1] == PD
+        lo, hi = pairs[nl - 1][0], pairs[nl][0]
+        if lo == hi:
+            continue
+        nr, pr = n - nl, parent_pd - pl
+        score = T[pl] + T[nl - pl] + T[pr] + T[nr - pr] - T[nl] - T[nr]
+        if best is None or score > best[0]:
+            thr = 0.5 * (lo + hi)
+            if not lo < thr <= hi:  # adjacent doubles: the midpoint rounds to lo
+                thr = hi
+            best = (score, thr, nl, pl)
+    return best
+
+
+def reference_tree_grow(X, y, k: int, stream) -> DecisionTree:
+    """tree_grow with one split search per drawn feature in plain Python,
+    scored from this file's own c * log2(c) table: the best score of each
+    feature in draw order, where only a strictly larger score replaces the
+    best so far. A node stays a leaf when the best split has zero gain,
+    which holds when its left side's PD share is the node's (pl * n == p *
+    nl), tested in integers. Records go left where value < threshold."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    m = X.shape[1]
+    T = xlog2x(len(y))
+    feature, threshold, left, right, counts = [], [], [], [], []
+
+    stack = [(list(range(len(y))), -1, False)]
+    while stack:
+        idx, parent, is_right = stack.pop()
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        if parent >= 0:
+            (right if is_right else left)[parent] = node
+        labels = [int(y[i]) for i in idx]
+        n = len(idx)
+        pd_count = labels.count(PD)
+        counts.append((n - pd_count, pd_count))
+        if n < 2 or pd_count == 0 or pd_count == n:
+            continue
+        best = None
+        for f in _draw_features(stream, m, k):
+            cand = _best_table_split([float(X[i, f]) for i in idx], labels, pd_count, T)
+            if cand is not None and (best is None or cand[0] > best[0]):
+                best = (*cand, f)
+        if best is None:
+            continue
+        _, thr, nl, pl, f = best
+        if pl * n == pd_count * nl:
+            continue
+        feature[node] = f
+        threshold[node] = thr
+        stack.append(([i for i in idx if not X[i, f] < thr], node, True))
+        stack.append(([i for i in idx if X[i, f] < thr], node, False))
     return DecisionTree(
         np.array(feature, dtype=np.int64),
         np.array(threshold),

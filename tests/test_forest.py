@@ -1,4 +1,4 @@
-"""Entropy math, tree induction, forest ensemble behavior, and the split of
+"""Split-score math, tree induction, forest ensemble behavior, and the split of
 the trees over processes."""
 
 import hashlib
@@ -16,18 +16,18 @@ from hypothesis.extra.numpy import arrays
 
 import earlypd.forest
 from earlypd.cli import main
-from earlypd.data import PD
+from earlypd.data import HEALTHY, PD
 from earlypd.errors import DataError
 from earlypd.forest import (
     DecisionTree,
     ForestConfig,
     ForestModel,
-    _entropy,
     _split_work,
     default_feature_subset,
     forest_score_batch,
     forest_train,
     tree_grow,
+    xlog2x_table,
 )
 from earlypd.jsontext import json_text
 from earlypd.pipeline import save_model_file, train_models
@@ -42,6 +42,7 @@ from reference import (
     reference_tree_grow,
     tree_predict,
     tree_predict_batch,
+    xlog2x,
 )
 
 # 1.0 and the next three doubles above it: the midpoint of two neighbours
@@ -68,12 +69,16 @@ def test_info_gain_inconsistent_counts():
         info_gain((1, 1), (2, 0), (0, 2))
 
 
-def test_entropy_matches_reference_bit_for_bit():
+def test_xlog2x_table_gives_every_side_entropy():
     # every (pd, n) a node or candidate side can have in a tree of up to
-    # 2,100 records, in one call as a node makes it
-    n = np.repeat(np.arange(1, 2101), np.arange(2, 2102)).astype(np.float64)
-    pd = np.concatenate([np.arange(size + 1) for size in range(1, 2101)]).astype(np.float64)
-    assert np.array_equal(_entropy(pd, n).view(np.uint64), entropy(pd, n).view(np.uint64))
+    # 2,100 records: T is c * log2(c) bit for bit, and (T[n] - T[pd] -
+    # T[n - pd]) / n is the side's entropy
+    T = xlog2x_table(2100)
+    assert not T.flags.writeable
+    assert np.array_equal(T.view(np.uint64), np.array(xlog2x(2100)).view(np.uint64))
+    n = np.repeat(np.arange(1, 2101), np.arange(2, 2102))
+    pd = np.concatenate([np.arange(size + 1) for size in range(1, 2101)])
+    assert np.abs((T[n] - T[pd] - T[n - pd]) / n - entropy(pd, n)).max() <= 1e-12
 
 
 def test_tree_grow_one_dimensional_midpoint():
@@ -204,6 +209,25 @@ def _small_trees(draw):
 @settings(max_examples=200, deadline=None)
 def test_tree_grow_matches_reference_on_small_matrices(case):
     _assert_grows_reference_tree(*case)
+
+
+# (left PD, left size, right PD, right size): both sides keep the node's PD
+# share, so the split has zero gain, though a float gain (the first) or a
+# table score compared with 0 (all three) rounds above it
+ZERO_GAIN_SPLITS = {
+    "6: 1/2 | 2/4": (1, 2, 2, 4),
+    "9: 1/3 | 2/6": (1, 3, 2, 6),
+    "10: 2/5 | 2/5": (2, 5, 2, 5),
+}
+
+
+@pytest.mark.parametrize("case", ZERO_GAIN_SPLITS)
+def test_zero_gain_split_leaves_a_leaf(case):
+    pl, nl, pr, nr = ZERO_GAIN_SPLITS[case]
+    X = np.array([[0.0]] * nl + [[1.0]] * nr)
+    y = np.array([PD] * pl + [HEALTHY] * (nl - pl) + [PD] * pr + [HEALTHY] * (nr - pr))
+    tree = _assert_grows_reference_tree(X, y, 1, 0)
+    assert tree.counts.tolist() == [[nl - pl + nr - pr, pl + pr]]
 
 
 def test_tree_grow_splits_adjacent_doubles():

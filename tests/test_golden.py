@@ -45,63 +45,85 @@ bytes. FULL_ROC_GOLDEN keeps
 the digests from before that: with every curve replaced by loop_roc's
 unthinned curve on the same labels and scores, the same outputs give those
 bytes again, so only the dropped points left them.
+
+The forest's files moved once more when its split scores came from one
+c * log2(c) table built with math.log2, in place of an entropy formula whose
+np.log2 changes bits with numpy's SIMD level: near-tied candidates rank
+differently under the new rounding, and a split of zero gain is no longer
+made. ENTROPY_GOLDEN and the last triple of each FOREST_GOLDEN case keep the
+digests from before that: with tree_grow replaced by entropy_tree_grow, the
+old grower, the same runs give those bytes again, so only the forest moved.
+test_forest_file_is_the_same_on_other_hosts shows that the forest file no
+longer depends on numpy's SIMD level or the BLAS kernel.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import earlypd.forest
 from earlypd import metrics
 from earlypd.cli import main
 from earlypd.data import export_csv
 from earlypd.jsontext import json_text
 from earlypd.metrics import roc_csv
 from earlypd.pipeline import (
+    PipelineConfig,
     acquire_dataset,
     config_from_dict,
     evaluate_models,
     load_model_file,
     prepare_splits,
+    run_experiment,
     save_model_file,
     train_models,
     write_artifacts,
 )
 from earlypd.synth import GenerateConfig, generate
 
-from reference import loop_roc, node_list_forest_text, v1_model_dict
+from reference import entropy_tree_grow, loop_roc, node_list_forest_text, v1_model_dict
 
 GOLDEN = {
     "cohort.csv": "b3065d07230e50b4e930f92b2c4346ba3527760588f55a65844d83350ab286d3",
-    "evaluations.json": "85be2fe035020dd0a54c925b5c3111cc445c5ff23a7393227c26bf36ca2ed29f",
+    "evaluations.json": "ca629cf8c9f45d4b8636f635e13e5bff0338e76c0839cb41ce5627411ac0f8ec",
     "models/bayesnet.json": "726c60b66a5429a20a1029e32960df83338536d39af55fef09dc3f846fbe35b6",
     "models/boostlr.json": "253c010202349808e55aa453a1ffd150a8b0688dfd6c25f98198f026b461438b",
-    "models/forest.json": "0e267a9dbe359d87f9236397c40d1c6558552972364ca8fd937da36830aa61d5",
+    "models/forest.json": "11d9da1d4c33f85f95ca6c983f7a135e474bc0f6fb514cc037a5a6b27f1d956a",
     "models/mlp.json": "a14313ad1770988dc74a979f9b38171826aed588dea438947af8c48b6a51002e",
     "preprocess.json": "a19a5e508d3559f6499ad99babc8a9ea8af79e48b228082c0a522bdd1e0e6dc1",
-    "report.csv": "846fa1211e8fc60767ff62625c89956325f4cb15fc4085dd5978145fed28f7df",
+    "report.csv": "a05bb5c9cac7bd126e6401308c80fb1d3d8e368f4a0319ab86f3b7a83ad5ee61",
     "report.txt": "78ccc139a672cbd9c75729d9c991702ea530bb0a3d9aaa41915656c16950c091",
     "roc_bayesnet_test.csv": "5b7f21378d0a9cc4d23d5583a7a7b7b1fcf23a60841823e41f107311d89795f9",
     "roc_bayesnet_test.svg": "b768caa89f69dd1a2d867c60b9ffc0ccaf16b6eadd618ad3fe74beab62b5b0a0",
     "roc_boostlr_test.csv": "7d015694d427909882f406b7883cb52ae1a91513f5ef7d8cf0642fea39b46a08",
     "roc_boostlr_test.svg": "0edf5ea1f52e2bd5af1f08f1d5b3bc76b02774c1c5d48a938f884ada1bc7e1df",
-    "roc_forest_test.csv": "39ba6e50fcbcd616d7ff1b3207909617005c0537932fbcb3a5ec2be30b4f589d",
-    "roc_forest_test.svg": "59ee05e1eed67f5b8decead6542810c71ff0adfd9f539fa48cf9af039699d037",
+    "roc_forest_test.csv": "b861fbe35966f6c5f566899d8f31634b460dcfb0d35530d843f564ab40a9c3b7",
+    "roc_forest_test.svg": "2562a6c01bca78f5ba06cbe42ff56ecde8da09ea5318c9c2bd752e78a6822d0c",
     "roc_mlp_test.csv": "54c85cbbcca998ce9e640b4417dc88fa0e86505c365b4eb064eda31710236729",
     "roc_mlp_test.svg": "c1f9922dd86182749a6ffc20bd9be7a1325b5dc7afdc1a6f0a17e47eaec9f3bd",
     "run_config.json": "4b6cfcf596c09d196219cc6b0e8efa787381a2a54f61db88aded3665274bcb3e",
 }
 
 
-def test_default_run_artifact_digests(default_run, tmp_path):
-    write_artifacts(default_run, tmp_path)
+def _run_digests(run, folder) -> dict:
+    """Digest of each file run writes into folder, metadata.json aside."""
+    write_artifacts(run, folder)
     digests = {
-        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in tmp_path.rglob("*") if path.is_file()
+        path.relative_to(folder).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in folder.rglob("*") if path.is_file()
     }
     del digests["metadata.json"]
-    assert digests == GOLDEN
+    return digests
+
+
+def test_default_run_artifact_digests(default_run, tmp_path):
+    assert _run_digests(default_run, tmp_path) == GOLDEN
 
 
 # The model files of version 1, before they left out what the loader derives.
@@ -110,19 +132,24 @@ def test_default_run_artifact_digests(default_run, tmp_path):
 V1_MODEL_GOLDEN = {
     "models/bayesnet.json": "78b7f5d0583cf7248a4584378fdf0cfb867205adf0f5916ae3d792b844b8f3e2",
     "models/boostlr.json": "3228801dbf82caf84bd043c60c4a0046dbab37989b453f9cb63d52af794c1834",
-    "models/forest.json": "4dbcd1c0d9cfd99d1367587d084ced2c6d6588a4028d6c1621d891151d2a016d",
+    "models/forest.json": "4d6f4ea4d6ac13b737f3fb4cdd7a59e03576023155274e8124d25c3037ce76b1",
     "models/mlp.json": "37b577ebf4f0b56ae90b856f8b478eed4d35769bc1911aa0dfcafc16422b9323",
 }
 
 
-def test_version_2_models_give_the_version_1_bytes(default_run, tmp_path):
+def _v1_digests(models, folder) -> dict:
+    """Digest of each model saved, loaded and written in the version 1 layout."""
     digests = {}
-    for name, model in default_run.models.items():
-        path = tmp_path / f"{name}.json"
+    for name, model in models.items():
+        path = folder / f"{name}.json"
         save_model_file(model, path)
         loaded = load_model_file(path)[1]
         digests[f"models/{name}.json"] = _sha256(json_text(v1_model_dict(loaded)))
-    assert digests == V1_MODEL_GOLDEN
+    return digests
+
+
+def test_version_2_models_give_the_version_1_bytes(default_run, tmp_path):
+    assert _v1_digests(default_run.models, tmp_path) == V1_MODEL_GOLDEN
 
 
 # The model files' digests before they carried a version and saved each tree
@@ -132,7 +159,7 @@ def test_version_2_models_give_the_version_1_bytes(default_run, tmp_path):
 UNVERSIONED_GOLDEN = {
     "models/bayesnet.json": "dedb6a2b58cc22182cec9b986faf3a2db486f65faf90c5777e6eaa3c7fb46423",
     "models/boostlr.json": "f384f89fe5fa5b30a2eaeac81475886d7f9f8746354fc590067f5f2960adaa5a",
-    "models/forest.json": "d4ac3ed966e025e3f1cbfebc0ccf26d876ae207cacb5f73ffbccf2f1155d9b2b",
+    "models/forest.json": "c282815234ff2ad69a8a13b6562c8869378a5120a8757c5ebc2c80c7da682dbb",
     "models/mlp.json": "835436a3c8f6a7b4d24e114a4e28c4fc591b0cbdaca6a9ddf762a911972576a5",
 }
 
@@ -141,11 +168,12 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def test_default_models_keep_their_unversioned_content(default_run, tmp_path):
-    write_artifacts(default_run, tmp_path)
+def _unversioned_digests(folder) -> dict:
+    """Digest of each model file in folder, written in the layout from before
+    model files had a version."""
     digests = {}
     for name in UNVERSIONED_GOLDEN:
-        model = load_model_file(tmp_path / name)[1]
+        model = load_model_file(folder / name)[1]
         if name == "models/forest.json":
             # every tree loaded from the columns, written by the node-list writer
             digests[name] = _sha256(node_list_forest_text(model))
@@ -153,7 +181,12 @@ def test_default_models_keep_their_unversioned_content(default_run, tmp_path):
             obj = v1_model_dict(model)
             assert obj.pop("version") == 1
             digests[name] = _sha256(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-    assert digests == UNVERSIONED_GOLDEN
+    return digests
+
+
+def test_default_models_keep_their_unversioned_content(default_run, tmp_path):
+    write_artifacts(default_run, tmp_path)
+    assert _unversioned_digests(tmp_path) == UNVERSIONED_GOLDEN
 
 
 # preprocess.json when it also held the Bayes net's cuts
@@ -172,7 +205,7 @@ def test_default_sidecar_lost_only_the_cuts(default_run, tmp_path):
 EVALUATE_GOLDEN = {
     "bayesnet": "dd6b6c4210bed7644a2b57cff22fdabf575b395296ee202dce779f9b0d6429c2",
     "boostlr": "0fc6eac9eccd58aeeec4ce1fba870ade342ba5a12bd1238c0072a5498f27e5f1",
-    "forest": "e53dc086ee6c06caa9e2cd68acba37cba61a8ce0ede038bf02c48c803fdef738",
+    "forest": "e6cd40e3d24744bbee6a0cab73be484c5e24f103db41ac396459a7be72a96290",
     "mlp": "4a3ed8348451939e5df84ae86921770559bbc3132d363552ae31cae49e30e8e5",
 }
 
@@ -200,18 +233,18 @@ def test_saved_models_score_digests(default_run, tmp_path, capsys):
 # The digests from before ROC curves kept only their corners: the run's
 # files, and (keyed by model) the evaluate outputs.
 FULL_ROC_GOLDEN = {
-    "evaluations.json": "746afa0ae8f107fe12bea916c523dbe39fa0db91fe3ae877680c74b54f4ca4f1",
+    "evaluations.json": "a5021ebaeb8052e1c4df22a598cb70e364eb14308f5908fb9d6b9cf313e37b61",
     "roc_bayesnet_test.csv": "ec85d78dc2004dd9602dc9938ebac79d779bf67f5f30e53c15598bb711165fab",
     "roc_bayesnet_test.svg": "8659eab69b36e21bd9912b5350e5119cf88de3d4f649b16f0e12d99ba2795f74",
     "roc_boostlr_test.csv": "80856e200587c9facaee2941e2acdca2eee21c7a797421ef3723683cc7b04154",
     "roc_boostlr_test.svg": "5a31a7e0cb37d821b6ba622ae9dd9bd0f972cc9c8074f3b9ca2a8cd220fe89ca",
-    "roc_forest_test.csv": "c36b6c479e398bf52465b426ac589ee7b3c016df6aad8988229b5fc6659f2838",
-    "roc_forest_test.svg": "f5e840227ff374f4b5b21b9dc761026957289a2991d5caae0fe8ef27e9e74acd",
+    "roc_forest_test.csv": "9cce6f0e741579abd963658bd39ac74c1333ee84626c30d28f74392004883c7c",
+    "roc_forest_test.svg": "d623b1f4e70ead86269de2d5c2abf3b15f6fb4cc5a1850934fb8872d1a2efd4b",
     "roc_mlp_test.csv": "6a27425f1ca2aaea9c27d64caccb00047a684301d1b8a4156c4be8c82bcbd8e6",
     "roc_mlp_test.svg": "67ff7e547eecae248998c77a1d92888da54d404e4e7f5c80fbd9d083beef3827",
     "bayesnet": "d5b241aa4e4c40435044140a5abae1657b0b3944d8d25cca7967bc20817c1e98",
     "boostlr": "3fd677773917564cca7e0df6550182b76b66411378a79a8ec7c154d3fd10b74d",
-    "forest": "164abe1a97ad217deb1857d9e644f1e6eca6305a38683676cdab4877cbb5f5cb",
+    "forest": "718f38fafaf61ad9f939034c6a5400cf6d0c555c74f0a885aae53f4835b82e6b",
     "mlp": "e6bd53ec36b4d99f92b7ec80c60c21ae997f598461085111860a4a4fdfc6f2b3",
 }
 
@@ -222,55 +255,158 @@ def _with_full_curves(run):
     return replace(run, evaluations=evaluate_models(run.models, run.train, run.test))
 
 
-def test_curves_moved_only_by_keeping_corners(default_run, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(metrics, "roc", loop_roc)
-    full = _with_full_curves(default_run)
+def _full_roc_digests(run, tmp_path) -> dict:
+    """FULL_ROC_GOLDEN's digests of run, taken with metrics.roc patched to loop_roc."""
+    full = _with_full_curves(run)
     write_artifacts(full, tmp_path / "run")
     digests = {name: hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
                for name in FULL_ROC_GOLDEN if name not in EVALUATE_GOLDEN}
     digests.update(_evaluate_digests(full, tmp_path / "evaluate"))
+    return digests
+
+
+def test_curves_moved_only_by_keeping_corners(default_run, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(metrics, "roc", loop_roc)
+    digests = _full_roc_digests(default_run, tmp_path)
     capsys.readouterr()
     assert digests == FULL_ROC_GOLDEN
 
 
-# case: (config overrides, digest of the file, digest of the loaded forest
-# written in the version 1 layout, as V1_MODEL_GOLDEN, and digest of its trees
-# written by the node-list writer, as UNVERSIONED_GOLDEN)
-FOREST_GOLDEN = {
-    "cohort 920/2010, 10 trees": (
-        {"generate": {"n_healthy": 920, "n_pd": 2010}, "forest": {"trees": 10}},
-        "a77d1fa365422b165d834b84ff198ca6c761487f5551c8dc00f4096b2e1953f2",
-        "dd9ebc6e05ec9751f95006b8992e554cb7da7a251b3bdfae2f39da708cd798d3",
-        "64618e2013bebf10795c4ade0376219d0eda7e083dc88efa9aabe96a1b13e3ea"),
-    "feature_subset 1": (
-        {"forest": {"feature_subset": 1}},
-        "d59e705286f254f855249fafcffc1a4559d6ea436185869e804bd8acb408a5ea",
-        "33db6b9c5f142aaf368753aaa4f1e5ef19820519e99303945c8db7ac43d43b16",
-        "f6a03a531d32b13116df2804e5256cd7b861cfbb50ad00b973215047560520dc"),
-    "feature_subset 13": (
-        {"forest": {"feature_subset": 13}},
-        "efd2f391be24d86b1007ddb7fe1f06bc19b57493b65d4e66aa43ffcbd840c04f",
-        "e3d15941c526b14da979763a21cbb67720e8d25610660186de5b46bd116beab4",
-        "a8ffcb4b5066bc4bf92da8393bc997d41b22b132f12e27601727356fbd6cd717"),
-    "no bootstrap": (
-        {"forest": {"bootstrap": False}},
-        "9921fe0595457c0676ed464bc04c5a99e37bc9c2a584d16b830623d46e6bf398",
-        "996994fb2e2cb9ac59b2b030dee9d38fd90397b28d2d5983cd71c08a64f15447",
-        "081ef6442c9c5b5772d8b408ea8e3bc01c2d0d5cf5f38939459ea830c166542c"),
+# The forest's digests from before split scores came from the c * log2(c)
+# table, under the name of the dict that held each one. The default run with
+# its forest grown by entropy_tree_grow gives them again, and every other
+# digest of those dicts.
+ENTROPY_GOLDEN = {
+    "GOLDEN": {
+        "evaluations.json": "85be2fe035020dd0a54c925b5c3111cc445c5ff23a7393227c26bf36ca2ed29f",
+        "models/forest.json": "0e267a9dbe359d87f9236397c40d1c6558552972364ca8fd937da36830aa61d5",
+        "report.csv": "846fa1211e8fc60767ff62625c89956325f4cb15fc4085dd5978145fed28f7df",
+        "roc_forest_test.csv": "39ba6e50fcbcd616d7ff1b3207909617005c0537932fbcb3a5ec2be30b4f589d",
+        "roc_forest_test.svg": "59ee05e1eed67f5b8decead6542810c71ff0adfd9f539fa48cf9af039699d037",
+    },
+    "EVALUATE_GOLDEN": {
+        "forest": "e53dc086ee6c06caa9e2cd68acba37cba61a8ce0ede038bf02c48c803fdef738",
+    },
+    "V1_MODEL_GOLDEN": {
+        "models/forest.json": "4dbcd1c0d9cfd99d1367587d084ced2c6d6588a4028d6c1621d891151d2a016d",
+    },
+    "UNVERSIONED_GOLDEN": {
+        "models/forest.json": "d4ac3ed966e025e3f1cbfebc0ccf26d876ae207cacb5f73ffbccf2f1155d9b2b",
+    },
+    "FULL_ROC_GOLDEN": {
+        "evaluations.json": "746afa0ae8f107fe12bea916c523dbe39fa0db91fe3ae877680c74b54f4ca4f1",
+        "roc_forest_test.csv": "c36b6c479e398bf52465b426ac589ee7b3c016df6aad8988229b5fc6659f2838",
+        "roc_forest_test.svg": "f5e840227ff374f4b5b21b9dc761026957289a2991d5caae0fe8ef27e9e74acd",
+        "forest": "164abe1a97ad217deb1857d9e644f1e6eca6305a38683676cdab4877cbb5f5cb",
+    },
 }
 
 
-@pytest.mark.parametrize("case", FOREST_GOLDEN)
-def test_forest_model_digests(case, tmp_path):
-    overrides, want, want_v1, want_node_list = FOREST_GOLDEN[case]
+def test_forest_moved_only_by_its_split_score(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(earlypd.forest, "tree_grow", entropy_tree_grow)
+    run = run_experiment(PipelineConfig())
+    digests = {
+        "GOLDEN": _run_digests(run, tmp_path / "run"),
+        "EVALUATE_GOLDEN": _evaluate_digests(run, tmp_path / "evaluate"),
+        "V1_MODEL_GOLDEN": _v1_digests(run.models, tmp_path),
+        "UNVERSIONED_GOLDEN": _unversioned_digests(tmp_path / "run"),
+    }
+    monkeypatch.setattr(metrics, "roc", loop_roc)
+    digests["FULL_ROC_GOLDEN"] = _full_roc_digests(run, tmp_path / "full")
+    capsys.readouterr()
+    now = {"GOLDEN": GOLDEN, "EVALUATE_GOLDEN": EVALUATE_GOLDEN,
+           "V1_MODEL_GOLDEN": V1_MODEL_GOLDEN, "UNVERSIONED_GOLDEN": UNVERSIONED_GOLDEN,
+           "FULL_ROC_GOLDEN": FULL_ROC_GOLDEN}
+    assert digests == {name: {**now[name], **before} for name, before in ENTROPY_GOLDEN.items()}
+
+
+# case: (config overrides, digests, digests with the forest grown by
+# entropy_tree_grow, as before split scores came from the c * log2(c) table).
+# Each triple holds the digest of the file, of the loaded forest written in
+# the version 1 layout, as V1_MODEL_GOLDEN, and of its trees written by the
+# node-list writer, as UNVERSIONED_GOLDEN.
+FOREST_GOLDEN = {
+    "cohort 920/2010, 10 trees": (
+        {"generate": {"n_healthy": 920, "n_pd": 2010}, "forest": {"trees": 10}},
+        ("e44c7f03b93655399628cc2cff3a86255684b335c2662d83b82974f7e37e564a",
+         "325ca8b0a3352b4648be7eff1ac037ad72efb926b26f45539c61f59d344275fc",
+         "7ec521b72dccbb59e0e428b67d772e12240fe221b6ef061baac3e93c7cf9e2d4"),
+        ("a77d1fa365422b165d834b84ff198ca6c761487f5551c8dc00f4096b2e1953f2",
+         "dd9ebc6e05ec9751f95006b8992e554cb7da7a251b3bdfae2f39da708cd798d3",
+         "64618e2013bebf10795c4ade0376219d0eda7e083dc88efa9aabe96a1b13e3ea")),
+    "feature_subset 1": (
+        {"forest": {"feature_subset": 1}},
+        ("8a019ffc7346ed8ccfac2cb98e68302460f68563ffcd3d042cdc8fe7ced2f7a2",
+         "fea2998f4e03c774038427752368ec8da836948f0478963f8bb63266470411cd",
+         "372e25dc269a5e2daaa72d8b6a4e6139d35ac63611c0415be8ffc31f4fdfe2cc"),
+        ("d59e705286f254f855249fafcffc1a4559d6ea436185869e804bd8acb408a5ea",
+         "33db6b9c5f142aaf368753aaa4f1e5ef19820519e99303945c8db7ac43d43b16",
+         "f6a03a531d32b13116df2804e5256cd7b861cfbb50ad00b973215047560520dc")),
+    "feature_subset 13": (
+        {"forest": {"feature_subset": 13}},
+        ("5c85e6c1a3f0ed9e587c91ab04b9a25a6c27d0e6d83da598581a5868f3de7039",
+         "629afef5295a37cc0037d338d69f53d370b92411126199e22cf45e532d7ffd5e",
+         "80a19112370debff4e0b11d89c41b3d0cd13ebc47c6faaa3e3fe0748af52e87a"),
+        ("efd2f391be24d86b1007ddb7fe1f06bc19b57493b65d4e66aa43ffcbd840c04f",
+         "e3d15941c526b14da979763a21cbb67720e8d25610660186de5b46bd116beab4",
+         "a8ffcb4b5066bc4bf92da8393bc997d41b22b132f12e27601727356fbd6cd717")),
+    "no bootstrap": (
+        {"forest": {"bootstrap": False}},
+        ("a86efb047ec48f72cd04587a7887f27a1eedd1acdb680da896a3f7bb4dc0eeca",
+         "6f91ef82a62adb3112996edac4a41801d53de0c7a0bad218a33caef3677e190c",
+         "067c2e3d1df2ebbe19b55d69ed56146edd694b5051de125c529576639f340fcd"),
+        ("9921fe0595457c0676ed464bc04c5a99e37bc9c2a584d16b830623d46e6bf398",
+         "996994fb2e2cb9ac59b2b030dee9d38fd90397b28d2d5983cd71c08a64f15447",
+         "081ef6442c9c5b5772d8b408ea8e3bc01c2d0d5cf5f38939459ea830c166542c")),
+}
+
+
+def _forest_digests(overrides, tmp_path) -> tuple:
+    """(file, version 1 layout, node list) digests of the forest trained with overrides."""
     config = config_from_dict({"models": ["forest"], **overrides})
     train, _test, _stats = prepare_splits(config, acquire_dataset(config))
     path = tmp_path / "forest.json"
     save_model_file(train_models(config, train)["forest"], path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == want
     loaded = load_model_file(path)[1]
-    assert _sha256(json_text(v1_model_dict(loaded))) == want_v1
-    assert _sha256(node_list_forest_text(loaded)) == want_node_list
+    return (hashlib.sha256(path.read_bytes()).hexdigest(),
+            _sha256(json_text(v1_model_dict(loaded))), _sha256(node_list_forest_text(loaded)))
+
+
+@pytest.mark.parametrize("case", FOREST_GOLDEN)
+def test_forest_model_digests(case, tmp_path):
+    overrides, want, _before = FOREST_GOLDEN[case]
+    assert _forest_digests(overrides, tmp_path) == want
+
+
+@pytest.mark.parametrize("case", FOREST_GOLDEN)
+def test_forest_model_digests_before_the_table_scores(case, tmp_path, monkeypatch):
+    monkeypatch.setattr(earlypd.forest, "tree_grow", entropy_tree_grow)
+    overrides, _want, before = FOREST_GOLDEN[case]
+    assert _forest_digests(overrides, tmp_path) == before
+
+
+# Two other kinds of host, emulated on this one by variables that act only on
+# the child process: numpy's own loops without AVX-512, and the BLAS kernels
+# an AVX2-only CPU gets. numpy may warn at import where the CPU lacks these
+# features, so only the file is checked.
+OTHER_HOSTS = {
+    "numpy without AVX-512": {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"},
+    "Haswell BLAS kernels": {"OPENBLAS_CORETYPE": "Haswell"},
+}
+
+
+@pytest.mark.parametrize("host", OTHER_HOSTS)
+def test_forest_file_is_the_same_on_other_hosts(host, tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), **OTHER_HOSTS[host])
+    done = subprocess.run(
+        [sys.executable, "-m", "earlypd", "train", "--seed", "42", "--models", "forest",
+         "--out", str(tmp_path / "run")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    forest = (tmp_path / "run" / "models" / "forest.json").read_bytes()
+    assert hashlib.sha256(forest).hexdigest() == GOLDEN["models/forest.json"]
 
 
 def test_files_with_full_curves_still_load(default_run, tmp_path, capsys, monkeypatch):
