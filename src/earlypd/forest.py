@@ -40,8 +40,10 @@ shares that reach PD leaves are joined once per tree and add one vote per
 record to the call's single vote array. A forest's score is the fraction
 of trees voting PD.
 
-A tree is saved as its node arrays, each one flat JSON list: feature,
-threshold, left, right, and the counts, two per node, row by row.
+A tree is saved as its node arrays in preorder, each one flat JSON list:
+feature, threshold and the counts, two per node, row by row. Its children
+are not saved: DecisionTree derives them from feature in one walk, which
+refuses a column that is not one whole tree in preorder.
 
 Training and scoring split the trees into contiguous shares, one per usable
 CPU: the first share runs in the calling process, each other one in a
@@ -69,7 +71,7 @@ import math
 import os
 import pickle
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -89,14 +91,34 @@ def xlog2x_table(size: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DecisionTree:
-    """Flat preorder node arrays. feature[i] == -1 marks a leaf; internal
-    nodes route records with value < threshold to the left child."""
+    """Flat preorder node arrays. feature[i] == -1 marks a leaf; split node i
+    sends records with value < threshold to its left child, node i + 1, and
+    the rest to its right child right[i], the node after its left subtree."""
 
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
     counts: np.ndarray  # (n_nodes, 2) healthy / pd record counts
+    right: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        """Derive right from feature in one preorder walk: each split node
+        waits on a stack, and the node after a leaf is the right child of
+        the split popped from it. Raises ValueError unless the walk ends
+        exactly at the last node."""
+        right = np.full(self.feature.size, -1, dtype=np.int64)
+        waiting = []
+        for node, f in enumerate(self.feature.tolist()):
+            if f >= 0:
+                waiting.append(node)
+            elif waiting:
+                right[waiting.pop()] = node + 1
+            elif node == self.feature.size - 1:
+                break
+            else:
+                raise ValueError(f"node {node + 1} comes after the tree's last leaf")
+        else:
+            raise ValueError(f"the tree's {self.feature.size} nodes end before its last leaf")
+        object.__setattr__(self, "right", right)
 
     def add_pd_votes(self, columns, votes) -> None:
         """Add 1.0 to votes[r] for every record r that reaches a PD leaf,
@@ -110,14 +132,13 @@ class DecisionTree:
                 votes += 1.0
             return
         threshold = self.threshold.tolist()
-        left = self.left.tolist()
         right = self.right.tolist()
         reached = []  # each PD leaf's records, n of them at most in all
         stack = [(0, np.arange(len(votes)))]
         while stack:
             node, rows = stack.pop()
             go_left = columns[feature[node]].take(rows) < threshold[node]
-            for child, side in ((left[node], go_left), (right[node], ~go_left)):
+            for child, side in ((node + 1, go_left), (right[node], ~go_left)):
                 if feature[child] >= 0:
                     stack.append((child, rows.compress(side)))
                 elif pd_leaf[child]:
@@ -129,41 +150,28 @@ class DecisionTree:
         return {
             "feature": self.feature.tolist(),
             "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
             "counts": self.counts.ravel().tolist(),
         }
 
     @classmethod
     def from_json_dict(cls, obj: dict, n_features: int) -> "DecisionTree":
         """Node arrays from a saved tree's columns. Raises ValueError unless
-        the columns are lists of n > 0 nodes, counts holding each node's
-        healthy and PD counts in turn; the counts are non-negative integers;
-        a leaf has feature -1 and children -1; and a split node's feature is
-        an integer below n_features and its children integers after it and
-        within the tree, so that every walk from the root reaches a leaf."""
+        the columns are lists of n nodes, counts holding each node's healthy
+        and PD counts in turn; the counts are non-negative integers; each
+        feature is -1 at a leaf or an integer below n_features at a split
+        node; and feature is one whole tree of n > 0 nodes in preorder."""
         feature = json_array(obj["feature"], "the tree's feature column", dtype=np.int64)
         n = feature.size
-        if n == 0:
-            raise ValueError("a tree needs at least one node")
         threshold = json_array(obj["threshold"], "the tree's threshold column", (n,))
-        left, right = (json_array(obj[key], f"the tree's {key} column", (n,), np.int64)
-                       for key in ("left", "right"))
         counts = json_array(obj["counts"], "the tree's counts column", (n, 2), np.int64)
         if (counts < 0).any():
             raise ValueError("every node's counts must be non-negative")
-        node = np.arange(n)
-        leaf = (feature == -1) & (left == -1) & (right == -1)
-        split = ((feature >= 0) & (feature < n_features)
-                 & (node < left) & (left < n) & (node < right) & (right < n))
-        bad = ~(leaf | split)
+        bad = (feature < -1) | (feature >= n_features)
         if bad.any():
             i = int(np.argmax(bad))
-            raise ValueError(
-                f"node {i} has feature {feature[i]} and children {left[i]} and {right[i]}; "
-                f"a leaf has feature and children -1, a split node a feature below "
-                f"{n_features} and children between {i + 1} and {n - 1}")
-        return cls(feature, threshold, left, right, counts)
+            raise ValueError(f"node {i} has feature {feature[i]}; a leaf has feature -1, "
+                             f"a split node a feature below {n_features}")
+        return cls(feature, threshold, counts)
 
 
 def _draw_features(stream: SplitMix64, m: int, k: int) -> list:
@@ -185,21 +193,17 @@ def tree_grow(X, y, k: int, stream: SplitMix64) -> DecisionTree:
     XT = np.ascontiguousarray(X.T)
     is_pd = (y == PD).astype(np.int64)
     T = xlog2x_table(len(y))
-    feature, threshold, left, right, counts = [], [], [], [], []
+    feature, threshold, counts = [], [], []
 
     # explicit stack, nodes appended when visited: pushing the right work item
     # first makes the whole left subtree build before the right, so the flat
     # arrays come out in preorder. Each item carries its PD count.
-    stack = [(np.arange(len(y)), int(is_pd.sum()), -1, False)]
+    stack = [(np.arange(len(y)), int(is_pd.sum()))]
     while stack:
-        idx, pd_count, parent, is_right = stack.pop()
+        idx, pd_count = stack.pop()
         node = len(feature)
         feature.append(-1)
         threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        if parent >= 0:
-            (right if is_right else left)[parent] = node
         n = len(idx)
         counts.append((n - pd_count, pd_count))
         if not 0 < pd_count < n:  # pure, which a node of one record is
@@ -235,15 +239,10 @@ def tree_grow(X, y, k: int, stream: SplitMix64) -> DecisionTree:
         threshold[node] = thr
         # value < thr holds for exactly the first left_n records in sorted order
         ranked = idx.take(order[row])
-        stack.append((ranked[left_n:], pd_count - left_pd, node, True))
-        stack.append((ranked[:left_n], left_pd, node, False))
-    return DecisionTree(
-        np.array(feature, dtype=np.int64),
-        np.array(threshold),
-        np.array(left, dtype=np.int64),
-        np.array(right, dtype=np.int64),
-        np.array(counts, dtype=np.int64),
-    )
+        stack.append((ranked[left_n:], pd_count - left_pd))
+        stack.append((ranked[:left_n], left_pd))
+    return DecisionTree(np.array(feature, dtype=np.int64), np.array(threshold),
+                        np.array(counts, dtype=np.int64))
 
 
 def default_feature_subset(m: int) -> int:

@@ -161,7 +161,7 @@ def score_batch(name: str, model, features):
 
 
 # The model file format. A file of any other version is refused on load.
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 
 def save_model_file(model, path) -> None:

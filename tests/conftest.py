@@ -19,9 +19,9 @@ DATA_DIR = Path(__file__).parent / "data"
 # missing, other ints, and a bool or float that equals 1.
 OTHER_VERSIONS = [None, 0, 2, True, 1.0]
 
-# Stored versions that a model file of version 2 must not carry: missing, the
-# version before it and other ints, a bool, and floats that equal a version.
-OTHER_MODEL_VERSIONS = [None, 0, 1, 3, True, 1.0, 2.0]
+# Stored versions that a model file of version 3 must not carry: missing, the
+# versions before it and another int, a bool, and floats that equal a version.
+OTHER_MODEL_VERSIONS = [None, 0, 1, 2, True, 1.0, 2.0, 3.0]
 
 
 @pytest.fixture(autouse=True)

@@ -1,7 +1,7 @@
 """Independent references for the package's batch scorers, split rule, tree
 grower, tree descent, ROC curve and its corner thinning, network trainer and
 training step, shuffle, record rules, cohort generator, CSV reader and
-writer, and the node-list forest writer.
+writer, the node-list forest writer and the older model file layouts.
 
 Most functions work on one record (or one split, one feature of a node's
 split search, one training step, one draw or one generated value) at a
@@ -10,10 +10,12 @@ ROC and the CSV reader that splits every row with csv.reader and converts
 each row alone reach the same result as the package's code by another
 route. The vectorized code in the package is checked against them. The
 node-list writer gives the bytes of a forest file before the columnar
-layout, so trees loaded from a new file can be checked against the digests
-of the old one; the entropy-formula grower grows the trees from before
-split scores came from the c * log2(c) table, so the digests taken then
-can be checked again. None of this runs in the pipeline.
+layout, and the version 2 and version 1 layouts those of the model files
+that stored more than their loaders derive, so models loaded from a new
+file can be checked against the digests of the old ones; the
+entropy-formula grower grows the trees from before split scores came from
+the c * log2(c) table, so the digests taken then can be checked again.
+None of this runs in the pipeline.
 """
 
 import csv
@@ -71,7 +73,7 @@ def tree_predict(tree, x) -> int:
     and a tie goes to healthy."""
     i = 0
     while tree.feature[i] >= 0:
-        i = tree.left[i] if x[tree.feature[i]] < tree.threshold[i] else tree.right[i]
+        i = i + 1 if x[tree.feature[i]] < tree.threshold[i] else tree.right[i]
     h, p = tree.counts[i]
     return PD if p > h else HEALTHY
 
@@ -96,7 +98,7 @@ def levelwise_predict_batch(tree, X) -> np.ndarray:
         rows = np.nonzero(active)[0]
         f = feats[rows]
         go_left = X[rows, f] < tree.threshold[node[rows]]
-        node[rows] = np.where(go_left, tree.left[node[rows]], tree.right[node[rows]])
+        node[rows] = np.where(go_left, node[rows] + 1, tree.right[node[rows]])
     leaf = tree.counts[node]
     return np.where(leaf[:, 1] > leaf[:, 0], PD, HEALTHY)
 
@@ -111,7 +113,7 @@ def tree_to_json_list(tree) -> list:
         else:
             nodes.append({
                 "split": [int(tree.feature[i]), float(tree.threshold[i])],
-                "left": int(tree.left[i]),
+                "left": i + 1,
                 "right": int(tree.right[i]),
                 "counts": [int(tree.counts[i, 0]), int(tree.counts[i, 1])],
             })
@@ -131,11 +133,25 @@ def node_list_forest_text(model) -> str:
     }, indent=2, sort_keys=True) + "\n"
 
 
+def v2_model_dict(model) -> dict:
+    """A model's file as the version 2 writer laid it out: the version 3 dict
+    with "version": 2, and each forest tree's left children (i + 1, or -1 at
+    a leaf) and right children (-1 at a leaf) stored beside the feature
+    column they follow from."""
+    obj = {**model.to_json_dict(), "version": 2}
+    if obj["kind"] == "forest":
+        for saved, tree in zip(obj["trees"], model.trees):
+            leaf = tree.feature < 0
+            saved["left"] = np.where(leaf, -1, np.arange(1, leaf.size + 1)).tolist()
+            saved["right"] = tree.right.tolist()
+    return obj
+
+
 def v1_model_dict(model) -> dict:
     """A model's file as the version 1 writer laid it out: the version 2 dict
     with "version": 1, and an MLP's weight shapes or a Bayes net's arities
     stored beside the settings and cuts they follow from."""
-    obj = {**model.to_json_dict(), "version": 1}
+    obj = {**v2_model_dict(model), "version": 1}
     if obj["kind"] == "mlp":
         obj.update(shape_hidden=list(model.w_hidden.shape),
                    shape_output=list(model.w_output.shape))
@@ -266,18 +282,14 @@ def entropy_tree_grow(X, y, k: int, stream) -> DecisionTree:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     m = X.shape[1]
-    feature, threshold, left, right, counts = [], [], [], [], []
+    feature, threshold, counts = [], [], []
 
-    stack = [(np.arange(len(y)), -1, False)]
+    stack = [np.arange(len(y))]
     while stack:
-        idx, parent, is_right = stack.pop()
+        idx = stack.pop()
         node = len(feature)
         feature.append(-1)
         threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        if parent >= 0:
-            (right if is_right else left)[parent] = node
         is_pd = (y[idx] == PD).astype(np.int64)
         n = len(idx)
         pd_count = int(is_pd.sum())
@@ -299,15 +311,10 @@ def entropy_tree_grow(X, y, k: int, stream) -> DecisionTree:
         go_left = X[idx, f] < thr
         feature[node] = f
         threshold[node] = thr
-        stack.append((idx[~go_left], node, True))
-        stack.append((idx[go_left], node, False))
-    return DecisionTree(
-        np.array(feature, dtype=np.int64),
-        np.array(threshold),
-        np.array(left, dtype=np.int64),
-        np.array(right, dtype=np.int64),
-        np.array(counts, dtype=np.int64),
-    )
+        stack.append(idx[~go_left])
+        stack.append(idx[go_left])
+    return DecisionTree(np.array(feature, dtype=np.int64), np.array(threshold),
+                        np.array(counts, dtype=np.int64))
 
 
 def xlog2x(size: int) -> list:
@@ -339,13 +346,15 @@ def _best_table_split(values, labels, parent_pd, T):
     return best
 
 
-def reference_tree_grow(X, y, k: int, stream) -> DecisionTree:
+def reference_tree_grow(X, y, k: int, stream) -> tuple:
     """tree_grow with one split search per drawn feature in plain Python,
     scored from this file's own c * log2(c) table: the best score of each
     feature in draw order, where only a strictly larger score replaces the
     best so far. A node stays a leaf when the best split has zero gain,
     which holds when its left side's PD share is the node's (pl * n == p *
-    nl), tested in integers. Records go left where value < threshold."""
+    nl), tested in integers. Records go left where value < threshold.
+    Returns (tree, left, right): left and right hold each node's children
+    as the grower records them when it makes the nodes, -1 at a leaf."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     m = X.shape[1]
@@ -382,13 +391,9 @@ def reference_tree_grow(X, y, k: int, stream) -> DecisionTree:
         threshold[node] = thr
         stack.append(([i for i in idx if not X[i, f] < thr], node, True))
         stack.append(([i for i in idx if X[i, f] < thr], node, False))
-    return DecisionTree(
-        np.array(feature, dtype=np.int64),
-        np.array(threshold),
-        np.array(left, dtype=np.int64),
-        np.array(right, dtype=np.int64),
-        np.array(counts, dtype=np.int64),
-    )
+    tree = DecisionTree(np.array(feature, dtype=np.int64), np.array(threshold),
+                        np.array(counts, dtype=np.int64))
+    return tree, left, right
 
 
 def reference_shuffle(stream, items: list) -> None:

@@ -18,7 +18,7 @@ from earlypd.pipeline import load_model_file
 from earlypd.synth import load_params
 
 from conftest import datasets_equal
-from reference import node_list_forest_text, v1_model_dict
+from reference import node_list_forest_text, v1_model_dict, v2_model_dict
 from test_pipeline import DEFECTS, FOREST_DEFECTS, _set_alphas
 from test_synth import SHARED_SECOND_FEATURE
 
@@ -296,19 +296,22 @@ def test_evaluate_rejects_bad_sidecar_values(exp_dir, tmp_path, capsys, defect):
 
 
 def test_evaluate_rejects_node_list_forest(exp_dir, tmp_path, capsys):
-    # a forest saved before model files had versions and columnar trees
+    # a forest saved before model files had versions and columnar trees, and
+    # one of version 2, whose trees stored each node's children
     _config, out = exp_dir
     _kind, forest = load_model_file(out / "models" / "forest.json")
-    old = tmp_path / "forest.json"
-    old.write_text(node_list_forest_text(forest))
-    rc = main(["evaluate", "--model", str(old), "--input", str(out / "cohort.csv"),
-               "--preprocess", str(out / "preprocess.json")])
-    lines = capsys.readouterr().err.splitlines()
-    assert rc == 2
-    assert len(lines) == 1, lines  # one JSON line, no traceback
-    message = json.loads(lines[0])["message"]
-    assert str(old) in message
-    assert "version None" in message and "retrain" in message
+    for version, text in ((None, node_list_forest_text(forest)),
+                          (2, json_text(v2_model_dict(forest)))):
+        old = tmp_path / f"forest_{version}.json"
+        old.write_text(text)
+        rc = main(["evaluate", "--model", str(old), "--input", str(out / "cohort.csv"),
+                   "--preprocess", str(out / "preprocess.json")])
+        lines = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert len(lines) == 1, lines  # one JSON line, no traceback
+        message = json.loads(lines[0])["message"]
+        assert str(old) in message
+        assert f"version {version}" in message and "retrain" in message
 
 
 def test_module_entry_point_refuses_bad_model_files(exp_dir, tmp_path):

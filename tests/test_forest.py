@@ -166,14 +166,17 @@ TREE_CASES = {
 
 def _assert_grows_reference_tree(X, y, k, seed):
     """tree_grow and reference_tree_grow give the same tree bit for bit, and
-    leave the stream in the same state; returns the tree."""
+    leave the stream in the same state; returns the tree. The reference's
+    recorded children show the preorder the saved trees rely on: each split
+    node's left child is the next node, and the right child the tree derives
+    from its feature column is the one recorded."""
     got_stream, want_stream = SplitMix64(seed), SplitMix64(seed)
     got = tree_grow(X, y, k, got_stream)
-    want = reference_tree_grow(X, y, k, want_stream)
+    want, left, right = reference_tree_grow(X, y, k, want_stream)
     assert np.array_equal(got.feature, want.feature)
     assert np.array_equal(got.threshold.view(np.uint64), want.threshold.view(np.uint64))
-    assert np.array_equal(got.left, want.left)
-    assert np.array_equal(got.right, want.right)
+    assert all(left[i] == i + 1 for i in np.flatnonzero(want.feature >= 0))
+    assert got.right.tolist() == right
     assert np.array_equal(got.counts, want.counts)
     assert got_stream._state == want_stream._state
     return got
@@ -251,10 +254,8 @@ def test_tree_fits_training_data_exactly():
 
 
 def test_tree_leaf_tie_predicts_healthy():
-    leaf = DecisionTree(
-        feature=np.array([-1]), threshold=np.zeros(1),
-        left=np.zeros(1, dtype=np.int64), right=np.zeros(1, dtype=np.int64),
-        counts=np.array([[3, 3]]))
+    leaf = DecisionTree(feature=np.array([-1]), threshold=np.zeros(1),
+                        counts=np.array([[3, 3]]))
     assert list(tree_predict_batch(leaf, [[0.0], [1.0]])) == [0, 0]
 
 
@@ -264,22 +265,34 @@ def test_tree_serialization_round_trip():
     y = rng.integers(0, 2, 40)
     tree = tree_grow(X, y, k=4, stream=SplitMix64(9))
     again = DecisionTree.from_json_dict(json.loads(json_text(tree.to_json_dict())), 4)
-    for key in ("feature", "threshold", "left", "right", "counts"):
+    for key in ("feature", "threshold", "right", "counts"):
         before, after = getattr(tree, key), getattr(again, key)
         assert (after.dtype, after.shape, after.tobytes()) == \
             (before.dtype, before.shape, before.tobytes()), key
 
 
+# feature column -> the right children a tree derives from it, or None for a
+# column that is not one whole tree in preorder
+PREORDER_SHAPES = {
+    "one leaf": ([-1], [-1]),
+    "left-leaning": ([0, 1, -1, -1, -1], [4, 3, -1, -1, -1]),
+    "right-leaning": ([0, -1, 1, -1, -1], [2, -1, 4, -1, -1]),
+    "no nodes": ([], None),
+    "split without a right child": ([0, -1], None),
+    "split as the last node": ([0, -1, 1], None),
+    "leaf after the last leaf": ([0, -1, -1, -1], None),
+}
+
+
 def test_tree_arrays_are_preorder():
-    rng = np.random.default_rng(6)
-    X = rng.random((50, 3))
-    y = rng.integers(0, 2, 50)
-    tree = tree_grow(X, y, k=3, stream=SplitMix64(2))
-    # preorder: every internal node's left child is the next array slot
-    for i in range(len(tree.feature)):
-        if tree.feature[i] >= 0:
-            assert tree.left[i] == i + 1
-            assert tree.right[i] > tree.left[i]
+    for shape, (feature, right) in PREORDER_SHAPES.items():
+        arrays = (np.array(feature, dtype=np.int64), np.zeros(len(feature)),
+                  np.zeros((len(feature), 2), dtype=np.int64))
+        if right is None:
+            with pytest.raises(ValueError, match="last leaf"):
+                DecisionTree(*arrays)
+        else:
+            assert DecisionTree(*arrays).right.tolist() == right, shape
 
 
 def test_predict_batch_matches_scalar():
@@ -330,8 +343,7 @@ def test_forest_scores_match_levelwise_reference(case):
 
 def test_root_leaf_trees_vote_their_majority():
     def leaf(counts):
-        return DecisionTree(np.array([-1]), np.zeros(1), np.full(1, -1), np.full(1, -1),
-                            np.array([counts]))
+        return DecisionTree(np.array([-1]), np.zeros(1), np.array([counts]))
 
     trees = (leaf([1, 3]), leaf([2, 0]), leaf([1, 3]))
     model = ForestModel(trees, ForestConfig(3), 0, 2)

@@ -27,10 +27,20 @@ one pinned first.
 They moved again at version 2, when the MLP's weight shapes and the Bayes
 net's arities left them, since the loader derives the shapes from hidden_units
 and the arities from the cuts. V1_MODEL_GOLDEN and the middle FOREST_GOLDEN
-digest keep the version 1 files: each model loaded from its version 2 file and
+digest keep the version 1 files: each model loaded from its current file and
 written in the version 1 layout (the version 2 dict with those keys added back
 and "version": 1) gives those bytes again, so only the layout moved, and
 EVALUATE_GOLDEN shows that no score did.
+
+They moved once more at version 3, when each forest tree left out its left
+and right columns, since a tree is saved in preorder: a split node's left
+child is the next node, and its right child the node after its left subtree,
+so the loader derives both from the feature column. The other three model
+files moved only because their "version" did. V2_MODEL_GOLDEN, the first
+FOREST_GOLDEN digest of each triple and ENTROPY_GOLDEN's models/forest.json
+keep the version 2 files: each model loaded from its version 3 file and
+written in the version 2 layout (the version 3 dict with "version": 2 and
+each tree's children added back) gives those bytes again.
 
 preprocess.json moved once, when it stopped keeping a copy of the Bayes net's
 cuts, which its model file holds. SIDECAR_WITH_CUTS_GOLDEN keeps the digest
@@ -87,15 +97,21 @@ from earlypd.pipeline import (
 )
 from earlypd.synth import GenerateConfig, generate
 
-from reference import entropy_tree_grow, loop_roc, node_list_forest_text, v1_model_dict
+from reference import (
+    entropy_tree_grow,
+    loop_roc,
+    node_list_forest_text,
+    v1_model_dict,
+    v2_model_dict,
+)
 
 GOLDEN = {
     "cohort.csv": "b3065d07230e50b4e930f92b2c4346ba3527760588f55a65844d83350ab286d3",
     "evaluations.json": "ca629cf8c9f45d4b8636f635e13e5bff0338e76c0839cb41ce5627411ac0f8ec",
-    "models/bayesnet.json": "726c60b66a5429a20a1029e32960df83338536d39af55fef09dc3f846fbe35b6",
-    "models/boostlr.json": "253c010202349808e55aa453a1ffd150a8b0688dfd6c25f98198f026b461438b",
-    "models/forest.json": "11d9da1d4c33f85f95ca6c983f7a135e474bc0f6fb514cc037a5a6b27f1d956a",
-    "models/mlp.json": "a14313ad1770988dc74a979f9b38171826aed588dea438947af8c48b6a51002e",
+    "models/bayesnet.json": "3cf3367cf82885320095dcdd31cd27f8ca92a5333352d30eec033c53da33b5e4",
+    "models/boostlr.json": "a99d5cf342b254e5a8bf715082ef87efbffa346de437c02f69c07a866ddf7dc0",
+    "models/forest.json": "c916ffa97e4de42a4960a1c009d44ac19d59f989256d3f8611cc8c320fc98f44",
+    "models/mlp.json": "75c369c29a9a24413315243bd96121641411be45059f2df4dbd9987146017321",
     "preprocess.json": "a19a5e508d3559f6499ad99babc8a9ea8af79e48b228082c0a522bdd1e0e6dc1",
     "report.csv": "a05bb5c9cac7bd126e6401308c80fb1d3d8e368f4a0319ab86f3b7a83ad5ee61",
     "report.txt": "78ccc139a672cbd9c75729d9c991702ea530bb0a3d9aaa41915656c16950c091",
@@ -126,8 +142,35 @@ def test_default_run_artifact_digests(default_run, tmp_path):
     assert _run_digests(default_run, tmp_path) == GOLDEN
 
 
+# The model files of version 2, before the forest's trees left out their
+# children. Each model loaded from its version 3 file, written in the version 2
+# layout, gives these bytes again.
+V2_MODEL_GOLDEN = {
+    "models/bayesnet.json": "726c60b66a5429a20a1029e32960df83338536d39af55fef09dc3f846fbe35b6",
+    "models/boostlr.json": "253c010202349808e55aa453a1ffd150a8b0688dfd6c25f98198f026b461438b",
+    "models/forest.json": "11d9da1d4c33f85f95ca6c983f7a135e474bc0f6fb514cc037a5a6b27f1d956a",
+    "models/mlp.json": "a14313ad1770988dc74a979f9b38171826aed588dea438947af8c48b6a51002e",
+}
+
+
+def _layout_digests(models, folder, layout) -> dict:
+    """Digest of each model saved, loaded and written in an older layout:
+    layout is v2_model_dict or v1_model_dict."""
+    digests = {}
+    for name, model in models.items():
+        path = folder / f"{name}.json"
+        save_model_file(model, path)
+        loaded = load_model_file(path)[1]
+        digests[f"models/{name}.json"] = _sha256(json_text(layout(loaded)))
+    return digests
+
+
+def test_version_3_models_give_the_version_2_bytes(default_run, tmp_path):
+    assert _layout_digests(default_run.models, tmp_path, v2_model_dict) == V2_MODEL_GOLDEN
+
+
 # The model files of version 1, before they left out what the loader derives.
-# Each model loaded from its version 2 file, written in the version 1 layout,
+# Each model loaded from its version 3 file, written in the version 1 layout,
 # gives these bytes again.
 V1_MODEL_GOLDEN = {
     "models/bayesnet.json": "78b7f5d0583cf7248a4584378fdf0cfb867205adf0f5916ae3d792b844b8f3e2",
@@ -137,19 +180,8 @@ V1_MODEL_GOLDEN = {
 }
 
 
-def _v1_digests(models, folder) -> dict:
-    """Digest of each model saved, loaded and written in the version 1 layout."""
-    digests = {}
-    for name, model in models.items():
-        path = folder / f"{name}.json"
-        save_model_file(model, path)
-        loaded = load_model_file(path)[1]
-        digests[f"models/{name}.json"] = _sha256(json_text(v1_model_dict(loaded)))
-    return digests
-
-
 def test_version_2_models_give_the_version_1_bytes(default_run, tmp_path):
-    assert _v1_digests(default_run.models, tmp_path) == V1_MODEL_GOLDEN
+    assert _layout_digests(default_run.models, tmp_path, v1_model_dict) == V1_MODEL_GOLDEN
 
 
 # The model files' digests before they carried a version and saved each tree
@@ -306,9 +338,11 @@ def test_forest_moved_only_by_its_split_score(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(earlypd.forest, "tree_grow", entropy_tree_grow)
     run = run_experiment(PipelineConfig())
     digests = {
-        "GOLDEN": _run_digests(run, tmp_path / "run"),
+        # with the forest file in the version 2 layout these were taken in
+        "GOLDEN": {**_run_digests(run, tmp_path / "run"),
+                   **_layout_digests({"forest": run.models["forest"]}, tmp_path, v2_model_dict)},
         "EVALUATE_GOLDEN": _evaluate_digests(run, tmp_path / "evaluate"),
-        "V1_MODEL_GOLDEN": _v1_digests(run.models, tmp_path),
+        "V1_MODEL_GOLDEN": _layout_digests(run.models, tmp_path, v1_model_dict),
         "UNVERSIONED_GOLDEN": _unversioned_digests(tmp_path / "run"),
     }
     monkeypatch.setattr(metrics, "roc", loop_roc)
@@ -322,9 +356,9 @@ def test_forest_moved_only_by_its_split_score(tmp_path, capsys, monkeypatch):
 
 # case: (config overrides, digests, digests with the forest grown by
 # entropy_tree_grow, as before split scores came from the c * log2(c) table).
-# Each triple holds the digest of the file, of the loaded forest written in
-# the version 1 layout, as V1_MODEL_GOLDEN, and of its trees written by the
-# node-list writer, as UNVERSIONED_GOLDEN.
+# Each triple holds the digest of the loaded forest written in the version 2
+# layout, as V2_MODEL_GOLDEN, and in the version 1 layout, as V1_MODEL_GOLDEN,
+# and of its trees written by the node-list writer, as UNVERSIONED_GOLDEN.
 FOREST_GOLDEN = {
     "cohort 920/2010, 10 trees": (
         {"generate": {"n_healthy": 920, "n_pd": 2010}, "forest": {"trees": 10}},
@@ -362,13 +396,14 @@ FOREST_GOLDEN = {
 
 
 def _forest_digests(overrides, tmp_path) -> tuple:
-    """(file, version 1 layout, node list) digests of the forest trained with overrides."""
+    """(version 2 layout, version 1 layout, node list) digests of the forest
+    trained with overrides."""
     config = config_from_dict({"models": ["forest"], **overrides})
     train, _test, _stats = prepare_splits(config, acquire_dataset(config))
     path = tmp_path / "forest.json"
     save_model_file(train_models(config, train)["forest"], path)
     loaded = load_model_file(path)[1]
-    return (hashlib.sha256(path.read_bytes()).hexdigest(),
+    return (_sha256(json_text(v2_model_dict(loaded))),
             _sha256(json_text(v1_model_dict(loaded))), _sha256(node_list_forest_text(loaded)))
 
 

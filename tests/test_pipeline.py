@@ -278,30 +278,34 @@ def test_model_file_round_trip(kind, fast_models, small_split, tmp_path):
     assert second.read_bytes() == first.read_bytes()
 
 
-def _first_leaf(tree) -> int:
-    return tree["feature"].index(-1)
-
-
 def _as_object(tree, key):
     tree[key] = {str(i): v for i, v in enumerate(tree[key])}
 
 
+def _leaf_after_the_last_leaf(tree):
+    # one more leaf in every column: a node that no walk from the root reaches
+    for key, column in tree.items():
+        column.extend({"threshold": [0.0], "counts": [1, 0]}.get(key, [-1]))
+
+
+def _last_leaf_as_a_split(tree):
+    # its children would lie past the last node
+    tree["feature"][-1] = 0
+    tree["threshold"][-1] = 0.5
+
+
 # (trees, n_features) -> None, each breaking the first tree of a saved forest
 FOREST_DEFECTS = {
-    "child is its own node": lambda trees, m: trees[0]["left"].__setitem__(0, 0),
-    "child before its parent": lambda trees, m: trees[0]["left"].__setitem__(0, -1),
-    "child past the last node": lambda trees, m: trees[0]["right"].__setitem__(
-        0, len(trees[0]["feature"])),
+    "leaf after the last leaf": lambda trees, m: _leaf_after_the_last_leaf(trees[0]),
+    "child past the last node": lambda trees, m: _last_leaf_as_a_split(trees[0]),
     "split feature out of range": lambda trees, m: trees[0]["feature"].__setitem__(0, m),
     "feature below -1": lambda trees, m: trees[0]["feature"].__setitem__(0, -2),
     "float feature": lambda trees, m: trees[0]["feature"].__setitem__(
         0, float(trees[0]["feature"][0])),
-    "leaf with a child": lambda trees, m: trees[0]["right"].__setitem__(
-        _first_leaf(trees[0]), len(trees[0]["feature"]) - 1),
     "tree without nodes": lambda trees, m: [column.clear() for column in trees[0].values()],
     "leaf with one count": lambda trees, m: trees[0]["counts"].pop(),
     "threshold column one short": lambda trees, m: trees[0]["threshold"].pop(),
-    "left column as an object": lambda trees, m: _as_object(trees[0], "left"),
+    "feature column as an object": lambda trees, m: _as_object(trees[0], "feature"),
     "negative split counts": lambda trees, m: trees[0]["counts"].__setitem__(0, -1),
     "bool count": lambda trees, m: trees[0]["counts"].__setitem__(1, True),
     "count beyond int64": lambda trees, m: trees[0]["counts"].__setitem__(0, 2**64),
@@ -496,7 +500,7 @@ def test_model_file_of_another_version_is_rejected(kind, version, fast_models, t
     path = tmp_path / f"{kind}.json"
     save_model_file(fast_models[kind], path)
     obj = json.loads(path.read_text())
-    assert obj["version"] == MODEL_VERSION == 2
+    assert obj["version"] == MODEL_VERSION == 3
     if version is None:
         del obj["version"]
     else:
