@@ -6,18 +6,19 @@ per-record weight updates with momentum. Weights start uniform in [-0.5, 0.5)
 and the record order is reshuffled every epoch, both driven by the stream
 derived from (seed, "mlp"), so training is bit-reproducible.
 
-A training step is 20 numpy calls that write into preallocated buffers. It
-carries signs: the input row arrives negated, the hidden and output
-activations are stored negated, and the step leaves the negated error and
-the negated gradient behind. So both forward products return -z, the
-argument exp needs, and no call is spent on a negation. The bits are those
-of the plain expressions (np.append, @, np.outer, v -= lr * g, the loss
-taken per record), because negation is exact and round-to-nearest is
-symmetric in sign: w @ (-x) == -(w @ x) for any summation order, with or
-without fused multiply-add, and likewise 1 + (-a) == 1 - a,
-(-1) / t == -(1 / t), (-a) * (-b) == a * b and a + (-b) == a - b. The
-loss terms err @ err are taken once per epoch, from the negated errors of
-all its steps, by one stacked matmul that runs the same dot product per row.
+A training step is 15 numpy calls that write into preallocated buffers, 12
+in the network's step and 3 for the weight update. It carries signs: the
+input row arrives negated, the hidden and output activations are negated,
+and the step leaves the negated error and the negated gradient behind. So
+both forward products return -z, the argument exp needs, and no call is
+spent on a negation. The bits are those of the plain expressions
+(np.append, @, np.outer, v -= lr * g, the loss taken per record), because
+negation is exact and round-to-nearest is symmetric in sign:
+w @ (-x) == -(w @ x) for any summation order, with or without fused
+multiply-add, and likewise 1 + (-a) == 1 - a, (-1) / t == -(1 / t),
+(-a) * (-b) == a * b and a + (-b) == a - b. The loss terms err @ err are
+taken once per epoch, from the negated errors of all its steps, by one
+stacked matmul that runs the same dot product per row.
 
 The five products are np.dot calls, cheaper than @ and a broadcast multiply,
 each on the BLAS kernel and shape that @ runs: a gemv for w1 @ -x, one for
@@ -33,6 +34,16 @@ The velocity v and the negated gradient g are the halves of one buffer, so
 mom * v and lr * g are one multiply by [mom, ..., lr, ...]. Each cell is the
 same correctly rounded product as with a scalar factor, which numpy would
 convert from a Python float on every call.
+
+The two output units go on in Python floats once np.exp has returned
+exp(-z2): -out, -err and d2 are six operations a unit, each far cheaper as
+a float operation than as a numpy call on two elements. Python floats and
+numpy's add, multiply and divide are the same correctly rounded binary64
+operations, taken in the same order, so the bits hold. 1 + exp(-z2) is at
+least 1 or NaN, so no division raises, and inf and NaN flow through without
+a warning; the targets arrive as Python floats, so no numpy scalar enters.
+np.exp stays a numpy call, as math.exp differs from it on some inputs; it
+and the five BLAS products are all that tie the step's bits to the host.
 """
 
 from __future__ import annotations
@@ -111,8 +122,12 @@ class _Network:
     def __init__(self, hidden: int, m: int):
         n1 = hidden * (m + 1)
         size = n1 + 2 * (hidden + 1)
-        self.w = np.empty(size)
-        self.vg = np.zeros(2 * size)
+        try:
+            self.w = np.empty(size)
+            self.vg = np.zeros(2 * size)
+        except (ValueError, MemoryError) as err:
+            raise ConfigError(f"hidden_units {hidden} is too large to allocate the "
+                              f"network: {err}") from None
         self.v, self.g = self.vg[:size], self.vg[size:]
         self.w1 = self.w[:n1].reshape(hidden, m + 1)
         self.w2 = self.w[n1:].reshape(2, hidden + 1)
@@ -125,24 +140,22 @@ class _Network:
         (views g1, g2) and its negated output error into nerr.
 
         nx is the input row with its bias 1.0, negated; x is the same row
-        unnegated, shaped (1, m + 1); the loss is 0.5 * (nerr @ nerr). It is
-        the one gradient implementation, for training and the gradient check.
-        Each call writes into its last argument (positional out costs less
-        than out=); the module docstring says why the np.dot calls keep bits.
+        unnegated, shaped (1, m + 1); target is the one-hot pair as Python
+        floats; the loss is 0.5 * (nerr @ nerr). It is the one gradient
+        implementation, for training and the gradient check. Each numpy call
+        writes into its last argument (positional out costs less than out=);
+        the hidden layer is numpy calls on h values, the output layer float
+        arithmetic on two. The module docstring says why both keep the bits.
         """
         dot, exp, add, multiply, divide = np.dot, np.exp, np.add, np.multiply, np.divide
         w1, w2, g1, g2 = self.w1, self.w2, self.g1, self.g2
         w2h = w2[:, :h]
-        # act = [-a1 (h), -1.0 (the bias input), -out (2)]
-        act = np.empty(h + 3)
-        act[h] = -1.0
-        na1, na1b, nout = act[:h], act[:h + 1], act[h + 1:]
-        # onep = 1 - act's unnegated values: [1 - a1, 0, 1 - out]
-        onep = np.empty(h + 3)
-        onep1, onep2 = onep[:h], onep[h + 1:]
-        ones, neg = np.ones(h + 3), np.full(h + 3, -1.0)
-        ones1, ones2, neg1, neg2 = ones[:h], ones[:2], neg[:h], neg[:2]
-        t1, t2 = np.empty(h), np.empty(2)
+        # na1b = [-a1 (h), -1.0 (the bias input)]
+        na1b = np.empty(h + 1)
+        na1b[h] = -1.0
+        na1 = na1b[:h]
+        ones, neg = np.ones(h), np.full(h, -1.0)
+        onep1, t1, t2 = np.empty(h), np.empty(h), np.empty(2)
         d1, d2 = np.empty(h), np.empty(2)
         d1_col, d2_col, na1b_row = d1[:, None], d2[:, None], na1b[None, :]
 
@@ -150,19 +163,20 @@ class _Network:
             # -a1 = -1 / (1 + exp(-z1)), where w1 @ -x is -z1
             dot(w1, nx, t1)
             exp(t1, t1)
-            add(ones1, t1, t1)
-            divide(neg1, t1, na1)
-            # -out likewise from w2 @ [-a1, -1] = -z2
+            add(ones, t1, t1)
+            divide(neg, t1, na1)
+            add(ones, na1, onep1)  # 1 - a1
+            # exp(-z2), where w2 @ [-a1, -1] is -z2; the two units go on in floats
             dot(w2, na1b, t2)
             exp(t2, t2)
-            add(ones2, t2, t2)
-            divide(neg2, t2, nout)
-            add(ones, act, onep)
-            # -err = -out + target
-            add(nout, target, nerr)
+            e0, e1 = t2.tolist()
+            y0, y1 = target
+            # -out = -1 / (1 + exp(-z2)); -err = -out + target
+            o0, o1 = -1.0 / (1.0 + e0), -1.0 / (1.0 + e1)
+            r0, r1 = o0 + y0, o1 + y1
+            nerr[0], nerr[1] = r0, r1
             # d2 = (-err * -out) * (1 - out); -g2 = outer(d2, -a1b)
-            multiply(nerr, nout, d2)
-            multiply(d2, onep2, d2)
+            d2[0], d2[1] = (r0 * o0) * (1.0 + o0), (r1 * o1) * (1.0 + o1)
             dot(d2_col, na1b_row, g2)
             # -d1 = ((d2 @ w2[:, :h]) * -a1) * (1 - a1); -g1 = outer(-d1, x)
             dot(d2, w2h, d1)
@@ -205,7 +219,8 @@ def mlp_train(train: Dataset, config: MlpConfig = MlpConfig(), seed: int = 42) -
     # one-hot targets: column 0 healthy, column 1 PD
     targets = np.zeros((n, 2))
     targets[np.arange(n), (train.labels == PD).astype(int)] = 1.0
-    rows, neg_rows, target_rows = list(xb[:, None, :]), list(-xb), list(targets)
+    # each target a pair of Python floats, as the step's float part takes it
+    rows, neg_rows, target_rows = list(xb[:, None, :]), list(-xb), targets.tolist()
     # row k holds the negated output error of an epoch's k-th step
     errs = np.empty((n, 2))
     err_rows = list(errs)
@@ -256,7 +271,7 @@ def mlp_gradient_check(model: MlpModel, features, target, step: float = 1e-5) ->
     net.w2[...] = model.w_output
     xb = np.append(np.asarray(features, dtype=np.float64), 1.0)
     neg_xb, xb_row = -xb, xb[None, :]
-    target = np.asarray(target, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64).tolist()
     nerr = np.empty(2)
 
     def loss() -> float:

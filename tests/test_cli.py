@@ -646,6 +646,22 @@ def test_a_diverged_mlp_exits_1_and_writes_nothing(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["train", "experiment"])
+def test_hidden_units_too_large_to_allocate_exit_2(tmp_path, capsys, command):
+    # numpy refuses 14 * 10**20 doubles before it allocates anything; a size
+    # that numpy would try to allocate is not tested
+    config = _mlp_config(tmp_path, hidden_units=10**20)
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(config), "--out", str(out)])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(lines) == 1, lines  # one JSON line, no traceback
+    err = json.loads(lines[0])
+    assert err["error"] == "config"
+    assert "hidden_units" in err["message"] and str(10**20) in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "experiment"])
 def test_a_saturated_mlp_trains_without_a_warning(tmp_path, capsys, command):
     # exp overflows in the step; warnings are errors here, and stderr stays empty
     config = _mlp_config(tmp_path, learning_rate=1e6)

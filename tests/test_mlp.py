@@ -256,3 +256,41 @@ def test_step_products_match_matmul_and_multiply(hidden):
             net.g1, want_g1) and np.array_equal(net.g2, want_g2), (
             f"np.dot and np.matmul/np.multiply disagree on this BLAS at hidden "
             f"{hidden}, trial {trial}: the step's products no longer keep the bits")
+
+
+def _zero_signs_dropped(a):
+    return np.where(a == 0.0, 0.0, a).tobytes()
+
+
+@pytest.mark.parametrize("scale1, scale2, edge", [
+    (1e3, 1e3, np.isinf), (1e308, 1e308, np.isinf), (1.0, np.inf, np.isnan),
+], ids=["exp overflows", "products overflow", "NaN"])
+def test_step_keeps_the_bits_at_the_edges_of_the_float_arithmetic(scale1, scale2, edge):
+    # weights of 1e3 overflow exp(-z2), so -out is -0.0; weights of 1e308
+    # overflow the products themselves; output weights of +-inf give -z2 = NaN
+    m, hidden = 13, 8
+    net = _Network(hidden, m)
+    rng = np.random.default_rng(33)
+    nerr, nerr_of_array = np.empty(2), np.empty(2)
+    edges = 0
+    with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for trial in range(500):
+            net.w1[...] = scale1 * rng.uniform(-1.0, 1.0, net.w1.shape)
+            net.w2[...] = scale2 * rng.uniform(-1.0, 1.0, net.w2.shape)
+            x = rng.random(m + 1)
+            x[m] = 1.0
+            target = np.eye(2)[trial % 2]
+            net.step(-x, x[None, :], target, nerr_of_array)
+            g_of_array = net.g.tobytes()
+            net.step(-x, x[None, :], target.tolist(), nerr)
+            # a numpy-array target and a pair of Python floats give the same bytes
+            assert nerr.tobytes() == nerr_of_array.tobytes()
+            assert net.g.tobytes() == g_of_array
+            want_nerr, want_g1, want_g2 = reference_step(net.w1, net.w2, x, target)
+            assert nerr.tobytes() == want_nerr.tobytes(), trial
+            assert _zero_signs_dropped(net.g1) == _zero_signs_dropped(want_g1), trial
+            assert _zero_signs_dropped(net.g2) == _zero_signs_dropped(want_g2), trial
+            na1b = np.append(-1.0 / (1.0 + np.exp(np.matmul(net.w1, -x))), -1.0)
+            edges += edge(np.exp(np.matmul(net.w2, na1b))).any()
+    assert edges >= 50, f"only {edges} of 500 trials reach the edge"
