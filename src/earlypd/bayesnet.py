@@ -46,10 +46,13 @@ class DiscretizationMap:
     def arities(self) -> tuple:
         return tuple(len(c) + 1 for c in self.cuts)
 
-    def bin_matrix(self, features: np.ndarray) -> np.ndarray:
-        out = np.empty(features.shape, dtype=np.int64)
+    def node_matrix(self, features: np.ndarray, classes=0) -> np.ndarray:
+        """(n, 1 + features) int matrix of the net's node values: classes in
+        column 0, then each feature's bin, searched straight into its column."""
+        out = np.empty((features.shape[0], len(self.cuts) + 1), dtype=np.int64)
+        out[:, CLASS_NODE] = classes
         for j, cuts in enumerate(self.cuts):
-            out[:, j] = np.searchsorted(np.asarray(cuts), features[:, j], side="right")
+            out[:, j + 1] = np.searchsorted(np.asarray(cuts), features[:, j], side="right")
         return out
 
     def to_json_dict(self) -> dict:
@@ -79,14 +82,18 @@ def discretize_fit(ds: Dataset, config: BayesNetConfig) -> DiscretizationMap:
     """
     if len(ds) == 0:
         raise DataError("cannot fit discretization on zero records")
+    try:
+        steps = np.arange(1, config.bins)
+    except (ValueError, MemoryError) as err:
+        raise ConfigError(f"bins {config.bins} is too large to allocate the cuts: {err}") from None
     all_cuts = []
     for j in range(ds.features.shape[1]):
         col = ds.features[:, j]
         lo, hi = float(col.min()), float(col.max())
         if config.strategy == "equal_frequency":
-            raw = np.quantile(col, np.arange(1, config.bins) / config.bins)
+            raw = np.quantile(col, steps / config.bins)
         else:
-            raw = lo + np.arange(1, config.bins) * (hi - lo) / config.bins
+            raw = lo + steps * (hi - lo) / config.bins
         kept = []
         for c in map(float, raw):
             if lo < c < hi and (not kept or c > kept[-1]):
@@ -201,8 +208,12 @@ class DiscreteNet:
         every branch has zero probability gets the uniform posterior.
         """
         values = np.array(values, dtype=np.int64)  # a copy: column 0 is overwritten
-        single = values.ndim == 1
-        values = np.atleast_2d(values)
+        post = self.posterior_in_place(np.atleast_2d(values))
+        return post[0] if values.ndim == 1 else post
+
+    def posterior_in_place(self, values: np.ndarray) -> np.ndarray:
+        """The posterior of an (n, nodes) int64 matrix that the caller hands over:
+        its column 0 is overwritten, so no copy is made."""
         logs = np.zeros((values.shape[0], self.arities[CLASS_NODE]))
         for c in range(self.arities[CLASS_NODE]):
             values[:, CLASS_NODE] = c
@@ -215,8 +226,7 @@ class DiscreteNet:
         with np.errstate(invalid="ignore"):
             weights = np.exp(logs - np.where(all_zero[:, None], 0.0, peak))
         weights[all_zero] = 1.0
-        post = weights / weights.sum(axis=1, keepdims=True)
-        return post[0] if single else post
+        return weights / weights.sum(axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -282,19 +292,12 @@ class BayesNetModel:
                    settings(BayesNetConfig, obj))
 
 
-def _node_matrix(ds: Dataset, dmap: DiscretizationMap) -> np.ndarray:
-    """(n, 14) int matrix: class values in column 0, bins after."""
-    bins = dmap.bin_matrix(ds.features)
-    cls = (ds.labels == PD).astype(np.int64)
-    return np.hstack([cls[:, None], bins])
-
-
 def bn_train(train: Dataset, config: BayesNetConfig = BayesNetConfig()) -> BayesNetModel:
     counts = train.class_counts()
     if counts[0] == 0 or counts[1] == 0:
         raise DataError("Bayes net training needs both classes")
     dmap = discretize_fit(train, config)
-    data = _node_matrix(train, dmap)
+    data = dmap.node_matrix(train.features, train.labels == PD)
     arities = (2,) + dmap.arities()
     parents = k2_search(data, arities, config.max_parents)
     cpts = tuple(cpt_estimate(data, node, parents[node], arities, config.alpha)
@@ -308,6 +311,5 @@ def bn_score_batch(model: BayesNetModel, features) -> np.ndarray:
     Out-of-range values clamp to the first or last bin through the
     discretization map's searchsorted rule.
     """
-    bins = model.dmap.bin_matrix(np.asarray(features, dtype=np.float64))
-    values = np.hstack([np.zeros((bins.shape[0], 1), dtype=np.int64), bins])
-    return model.net.posterior(values)[:, 1]
+    values = model.dmap.node_matrix(np.asarray(features, dtype=np.float64))
+    return model.net.posterior_in_place(values)[:, 1]

@@ -109,10 +109,6 @@ class MlpModel:
                    tuple(json_array(obj["epoch_mse"], "epoch_mse").tolist()))
 
 
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
-
-
 class _Network:
     """One network's weights w, and its velocity and negated gradient in
     vg = [v | g]; w and g have a (hidden, m + 1) and a (2, hidden + 1) view.
@@ -187,13 +183,6 @@ class _Network:
         return step
 
 
-def _forward_batch(w1, w2, features):
-    xb = np.hstack([features, np.ones((features.shape[0], 1))])
-    a1 = _sigmoid(xb @ w1.T)
-    a1b = np.hstack([a1, np.ones((a1.shape[0], 1))])
-    return _sigmoid(a1b @ w2.T)
-
-
 def mlp_train(train: Dataset, config: MlpConfig = MlpConfig(), seed: int = 42) -> MlpModel:
     """Online backpropagation over the training records.
 
@@ -253,10 +242,23 @@ def mlp_train(train: Dataset, config: MlpConfig = MlpConfig(), seed: int = 42) -
 
 def mlp_score_batch(model: MlpModel, features) -> np.ndarray:
     """PD share of the output activations; inputs are clamped into [0, 1]."""
-    x = np.clip(np.asarray(features, dtype=np.float64), 0.0, 1.0)
+    a = np.asarray(features, dtype=np.float64)
     with np.errstate(over="ignore"):  # a matmul or exp may overflow; 1 / (1 + inf) = 0
-        out = _forward_batch(model.w_hidden, model.w_output, x)
-    return out[:, 1] / out.sum(axis=1)
+        for w in (model.w_hidden, model.w_output):
+            # the layer's input, clamped into [0, 1], and its bias 1.0 in one
+            # buffer, dropped once its product exists (a sigmoid's output is
+            # already in [0, 1] or NaN, so the second clip only copies it)
+            x = np.empty((len(a), a.shape[1] + 1))
+            np.clip(a, 0.0, 1.0, out=x[:, :-1])
+            x[:, -1] = 1.0
+            a = x @ w.T
+            del x
+            # 1 / (1 + exp(-z)) in place, on the contiguous product: the same bits
+            np.negative(a, out=a)
+            np.exp(a, out=a)
+            np.add(1.0, a, out=a)
+            np.divide(1.0, a, out=a)
+    return a[:, 1] / a.sum(axis=1)
 
 
 def mlp_gradient_check(model: MlpModel, features, target, step: float = 1e-5) -> float:

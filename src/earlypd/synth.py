@@ -242,7 +242,11 @@ def generate(config: GenerateConfig, seed: int) -> Dataset:
     stream = derive_stream(seed, "generate")
     draw = itertools.chain.from_iterable(
         map(stream.normals, itertools.repeat(NORMALS_PER_CALL))).__next__
-    labels = [HEALTHY] * config.n_healthy + [PD] * config.n_pd
+    try:
+        labels = [HEALTHY] * config.n_healthy + [PD] * config.n_pd
+    except (MemoryError, OverflowError) as err:
+        raise ConfigError(f"n_healthy {config.n_healthy} and n_pd {config.n_pd} are too "
+                          f"large to allocate the cohort: {err}") from None
     records = _raw_records(plans, labels, draw)
     blocks = []
     while block := list(itertools.islice(records, BLOCK_ROWS)):

@@ -57,7 +57,7 @@ def test_discretize_equal_frequency_hand_example():
     dmap = discretize_fit(ds, BayesNetConfig(bins=4, strategy="equal_frequency"))
     cuts = dmap.cuts[0]
     assert len(cuts) == 3
-    assert list(dmap.bin_matrix(ds.features)[:, 0]) == [0, 0, 1, 1, 2, 2, 3, 3]
+    assert list(dmap.node_matrix(ds.features)[:, 1]) == [0, 0, 1, 1, 2, 2, 3, 3]
 
 
 def test_discretize_equal_width_hand_example():
@@ -65,13 +65,13 @@ def test_discretize_equal_width_hand_example():
     ds = make_dataset(values, [0, 1, 0, 1, 0])
     dmap = discretize_fit(ds, BayesNetConfig(bins=4, strategy="equal_width"))
     assert list(dmap.cuts[0]) == [1.0, 2.0, 3.0]
-    assert list(dmap.bin_matrix(ds.features)[:, 0]) == [0, 1, 2, 3, 3]
+    assert list(dmap.node_matrix(ds.features)[:, 1]) == [0, 1, 2, 3, 3]
 
 
 def test_discretize_unseen_values_clamp_to_edge_bins():
     ds = make_dataset([[0.0], [1.0], [2.0], [3.0]], [0, 1, 0, 1])
     dmap = discretize_fit(ds, BayesNetConfig(bins=2))
-    lo, hi = dmap.bin_matrix(np.array([[-100.0], [100.0]]))[:, 0]
+    lo, hi = dmap.node_matrix(np.array([[-100.0], [100.0]]))[:, 1]
     assert lo == 0
     assert hi == dmap.arities()[0] - 1
 
@@ -80,7 +80,7 @@ def test_discretize_constant_feature_single_bin():
     ds = make_dataset([[5.0], [5.0], [5.0]], [0, 1, 0])
     dmap = discretize_fit(ds, BayesNetConfig(bins=4))
     assert dmap.arities()[0] == 1
-    assert dmap.bin_matrix(np.array([[5.0]]))[0, 0] == 0
+    assert dmap.node_matrix(np.array([[5.0]]))[0, 1] == 0
 
 
 def test_discretize_zero_records():
@@ -304,8 +304,8 @@ def test_batch_scores_match_scalar(small_split):
     model = bn_train(train, BayesNetConfig(bins=5))
     batch = bn_score_batch(model, test.features)
     expected = []
-    for bins in model.dmap.bin_matrix(test.features).tolist():
-        raw = [joint_oracle(model.net, [c, *bins]) for c in (0, 1)]
+    for values in model.dmap.node_matrix(test.features).tolist():
+        raw = [joint_oracle(model.net, [c, *values[1:]]) for c in (0, 1)]
         expected.append(raw[1] / sum(raw))
     assert len(model.net.arities) == 14
     assert batch == pytest.approx(expected, abs=1e-12)

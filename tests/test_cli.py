@@ -645,19 +645,31 @@ def test_a_diverged_mlp_exits_1_and_writes_nothing(tmp_path, capsys, command):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["train", "experiment"])
-def test_hidden_units_too_large_to_allocate_exit_2(tmp_path, capsys, command):
-    # numpy refuses 14 * 10**20 doubles before it allocates anything; a size
-    # that numpy would try to allocate is not tested
-    config = _mlp_config(tmp_path, hidden_units=10**20)
+@pytest.mark.parametrize("command, config, flags, key", [
+    ("train", {"models": ["mlp"], "mlp": {"hidden_units": 10**20}}, [], "hidden_units"),
+    ("experiment", {"models": ["mlp"], "mlp": {"hidden_units": 10**20}}, [], "hidden_units"),
+    ("train", {"models": ["bayesnet"], "bayesnet": {"bins": 10**20}}, [], "bins"),
+    ("experiment", {"models": ["bayesnet"], "bayesnet": {"bins": 10**20}}, [], "bins"),
+    ("generate", None, ["--n-healthy", str(10**20)], "n_healthy"),
+    ("experiment", {}, ["--n-pd", str(10**20)], "n_pd"),
+], ids=["train-hidden_units", "experiment-hidden_units", "train-bins", "experiment-bins",
+        "generate-n_healthy", "experiment-n_pd"])
+def test_config_too_large_to_allocate_exit_2(tmp_path, capsys, command, config, flags, key):
+    # 10**20 is refused before anything is allocated: numpy refuses 14 * 10**20
+    # doubles or an arange to 10**20, and a list refuses a repeat that long. A
+    # size that would really be allocated is not tested.
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**FAST_CONFIG, **config}))
+        flags = ["--config", str(path), *flags]
     out = tmp_path / "out"
-    rc = main([command, "--config", str(config), "--out", str(out)])
+    rc = main([command, *flags, "--out", str(out)])
     lines = capsys.readouterr().err.splitlines()
     assert rc == 2
     assert len(lines) == 1, lines  # one JSON line, no traceback
     err = json.loads(lines[0])
     assert err["error"] == "config"
-    assert "hidden_units" in err["message"] and str(10**20) in err["message"]
+    assert key in err["message"] and str(10**20) in err["message"]
     assert not out.exists()
 
 

@@ -4,6 +4,7 @@ run, and artifact writing with its cleanup guarantee."""
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import asdict, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 import earlypd.pipeline
 from earlypd.data import export_csv, ingest_csv
 from earlypd.errors import ConfigError, DataError
-from earlypd.bayesnet import BayesNetConfig
+from earlypd.bayesnet import BayesNetConfig, bn_score_batch
 from earlypd.boostlr import BoostConfig
 from earlypd.mlp import MlpConfig
 from earlypd.forest import ForestConfig, forest_score_batch, usable_cpus
@@ -26,7 +27,7 @@ from earlypd.preprocess import (
     normalize_fit_transform,
     stratified_split,
 )
-from earlypd.synth import GenerateConfig, load_params
+from earlypd.synth import GenerateConfig, generate, load_params
 from earlypd.pipeline import (
     DISPLAY_NAMES,
     MODEL_ORDER,
@@ -221,6 +222,35 @@ def test_score_and_model_file_dispatch(tmp_path):
     assert kind == "forest"
     assert np.array_equal(score_batch(kind, again, result.test.features),
                           forest_score_batch(model, result.test.features))
+
+
+def test_batch_scorers_leave_the_callers_matrix_unchanged(default_run):
+    # the MLP and Bayes-net scorers overwrite buffers of their own in place;
+    # the writable matrix they are handed keeps its bytes, out-of-range cells too
+    features = np.random.default_rng(3).uniform(-0.5, 1.5, (300, 13))
+    before = features.tobytes()
+    for name, model in default_run.models.items():
+        score_batch(name, model, features)
+        assert features.tobytes() == before, name
+    bayesnet = default_run.models["bayesnet"]
+    rows = [bayesnet.net.posterior(values)[1] for values in
+            bayesnet.dmap.node_matrix(features)]
+    assert np.array_equal(bn_score_batch(bayesnet, features), rows)
+
+
+def test_batch_scorers_peak_below_two_and_a_half_inputs(default_run):
+    # numpy reports its buffers to tracemalloc; a scorer's own peak on a few
+    # thousand records stays under 2.5 times the bytes of the matrix it scores
+    cohort = generate(GenerateConfig(n_healthy=1300, n_pd=2700), 43)
+    features = normalize_apply(cohort, default_run.stats).features
+    for name, model in default_run.models.items():
+        tracemalloc.start()
+        try:
+            score_batch(name, model, features)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * features.nbytes, (name, peak / features.nbytes)
 
 
 @pytest.fixture(scope="module")
