@@ -45,6 +45,7 @@ from .pipeline import (
     run_and_write,
     score_batch,
     train_and_write,
+    write_files,
 )
 from .preprocess import load_sidecar, normalize_apply
 from .synth import generate
@@ -111,7 +112,7 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
 def cmd_generate(args: argparse.Namespace) -> int:
     config = _build_config(args)
     ds = generate(config.generate, config.seed)
-    export_csv(ds, args.out)
+    write_files(Path(args.out).parent, [(Path(args.out).name, lambda path: export_csv(ds, path))])
     healthy, pd = ds.class_counts()
     print(f"wrote {args.out} ({healthy} healthy, {pd} pd)")
     return 0
@@ -147,7 +148,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def _write_or_print(text: str, out) -> int:
     if out is not None:
-        Path(out).write_text(text, encoding="utf-8")
+        write_files(Path(out).parent, [(Path(out).name, text)])
         print(f"wrote {out}")
     else:
         print(text, end="")

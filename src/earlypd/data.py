@@ -80,17 +80,12 @@ NONNEGATIVE_FEATURES = RATIO_FEATURES + (
 RATIO_REL_TOL = 1e-8
 
 
-def _ratios(abeta42, ttau, ptau181):
-    """compute_ratios without the zero check, elementwise on arrays too."""
-    return ttau / abeta42, ptau181 / abeta42, ptau181 / ttau
-
-
 def compute_ratios(abeta42: float, ttau: float, ptau181: float):
     """(ttau/abeta42, ptau181/abeta42, ptau181/ttau) for positive inputs,
     elementwise on arrays too."""
     if np.any(abeta42 == 0) or np.any(ttau == 0):
         raise DataError("ratio denominators csf_abeta42 and csf_ttau must be nonzero")
-    return _ratios(abeta42, ttau, ptau181)
+    return ttau / abeta42, ptau181 / abeta42, ptau181 / ttau
 
 
 _COLUMN_ORDER = {name: i for i, name in enumerate(FEATURE_NAMES + ("label",))}
@@ -130,8 +125,8 @@ def record_violations(features, labels) -> list:
     # ratio consistency only where the denominators are usable
     usable = np.flatnonzero((col["csf_abeta42"] > 0) & (col["csf_ttau"] > 0))
     with np.errstate(over="ignore", invalid="ignore"):
-        expected = _ratios(*(col[name][usable] for name in
-                             ("csf_abeta42", "csf_ttau", "csf_ptau181")))
+        expected = compute_ratios(*(col[name][usable] for name in
+                                    ("csf_abeta42", "csf_ttau", "csf_ptau181")))
         for name, want in zip(RATIO_FEATURES, expected):
             got = col[name][usable]
             ok = np.where(want == 0, got == 0,

@@ -227,33 +227,40 @@ def _training_files(config: PipelineConfig, dataset: Dataset, stats, models: dic
     return files
 
 
-def _write_files(out_dir, files, input_path) -> list:
+def write_files(out_dir, files) -> list:
     """Write (relative path, content) pairs under out_dir; returns the paths.
 
     content is the text to write, or a function that writes the path it is
-    given. All are written into a .staging-* directory in out_dir, then, if no
-    target is a directory, renamed into place: a write that fails leaves out_dir
-    as it was, but a crash while renaming can leave a mix of two runs. Last,
-    each regular file at a RUN_FILES name that was not written is removed,
-    unless it is the CSV the run read (input_path); files at other names stay.
+    given. All are staged in a .staging-* directory in out_dir, then, if each
+    target is new or a regular file, renamed into place: a failed write leaves
+    out_dir as it was, but a crash while renaming can leave a mix of two runs.
     """
     out = Path(out_dir)
-    (out / "models").mkdir(parents=True, exist_ok=True)
+    targets = [out / name for name, _content in files]
+    for target in targets:
+        target.parent.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(prefix=".staging-", dir=out) as staging:
-        staging = Path(staging)
-        (staging / "models").mkdir()
         for name, content in files:
+            path = Path(staging, name)
+            path.parent.mkdir(parents=True, exist_ok=True)
             if callable(content):
-                content(staging / name)
+                content(path)
             else:
-                (staging / name).write_text(content, encoding="utf-8")
-        targets = [out / name for name, _content in files]
-        if blocked := [path for path in targets if path.is_dir()]:
-            raise IsADirectoryError(f"{blocked[0]} is a directory")
-        for name, _content in files:
-            (staging / name).replace(out / name)
+                path.write_text(content, encoding="utf-8")
+        # before any rename: one onto a directory fails, one onto a pipe replaces it
+        if blocked := [path for path in targets if path.exists() and not path.is_file()]:
+            raise OSError(f"{blocked[0]} is not a regular file")
+        for target, (name, _content) in zip(targets, files):
+            Path(staging, name).replace(target)
+    return targets
+
+
+def _write_files(out_dir, files, input_path) -> list:
+    """write_files, then remove each regular file at a RUN_FILES name that was
+    not written, unless it is the CSV the run read (input_path)."""
+    targets = write_files(out_dir, files)
     read = input_path and Path(input_path).resolve()
-    for path in {out / name for name in RUN_FILES} - set(targets):
+    for path in {Path(out_dir, name) for name in RUN_FILES} - set(targets):
         if path.is_file() and path.resolve() != read:
             path.unlink()
     return targets

@@ -16,11 +16,10 @@ Draws: the "generate" stream's normals form one fixed sequence, taken
 NORMALS_PER_CALL at a time from ``SplitMix64.normals``. Values take them in
 record order, then schema order. A truncated value takes normals until one
 lands in [min, max]; after MAX_REJECTS rejections the next one is clamped.
-A value of a correlation pair's second feature takes exactly one normal and
-is clamped. Rejections decide only which value gets which normal, so the
-chunk size changes no value. Each block of BLOCK_ROWS records is then
-rounded (integer features) and snapped to nine significant digits (float
-features, then the ratios computed from them) one column set at a time.
+Rejections decide only which value gets which normal, so the chunk size
+changes no value. Each block of BLOCK_ROWS records is then rounded (the
+integer scores) and snapped to nine significant digits (float features, then
+the ratios computed from them) one column set at a time.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import partial
 from importlib import resources
 
 import numpy as np
@@ -53,6 +51,7 @@ from .rng import derive_stream
 # raw (sampled) features; ratios are derived afterwards
 RAW_FEATURES = tuple(n for n in FEATURE_NAMES if n not in RATIO_FEATURES)
 _RAW_COLUMNS = [FEATURE_NAMES.index(n) for n in RAW_FEATURES]
+_FLOAT_COLUMNS = [j for j, n in enumerate(RAW_FEATURES) if n not in INTEGER_FEATURES]
 _RATIO_COLUMNS = [FEATURE_NAMES.index(n) for n in RATIO_FEATURES]
 _CSF_COLUMNS = [RAW_FEATURES.index(n) for n in ("csf_abeta42", "csf_ttau", "csf_ptau181")]
 # normals taken from the "generate" stream per call; any size gives the same cohort
@@ -69,7 +68,6 @@ class FeatureParams:
     sd_pd: float
     min: float
     max: float
-    integer_flag: bool
     comment: str | None = None
 
     def __post_init__(self):
@@ -88,31 +86,12 @@ class FeatureParams:
 
 
 @dataclass(frozen=True)
-class CorrelationPair:
-    """Mixes the pre-truncation z-scores of feature b with feature a's."""
-
-    a: str
-    b: str
-    rho: float
-
-    def __post_init__(self):
-        if self.a not in RAW_FEATURES or self.b not in RAW_FEATURES:
-            raise ConfigError(f"correlation pair ({self.a}, {self.b}) names unknown features")
-        if RAW_FEATURES.index(self.a) >= RAW_FEATURES.index(self.b):
-            raise ConfigError("correlation pair must list the earlier feature first")
-        if not -1.0 <= self.rho <= 1.0:
-            raise ConfigError(f"correlation {self.rho!r} is not a number in [-1, 1]")
-
-
-@dataclass(frozen=True)
 class GeneratorParams:
-    version: int
+    version: int  # checked first, as from_json refuses an older file's keys
     features: dict[str, FeatureParams]
-    correlation_pairs: tuple[CorrelationPair, ...] = ()  # optional, none by default
     comment: str | None = None
 
     def __post_init__(self):
-        check_version(self.version, 1, "update the parameters file")
         if set(self.features) != set(RAW_FEATURES):
             raise ConfigError(f"features {sorted(set(self.features) ^ set(RAW_FEATURES))} "
                               f"are missing or unknown")
@@ -122,23 +101,22 @@ class GeneratorParams:
                     or name in POSITIVE_FEATURES and p.min <= 0):
                 raise ConfigError(f"features.{name} bounds [{p.min}, {p.max}] reach "
                                   f"outside the values the schema allows")
-            if name in INTEGER_FEATURES and not p.integer_flag:
-                raise ConfigError(f"features.{name} is a score, so its integer_flag must be true")
-        mixed = {pair.b: pair for pair in self.correlation_pairs}
-        for pair in self.correlation_pairs:
-            if (other := mixed[pair.b]) is not pair:
-                raise ConfigError(f"correlation pairs ({pair.a}, {pair.b}) and ({other.a}, "
-                                  f"{other.b}) share their second feature {pair.b}")
-            if pair.a in mixed:
-                raise ConfigError(f"correlation pair ({pair.a}, {pair.b}) mixes with "
-                                  f"{pair.a}, the second feature of another pair")
+
+
+PARAMS_VERSION = 2  # a parameters file of any other version is refused on load
 
 
 def load_params(path=None) -> GeneratorParams:
     """Generator parameters from a JSON file, or the packaged defaults."""
     if path is None:
         path = resources.files("earlypd") / "default_cohort.json"
-    return read_json(path, "a generator parameters file", partial(from_json, GeneratorParams))
+    return read_json(path, "a generator parameters file", _params_from_json)
+
+
+def _params_from_json(obj) -> GeneratorParams:
+    if isinstance(obj, dict):
+        check_version(obj.get("version"), PARAMS_VERSION, "update the parameters file")
+    return from_json(GeneratorParams, obj)
 
 
 @dataclass(frozen=True)
@@ -156,32 +134,19 @@ class GenerateConfig:
 
 
 def _class_plans(params: GeneratorParams, separation: float) -> list:
-    """Per class, per raw feature: (mean, sd, min, max, mix). mix is None for
-    a truncated value, else (partner column, partner mean, partner sd, rho,
-    sqrt(1 - rho**2)) for the second feature of a correlation pair."""
-    moments = {}
-    for name, p in params.features.items():
-        moments[name] = [p.at_separation(c, separation) for c in (HEALTHY, PD)]
-        if not np.isfinite(moments[name]).all():
+    """Per class, per raw feature in RAW_FEATURES order: (mean, sd, min, max)."""
+    plans = [[], []]
+    for name in RAW_FEATURES:
+        p = params.features[name]
+        moments = [p.at_separation(c, separation) for c in (HEALTHY, PD)]
+        if not np.isfinite(moments).all():
             raise ConfigError(f"generate.separation {separation} takes the class "
                               f"means or sds of {name} beyond the doubles")
-        for label, (_mean, sd) in zip(("healthy", "PD"), moments[name]):
+        for plan, label, (mean, sd) in zip(plans, ("healthy", "PD"), moments):
             if sd < 0:
                 raise ConfigError(f"generate.separation {separation} makes the {label} "
                                   f"sd of {name} negative ({sd})")
-    mixers = {pair.b: pair for pair in params.correlation_pairs}
-    plans = []
-    for label in (HEALTHY, PD):
-        plan = []
-        for name in RAW_FEATURES:
-            mean, sd = moments[name][label]
-            p = params.features[name]
-            mix = None
-            if name in mixers:
-                a, rho = mixers[name].a, mixers[name].rho
-                mix = (RAW_FEATURES.index(a), *moments[a][label], rho, (1 - rho ** 2) ** 0.5)
-            plan.append((mean, sd, p.min, p.max, mix))
-        plans.append(plan)
+            plan.append((mean, sd, p.min, p.max))
     return plans
 
 
@@ -190,35 +155,25 @@ def _raw_records(plans, labels, draw):
     from draw(), before rounding and snapping."""
     for label in labels:
         row = []
-        for mean, sd, lo, hi, mix in plans[label]:
-            if mix is None:
-                for _ in range(MAX_REJECTS):
-                    x = mean + sd * draw()
-                    if lo <= x <= hi:
-                        break
-                else:
-                    x = min(max(mean + sd * draw(), lo), hi)
+        for mean, sd, lo, hi in plans[label]:
+            for _ in range(MAX_REJECTS):
+                x = mean + sd * draw()
+                if lo <= x <= hi:
+                    break
             else:
-                # mix with the partner's pre-rounding z-score, clamp instead of rejecting
-                partner, partner_mean, partner_sd, rho, rest = mix
-                z = (row[partner] - partner_mean) / partner_sd if partner_sd else 0.0
-                x = min(max(mean + sd * (rho * z + rest * draw()), lo), hi)
+                x = min(max(mean + sd * draw(), lo), hi)
             row.append(x)
         yield row
 
 
 def _finish(raw: np.ndarray, params: GeneratorParams) -> np.ndarray:
-    """The (m, 13) records of an (m, 10) block of raw features: integer
-    features rounded half up into their bounds, float features and then the
+    """The (m, 13) records of an (m, 10) block of raw features: the integer
+    scores rounded half up into their bounds, float features and then the
     ratios computed from them snapped to nine digits."""
-    floats = []
-    for j, name in enumerate(RAW_FEATURES):
-        p = params.features[name]
-        if p.integer_flag:
-            raw[:, j] = np.clip(np.floor(raw[:, j] + 0.5), float(int(p.min)), float(int(p.max)))
-        else:
-            floats.append(j)
-    raw[:, floats] = nine_digit(raw[:, floats])
+    for name in INTEGER_FEATURES:
+        j, p = RAW_FEATURES.index(name), params.features[name]
+        raw[:, j] = np.clip(np.floor(raw[:, j] + 0.5), float(int(p.min)), float(int(p.max)))
+    raw[:, _FLOAT_COLUMNS] = nine_digit(raw[:, _FLOAT_COLUMNS])
     records = np.empty((raw.shape[0], len(FEATURE_NAMES)))
     records[:, _RAW_COLUMNS] = raw
     with np.errstate(over="ignore"):
@@ -234,6 +189,7 @@ def generate(config: GenerateConfig, seed: int) -> Dataset:
     derived from (seed, "generate") drives all draws, record by record and
     feature by feature in schema order. Float features are snapped to their
     9-significant-digit CSV rendering so export / ingest round-trips exactly.
+    A value beyond the doubles (a ratio over a subnormal) is a ConfigError.
     """
     if config.n_healthy + config.n_pd == 0:
         raise DataError("asked to generate zero records")
@@ -251,5 +207,9 @@ def generate(config: GenerateConfig, seed: int) -> Dataset:
     blocks = []
     while block := list(itertools.islice(records, BLOCK_ROWS)):
         blocks.append(_finish(np.array(block), params))
+    features = np.concatenate(blocks)
+    if not (finite := np.isfinite(features).all(axis=0)).all():
+        raise ConfigError(f"the generator parameters take {FEATURE_NAMES[finite.argmin()]} "
+                          f"beyond the doubles: a generated value is not finite")
     ids = tuple(f"SYN{i:05d}" for i in range(1, len(labels) + 1))
-    return Dataset(ids, np.concatenate(blocks), labels)
+    return Dataset(ids, features, labels)

@@ -15,9 +15,13 @@ from earlypd.synth import GenerateConfig, generate
 
 DATA_DIR = Path(__file__).parent / "data"
 
-# Stored versions that a sidecar or a params file of version 1 must not carry:
-# missing, other ints, and a bool or float that equals 1.
+# Stored versions that a sidecar of version 1 must not carry: missing, other
+# ints, and a bool or float that equals 1.
 OTHER_VERSIONS = [None, 0, 2, True, 1.0]
+
+# Stored versions that a params file of version 2 must not carry: missing, the
+# version before it and another int, a bool, and floats that equal a version.
+OTHER_PARAMS_VERSIONS = [None, 0, 1, True, 1.0, 2.0]
 
 # Stored versions that a model file of version 3 must not carry: missing, the
 # versions before it and another int, a bool, and floats that equal a version.

@@ -556,24 +556,16 @@ def reference_generate(config, seed) -> Dataset:
     """synth.generate one record and one value at a time, each value drawn,
     rounded or snapped on its own, without its config checks."""
     params = load_params(config.params_path)
-    mixers = {p.b: (p.a, p.rho) for p in params.correlation_pairs}
     stream = derive_stream(seed, "generate")
     labels = [HEALTHY] * config.n_healthy + [PD] * config.n_pd
     rows = []
     for label in labels:
         values = {}
-        zscores = {}
         for name in RAW_FEATURES:
             p = params.features[name]
             mean, sd = p.at_separation(label, config.separation)
-            if name in mixers:
-                partner, rho = mixers[name]
-                z = rho * zscores[partner] + (1 - rho ** 2) ** 0.5 * reference_normal(stream)
-                x = min(max(mean + sd * z, p.min), p.max)
-            else:
-                x = reference_truncated_normal(stream, mean, sd, p.min, p.max)
-                zscores[name] = (x - mean) / sd if sd else 0.0
-            if p.integer_flag:
+            x = reference_truncated_normal(stream, mean, sd, p.min, p.max)
+            if name in INTEGER_FEATURES:
                 x = float(min(max(_round_half_up(x), int(p.min)), int(p.max)))
             else:
                 x = float(format_value(x))

@@ -1,9 +1,12 @@
 """Command line behavior: every subcommand, flag precedence, exit codes, and
 byte-level determinism of artifact directories."""
 
+import errno
+import itertools
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from dataclasses import asdict
@@ -11,8 +14,9 @@ from pathlib import Path
 
 import pytest
 
+import earlypd.data
 from earlypd.cli import main
-from earlypd.data import ingest_csv
+from earlypd.data import INTEGER_FEATURES, ingest_csv
 from earlypd.jsontext import json_text
 from earlypd.pipeline import load_model_file
 from earlypd.synth import load_params
@@ -20,7 +24,6 @@ from earlypd.synth import load_params
 from conftest import datasets_equal
 from reference import node_list_forest_text, v1_model_dict, v2_model_dict
 from test_pipeline import DEFECTS, FOREST_DEFECTS, _set_alphas
-from test_synth import SHARED_SECOND_FEATURE
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -433,21 +436,16 @@ WRONG_VALUES = {
     "config": {"string_train_fraction": lambda c: c.update(train_fraction="0.7")},
     "params": {
         "string_mean_pd": lambda p: p["features"]["csf_ttau"].update(mean_pd="168"),
-        "string_rho": lambda p: p["correlation_pairs"].append(
-            {"a": "sbr_putamen_left", "b": "sbr_putamen_right", "rho": "0.9"}),
-        "two_item_pair": lambda p: p["correlation_pairs"].append(
-            ["sbr_putamen_left", "sbr_putamen_right"]),
+        # keys of the version 1 format, which version 2 dropped
+        "correlation_pairs": lambda p: p.update(correlation_pairs=[]),
+        "integer_flag": lambda p: p["features"]["upsit_total"].update(integer_flag=True),
         "feature_not_an_object": lambda p: p["features"].update(csf_ttau=[168.0, 40.0]),
         "string_version": lambda p: p.update(version="7"),
-        "version_2": lambda p: p.update(version=2),
+        "version_1": lambda p: p.update(version=1),
         "min_above_max": lambda p: p["features"]["upsit_total"].update(min=50, max=10),
         "negative_concentrations": lambda p: p["features"]["csf_abeta42"].update(
             min=-100, max=-50),
         "negative_sd": lambda p: p["features"]["csf_ttau"].update(sd_pd=-1.0),
-        "fractional_upsit_total": lambda p: p["features"]["upsit_total"].update(
-            integer_flag=False),
-        "fractional_rbdsq_total": lambda p: p["features"]["rbdsq_total"].update(
-            integer_flag=False),
     },
     "model": {"string_weight": lambda m: m["w_hidden"].__setitem__(0, "0.5")},
     "preprocess": {"string_min": lambda s: s["normalization"]["upsit_total"].update(min="12")},
@@ -700,20 +698,129 @@ def test_separation_that_makes_a_class_sd_negative_exits_2(tmp_path, capsys, com
     assert not out.exists()
 
 
-def test_params_with_pairs_sharing_a_second_feature_exit_2(tmp_path, capsys):
+def _run_params(tmp_path, capsys, argv, edit):
+    """(exit code, stderr lines) of argv + --params, a file of the packaged
+    parameters with edit(obj) applied."""
     obj = asdict(load_params())
-    obj["correlation_pairs"] = SHARED_SECOND_FEATURE
+    edit(obj)
     params = tmp_path / "params.json"
     params.write_text(json.dumps(obj))
+    rc = main([*argv, "--params", str(params)])
+    return rc, capsys.readouterr().err.splitlines()
+
+
+def test_version_1_params_file_exits_2(tmp_path, capsys):
+    def version_1(obj):
+        obj.update(version=1, correlation_pairs=[])
+        for name, feature in obj["features"].items():
+            feature["integer_flag"] = name in INTEGER_FEATURES
     out = tmp_path / "cohort.csv"
-    rc = main(["generate", "--params", str(params), "--out", str(out)])
-    lines = capsys.readouterr().err.splitlines()
+    rc, lines = _run_params(tmp_path, capsys, ["generate", "--out", str(out)], version_1)
     assert rc == 2
     assert len(lines) == 1, lines
     err = json.loads(lines[0])
     assert err["error"] == "config"
-    assert "(sbr_caudate_left, sbr_putamen_right) and (sbr_putamen_left, " in err["message"]
+    assert "version 1; this earlypd reads version 2, so update the parameters file" in (
+        err["message"])
     assert not out.exists()
+
+
+def _subnormal_abeta(obj):
+    # every csf_abeta42 value is 1e-310, so csf_ttau / csf_abeta42 overflows
+    obj["features"]["csf_abeta42"].update(min=1e-310, mean_healthy=1e-310, mean_pd=1e-310,
+                                          sd_healthy=0.0, sd_pd=0.0)
+
+
+@pytest.mark.parametrize("command", ["generate", "experiment"])
+def test_generated_value_beyond_the_doubles_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv = [command, "--n-healthy", "20", "--n-pd", "20", "--out", str(out)]
+    rc, lines = _run_params(tmp_path, capsys, argv, _subnormal_abeta)
+    assert rc == 2
+    assert len(lines) == 1, lines
+    err = json.loads(lines[0])
+    assert err["error"] == "config"
+    assert "ratio_ttau_abeta" in err["message"] and "not finite" in err["message"]
+    assert not out.exists()
+
+
+def _disk_full_at(n):
+    """An open() whose files raise ENOSPC from their nth write on."""
+    def failing_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        write, writes = fh.write, itertools.count(1)
+
+        def write_or_fail(text):
+            if next(writes) >= n:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return write(text)
+
+        fh.write = write_or_fail
+        return fh
+    return failing_open
+
+
+def test_failed_generate_leaves_the_earlier_cohort(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "cohort.csv"
+    assert main(["generate", "--n-healthy", "5", "--n-pd", "5", "--out", str(out)]) == 0
+    before = out.read_bytes()
+    capsys.readouterr()
+    # the header, the first block of 1,024 rows, then the second block fails
+    monkeypatch.setattr(earlypd.data, "open", _disk_full_at(3), raising=False)
+    rc = main(["generate", "--n-healthy", "1000", "--n-pd", "2000", "--out", str(out)])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(lines) == 1, lines
+    assert json.loads(lines[0])["error"] == "io"
+    assert out.read_bytes() == before
+    assert not list(tmp_path.glob(".staging-*"))
+
+
+# Each command that writes one --out file, from the default run's files
+OUT_COMMANDS = {
+    "evaluate": lambda run: ["evaluate", "--model", run / "models" / "forest.json",
+                             "--input", run / "cohort.csv",
+                             "--preprocess", run / "preprocess.json"],
+    "report": lambda run: ["report", "--evaluations", run / "evaluations.json"],
+    "roc": lambda run: ["roc", "--evaluations", run / "evaluations.json", "--model", "mlp"],
+}
+
+
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_failed_out_write_leaves_the_earlier_file(exp_dir, tmp_path, capsys, monkeypatch,
+                                                  command):
+    _config, run = exp_dir
+    out = tmp_path / "out.txt"
+    out.write_text("an earlier output\n")
+    write_text = Path.write_text
+
+    def half_then_full(path, text, *args, **kwargs):
+        write_text(path, text[:len(text) // 2], *args, **kwargs)
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(Path, "write_text", half_then_full)
+    rc = main([str(arg) for arg in OUT_COMMANDS[command](run)] + ["--out", str(out)])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(lines) == 1, lines
+    assert json.loads(lines[0])["error"] == "io"
+    assert out.read_text() == "an earlier output\n"
+    assert not list(tmp_path.glob(".staging-*"))
+
+
+def test_out_that_is_not_a_regular_file_exits_1(exp_dir, tmp_path, capsys):
+    # renaming onto a named pipe would replace it, not write into it
+    _config, run = exp_dir
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    rc = main(["report", "--evaluations", str(run / "evaluations.json"), "--out", str(fifo)])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(lines) == 1, lines
+    err = json.loads(lines[0])
+    assert err["error"] == "io" and "is not a regular file" in err["message"]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert not list(tmp_path.glob(".staging-*"))
 
 
 def test_train_refuses_a_boosted_model_of_no_rounds(tmp_path, capsys):

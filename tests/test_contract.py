@@ -1,0 +1,87 @@
+"""The error contract: whatever input file it is given, the CLI ends with exit
+0, 1 or 2, prints nothing on stderr when it succeeds and one JSON line when it
+fails, and never lets an exception or a warning escape."""
+
+import contextlib
+import copy
+import functools
+import io
+import json
+import operator
+from importlib import resources
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from earlypd.cli import main
+
+PACKAGED_PARAMS = json.loads(
+    (resources.files("earlypd") / "default_cohort.json").read_text(encoding="utf-8"))
+
+
+def _key_paths(obj, prefix=()):
+    """The key path of every value in a JSON object, nested objects included."""
+    for key, value in obj.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+KEY_PATHS = list(_key_paths(PACKAGED_PARAMS))
+# another number: huge, tiny, subnormal, signed zeros, and any other float or int
+NUMBERS = st.one_of(
+    st.sampled_from([1.7976931348623157e308, -1e308, 1e-300, 1e-310, 5e-324, -5e-324,
+                     0.0, -0.0, 10**20, 10**400]),
+    st.floats(), st.integers())
+WRONG_TYPES = st.sampled_from(["12", "", None, True, False, [], [1.0], {}, {"min": 1.0}])
+
+
+@st.composite
+def spoiled_params(draw) -> str:
+    """The packaged parameters file with one value changed, one key deleted,
+    or its text cut short."""
+    text = json.dumps(PACKAGED_PARAMS)
+    kind = draw(st.sampled_from(["number", "wrong type", "deleted key", "truncated"]))
+    if kind == "truncated":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    obj = copy.deepcopy(PACKAGED_PARAMS)
+    *parents, key = draw(st.sampled_from(KEY_PATHS))
+    holder = functools.reduce(operator.getitem, parents, obj)
+    if kind == "deleted key":
+        del holder[key]
+    else:
+        holder[key] = draw(NUMBERS if kind == "number" else WRONG_TYPES)
+    return json.dumps(obj)
+
+
+def _cli(argv) -> tuple:
+    """(exit code, stdout, stderr) of earlypd argv, run in this process."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=spoiled_params())
+def test_generate_with_a_spoiled_params_file(workdir, text):
+    params, out = workdir / "params.json", workdir / "cohort.csv"
+    params.write_text(text, encoding="utf-8")
+    out.unlink(missing_ok=True)
+    code, _stdout, stderr = _cli(["generate", "--params", str(params), "--n-healthy", "6",
+                                  "--n-pd", "6", "--out", str(out)])
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert stderr == ""
+        assert _cli(["validate", str(out)]) == (0, "ok\n", "")
+    else:
+        lines = stderr.splitlines()
+        assert len(lines) == 1, lines
+        assert json.loads(lines[0])["error"] in ("config", "data", "io")
+        assert not out.exists()

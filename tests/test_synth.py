@@ -26,7 +26,7 @@ from earlypd.synth import (
     load_params,
 )
 
-from conftest import OTHER_VERSIONS, datasets_equal
+from conftest import OTHER_PARAMS_VERSIONS, datasets_equal
 from reference import reference_generate
 
 
@@ -103,7 +103,7 @@ def test_separation_one_recovers_configured_params():
 
 def test_separation_interpolates_linearly():
     fp = FeatureParams(mean_healthy=10.0, sd_healthy=2.0, mean_pd=20.0,
-                       sd_pd=4.0, min=0.0, max=100.0, integer_flag=False)
+                       sd_pd=4.0, min=0.0, max=100.0)
     mean, sd = fp.at_separation(0, 0.5)
     assert mean == pytest.approx(12.5)  # midpoint 15, halfway back to 10
     assert sd == pytest.approx(2.5)     # midpoint 3, halfway back to 2
@@ -183,7 +183,7 @@ def test_params_missing_feature_rejected(tmp_path):
         load_params(path)
 
 
-@pytest.mark.parametrize("version", OTHER_VERSIONS, ids=repr)
+@pytest.mark.parametrize("version", OTHER_PARAMS_VERSIONS, ids=repr)
 def test_params_of_another_version_are_rejected(version, tmp_path):
     obj = asdict(load_params())
     if version is None:
@@ -232,33 +232,6 @@ def test_params_comments_are_kept_and_unknown_keys_refused(tmp_path):
         load_params(path)
 
 
-def test_params_bad_correlation_rejected(tmp_path):
-    obj = asdict(load_params())
-    obj["correlation_pairs"] = [
-        {"a": "sbr_putamen_left", "b": "sbr_putamen_right", "rho": 1.7}]
-    path = tmp_path / "params.json"
-    path.write_text(json.dumps(obj))
-    with pytest.raises(ConfigError):
-        load_params(path)
-
-
-def test_correlation_pairs_induce_correlation(tmp_path):
-    obj = asdict(load_params())
-    obj["correlation_pairs"] = [
-        {"a": "sbr_putamen_left", "b": "sbr_putamen_right", "rho": 0.9}]
-    path = tmp_path / "params.json"
-    path.write_text(json.dumps(obj))
-    ds = generate(GenerateConfig(n_healthy=300, n_pd=0, params_path=str(path)), 12)
-    i = FEATURE_NAMES.index("sbr_putamen_left")
-    j = FEATURE_NAMES.index("sbr_putamen_right")
-    r = np.corrcoef(ds.features[:, i], ds.features[:, j])[0, 1]
-    assert r > 0.6
-    # and the default (no pairs) leaves them roughly independent
-    base = generate(GenerateConfig(n_healthy=300, n_pd=0), 12)
-    r0 = np.corrcoef(base.features[:, i], base.features[:, j])[0, 1]
-    assert abs(r0) < 0.25
-
-
 def test_golden_first_record_pin():
     """Freezes the generated bytes: any change to sampling order is a break."""
     ds = generate(GenerateConfig(n_healthy=2, n_pd=2), 42)
@@ -291,11 +264,6 @@ def _clamped_pd(obj):
     feature["sd_pd"] = 0.0
 
 
-def _putamen_pair(obj):
-    obj["correlation_pairs"] = [
-        {"a": "sbr_putamen_left", "b": "sbr_putamen_right", "rho": 0.9}]
-
-
 def _csv_digest(ds, tmp_path) -> str:
     out = tmp_path / "cohort.csv"
     export_csv(ds, out)
@@ -303,47 +271,35 @@ def _csv_digest(ds, tmp_path) -> str:
 
 
 def test_generated_csv_digests(tmp_path):
-    """The exported bytes of two non-default cohorts, one on the correlated path."""
+    """The exported bytes of a non-default cohort."""
     config = GenerateConfig(37, 53, 0.4)
     assert _csv_digest(generate(config, 9), tmp_path) == (
         "dd2fb0d069990ada05b6d66d6fe0480044642435e5364f7eeef03521a9013ce8")
-    correlated = GenerateConfig(37, 53, 0.4, params_path=_params_file(tmp_path, _putamen_pair))
-    assert _csv_digest(generate(correlated, 9), tmp_path) == (
-        "00c1bfd7c95b34ef4c7202150e5c2720a8d160677a86dc62760066c614bfe5c2")
 
 
 @pytest.mark.parametrize("sizes, seed, edit, digest", [
     ((920, 2010), 1501, None,
      "ad37d6be98b2aba4855010b1f103a61607d908745c66d6029c6dacfb4583876f"),
-    ((920, 2010), 1502, _putamen_pair,
-     "b14683a8c1214e0624cf89516bf910597ea820a58081eb09a821f95577239db0"),
     ((30, 40), 1503, _clamped_pd,
      "700d409da9150256188e6ff258025f1bbb6ce34df0424320dfcc166da78e4246"),
-], ids=["large_cohort", "correlated", "clamped"])
+], ids=["large_cohort", "clamped"])
 def test_cohort_digests_across_many_draws(sizes, seed, edit, digest, tmp_path):
     """Cohorts whose draws run to tens of thousands of normals: the 5x
-    cohort, the same with a correlated pair, and one that clamps a feature."""
+    cohort, and one that clamps a feature."""
     params_path = _params_file(tmp_path, edit) if edit else None
     config = GenerateConfig(*sizes, params_path=params_path)
     assert _csv_digest(generate(config, seed), tmp_path) == digest
 
 
-@pytest.fixture(scope="module")
-def putamen_params(tmp_path_factory) -> str:
-    return _params_file(tmp_path_factory.mktemp("params"), _putamen_pair)
-
-
 @settings(max_examples=25, deadline=None)
 @given(sizes=st.tuples(st.integers(0, 300), st.integers(0, 300)).filter(any),
        separation=st.sampled_from([0.0, 0.4, 1.0, 2.5]),
-       seed=st.integers(0, 2**64 - 1), correlated=st.booleans())
-@example(sizes=(0, 1), separation=2.5, seed=1502, correlated=True)
-@example(sizes=(300, 300), separation=0.0, seed=40, correlated=False)
-def test_generate_equals_scalar_reference(sizes, separation, seed, correlated,
-                                          putamen_params):
+       seed=st.integers(0, 2**64 - 1))
+@example(sizes=(0, 1), separation=2.5, seed=1502)
+@example(sizes=(300, 300), separation=0.0, seed=40)
+def test_generate_equals_scalar_reference(sizes, separation, seed):
     """The chunked draws and block snapping against one value at a time."""
-    config = GenerateConfig(*sizes, separation,
-                            params_path=putamen_params if correlated else None)
+    config = GenerateConfig(*sizes, separation)
     got, want = generate(config, seed), reference_generate(config, seed)
     assert got.subject_ids == want.subject_ids
     assert got.features.tobytes() == want.features.tobytes()
@@ -369,29 +325,3 @@ def test_separation_that_makes_a_class_sd_negative_is_refused(tmp_path):
                                           r"sd of csf_ttau negative \(-28.0\)"):
         generate(GenerateConfig(5, 5, 3.0, params_path=path), 1)
     assert len(generate(GenerateConfig(5, 5, 1.0, params_path=path), 1)) == 10
-
-
-def test_chained_correlation_pairs_are_refused(tmp_path):
-    def chain(obj):
-        obj["correlation_pairs"] = [
-            {"a": "sbr_caudate_left", "b": "sbr_caudate_right", "rho": 0.5},
-            {"a": "sbr_caudate_right", "b": "sbr_putamen_left", "rho": 0.5}]
-    with pytest.raises(ConfigError, match="mixes with sbr_caudate_right, the second "
-                                          "feature of another pair"):
-        load_params(_params_file(tmp_path, chain))
-
-
-# two pairs that mix into one second feature: only one could take effect
-SHARED_SECOND_FEATURE = [
-    {"a": "sbr_caudate_left", "b": "sbr_putamen_right", "rho": 0.95},
-    {"a": "sbr_putamen_left", "b": "sbr_putamen_right", "rho": 0.0}]
-
-
-def test_pairs_sharing_a_second_feature_are_refused(tmp_path):
-    def share(obj):
-        obj["correlation_pairs"] = SHARED_SECOND_FEATURE
-    with pytest.raises(ConfigError, match=r"correlation pairs \(sbr_caudate_left, "
-                                          r"sbr_putamen_right\) and \(sbr_putamen_left, "
-                                          r"sbr_putamen_right\) share their second feature "
-                                          r"sbr_putamen_right"):
-        load_params(_params_file(tmp_path, share))
