@@ -7,8 +7,8 @@ Subcommands:
     experiment  full run: data -> normalize -> split -> train -> report
     train       fit and save models (plus preprocessing sidecar) only
     evaluate    score a saved model against a CSV, print metrics JSON
-    report      re-render the metrics table from evaluations.json
-    roc         re-render one ROC curve (csv or svg) from evaluations.json
+    report      recompute the metrics table from a run's scores.csv
+    roc         recompute one ROC curve (csv or svg) from a run's scores.csv
 
 Exit codes: 0 success, 1 data problem, 2 bad configuration or usage.
 Failures print a single JSON line to stderr so callers can parse them.
@@ -38,9 +38,10 @@ from .pipeline import (
     MODEL_ORDER,
     PipelineConfig,
     config_from_dict,
+    evaluate_models,
     load_config,
-    load_evaluations,
     load_model_file,
+    load_scores,
     roc_title,
     run_and_write,
     score_batch,
@@ -166,23 +167,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    reports = load_evaluations(args.evaluations)
-    if args.format == "csv":
-        text = render_report_csv(reports)
-    else:
-        text = render_report_text(reports, DISPLAY_NAMES)
+    reports = evaluate_models(*load_scores(args.scores))
+    text = (render_report_csv(reports) if args.format == "csv"
+            else render_report_text(reports, DISPLAY_NAMES))
     return _write_or_print(text, args.out)
 
 
 def cmd_roc(args: argparse.Namespace) -> int:
-    reports = load_evaluations(args.evaluations)
+    reports = evaluate_models(*load_scores(args.scores))
     if args.model not in reports:
-        raise ConfigError(f"no evaluation for model {args.model!r}")
+        raise ConfigError(f"no scores for model {args.model!r}")
     curve = reports[args.model][args.split].roc
-    if args.format == "svg":
-        text = roc_svg(curve, roc_title(args.model, args.split))
-    else:
-        text = roc_csv(curve)
+    text = (roc_svg(curve, roc_title(args.model, args.split)) if args.format == "svg"
+            else roc_csv(curve))
     return _write_or_print(text, args.out)
 
 
@@ -221,14 +218,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write metrics JSON here instead of stdout")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("report", help="render the metrics table from evaluations.json")
-    p.add_argument("--evaluations", required=True, help="evaluations.json path")
+    p = sub.add_parser("report", help="recompute the metrics table from scores.csv")
+    p.add_argument("--scores", required=True, help="a run's scores.csv")
     p.add_argument("--format", choices=("text", "csv"), default="text")
     p.add_argument("--out", default=None, help="write here instead of stdout")
     p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("roc", help="render one ROC curve from evaluations.json")
-    p.add_argument("--evaluations", required=True, help="evaluations.json path")
+    p = sub.add_parser("roc", help="recompute one ROC curve from scores.csv")
+    p.add_argument("--scores", required=True, help="a run's scores.csv")
     p.add_argument("--model", required=True, choices=MODEL_ORDER)
     p.add_argument("--split", choices=SPLITS, default="testing")
     p.add_argument("--format", choices=("csv", "svg"), default="csv")

@@ -16,7 +16,6 @@ import numpy as np
 
 from .data import HEALTHY, PD
 from .errors import DataError
-from .jsontext import from_json, json_array, json_typed, settings
 
 MEASURES = ("accuracy", "recall", "precision", "f_measure", "auc")
 MEASURE_TITLES = {
@@ -103,8 +102,7 @@ def summary_metrics(cm: ConfusionMatrix) -> SummaryMetrics:
 class RocCurve:
     """Points run from (0, 0) to (1, 1); thresholds[i] is the score at which
     point i is reached (the origin carries +inf). Tied scores advance as one
-    block, producing a diagonal segment. roc keeps only the corners; a curve
-    read from a file keeps every point it holds."""
+    block, producing a diagonal segment. roc keeps only the corners."""
 
     thresholds: tuple
     fpr: tuple
@@ -175,23 +173,6 @@ class EvaluationReport:
                                    for t in self.roc.thresholds],
                     "fpr": list(self.roc.fpr), "tpr": list(self.roc.tpr)},
         }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "EvaluationReport":
-        """Raises ConfigError or ValueError unless the confusion counts are ints,
-        each measure a finite number, the first ROC threshold "inf" and the
-        others, fpr and tpr lists of finite numbers of one length."""
-        auc = json_typed(float, obj["auc"], "auc")
-        rates = obj["roc"]
-        if rates["thresholds"][0] != "inf":
-            raise ValueError("the first ROC threshold must be 'inf'")
-        thresholds = json_array(rates["thresholds"][1:], "the ROC thresholds after 'inf'")
-        fpr = json_array(rates["fpr"], "fpr", (thresholds.size + 1,))
-        tpr = json_array(rates["tpr"], "tpr", fpr.shape)
-        curve = RocCurve((math.inf, *thresholds.tolist()), tuple(fpr.tolist()),
-                         tuple(tpr.tolist()), auc)
-        return cls(from_json(ConfusionMatrix, obj["confusion"], "confusion."),
-                   settings(SummaryMetrics, obj), curve)
 
     def value(self, measure: str) -> float:
         if measure == "auc":

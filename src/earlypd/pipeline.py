@@ -11,6 +11,8 @@ removes the files of an earlier run that it did not write (see _write_files).
 
 from __future__ import annotations
 
+import csv
+import math
 import tempfile
 import time
 from dataclasses import asdict, dataclass, field
@@ -21,13 +23,12 @@ from typing import Callable
 from ._version import __version__
 from .bayesnet import BayesNetConfig, BayesNetModel, bn_score_batch, bn_train
 from .boostlr import BoostConfig, BoostedModel, adaboost_train, boosted_score_batch
-from .data import Dataset, export_csv, ingest_csv
+from .data import Dataset, _csv_cells, export_csv, ingest_csv
 from .errors import ConfigError
 from .forest import ForestConfig, ForestModel, forest_score_batch, forest_train, usable_cpus
 from .jsontext import check_version, from_json, json_text, read_json
 from .metrics import (
     SPLITS,
-    EvaluationReport,
     evaluate_scores,
     render_report_csv,
     render_report_text,
@@ -85,10 +86,12 @@ DISPLAY_NAMES = {name: spec.display_name for name, spec in MODELS.items()}
 # The run layout, the one place its names are spelled: every file a run may
 # write under its output directory. A run removes those it did not write.
 TRAINING_FILES = ("cohort.csv", "preprocess.json", "run_config.json")
-RESULT_FILES = ("evaluations.json", "report.csv", "report.txt", "metadata.json")
+RESULT_FILES = ("scores.csv", "report.csv", "report.txt", "metadata.json")
 MODEL_FILES = ("models/{}.json", "roc_{}_test.csv", "roc_{}_test.svg")  # per model
-RUN_FILES = TRAINING_FILES + RESULT_FILES + tuple(
+# evaluations.json is the evaluation record of earlier releases, which no run writes now
+RUN_FILES = TRAINING_FILES + RESULT_FILES + ("evaluations.json",) + tuple(
     form.format(model) for model in MODEL_ORDER for form in MODEL_FILES)
+SCORE_COLUMNS = ("subject_id", "split", "label")  # scores.csv's, then one per model
 
 
 def roc_title(name: str, split: str) -> str:
@@ -183,11 +186,11 @@ def _model_from_json(obj) -> tuple:
     return kind, MODELS[kind].model.from_json_dict(obj)
 
 
-def evaluate_models(models: dict, train: Dataset, test: Dataset) -> dict:
-    """{model: {split: report}}, in the order of models."""
-    return {name: {split: evaluate_scores(data.labels, score_batch(name, model, data.features))
-                   for split, data in zip(SPLITS, (train, test))}
-            for name, model in models.items()}
+def evaluate_models(labels: dict, scores: dict) -> dict:
+    """{model: {split: report}} of a run's or a scores file's {split: labels}
+    and {model: {split: scores}}, in the order of scores."""
+    return {name: {split: evaluate_scores(labels[split], by_split[split]) for split in SPLITS}
+            for name, by_split in scores.items()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,6 +201,7 @@ class ExperimentResult:
     test: Dataset
     stats: object
     models: dict
+    scores: dict
     evaluations: dict
     report_csv: str
     report_text: str
@@ -209,10 +213,13 @@ def run_experiment(config: PipelineConfig) -> ExperimentResult:
     ds = acquire_dataset(config)
     train, test, stats = prepare_splits(config, ds)
     models = train_models(config, train)
-    evaluations = evaluate_models(models, train, test)
+    scores = {name: {split: score_batch(name, model, data.features)
+                     for split, data in zip(SPLITS, (train, test))}
+              for name, model in models.items()}
+    evaluations = evaluate_models(dict(zip(SPLITS, (train.labels, test.labels))), scores)
     report = render_report_csv(evaluations)
     text = render_report_text(evaluations, DISPLAY_NAMES)
-    return ExperimentResult(config, ds, train, test, stats, models, evaluations,
+    return ExperimentResult(config, ds, train, test, stats, models, scores, evaluations,
                             report, text, time.perf_counter() - started)
 
 
@@ -274,15 +281,8 @@ def write_artifacts(result: ExperimentResult, out_dir) -> list:
     """
     config = result.config
     files = _training_files(config, result.dataset, result.stats, result.models)
-    evaluations = {
-        "model_order": list(result.evaluations),
-        "models": {
-            name: {split: report.to_json_dict() for split, report in by_split.items()}
-            for name, by_split in result.evaluations.items()
-        },
-    }
-    evaluations_file, report_table, report_text, metadata_file = RESULT_FILES
-    files += [(evaluations_file, json_text(evaluations)),
+    scores_file, report_table, report_text, metadata_file = RESULT_FILES
+    files += [(scores_file, _scores_csv(result)),
               (report_table, result.report_csv),
               (report_text, result.report_text)]
     for name, by_split in result.evaluations.items():
@@ -302,20 +302,42 @@ def write_artifacts(result: ExperimentResult, out_dir) -> list:
     return _write_files(out_dir, files, config.input)
 
 
-def load_evaluations(path) -> dict:
-    """{model: {split: report}} from an evaluations file, in its model_order:
-    a non-empty list of distinct names from MODEL_ORDER, each with both splits."""
-    return read_json(path, "an evaluations file", _evaluations_from_json)
+def _scores_csv(result: ExperimentResult) -> str:
+    """SCORE_COLUMNS and the models, then a row per training and then testing record."""
+    lines = [",".join(SCORE_COLUMNS + tuple(result.scores))]
+    for split, data in zip(SPLITS, (result.train, result.test)):
+        columns = [map(repr, by_split[split].tolist()) for by_split in result.scores.values()]
+        lines += map(",".join, zip(_csv_cells(data.subject_ids), [split] * len(data),
+                                   map(str, data.labels.tolist()), *columns))
+    return "\n".join(lines) + "\n"
 
 
-def _evaluations_from_json(obj) -> dict:
-    order = obj["model_order"]
-    if not (type(order) is list and order and len(set(order)) == len(order)
-            and set(order) <= set(MODEL_ORDER)):
-        raise ConfigError(f"model_order must list distinct models of {', '.join(MODEL_ORDER)}")
-    return {name: {split: EvaluationReport.from_json_dict(obj["models"][name][split])
-                   for split in SPLITS}
-            for name in order}
+def load_scores(path) -> tuple:
+    """({split: labels}, {model: {split: scores}}) for evaluate_models from a
+    file that _scores_csv could write; any other file raises one ConfigError."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            names = header[len(SCORE_COLUMNS):]
+            if (tuple(header[:len(SCORE_COLUMNS)]) != SCORE_COLUMNS
+                    or not 0 < len(set(names) & set(MODEL_ORDER)) == len(names)):
+                raise ValueError(f"the header is not {','.join(SCORE_COLUMNS)} and distinct models")
+            rows = {split: [] for split in SPLITS}
+            for cells in reader:
+                values = [float(cell) for cell in cells[2:]] if len(cells) == len(header) else []
+                if not (values and cells[1] in rows and values[0] in (0, 1)
+                        and all(map(math.isfinite, values))):
+                    raise ValueError(f"line {reader.line_num} is not an id, a split of {SPLITS},"
+                                     f" a label of 0 or 1 and {len(names)} finite scores")
+                rows[cells[1]].append(values)
+        if missing := [split for split, values in rows.items() if not values]:
+            raise ValueError(f"no row has the split {missing[0]!r}")
+    except (ValueError, csv.Error) as err:  # ValueError covers UnicodeDecodeError
+        raise ConfigError(f"{path} is not a scores file ({type(err).__name__}: {err})") from None
+    return ({split: [int(row[0]) for row in values] for split, values in rows.items()},
+            {name: {split: [row[i] for row in values] for split, values in rows.items()}
+             for i, name in enumerate(names, start=1)})
 
 
 def run_and_write(config: PipelineConfig, out_dir) -> ExperimentResult:

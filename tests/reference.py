@@ -15,7 +15,8 @@ that stored more than their loaders derive, so models loaded from a new
 file can be checked against the digests of the old ones; the
 entropy-formula grower grows the trees from before split scores came from
 the c * log2(c) table, so the digests taken then can be checked again.
-None of this runs in the pipeline.
+The evaluations writer gives the bytes of evaluations.json, the evaluation
+record runs wrote before scores.csv. None of this runs in the pipeline.
 """
 
 import csv
@@ -46,6 +47,7 @@ from earlypd.data import (
 )
 from earlypd.errors import DataError, UnreadableCsv
 from earlypd.forest import DecisionTree, _draw_features
+from earlypd.jsontext import json_text
 from earlypd.metrics import RocCurve
 from earlypd.preprocess import _round_half_up
 from earlypd.rng import derive_stream
@@ -158,6 +160,16 @@ def v1_model_dict(model) -> dict:
     elif obj["kind"] == "bayesnet":
         obj["arities"] = list(model.net.arities)
     return obj
+
+
+def evaluations_json_text(evaluations) -> str:
+    """evaluations.json as runs wrote it before scores.csv replaced it: the
+    models in run order, and each report's JSON dict by model and split."""
+    return json_text({
+        "model_order": list(evaluations),
+        "models": {name: {split: report.to_json_dict() for split, report in by_split.items()}
+                   for name, by_split in evaluations.items()},
+    })
 
 
 def loop_roc(labels, scores):

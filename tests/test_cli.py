@@ -1,6 +1,7 @@
 """Command line behavior: every subcommand, flag precedence, exit codes, and
 byte-level determinism of artifact directories."""
 
+import csv
 import errno
 import itertools
 import json
@@ -9,14 +10,14 @@ import os
 import stat
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
 
 import earlypd.data
 from earlypd.cli import main
-from earlypd.data import INTEGER_FEATURES, ingest_csv
+from earlypd.data import INTEGER_FEATURES, export_csv, ingest_csv
 from earlypd.jsontext import json_text
 from earlypd.pipeline import load_model_file
 from earlypd.synth import load_params
@@ -103,7 +104,7 @@ def test_byte_order_mark_is_accepted(tmp_path, capsys, fixture_csv):
 
 def test_experiment_writes_expected_artifacts(exp_dir):
     _config, out = exp_dir
-    for name in ("cohort.csv", "preprocess.json", "evaluations.json",
+    for name in ("cohort.csv", "preprocess.json", "scores.csv",
                  "report.csv", "report.txt", "run_config.json", "metadata.json"):
         assert (out / name).is_file()
     models = sorted(p.name for p in (out / "models").iterdir())
@@ -158,7 +159,7 @@ def test_train_subcommand(exp_dir, tmp_path, capsys):
     assert sorted(p.name for p in (out / "models").iterdir()) == [
         "bayesnet.json", "forest.json"]
     assert not (out / "report.csv").exists()
-    assert not (out / "evaluations.json").exists()
+    assert not (out / "scores.csv").exists()
     # what train writes is what the same experiment writes
     for name in ("cohort.csv", "preprocess.json", "models/bayesnet.json",
                  "models/forest.json"):
@@ -345,41 +346,46 @@ def test_module_entry_point_refuses_bad_model_files(exp_dir, tmp_path):
 
 def test_report_subcommand(exp_dir, tmp_path, capsys):
     _config, out = exp_dir
-    rc = main(["report", "--evaluations", str(out / "evaluations.json"),
-               "--format", "csv"])
+    rc = main(["report", "--scores", str(out / "scores.csv"), "--format", "csv"])
     assert rc == 0
     printed = capsys.readouterr().out
     assert printed == (out / "report.csv").read_text()
-    rc = main(["report", "--evaluations", str(out / "evaluations.json")])
+    rc = main(["report", "--scores", str(out / "scores.csv")])
     assert rc == 0
     text = capsys.readouterr().out
+    assert text == (out / "report.txt").read_text()
     assert "Multilayer Perceptron" in text
     assert "BayesNet" in text
     target = tmp_path / "report.txt"
-    rc = main(["report", "--evaluations", str(out / "evaluations.json"),
-               "--out", str(target)])
+    rc = main(["report", "--scores", str(out / "scores.csv"), "--out", str(target)])
     assert rc == 0
     assert f"wrote {target}" in capsys.readouterr().out
     assert target.read_text() == text
 
 
+def _with_header(run, header: str) -> str:
+    """The run's scores.csv with its header line replaced."""
+    return "\n".join([header, *(run / "scores.csv").read_text().splitlines()[1:]]) + "\n"
+
+
 def test_report_rejects_malformed_file(exp_dir, tmp_path, capsys):
     _config, out = exp_dir
-    bad = tmp_path / "evaluations.json"
-    not_json = tmp_path / "not_json.json"
+    bad = tmp_path / "scores.csv"
+    not_csv = tmp_path / "not_csv.csv"
     bad.write_text(json.dumps({"surprise": True}))
-    not_json.write_text("{not json")
-    argvs = [["report", "--evaluations", str(bad)],
-             ["report", "--evaluations", str(not_json)],
-             ["roc", "--evaluations", str(not_json), "--model", "mlp"]]
-    # a model_order that is not a non-empty list of distinct known models
-    valid = json.loads((out / "evaluations.json").read_text())
-    for name, order in {"string": "mlp", "empty": [], "repeated": ["mlp", "mlp"],
-                        "unknown": ["mlp", "svm"]}.items():
-        spoiled = tmp_path / f"order_{name}.json"
-        spoiled.write_text(json.dumps({**valid, "model_order": order}))
-        argvs += [["report", "--evaluations", str(spoiled), "--format", "csv"],
-                  ["roc", "--evaluations", str(spoiled), "--model", "mlp"]]
+    not_csv.write_text("{not csv")
+    argvs = [["report", "--scores", str(bad)],
+             ["report", "--scores", str(not_csv)],
+             ["roc", "--scores", str(not_csv), "--model", "mlp"]]
+    # a header that is not subject_id,split,label and at least one model; an
+    # unknown or repeated model is in SCORES_DEFECTS
+    for name, header in {"no_models": "subject_id,split,label",
+                         "renamed_id": "id,split,label,mlp,bayesnet,forest,boostlr",
+                         "swapped": "subject_id,label,split,mlp,bayesnet,forest,boostlr"}.items():
+        spoiled = tmp_path / f"header_{name}.csv"
+        spoiled.write_text(_with_header(out, header))
+        argvs += [["report", "--scores", str(spoiled), "--format", "csv"],
+                  ["roc", "--scores", str(spoiled), "--model", "mlp"]]
     for argv in argvs:
         assert main(argv) == 2, argv
         lines = capsys.readouterr().err.splitlines()
@@ -402,11 +408,6 @@ JSON_INPUTS = {
     "preprocess": (lambda bad, run, tmp: ["evaluate", "--model", run / "models" / "forest.json",
                                           "--input", run / "cohort.csv", "--preprocess", bad],
                    lambda run: json.loads((run / "preprocess.json").read_text())),
-    "evaluations": (lambda bad, run, tmp: ["report", "--evaluations", bad],
-                    lambda run: json.loads((run / "evaluations.json").read_text())),
-    "roc svg": (lambda bad, run, tmp: ["roc", "--evaluations", bad, "--model", "mlp",
-                                       "--format", "svg"],
-                lambda run: json.loads((run / "evaluations.json").read_text())),
 }
 
 # Ways to spoil every input, each from the valid JSON to the bad file's bytes.
@@ -417,19 +418,6 @@ SPOILED_FILES = {
     "nested_too_deep": lambda obj: b"[" * 100_000 + b"]" * 100_000,
 }
 
-
-def _thresholds(e) -> list:
-    return e["models"]["mlp"]["testing"]["roc"]["thresholds"]
-
-
-# ROC thresholds that are not "inf" followed by one finite number per other point
-THRESHOLD_DEFECTS = {
-    "true_threshold": lambda e: _thresholds(e).__setitem__(1, True),
-    "nan_threshold": lambda e: _thresholds(e).__setitem__(1, "nan"),
-    "string_threshold": lambda e: _thresholds(e).__setitem__(1, "0.5"),
-    "first_threshold_not_inf": lambda e: _thresholds(e).__setitem__(0, 2.0),
-    "one_threshold_too_many": lambda e: _thresholds(e).append(0.0),
-}
 
 # One value of the wrong type, or the wrong shape, in each input.
 WRONG_VALUES = {
@@ -449,16 +437,6 @@ WRONG_VALUES = {
     },
     "model": {"string_weight": lambda m: m["w_hidden"].__setitem__(0, "0.5")},
     "preprocess": {"string_min": lambda s: s["normalization"]["upsit_total"].update(min="12")},
-    "evaluations": {
-        "string_auc": lambda e: e["models"]["mlp"]["testing"].update(auc="0.99"),
-        "no_training_split": lambda e: e["models"]["forest"].pop("training"),
-        **THRESHOLD_DEFECTS,
-    },
-    "roc svg": {
-        "string_fpr": lambda e: e["models"]["mlp"]["testing"]["roc"]["fpr"].__setitem__(1, "0.1"),
-        "short_tpr": lambda e: e["models"]["mlp"]["testing"]["roc"]["tpr"].pop(),
-        **THRESHOLD_DEFECTS,
-    },
 }
 
 
@@ -486,16 +464,70 @@ def test_malformed_json_input_exits_2(exp_dir, tmp_path, capsys, source, case):
     assert str(bad) in err["message"]
 
 
+# Each command that reads a scores file given as bad
+SCORES_COMMANDS = {
+    "report": lambda bad: ["report", "--scores", bad],
+    "roc svg": lambda bad: ["roc", "--scores", bad, "--model", "mlp", "--format", "svg"],
+}
+
+
+def _set_cell(row: int, column: int, value: str):
+    """The spoiler that sets one cell of scores.csv's lines."""
+    def spoil(lines):
+        cells = lines[row].split(",")
+        cells[column] = value
+        return [*lines[:row], ",".join(cells), *lines[row + 1:]]
+    return spoil
+
+
+# Ways to spoil the run's scores.csv, each from its lines to the bad file's lines
+SCORES_DEFECTS = {
+    "nan": _set_cell(1, 3, "nan"),
+    "inf": _set_cell(2, 4, "inf"),
+    "label_2": _set_cell(3, 2, "2"),
+    "unknown_model": _set_cell(0, 4, "svm"),
+    "duplicate_model": _set_cell(0, 5, "bayesnet"),
+    "split_scored": _set_cell(4, 1, "scored"),
+    "missing_split": lambda lines: [line for line in lines if ",testing," not in line],
+    "short_row": lambda lines: [*lines[:5], lines[5].rpartition(",")[0], *lines[6:]],
+}
+
+
+def _spoiled_scores(case: str, run) -> bytes:
+    text = (run / "scores.csv").read_text()
+    if case == "not_utf8":
+        return b"\xff\xfe" + text.encode("utf-16-le")
+    if case == "truncated":
+        return text.encode()[:40]
+    return ("\n".join(SCORES_DEFECTS[case](text.splitlines())) + "\n").encode()
+
+
+@pytest.mark.parametrize("case", ["not_utf8", "truncated", *SCORES_DEFECTS])
+@pytest.mark.parametrize("command", SCORES_COMMANDS)
+def test_malformed_scores_file_exits_2(exp_dir, tmp_path, capsys, command, case):
+    _config, run = exp_dir
+    bad = tmp_path / "scores.csv"
+    bad.write_bytes(_spoiled_scores(case, run))
+    rc = main([str(arg) for arg in SCORES_COMMANDS[command](bad)])
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert rc == 2
+    assert len(lines) == 1, lines  # one JSON line, no traceback
+    err = json.loads(lines[0])
+    assert err["error"] == "config"
+    assert str(bad) in err["message"]
+    assert captured.out == ""
+
+
 def test_roc_subcommand(exp_dir, tmp_path, capsys):
     _config, out = exp_dir
-    rc = main(["roc", "--evaluations", str(out / "evaluations.json"),
-               "--model", "forest"])
+    rc = main(["roc", "--scores", str(out / "scores.csv"), "--model", "forest"])
     assert rc == 0
     printed = capsys.readouterr().out
     assert printed == (out / "roc_forest_test.csv").read_text()
     assert printed.splitlines()[0] == "threshold,fpr,tpr"
     svg = tmp_path / "curve.svg"
-    rc = main(["roc", "--evaluations", str(out / "evaluations.json"),
+    rc = main(["roc", "--scores", str(out / "scores.csv"),
                "--model", "mlp", "--format", "svg", "--out", str(svg)])
     assert rc == 0
     assert svg.read_text().startswith("<svg")
@@ -505,7 +537,7 @@ def test_roc_subcommand(exp_dir, tmp_path, capsys):
 def test_roc_svg_reproduces_the_run_file(exp_dir, tmp_path, model):
     _config, out = exp_dir
     svg = tmp_path / "curve.svg"
-    assert main(["roc", "--evaluations", str(out / "evaluations.json"),
+    assert main(["roc", "--scores", str(out / "scores.csv"),
                  "--model", model, "--format", "svg", "--out", str(svg)]) == 0
     assert svg.read_bytes() == (out / f"roc_{model}_test.svg").read_bytes()
 
@@ -516,10 +548,56 @@ def test_roc_missing_model_is_config_error(exp_dir, tmp_path, capsys):
     assert main(["experiment", "--config", str(config_path),
                  "--models", "forest", "--out", str(solo)]) == 0
     capsys.readouterr()
-    rc = main(["roc", "--evaluations", str(solo / "evaluations.json"),
-               "--model", "mlp"])
+    rc = main(["roc", "--scores", str(solo / "scores.csv"), "--model", "mlp"])
     assert rc == 2
     assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
+# Subject ids that a CSV writer must quote, or that a careless reader would
+# change: each id is one of these with its record's number.
+ODD_IDS = ("comma, {}", 'doubled ""quotes"" {}', "  padded {}  ", "non-ASCII Zoë 日本 {}")
+
+
+@pytest.mark.parametrize("models", [[], ["--models", "forest,boostlr"]],
+                         ids=["all models", "forest,boostlr"])
+def test_scores_reproduce_the_run_with_quoted_ids(exp_dir, tmp_path, capsys, models):
+    config_path, run = exp_dir
+    cohort = ingest_csv(run / "cohort.csv")
+    ids = tuple(ODD_IDS[i % len(ODD_IDS)].format(i) for i in range(len(cohort)))
+    source = tmp_path / "odd_ids.csv"
+    export_csv(replace(cohort, subject_ids=ids), source)
+    assert ingest_csv(source).subject_ids == ids
+    out = tmp_path / "run"
+    assert main(["experiment", "--config", str(config_path), "--input", str(source),
+                 *models, "--out", str(out)]) == 0
+    capsys.readouterr()
+    with open(out / "scores.csv", encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    names = models[1].split(",") if models else ["mlp", "bayesnet", "forest", "boostlr"]
+    assert header == ["subject_id", "split", "label", *names]
+    assert sorted(row[0] for row in rows) == sorted(ids)
+
+    def printed(*argv):
+        assert main([*argv[:1], "--scores", str(out / "scores.csv"), *argv[1:]]) == 0
+        return capsys.readouterr().out
+    assert printed("report") == (out / "report.txt").read_text(encoding="utf-8")
+    assert printed("report", "--format", "csv") == (out / "report.csv").read_text()
+    for name in names:
+        for form in ("csv", "svg"):
+            assert (printed("roc", "--model", name, "--format", form)
+                    == (out / f"roc_{name}_test.{form}").read_text()), (name, form)
+
+
+def test_experiment_over_an_older_run_removes_its_evaluations_file(exp_dir, tmp_path):
+    # an earlier release's run directory: evaluations.json where scores.csv is now
+    config_path, _run = exp_dir
+    out = tmp_path / "run"
+    assert main(["experiment", "--config", str(config_path), "--out", str(out)]) == 0
+    (out / "scores.csv").unlink()
+    (out / "evaluations.json").write_text('{"model_order": ["mlp"], "models": {}}\n')
+    assert main(["experiment", "--config", str(config_path), "--out", str(out)]) == 0
+    assert not (out / "evaluations.json").exists()
+    assert (out / "scores.csv").is_file()
 
 
 def test_missing_input_is_io_error(capsys):
@@ -781,8 +859,8 @@ OUT_COMMANDS = {
     "evaluate": lambda run: ["evaluate", "--model", run / "models" / "forest.json",
                              "--input", run / "cohort.csv",
                              "--preprocess", run / "preprocess.json"],
-    "report": lambda run: ["report", "--evaluations", run / "evaluations.json"],
-    "roc": lambda run: ["roc", "--evaluations", run / "evaluations.json", "--model", "mlp"],
+    "report": lambda run: ["report", "--scores", run / "scores.csv"],
+    "roc": lambda run: ["roc", "--scores", run / "scores.csv", "--model", "mlp"],
 }
 
 
@@ -813,7 +891,7 @@ def test_out_that_is_not_a_regular_file_exits_1(exp_dir, tmp_path, capsys):
     _config, run = exp_dir
     fifo = tmp_path / "pipe"
     os.mkfifo(fifo)
-    rc = main(["report", "--evaluations", str(run / "evaluations.json"), "--out", str(fifo)])
+    rc = main(["report", "--scores", str(run / "scores.csv"), "--out", str(fifo)])
     lines = capsys.readouterr().err.splitlines()
     assert rc == 1
     assert len(lines) == 1, lines

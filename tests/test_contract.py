@@ -1,6 +1,7 @@
 """The error contract: whatever input file it is given, the CLI ends with exit
 0, 1 or 2, prints nothing on stderr when it succeeds and one JSON line when it
-fails, and never lets an exception or a warning escape."""
+fails, and never lets an exception or a warning escape. The input kinds
+covered so far: a --params file, and a run's scores.csv."""
 
 import contextlib
 import copy
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from earlypd.cli import main
+from earlypd.pipeline import write_artifacts
 
 PACKAGED_PARAMS = json.loads(
     (resources.files("earlypd") / "default_cohort.json").read_text(encoding="utf-8"))
@@ -85,3 +87,57 @@ def test_generate_with_a_spoiled_params_file(workdir, text):
         assert len(lines) == 1, lines
         assert json.loads(lines[0])["error"] in ("config", "data", "io")
         assert not out.exists()
+
+
+# another cell: names, numbers that are not scores or labels, CSV syntax
+CELLS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-1e-400", "2", "-1", "0", "1", "0.5",
+                     "1.0", "", "x", "training", "testing", "scored", "mlp", "forest", "svm",
+                     "subject_id", "label", '"', '"a,b"', "1,2", "\n", "\x00"]),
+    st.text(max_size=3))
+SCORES_MUTATIONS = ["set a cell", "delete a cell", "truncate", "repeat a header column",
+                    "rename a header column"]
+
+
+@pytest.fixture(scope="module")
+def default_scores(default_run, workdir) -> str:
+    """The default run's scores.csv; its ids need no quoting."""
+    write_artifacts(default_run, workdir / "default_run")
+    return (workdir / "default_run" / "scores.csv").read_text(encoding="utf-8")
+
+
+def _spoil_scores(data, text: str) -> bytes:
+    """text with one cell set or deleted, one header column repeated or
+    renamed, or its bytes cut short."""
+    kind = data.draw(st.sampled_from(SCORES_MUTATIONS), label="mutation")
+    if kind == "truncate":
+        raw = text.encode()
+        return raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+    rows = [line.split(",") for line in text.splitlines()]
+    row = 0 if "header" in kind else data.draw(st.integers(0, len(rows) - 1), label="row")
+    cells = rows[row]
+    column = data.draw(st.integers(0, len(cells) - 1), label="column")
+    if kind == "delete a cell":
+        del cells[column]
+    elif kind == "repeat a header column":
+        cells.insert(column, cells[column])
+    else:
+        cells[column] = data.draw(CELLS, label="cell")
+    return ("\n".join(map(",".join, rows)) + "\n").encode()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_report_and_roc_with_a_spoiled_scores_file(workdir, default_scores, data):
+    scores = workdir / "scores.csv"
+    scores.write_bytes(_spoil_scores(data, default_scores))
+    for argv in (["report", "--scores", str(scores)],
+                 ["roc", "--scores", str(scores), "--model", "mlp", "--format", "svg"]):
+        code, stdout, stderr = _cli(argv)
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert stderr == "" and stdout
+        else:
+            lines = stderr.splitlines()
+            assert len(lines) == 1, lines
+            assert json.loads(lines[0])["error"] in ("config", "data", "io")

@@ -65,6 +65,15 @@ digests from before that: with tree_grow replaced by entropy_tree_grow, the
 old grower, the same runs give those bytes again, so only the forest moved.
 test_forest_file_is_the_same_on_other_hosts shows that the forest file no
 longer depends on numpy's SIMD level or the BLAS kernel.
+
+A run's evaluation record moved from evaluations.json, which held only numbers
+derived from the scores (confusion counts, measures and ROC corners), to
+scores.csv, which holds each record's label and score per model, so report
+and roc recompute the rest. scores.csv joined GOLDEN and evaluations.json
+left it, but every digest taken of evaluations.json is still asserted:
+tests/reference.py keeps its writer, and the run's evaluations written by
+it give EVALUATIONS_GOLDEN, FULL_ROC_GOLDEN's and ENTROPY_GOLDEN's
+evaluations.json digests again, as v2_model_dict does for the model files.
 """
 
 import hashlib
@@ -82,7 +91,6 @@ from earlypd import metrics
 from earlypd.cli import main
 from earlypd.data import export_csv
 from earlypd.jsontext import json_text
-from earlypd.metrics import roc_csv
 from earlypd.pipeline import (
     PipelineConfig,
     acquire_dataset,
@@ -99,6 +107,7 @@ from earlypd.synth import GenerateConfig, generate
 
 from reference import (
     entropy_tree_grow,
+    evaluations_json_text,
     loop_roc,
     node_list_forest_text,
     v1_model_dict,
@@ -107,7 +116,6 @@ from reference import (
 
 GOLDEN = {
     "cohort.csv": "b3065d07230e50b4e930f92b2c4346ba3527760588f55a65844d83350ab286d3",
-    "evaluations.json": "ca629cf8c9f45d4b8636f635e13e5bff0338e76c0839cb41ce5627411ac0f8ec",
     "models/bayesnet.json": "3cf3367cf82885320095dcdd31cd27f8ca92a5333352d30eec033c53da33b5e4",
     "models/boostlr.json": "a99d5cf342b254e5a8bf715082ef87efbffa346de437c02f69c07a866ddf7dc0",
     "models/forest.json": "c916ffa97e4de42a4960a1c009d44ac19d59f989256d3f8611cc8c320fc98f44",
@@ -124,6 +132,7 @@ GOLDEN = {
     "roc_mlp_test.csv": "54c85cbbcca998ce9e640b4417dc88fa0e86505c365b4eb064eda31710236729",
     "roc_mlp_test.svg": "c1f9922dd86182749a6ffc20bd9be7a1325b5dc7afdc1a6f0a17e47eaec9f3bd",
     "run_config.json": "4b6cfcf596c09d196219cc6b0e8efa787381a2a54f61db88aded3665274bcb3e",
+    "scores.csv": "d9269d42233299ff48b217fe1a393665946f5b16b85f4d2b59cb0b450f657a15",
 }
 
 
@@ -140,6 +149,15 @@ def _run_digests(run, folder) -> dict:
 
 def test_default_run_artifact_digests(default_run, tmp_path):
     assert _run_digests(default_run, tmp_path) == GOLDEN
+
+
+# evaluations.json, the default run's evaluation record before scores.csv. The
+# run's evaluations, written by the reference writer, give these bytes again.
+EVALUATIONS_GOLDEN = "ca629cf8c9f45d4b8636f635e13e5bff0338e76c0839cb41ce5627411ac0f8ec"
+
+
+def test_default_evaluations_give_the_evaluations_file_bytes(default_run):
+    assert _sha256(evaluations_json_text(default_run.evaluations)) == EVALUATIONS_GOLDEN
 
 
 # The model files of version 2, before the forest's trees left out their
@@ -281,18 +299,15 @@ FULL_ROC_GOLDEN = {
 }
 
 
-def _with_full_curves(run):
-    """run with its models evaluated again; called with metrics.roc patched to
-    loop_roc, every curve is the unthinned one on the same labels and scores."""
-    return replace(run, evaluations=evaluate_models(run.models, run.train, run.test))
-
-
 def _full_roc_digests(run, tmp_path) -> dict:
-    """FULL_ROC_GOLDEN's digests of run, taken with metrics.roc patched to loop_roc."""
-    full = _with_full_curves(run)
+    """FULL_ROC_GOLDEN's digests of run, taken with metrics.roc patched to
+    loop_roc: its scores evaluated again, every curve is the unthinned one."""
+    labels = {"training": run.train.labels, "testing": run.test.labels}
+    full = replace(run, evaluations=evaluate_models(labels, run.scores))
     write_artifacts(full, tmp_path / "run")
     digests = {name: hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
-               for name in FULL_ROC_GOLDEN if name not in EVALUATE_GOLDEN}
+               for name in FULL_ROC_GOLDEN if name.startswith("roc_")}
+    digests["evaluations.json"] = _sha256(evaluations_json_text(full.evaluations))
     digests.update(_evaluate_digests(full, tmp_path / "evaluate"))
     return digests
 
@@ -307,10 +322,12 @@ def test_curves_moved_only_by_keeping_corners(default_run, tmp_path, capsys, mon
 # The forest's digests from before split scores came from the c * log2(c)
 # table, under the name of the dict that held each one. The default run with
 # its forest grown by entropy_tree_grow gives them again, and every other
-# digest of those dicts.
+# digest of those dicts. evaluations.json was in GOLDEN then; scores.csv,
+# which came later, is pinned here for that run too.
 ENTROPY_GOLDEN = {
     "GOLDEN": {
         "evaluations.json": "85be2fe035020dd0a54c925b5c3111cc445c5ff23a7393227c26bf36ca2ed29f",
+        "scores.csv": "9ef415417894421609a718a6598b24bf466f2755cb7ded1b5c9f03b0442281d4",
         "models/forest.json": "0e267a9dbe359d87f9236397c40d1c6558552972364ca8fd937da36830aa61d5",
         "report.csv": "846fa1211e8fc60767ff62625c89956325f4cb15fc4085dd5978145fed28f7df",
         "roc_forest_test.csv": "39ba6e50fcbcd616d7ff1b3207909617005c0537932fbcb3a5ec2be30b4f589d",
@@ -340,7 +357,8 @@ def test_forest_moved_only_by_its_split_score(tmp_path, capsys, monkeypatch):
     digests = {
         # with the forest file in the version 2 layout these were taken in
         "GOLDEN": {**_run_digests(run, tmp_path / "run"),
-                   **_layout_digests({"forest": run.models["forest"]}, tmp_path, v2_model_dict)},
+                   **_layout_digests({"forest": run.models["forest"]}, tmp_path, v2_model_dict),
+                   "evaluations.json": _sha256(evaluations_json_text(run.evaluations))},
         "EVALUATE_GOLDEN": _evaluate_digests(run, tmp_path / "evaluate"),
         "V1_MODEL_GOLDEN": _layout_digests(run.models, tmp_path, v1_model_dict),
         "UNVERSIONED_GOLDEN": _unversioned_digests(tmp_path / "run"),
@@ -442,27 +460,3 @@ def test_forest_file_is_the_same_on_other_hosts(host, tmp_path):
     assert done.returncode == 0, done.stderr
     forest = (tmp_path / "run" / "models" / "forest.json").read_bytes()
     assert hashlib.sha256(forest).hexdigest() == GOLDEN["models/forest.json"]
-
-
-def test_files_with_full_curves_still_load(default_run, tmp_path, capsys, monkeypatch):
-    with monkeypatch.context() as patch:
-        patch.setattr(metrics, "roc", loop_roc)
-        full = _with_full_curves(default_run)
-    write_artifacts(default_run, tmp_path / "thin")
-    write_artifacts(full, tmp_path / "full")
-    capsys.readouterr()
-
-    def printed(command, run, *options):
-        assert main([command, "--evaluations", str(tmp_path / run / "evaluations.json"),
-                     *options]) == 0
-        return capsys.readouterr().out
-    for options, name in ((["--format", "csv"], "report.csv"), ([], "report.txt")):
-        assert (printed("report", "full", *options) == printed("report", "thin", *options)
-                == (tmp_path / "thin" / name).read_text())
-    dropped = 0
-    for name, by_split in full.evaluations.items():
-        for split, report in by_split.items():
-            # the loader keeps every point the file holds
-            assert printed("roc", "full", "--model", name, "--split", split) == roc_csv(report.roc)
-            dropped += len(report.roc.fpr) - len(default_run.evaluations[name][split].roc.fpr)
-    assert dropped > 0

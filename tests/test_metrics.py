@@ -16,7 +16,6 @@ from earlypd.metrics import (
     MEASURES,
     SPLITS,
     ConfusionMatrix,
-    EvaluationReport,
     confusion,
     evaluate_scores,
     render_report_csv,
@@ -281,13 +280,13 @@ def test_render_report_text_layout():
 
 
 def test_report_json_round_trip():
+    # evaluate's payload: strict JSON, with the origin's threshold as "inf"
     rep = _tiny_reports()["mlp"]["testing"]
-    blob = json.dumps(rep.to_json_dict())  # must be strict JSON (inf encoded)
-    again = EvaluationReport.from_json_dict(json.loads(blob))
-    assert again.confusion == rep.confusion
-    assert again.roc.thresholds == rep.roc.thresholds
-    assert again.roc.auc == rep.roc.auc
-    assert "Infinity" not in blob
+    blob = json.dumps(rep.to_json_dict(), allow_nan=False)
+    again = json.loads(blob)
+    assert again == rep.to_json_dict()
+    assert again["roc"]["thresholds"] == ["inf", *rep.roc.thresholds[1:]]
+    assert again["auc"] == rep.roc.auc
 
 
 def test_roc_csv_renders_every_point():

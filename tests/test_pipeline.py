@@ -21,6 +21,7 @@ from earlypd.boostlr import BoostConfig
 from earlypd.mlp import MlpConfig
 from earlypd.forest import ForestConfig, forest_score_batch, usable_cpus
 from earlypd.jsontext import finite_number
+from earlypd.metrics import SPLITS, render_report_csv
 from earlypd.preprocess import (
     load_sidecar,
     normalize_apply,
@@ -36,9 +37,10 @@ from earlypd.pipeline import (
     PipelineConfig,
     acquire_dataset,
     config_from_dict,
+    evaluate_models,
     load_config,
-    load_evaluations,
     load_model_file,
+    load_scores,
     prepare_splits,
     run_and_write,
     run_experiment,
@@ -628,11 +630,11 @@ ARRAY_DEFECTS = (st.text(max_size=4) | st.booleans() | st.none()
 @pytest.fixture(scope="module")
 def fitted_files(tmp_path_factory):
     """(directory, {source: (valid JSON, its array paths, loader)}) for the
-    fuzz test: a run's model files, sidecar and evaluations file."""
+    fuzz test: a run's model files and sidecar."""
     root = tmp_path_factory.mktemp("fitted")
     run_and_write(fast_config(), root / "run")
     sources = {f"models/{kind}.json": load_model_file for kind in MODEL_ORDER}
-    sources.update({"preprocess.json": load_sidecar, "evaluations.json": load_evaluations})
+    sources["preprocess.json"] = load_sidecar
     files = {}
     for name, loader in sources.items():
         obj = json.loads((root / "run" / name).read_text())
@@ -641,7 +643,7 @@ def fitted_files(tmp_path_factory):
 
 
 @pytest.mark.parametrize("source", [*(f"models/{kind}.json" for kind in MODEL_ORDER),
-                                    "preprocess.json", "evaluations.json"])
+                                    "preprocess.json"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_array_readers_return_or_raise_config_error(fitted_files, source, data):
@@ -673,7 +675,7 @@ def test_array_readers_return_or_raise_config_error(fitted_files, source, data):
 
 
 EXPECTED_FILES = {
-    "cohort.csv", "preprocess.json", "evaluations.json", "report.csv",
+    "cohort.csv", "preprocess.json", "scores.csv", "report.csv",
     "report.txt", "run_config.json", "metadata.json",
 }
 
@@ -691,24 +693,25 @@ def test_write_artifacts_file_set(tmp_path):
     assert names == expected
     for p in written:
         assert p.is_file() and p.stat().st_size > 0
-    evals = json.loads((tmp_path / "out" / "evaluations.json").read_text())
-    assert evals["model_order"] == ["mlp", "forest"]
-    assert set(evals["models"]) == {"mlp", "forest"}
+    scores = (tmp_path / "out" / "scores.csv").read_text().splitlines()
+    assert scores[0] == "subject_id,split,label,mlp,forest"
+    assert len(scores) == 1 + len(result.train) + len(result.test)
     config_round = json.loads((tmp_path / "out" / "run_config.json").read_text())
     assert config_from_dict(config_round) == config
 
 
-def test_load_evaluations_round_trip(tmp_path):
-    # the written file reads back as the run's evaluations: the same models
-    # in the same order, and every report equal field by field
+def test_load_scores_round_trip(tmp_path):
+    # the written file reads back as the run's labels and scores, bit for bit,
+    # with the models in run order
     result = run_experiment(fast_config(models=("boostlr", "forest")))
     write_artifacts(result, tmp_path)
-    loaded = load_evaluations(tmp_path / "evaluations.json")
-    assert list(loaded) == list(result.evaluations) == ["forest", "boostlr"]
-    for name, by_split in result.evaluations.items():
-        assert list(loaded[name]) == list(by_split)
-        for split, report in by_split.items():
-            assert asdict(loaded[name][split]) == asdict(report), (name, split)
+    labels, scores = load_scores(tmp_path / "scores.csv")
+    assert list(scores) == list(result.scores) == ["forest", "boostlr"]
+    for split, data in zip(SPLITS, (result.train, result.test)):
+        assert labels[split] == data.labels.tolist()
+        for name, by_split in result.scores.items():
+            assert np.array(scores[name][split]).tobytes() == by_split[split].tobytes(), name
+    assert render_report_csv(evaluate_models(labels, scores)) == result.report_csv
 
 
 def test_write_artifacts_skips_cohort_for_csv_input(small_cohort, tmp_path):
