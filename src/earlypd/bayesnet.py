@@ -28,8 +28,6 @@ from .jsontext import json_array, settings
 
 CLASS_NODE = 0
 
-DISCRETIZE_STRATEGIES = ("equal_frequency", "equal_width")
-
 
 @dataclass(frozen=True)
 class DiscretizationMap:
@@ -75,10 +73,9 @@ class DiscretizationMap:
 def discretize_fit(ds: Dataset, config: BayesNetConfig) -> DiscretizationMap:
     """Fit per-feature cut points of config.bins bins on the given records.
 
-    equal_frequency places cuts at empirical quantiles (linear interpolation),
-    equal_width spaces them evenly over [min, max]. Duplicate cuts and cuts
-    outside the open value range are dropped, so the effective bin count can
-    shrink; a constant column keeps no cuts at all.
+    Cuts sit at the empirical quantiles k / bins (linear interpolation).
+    Duplicate cuts and cuts outside the open value range are dropped, so the
+    effective bin count can shrink; a constant column keeps no cuts at all.
     """
     if len(ds) == 0:
         raise DataError("cannot fit discretization on zero records")
@@ -90,12 +87,8 @@ def discretize_fit(ds: Dataset, config: BayesNetConfig) -> DiscretizationMap:
     for j in range(ds.features.shape[1]):
         col = ds.features[:, j]
         lo, hi = float(col.min()), float(col.max())
-        if config.strategy == "equal_frequency":
-            raw = np.quantile(col, steps / config.bins)
-        else:
-            raw = lo + steps * (hi - lo) / config.bins
         kept = []
-        for c in map(float, raw):
+        for c in map(float, np.quantile(col, steps / config.bins)):
             if lo < c < hi and (not kept or c > kept[-1]):
                 kept.append(c)
         all_cuts.append(tuple(kept))
@@ -232,7 +225,6 @@ class DiscreteNet:
 @dataclass(frozen=True)
 class BayesNetConfig:
     bins: int = 10
-    strategy: str = "equal_frequency"
     max_parents: int = 2
     alpha: float = 0.5
 
@@ -244,8 +236,6 @@ class BayesNetConfig:
             raise ConfigError(f"max_parents must be >= 0, got {self.max_parents}")
         if not self.alpha > 0:
             raise ConfigError(f"alpha must be > 0, got {self.alpha}")
-        if self.strategy not in DISCRETIZE_STRATEGIES:
-            raise ConfigError(f"unknown discretization strategy {self.strategy!r}")
 
 
 @dataclass(frozen=True, eq=False)

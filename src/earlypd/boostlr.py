@@ -220,9 +220,13 @@ def adaboost_train(train: Dataset, max_rounds: int = BoostConfig.max_rounds,
     0.5. A round with e >= 0.5 is discarded and boosting stops; a perfect
     round (e = 0) is kept with a capped alpha and stops the loop; otherwise
     misclassified weights scale by (1-e)/e and are renormalized. Raises
-    DataError when not even the first round beats chance.
+    DataError unless both classes are present, and when not even the first
+    round beats chance.
     """
     config = BoostConfig(max_rounds, ridge)
+    counts = train.class_counts()
+    if counts[0] == 0 or counts[1] == 0:
+        raise DataError("boosted LR training needs both classes")
     n = len(train)
     y = train.labels
     weights = np.full(n, 1.0 / n)

@@ -119,6 +119,9 @@ class PipelineConfig:
         unknown = [m for m in self.models if m not in MODEL_ORDER]
         if unknown:
             raise ConfigError(f"unknown models: {', '.join(unknown)}")
+        repeated = [m for m in MODEL_ORDER if self.models.count(m) > 1]
+        if repeated:
+            raise ConfigError(f"models named more than once: {', '.join(repeated)}")
         if not self.models:
             raise ConfigError("at least one model must be selected")
         check_train_fraction(self.train_fraction)

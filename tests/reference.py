@@ -11,8 +11,8 @@ each row alone reach the same result as the package's code by another
 route. The vectorized code in the package is checked against them. The
 node-list writer gives the bytes of a forest file before the columnar
 layout, and the version 2 and version 1 layouts those of the model files
-that stored more than their loaders derive, so models loaded from a new
-file can be checked against the digests of the old ones; the
+that stored more than their loaders derive or read, so models loaded from a
+new file can be checked against the digests of the old ones; the
 entropy-formula grower grows the trees from before split scores came from
 the c * log2(c) table, so the digests taken then can be checked again.
 The evaluations writer gives the bytes of evaluations.json, the evaluation
@@ -137,11 +137,14 @@ def node_list_forest_text(model) -> str:
 
 def v2_model_dict(model) -> dict:
     """A model's file as the version 2 writer laid it out: the version 3 dict
-    with "version": 2, and each forest tree's left children (i + 1, or -1 at
-    a leaf) and right children (-1 at a leaf) stored beside the feature
-    column they follow from."""
+    with "version": 2, each forest tree's left children (i + 1, or -1 at a
+    leaf) and right children (-1 at a leaf) stored beside the feature column
+    they follow from, and the Bayes net's "strategy": "equal_frequency", the
+    one binning there is."""
     obj = {**model.to_json_dict(), "version": 2}
-    if obj["kind"] == "forest":
+    if obj["kind"] == "bayesnet":
+        obj["strategy"] = "equal_frequency"
+    elif obj["kind"] == "forest":
         for saved, tree in zip(obj["trees"], model.trees):
             leaf = tree.feature < 0
             saved["left"] = np.where(leaf, -1, np.arange(1, leaf.size + 1)).tolist()

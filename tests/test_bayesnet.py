@@ -54,18 +54,10 @@ def _score_oracle(table, arity):
 def test_discretize_equal_frequency_hand_example():
     values = np.array([[v] for v in [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]])
     ds = make_dataset(values, [0, 1] * 4)
-    dmap = discretize_fit(ds, BayesNetConfig(bins=4, strategy="equal_frequency"))
+    dmap = discretize_fit(ds, BayesNetConfig(bins=4))
     cuts = dmap.cuts[0]
     assert len(cuts) == 3
     assert list(dmap.node_matrix(ds.features)[:, 1]) == [0, 0, 1, 1, 2, 2, 3, 3]
-
-
-def test_discretize_equal_width_hand_example():
-    values = np.array([[v] for v in [0.0, 1.0, 2.0, 3.0, 4.0]])
-    ds = make_dataset(values, [0, 1, 0, 1, 0])
-    dmap = discretize_fit(ds, BayesNetConfig(bins=4, strategy="equal_width"))
-    assert list(dmap.cuts[0]) == [1.0, 2.0, 3.0]
-    assert list(dmap.node_matrix(ds.features)[:, 1]) == [0, 1, 2, 3, 3]
 
 
 def test_discretize_unseen_values_clamp_to_edge_bins():
@@ -319,11 +311,6 @@ def test_out_of_range_values_clamp(small_split):
     scores = bn_score_batch(model, np.array([low, high, high * 1000]))
     assert np.all((scores >= 0.0) & (scores <= 1.0))
     assert scores[1] == scores[2]
-
-
-def test_config_rejects_unknown_strategy():
-    with pytest.raises(ConfigError, match="bogus"):
-        BayesNetConfig(strategy="bogus")
 
 
 def test_config_rejects_a_single_bin():

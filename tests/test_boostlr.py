@@ -234,6 +234,13 @@ def test_single_class_rejected():
         logistic_train(make_dataset(X, [0, 1, 1]), np.array([0.0, 0.5, 0.5]))
 
 
+def test_boosting_needs_both_classes():
+    # zero records would divide the first weights by zero
+    for X, labels in ((np.empty((0, 13)), []), ([[0.1], [0.2]], [1, 1])):
+        with pytest.raises(DataError, match="boosted LR training needs both classes"):
+            adaboost_train(make_dataset(X, labels))
+
+
 def test_non_finite_features_rejected():
     X = np.array([[0.1], [np.nan], [0.3]])
     with pytest.raises(DataError, match="feature matrix contains non-finite values"):

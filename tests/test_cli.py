@@ -180,6 +180,34 @@ def test_evaluate_subcommand(exp_dir, capsys):
     assert payload["confusion"]["tp"] + payload["confusion"]["fn"] == 40
 
 
+def test_bayesnet_file_with_a_strategy_scores_the_same(exp_dir, tmp_path, capsys):
+    # a file written while the settings held "strategy": the key is ignored
+    _config, out = exp_dir
+    model = out / "models" / "bayesnet.json"
+    argv = ["--input", str(out / "cohort.csv"), "--preprocess", str(out / "preprocess.json")]
+    assert main(["evaluate", "--model", str(model)] + argv) == 0
+    want = capsys.readouterr()
+    assert want.err == ""
+    for strategy in ("equal_frequency", "equal_width"):
+        old = tmp_path / f"bayesnet_{strategy}.json"
+        old.write_text(json_text({**json.loads(model.read_text()), "strategy": strategy}))
+        assert main(["evaluate", "--model", str(old)] + argv) == 0
+        assert capsys.readouterr() == want, strategy
+
+
+@pytest.mark.parametrize("command", ["experiment", "train"])
+def test_boostlr_on_an_empty_training_split_is_a_data_error(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    rc = main([command, "--models", "boostlr", "--train-fraction", "0.001", "--out", str(out)])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(lines) == 1, lines  # one JSON line, no traceback
+    err = json.loads(lines[0])
+    assert err["error"] == "data"
+    assert "boosted LR training needs both classes" in err["message"]
+    assert not out.exists()
+
+
 def test_evaluate_rejects_non_model_json(exp_dir, tmp_path, capsys):
     _config, out = exp_dir
     model = out / "models" / "forest.json"
@@ -638,7 +666,7 @@ def test_bad_config_value_exits_2(tmp_path, capsys):
                 {"mlp": {"learning_rate": -1.0}}, {"boostlr": {"max_rounds": 0}},
                 {"bayesnet": {"bins": 1}}, {"forest": {"feature_subset": 0}},
                 {"forest": {"feature_subset": -3}},
-                {"bayesnet": {"strategy": "bogus"}, "mlp": {"epochs": 50}}):
+                {"bayesnet": {"strategy": "equal_frequency"}, "mlp": {"epochs": 50}}):
         config.write_text(json.dumps(bad))
         rc = main(["experiment", "--config", str(config), "--out",
                    str(tmp_path / "out")])
@@ -658,8 +686,13 @@ def test_bad_config_value_exits_2(tmp_path, capsys):
     ([], {"boostlr": {"ridge": math.inf}}, "boostlr.ridge"),
     ([], {"bayesnet": {"alpha": math.inf}}, "bayesnet.alpha"),
     ([], {"mlp": {"learning_rate": math.inf}}, "mlp.learning_rate"),
+    # a key the settings no longer have, and a model named twice
+    ([], {"bayesnet": {"strategy": "equal_frequency"}}, "bayesnet.strategy"),
+    (["experiment", "--models", "boostlr,boostlr"], None, "named more than once: boostlr"),
+    ([], {"models": ["forest", "bayesnet", "forest"]}, "named more than once: forest"),
 ], ids=["separation inf", "separation nan", "separation 1e308", "experiment separation 1e308",
-        "ridge", "alpha", "learning_rate"])
+        "ridge", "alpha", "learning_rate", "bayesnet.strategy", "models flag repeated",
+        "models config repeated"])
 def test_non_finite_setting_exits_2(tmp_path, capsys, flags, config, key):
     if config is None:
         argv = flags

@@ -1,7 +1,8 @@
 """The error contract: whatever input file it is given, the CLI ends with exit
 0, 1 or 2, prints nothing on stderr when it succeeds and one JSON line when it
 fails, and never lets an exception or a warning escape. The input kinds
-covered so far: a --params file, and a run's scores.csv."""
+covered so far: a --params file, a run's scores.csv, and each model file and
+the preprocess.json sidecar that evaluate reads."""
 
 import contextlib
 import copy
@@ -10,13 +11,14 @@ import io
 import json
 import operator
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from earlypd.cli import main
-from earlypd.pipeline import write_artifacts
+from earlypd.pipeline import MODEL_ORDER, write_artifacts
 
 PACKAGED_PARAMS = json.loads(
     (resources.files("earlypd") / "default_cohort.json").read_text(encoding="utf-8"))
@@ -37,6 +39,7 @@ NUMBERS = st.one_of(
                      0.0, -0.0, 10**20, 10**400]),
     st.floats(), st.integers())
 WRONG_TYPES = st.sampled_from(["12", "", None, True, False, [], [1.0], {}, {"min": 1.0}])
+JSON_MUTATIONS = ["number", "wrong type", "deleted key", "truncated"]
 
 
 @st.composite
@@ -44,7 +47,7 @@ def spoiled_params(draw) -> str:
     """The packaged parameters file with one value changed, one key deleted,
     or its text cut short."""
     text = json.dumps(PACKAGED_PARAMS)
-    kind = draw(st.sampled_from(["number", "wrong type", "deleted key", "truncated"]))
+    kind = draw(st.sampled_from(JSON_MUTATIONS))
     if kind == "truncated":
         return text[:draw(st.integers(0, len(text) - 1))]
     obj = copy.deepcopy(PACKAGED_PARAMS)
@@ -141,3 +144,64 @@ def test_report_and_roc_with_a_spoiled_scores_file(workdir, default_scores, data
             lines = stderr.splitlines()
             assert len(lines) == 1, lines
             assert json.loads(lines[0])["error"] in ("config", "data", "io")
+
+
+# a small train run, so that each evaluate of it takes a few milliseconds
+TRAIN_CONFIG = {"generate": {"n_healthy": 60, "n_pd": 120}, "mlp": {"epochs": 20},
+                "forest": {"trees": 5}}
+
+
+@pytest.fixture(scope="module")
+def small_run(workdir) -> Path:
+    config, out = workdir / "train_config.json", workdir / "small_run"
+    config.write_text(json.dumps(TRAIN_CONFIG), encoding="utf-8")
+    assert _cli(["train", "--config", str(config), "--out", str(out)])[0] == 0
+    return out
+
+
+def _spoil_json(data, obj) -> str:
+    """The JSON text of obj with one value set to another number or a wrong
+    type, one key or list item deleted, or the text cut short. The value is
+    found by going down from the top, into objects and lists, until a draw
+    stops there."""
+    text = json.dumps(obj)
+    kind = data.draw(st.sampled_from(JSON_MUTATIONS), label="mutation")
+    if kind == "truncated":
+        return text[:data.draw(st.integers(0, len(text) - 1), label="length")]
+    obj = copy.deepcopy(obj)
+    holder, key = obj, data.draw(st.sampled_from(sorted(obj)), label="key")
+    while (isinstance(holder[key], (dict, list)) and holder[key]
+           and data.draw(st.booleans(), label="deeper")):
+        holder = holder[key]
+        key = data.draw(st.sampled_from(sorted(holder)) if isinstance(holder, dict)
+                        else st.integers(0, len(holder) - 1), label="key")
+    if kind == "deleted key":
+        del holder[key]
+    else:
+        holder[key] = data.draw(NUMBERS if kind == "number" else WRONG_TYPES, label="value")
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("spoiled", [f"models/{m}.json" for m in MODEL_ORDER]
+                         + ["preprocess.json"])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_evaluate_with_a_spoiled_model_or_sidecar(workdir, small_run, spoiled, data):
+    spoilt = workdir / "spoiled.json"
+    original = json.loads((small_run / spoiled).read_text(encoding="utf-8"))
+    spoilt.write_text(_spoil_json(data, original), encoding="utf-8")
+    if spoiled == "preprocess.json":
+        name = data.draw(st.sampled_from(MODEL_ORDER), label="model")
+        model, sidecar = small_run / "models" / f"{name}.json", spoilt
+    else:
+        model, sidecar = spoilt, small_run / "preprocess.json"
+    code, stdout, stderr = _cli(["evaluate", "--model", str(model),
+                                 "--input", str(small_run / "cohort.csv"),
+                                 "--preprocess", str(sidecar)])
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert stderr == "" and json.loads(stdout)["records"] == 180
+    else:
+        lines = stderr.splitlines()
+        assert len(lines) == 1, lines
+        assert json.loads(lines[0])["error"] in ("config", "data", "io")

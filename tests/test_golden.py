@@ -74,6 +74,12 @@ left it, but every digest taken of evaluations.json is still asserted:
 tests/reference.py keeps its writer, and the run's evaluations written by
 it give EVALUATIONS_GOLDEN, FULL_ROC_GOLDEN's and ENTROPY_GOLDEN's
 evaluations.json digests again, as v2_model_dict does for the model files.
+
+models/bayesnet.json and run_config.json moved when the Bayes net's settings
+lost "strategy", since its features are binned at equal-frequency cuts only.
+WITH_STRATEGY_GOLDEN keeps their digests from before that: the new files with
+"strategy": "equal_frequency" put back give those bytes again. v2_model_dict
+puts the key back too, so the older layouts' digests hold.
 """
 
 import hashlib
@@ -116,7 +122,7 @@ from reference import (
 
 GOLDEN = {
     "cohort.csv": "b3065d07230e50b4e930f92b2c4346ba3527760588f55a65844d83350ab286d3",
-    "models/bayesnet.json": "3cf3367cf82885320095dcdd31cd27f8ca92a5333352d30eec033c53da33b5e4",
+    "models/bayesnet.json": "a994470a2f6213e635244db662aaac6255347c202e1b78616d2048dc9a182d83",
     "models/boostlr.json": "a99d5cf342b254e5a8bf715082ef87efbffa346de437c02f69c07a866ddf7dc0",
     "models/forest.json": "c916ffa97e4de42a4960a1c009d44ac19d59f989256d3f8611cc8c320fc98f44",
     "models/mlp.json": "75c369c29a9a24413315243bd96121641411be45059f2df4dbd9987146017321",
@@ -131,7 +137,7 @@ GOLDEN = {
     "roc_forest_test.svg": "2562a6c01bca78f5ba06cbe42ff56ecde8da09ea5318c9c2bd752e78a6822d0c",
     "roc_mlp_test.csv": "54c85cbbcca998ce9e640b4417dc88fa0e86505c365b4eb064eda31710236729",
     "roc_mlp_test.svg": "c1f9922dd86182749a6ffc20bd9be7a1325b5dc7afdc1a6f0a17e47eaec9f3bd",
-    "run_config.json": "4b6cfcf596c09d196219cc6b0e8efa787381a2a54f61db88aded3665274bcb3e",
+    "run_config.json": "6dd9076f46993dd973512d52b1d207b050aee1b082bf6216fc51307f0fe76b2f",
     "scores.csv": "d9269d42233299ff48b217fe1a393665946f5b16b85f4d2b59cb0b450f657a15",
 }
 
@@ -250,6 +256,24 @@ def test_default_sidecar_lost_only_the_cuts(default_run, tmp_path):
     assert "discretization" not in sidecar
     sidecar["discretization"] = model["discretization"]
     assert _sha256(json_text(sidecar)) == SIDECAR_WITH_CUTS_GOLDEN
+
+
+# models/bayesnet.json and run_config.json when the Bayes net's settings held
+# "strategy", whose default was "equal_frequency"
+WITH_STRATEGY_GOLDEN = {
+    "models/bayesnet.json": "3cf3367cf82885320095dcdd31cd27f8ca92a5333352d30eec033c53da33b5e4",
+    "run_config.json": "4b6cfcf596c09d196219cc6b0e8efa787381a2a54f61db88aded3665274bcb3e",
+}
+
+
+def test_default_bayesnet_settings_lost_only_the_strategy(default_run, tmp_path):
+    write_artifacts(default_run, tmp_path)
+    model = json.loads((tmp_path / "models" / "bayesnet.json").read_text(encoding="utf-8"))
+    config = json.loads((tmp_path / "run_config.json").read_text(encoding="utf-8"))
+    assert "strategy" not in model and "strategy" not in config["bayesnet"]
+    model["strategy"] = config["bayesnet"]["strategy"] = "equal_frequency"
+    assert {"models/bayesnet.json": _sha256(json_text(model)),
+            "run_config.json": _sha256(json_text(config))} == WITH_STRATEGY_GOLDEN
 
 
 EVALUATE_GOLDEN = {

@@ -82,6 +82,8 @@ def test_config_validation_errors():
         PipelineConfig(train_fraction=1.0)
     with pytest.raises(ConfigError):
         PipelineConfig(normalize_on="test")
+    with pytest.raises(ConfigError, match="named more than once: forest"):
+        PipelineConfig(models=("forest", "mlp", "forest"))
 
 
 def test_ordered_models_follow_canonical_order(small_split):
@@ -102,6 +104,18 @@ def test_config_from_partial_dict_uses_defaults():
     assert config.models == MODEL_ORDER
     assert config.train_fraction == 0.7
     assert config.generate == GenerateConfig()
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_config_example_shows_the_defaults():
+    # every setting but the input paths, each at its default
+    block = re.search(r"`experiment` accepts a JSON config file.*?```json\n(.*?)```",
+                      README.read_text(encoding="utf-8"), re.S).group(1)
+    defaults = json.loads(json.dumps(PipelineConfig().to_json_dict()))
+    del defaults["input"], defaults["generate"]["params_path"]
+    assert json.loads(block) == defaults
 
 
 def test_config_rejects_unknown_keys():
