@@ -7,8 +7,9 @@ curve of thousands of points. Here dicts (keys sorted) and lists with a
 container among their items are walked in Python, and each list of scalars
 goes to the C encoder in one call: with no indent it joins items with the
 item separator, so a separator of a comma, a newline and the level's indent
-lays the items out exactly as the indented encoder does. The pieces are
-joined once, at the end.
+lays the items out exactly as the indented encoder does. write_json hands a
+file the pieces as they are made, so the whole text is never held at once;
+json_text joins the same pieces for text that is printed or kept as a string.
 
 Every JSON input is read by read_json, so a malformed file ends in one
 ConfigError naming it. A number is read through finite_number, and a saved
@@ -38,6 +39,13 @@ def json_text(obj) -> str:
     chunks = list(_chunks(obj, "\n"))
     chunks.append("\n")
     return "".join(chunks)
+
+
+def write_json(path, obj) -> None:
+    """Write json_text(obj) to path as UTF-8, each piece as it is made."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(_chunks(obj, "\n"))
+        fh.write("\n")
 
 
 def _chunks(obj, newline: str):

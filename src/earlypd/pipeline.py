@@ -24,9 +24,9 @@ from ._version import __version__
 from .bayesnet import BayesNetConfig, BayesNetModel, bn_score_batch, bn_train
 from .boostlr import BoostConfig, BoostedModel, adaboost_train, boosted_score_batch
 from .data import Dataset, _csv_cells, export_csv, ingest_csv
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .forest import ForestConfig, ForestModel, forest_score_batch, forest_train, usable_cpus
-from .jsontext import check_version, from_json, json_text, read_json
+from .jsontext import check_version, from_json, json_text, read_json, write_json
 from .metrics import (
     SPLITS,
     evaluate_scores,
@@ -150,10 +150,21 @@ def acquire_dataset(config: PipelineConfig) -> Dataset:
 
 def prepare_splits(config: PipelineConfig, ds: Dataset):
     """(train, test, stats): the stratified split, each side scaled by the
-    min and max of the whole cohort or of the training split (normalize_on)."""
+    min and max of the whole cohort or of the training split (normalize_on).
+    A training split without both classes is refused before any scaling."""
     train, test = stratified_split(ds, config.train_fraction, config.seed)
+    _check_classes(train, "training", config.train_fraction)
     stats = normalize_fit(ds if config.normalize_on == "all" else train)
     return normalize_apply(train, stats), normalize_apply(test, stats), stats
+
+
+def _check_classes(split: Dataset, name: str, train_fraction: float) -> None:
+    """DataError unless the split called name holds records of both classes."""
+    missing = [kind for label, kind in enumerate(("healthy (label 0)", "PD (label 1)"))
+               if label not in split.labels]
+    if missing:
+        raise DataError(f"train_fraction {train_fraction} leaves the {name} split "
+                        f"without a {' or a '.join(missing)} record")
 
 
 def train_models(config: PipelineConfig, train: Dataset) -> dict:
@@ -171,8 +182,7 @@ MODEL_VERSION = 3
 
 
 def save_model_file(model, path) -> None:
-    Path(path).write_text(json_text({**model.to_json_dict(), "version": MODEL_VERSION}),
-                          encoding="utf-8")
+    write_json(path, {**model.to_json_dict(), "version": MODEL_VERSION})
 
 
 def load_model_file(path) -> tuple:
@@ -185,6 +195,8 @@ def load_model_file(path) -> tuple:
 
 def _model_from_json(obj) -> tuple:
     kind = obj["kind"]
+    if not (type(kind) is str and kind in MODELS):
+        raise ValueError(f"kind {kind!r} is not one of {', '.join(MODELS)}")
     check_version(obj.get("version"), MODEL_VERSION, "retrain the model")
     return kind, MODELS[kind].model.from_json_dict(obj)
 
@@ -215,6 +227,7 @@ def run_experiment(config: PipelineConfig) -> ExperimentResult:
     started = time.perf_counter()
     ds = acquire_dataset(config)
     train, test, stats = prepare_splits(config, ds)
+    _check_classes(test, "testing", config.train_fraction)  # before the training time is spent
     models = train_models(config, train)
     scores = {name: {split: score_batch(name, model, data.features)
                      for split, data in zip(SPLITS, (train, test))}

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .data import FEATURE_NAMES, Dataset
 from .errors import ConfigError, DataError
-from .jsontext import check_version, json_text, json_typed, read_json
+from .jsontext import check_version, json_typed, read_json, write_json
 from .rng import derive_stream
 
 
@@ -116,7 +115,7 @@ def save_sidecar(path, stats: NormalizationStats) -> None:
         "schema": list(FEATURE_NAMES),
         "normalization": stats.to_json_dict(),
     }
-    Path(path).write_text(json_text(payload), encoding="utf-8")
+    write_json(path, payload)
 
 
 def load_sidecar(path) -> NormalizationStats:

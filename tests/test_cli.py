@@ -3,7 +3,6 @@ byte-level determinism of artifact directories."""
 
 import csv
 import errno
-import itertools
 import json
 import math
 import os
@@ -16,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import earlypd.data
+import earlypd.pipeline
 from earlypd.cli import main
 from earlypd.data import INTEGER_FEATURES, export_csv, ingest_csv
 from earlypd.jsontext import json_text
@@ -24,7 +24,7 @@ from earlypd.synth import load_params
 
 from conftest import datasets_equal
 from reference import node_list_forest_text, v1_model_dict, v2_model_dict
-from test_pipeline import DEFECTS, FOREST_DEFECTS, _set_alphas
+from test_pipeline import DEFECTS, FOREST_DEFECTS, _disk_full_at, _set_alphas
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -195,17 +195,47 @@ def test_bayesnet_file_with_a_strategy_scores_the_same(exp_dir, tmp_path, capsys
         assert capsys.readouterr() == want, strategy
 
 
-@pytest.mark.parametrize("command", ["experiment", "train"])
-def test_boostlr_on_an_empty_training_split_is_a_data_error(tmp_path, capsys, command):
+def _never_called(*args, **kwargs):
+    raise AssertionError("a model was trained")
+
+
+# (command, models, train_fraction): what the message says the split lacks
+SPLITS_WITHOUT_A_CLASS = {
+    # no testing record at all
+    ("experiment", "boostlr", "0.999"):
+        "testing split without a healthy (label 0) or a PD (label 1) record",
+    # one PD testing record
+    ("experiment", "boostlr", "0.9985"): "testing split without a healthy (label 0) record",
+    **{(command, models, "0.001"):
+       "training split without a healthy (label 0) or a PD (label 1) record"
+       for command, models in (("experiment", "boostlr"), ("experiment", "mlp"),
+                               ("train", "boostlr"))},
+}
+
+
+@pytest.mark.parametrize("command, models, fraction", SPLITS_WITHOUT_A_CLASS)
+def test_a_split_without_both_classes_is_refused_before_training(
+        tmp_path, capsys, monkeypatch, command, models, fraction):
+    for trainer in ("mlp_train", "bn_train", "forest_train", "adaboost_train"):
+        monkeypatch.setattr(earlypd.pipeline, trainer, _never_called)
     out = tmp_path / "out"
-    rc = main([command, "--models", "boostlr", "--train-fraction", "0.001", "--out", str(out)])
+    rc = main([command, "--models", models, "--train-fraction", fraction, "--out", str(out)])
     lines = capsys.readouterr().err.splitlines()
     assert rc == 1
     assert len(lines) == 1, lines  # one JSON line, no traceback
     err = json.loads(lines[0])
     assert err["error"] == "data"
-    assert "boosted LR training needs both classes" in err["message"]
+    want = SPLITS_WITHOUT_A_CLASS[command, models, fraction]
+    assert err["message"] == f"train_fraction {fraction} leaves the {want}"
     assert not out.exists()
+
+
+def test_train_does_not_check_its_testing_split(tmp_path, capsys):
+    # train never evaluates its testing split, so an empty one is no fault
+    out = tmp_path / "out"
+    assert main(["train", "--models", "boostlr", "--train-fraction", "0.999",
+                 "--out", str(out)]) == 0
+    assert (out / "models" / "boostlr.json").is_file()
 
 
 def test_evaluate_rejects_non_model_json(exp_dir, tmp_path, capsys):
@@ -447,6 +477,12 @@ SPOILED_FILES = {
 }
 
 
+# Kinds that name no model, each a case of the model file below
+NOT_KINDS = {"svm": "svm", "7": 7, "list": ["x"], "null": None}
+# What the message of a case below says, beyond the file's name
+MESSAGES = {f"kind_{name}": f"kind {kind!r} is not one of mlp, bayesnet, forest, boostlr"
+            for name, kind in NOT_KINDS.items()}
+
 # One value of the wrong type, or the wrong shape, in each input.
 WRONG_VALUES = {
     "config": {"string_train_fraction": lambda c: c.update(train_fraction="0.7")},
@@ -463,7 +499,11 @@ WRONG_VALUES = {
             min=-100, max=-50),
         "negative_sd": lambda p: p["features"]["csf_ttau"].update(sd_pd=-1.0),
     },
-    "model": {"string_weight": lambda m: m["w_hidden"].__setitem__(0, "0.5")},
+    "model": {
+        "string_weight": lambda m: m["w_hidden"].__setitem__(0, "0.5"),
+        **{f"kind_{name}": lambda m, kind=kind: m.update(kind=kind)
+           for name, kind in NOT_KINDS.items()},
+    },
     "preprocess": {"string_min": lambda s: s["normalization"]["upsit_total"].update(min="12")},
 }
 
@@ -490,6 +530,7 @@ def test_malformed_json_input_exits_2(exp_dir, tmp_path, capsys, source, case):
     err = json.loads(lines[0])
     assert err["error"] == "config"
     assert str(bad) in err["message"]
+    assert MESSAGES.get(case, "") in err["message"]
 
 
 # Each command that reads a scores file given as bad
@@ -853,22 +894,6 @@ def test_generated_value_beyond_the_doubles_exits_2(tmp_path, capsys, command):
     assert err["error"] == "config"
     assert "ratio_ttau_abeta" in err["message"] and "not finite" in err["message"]
     assert not out.exists()
-
-
-def _disk_full_at(n):
-    """An open() whose files raise ENOSPC from their nth write on."""
-    def failing_open(*args, **kwargs):
-        fh = open(*args, **kwargs)
-        write, writes = fh.write, itertools.count(1)
-
-        def write_or_fail(text):
-            if next(writes) >= n:
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-            return write(text)
-
-        fh.write = write_or_fail
-        return fh
-    return failing_open
 
 
 def test_failed_generate_leaves_the_earlier_cohort(tmp_path, capsys, monkeypatch):

@@ -157,6 +157,15 @@ def test_default_run_artifact_digests(default_run, tmp_path):
     assert _run_digests(default_run, tmp_path) == GOLDEN
 
 
+def test_default_run_json_files_are_their_json_text(default_run, tmp_path):
+    # the files streamed by write_json and those joined by json_text alike
+    write_artifacts(default_run, tmp_path)
+    written = sorted(tmp_path.rglob("*.json"))
+    assert len(written) == 7  # four models, the sidecar, run_config and metadata
+    for path in written:
+        assert path.read_bytes() == json_text(json.loads(path.read_bytes())).encode(), path
+
+
 # evaluations.json, the default run's evaluation record before scores.csv. The
 # run's evaluations, written by the reference writer, give these bytes again.
 EVALUATIONS_GOLDEN = "ca629cf8c9f45d4b8636f635e13e5bff0338e76c0839cb41ce5627411ac0f8ec"

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from earlypd.errors import ConfigError
-from earlypd.jsontext import from_json, json_array, json_text
+from earlypd.jsontext import from_json, json_array, json_text, write_json
 
 SCALARS = (st.floats(allow_nan=True, allow_infinity=True)
            | st.integers()
@@ -43,6 +43,23 @@ def test_json_text_lists_of_scalars_at_depth():
                  None, "☃\n"],
            "a": [[], {}, (), [[1]], {"b": [{}]}]}
     assert json_text(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+# Objects whose file write_json must give json_text's bytes for
+WRITTEN = {
+    "empty dict": {},
+    "empty list": [],
+    "nested lists of scalars": [[1, -2, "a"], [[0.5, None, True]], [], {"k": [False]}],
+    "non-ASCII": {"é": "☃ naïve", "名前": ["Ωmega", "\u2028"], "a": {"ü": {}}},
+    "floats": {"tiny": 1e-310, "minus zero": -0.0, "large": 1e21, "list": [1e-310, -0.0, 1e21]},
+}
+
+
+@pytest.mark.parametrize("case", WRITTEN)
+def test_write_json_writes_the_json_text_bytes(case, tmp_path):
+    path = tmp_path / "out.json"
+    write_json(path, WRITTEN[case])
+    assert path.read_bytes() == json_text(WRITTEN[case]).encode()
 
 
 @dataclass(frozen=True)

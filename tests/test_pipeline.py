@@ -1,8 +1,11 @@
 """Experiment orchestration: config handling, split preparation, the full
 run, and artifact writing with its cleanup guarantee."""
 
+import errno
+import itertools
 import json
 import math
+import os
 import re
 import tracemalloc
 from dataclasses import asdict, fields, is_dataclass, replace
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import earlypd.jsontext
 import earlypd.pipeline
 from earlypd.data import export_csv, ingest_csv
 from earlypd.errors import ConfigError, DataError
@@ -52,6 +56,7 @@ from earlypd.pipeline import (
 )
 
 from conftest import OTHER_MODEL_VERSIONS, datasets_equal
+from test_golden import FOREST_GOLDEN
 
 FAST = {
     "mlp": MlpConfig(hidden_units=4, epochs=40),
@@ -267,6 +272,24 @@ def test_batch_scorers_peak_below_two_and_a_half_inputs(default_run):
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * features.nbytes, (name, peak / features.nbytes)
+
+
+def test_save_model_file_peak_below_twice_its_bytes(tmp_path):
+    # the file is written as it is encoded, so besides the model's dict the
+    # writer holds a few pieces of text, never the whole of it
+    config = config_from_dict({"models": ["forest"],
+                               **FOREST_GOLDEN["cohort 920/2010, 10 trees"][0]})
+    train, _test, _stats = prepare_splits(config, acquire_dataset(config))
+    forest = train_models(config, train)["forest"]
+    path = tmp_path / "forest.json"
+    tracemalloc.start()
+    try:
+        save_model_file(forest, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peak < 2 * size, peak / size
 
 
 @pytest.fixture(scope="module")
@@ -759,6 +782,35 @@ def _fail_saving(model_file):
     return setup
 
 
+def _disk_full_at(n):
+    """An open() whose files raise ENOSPC from their nth write on."""
+    def failing_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        write, writes = fh.write, itertools.count(1)
+
+        def write_or_fail(text):
+            if next(writes) >= n:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return write(text)
+
+        fh.write = write_or_fail
+        return fh
+    return failing_open
+
+
+def _fail_streaming(model_file):
+    """ENOSPC from the 50th write into model_file, part-way through its stream."""
+    def setup(monkeypatch, out):
+        failing_open = _disk_full_at(50)
+
+        def open_or_fail(path, *args, **kwargs):
+            return (failing_open if Path(path).name == model_file else open)(
+                path, *args, **kwargs)
+
+        monkeypatch.setattr(earlypd.jsontext, "open", open_or_fail, raising=False)
+    return setup
+
+
 def _fail_writing_run_config(monkeypatch, out):
     write_text = Path.write_text
 
@@ -784,6 +836,7 @@ WRITE_FAILURES = {
     "cohort": lambda mp, out: mp.setattr(earlypd.pipeline, "export_csv", _disk_full),
     "sidecar": lambda mp, out: mp.setattr(earlypd.pipeline, "save_sidecar", _disk_full),
     **{f"models/{name}.json": _fail_saving(f"{name}.json") for name in MODEL_ORDER},
+    "models/forest.json mid-stream": _fail_streaming("forest.json"),
     "text file": _fail_writing_run_config,
     "directory target": _directory_at_run_config,
 }
