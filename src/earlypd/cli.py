@@ -37,6 +37,7 @@ from .pipeline import (
     DISPLAY_NAMES,
     MODEL_ORDER,
     PipelineConfig,
+    check_classes,
     config_from_dict,
     evaluate_models,
     load_config,
@@ -159,10 +160,11 @@ def _write_or_print(text: str, out) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     stats = load_sidecar(args.preprocess)
     kind, model = load_model_file(args.model)
-    scaled = normalize_apply(ingest_csv(args.input), stats)
-    report = evaluate_scores(scaled.labels,
-                             score_batch(kind, model, scaled.features))
-    payload = {"model": kind, "records": len(scaled), **report.to_json_dict()}
+    ds = ingest_csv(args.input)
+    check_classes(ds.labels, f"evaluate needs both classes, and {args.input} is a cohort")
+    ds = normalize_apply(ds, stats)  # the unscaled records are freed before scoring
+    report = evaluate_scores(ds.labels, score_batch(kind, model, ds.features))
+    payload = {"model": kind, "records": len(ds), **report.to_json_dict()}
     return _write_or_print(json_text(payload), args.out)
 
 

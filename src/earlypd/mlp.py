@@ -52,7 +52,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import N_FEATURES, PD, Dataset
+from .data import BLOCK_ROWS, N_FEATURES, PD, Dataset
 from .errors import ConfigError, DataError
 from .jsontext import json_array, json_typed, settings
 from .rng import derive_stream
@@ -241,24 +241,42 @@ def mlp_train(train: Dataset, config: MlpConfig = MlpConfig(), seed: int = 42) -
 
 
 def mlp_score_batch(model: MlpModel, features) -> np.ndarray:
-    """PD share of the output activations; inputs are clamped into [0, 1]."""
+    """PD share of the output activations; inputs are clamped into [0, 1].
+
+    Both layers run over blocks of BLOCK_ROWS rows from row 0, a one-row
+    remainder joining the block before it, so no batch of two or more rows
+    reaches the one-row product, whose bits differ. Up to 30 hidden units a
+    block's rows get the bits of one product over the whole batch; from 31,
+    OpenBLAS picks the output layer's kernel by the number of rows, so they
+    get those of the block scored alone. At 8 hidden units a block's first
+    product is about 115,000 multiply-adds, under the 262,144 above which
+    OpenBLAS splits it across its pool, whose thread would keep a work
+    buffer and spin on while the caller goes on in Python.
+    """
     a = np.asarray(features, dtype=np.float64)
+    n = len(a)
+    starts = range(0, max(n - 1, 1), BLOCK_ROWS)
+    shares = []
     with np.errstate(over="ignore"):  # a matmul or exp may overflow; 1 / (1 + inf) = 0
-        for w in (model.w_hidden, model.w_output):
-            # the layer's input, clamped into [0, 1], and its bias 1.0 in one
-            # buffer, dropped once its product exists (a sigmoid's output is
-            # already in [0, 1] or NaN, so the second clip only copies it)
-            x = np.empty((len(a), a.shape[1] + 1))
-            np.clip(a, 0.0, 1.0, out=x[:, :-1])
-            x[:, -1] = 1.0
-            a = x @ w.T
-            del x
-            # 1 / (1 + exp(-z)) in place, on the contiguous product: the same bits
-            np.negative(a, out=a)
-            np.exp(a, out=a)
-            np.add(1.0, a, out=a)
-            np.divide(1.0, a, out=a)
-    return a[:, 1] / a.sum(axis=1)
+        for start, stop in zip(starts, [*starts[1:], n]):
+            b = a[start:stop]
+            for w in (model.w_hidden, model.w_output):
+                # the layer's input and its bias 1.0 in one buffer, clamped in
+                # place (into the strided columns numpy would take a buffer),
+                # and dropped once its product exists
+                x = np.empty((len(b), b.shape[1] + 1))
+                x[:, :-1] = b
+                x[:, -1] = 1.0
+                np.clip(x, 0.0, 1.0, out=x)
+                b = x @ w.T
+                del x
+                # 1 / (1 + exp(-z)) in place, on the contiguous product: the same bits
+                np.negative(b, out=b)
+                np.exp(b, out=b)
+                np.add(1.0, b, out=b)
+                np.divide(1.0, b, out=b)
+            shares.append(b[:, 1] / b.sum(axis=1))
+    return np.concatenate(shares)
 
 
 def mlp_gradient_check(model: MlpModel, features, target, step: float = 1e-5) -> float:

@@ -153,18 +153,18 @@ def prepare_splits(config: PipelineConfig, ds: Dataset):
     min and max of the whole cohort or of the training split (normalize_on).
     A training split without both classes is refused before any scaling."""
     train, test = stratified_split(ds, config.train_fraction, config.seed)
-    _check_classes(train, "training", config.train_fraction)
+    check_classes(train.labels, f"train_fraction {config.train_fraction} leaves the training split")
     stats = normalize_fit(ds if config.normalize_on == "all" else train)
     return normalize_apply(train, stats), normalize_apply(test, stats), stats
 
 
-def _check_classes(split: Dataset, name: str, train_fraction: float) -> None:
-    """DataError unless the split called name holds records of both classes."""
+def check_classes(labels, where: str) -> None:
+    """DataError unless labels hold both classes; where names their source,
+    and the message goes on with the class or classes they lack."""
     missing = [kind for label, kind in enumerate(("healthy (label 0)", "PD (label 1)"))
-               if label not in split.labels]
+               if label not in labels]
     if missing:
-        raise DataError(f"train_fraction {train_fraction} leaves the {name} split "
-                        f"without a {' or a '.join(missing)} record")
+        raise DataError(f"{where} without a {' or a '.join(missing)} record")
 
 
 def train_models(config: PipelineConfig, train: Dataset) -> dict:
@@ -227,7 +227,8 @@ def run_experiment(config: PipelineConfig) -> ExperimentResult:
     started = time.perf_counter()
     ds = acquire_dataset(config)
     train, test, stats = prepare_splits(config, ds)
-    _check_classes(test, "testing", config.train_fraction)  # before the training time is spent
+    # before the training time is spent
+    check_classes(test.labels, f"train_fraction {config.train_fraction} leaves the testing split")
     models = train_models(config, train)
     scores = {name: {split: score_batch(name, model, data.features)
                      for split, data in zip(SPLITS, (train, test))}
@@ -330,7 +331,8 @@ def _scores_csv(result: ExperimentResult) -> str:
 
 def load_scores(path) -> tuple:
     """({split: labels}, {model: {split: scores}}) for evaluate_models from a
-    file that _scores_csv could write; any other file raises one ConfigError."""
+    file that _scores_csv could write; any other file raises one ConfigError,
+    and a split without both classes one DataError."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -351,7 +353,10 @@ def load_scores(path) -> tuple:
             raise ValueError(f"no row has the split {missing[0]!r}")
     except (ValueError, csv.Error) as err:  # ValueError covers UnicodeDecodeError
         raise ConfigError(f"{path} is not a scores file ({type(err).__name__}: {err})") from None
-    return ({split: [int(row[0]) for row in values] for split, values in rows.items()},
+    labels = {split: [int(row[0]) for row in values] for split, values in rows.items()}
+    for split, split_labels in labels.items():
+        check_classes(split_labels, f"{path} has its {split} split")
+    return (labels,
             {name: {split: [row[i] for row in values] for split, values in rows.items()}
              for i, name in enumerate(names, start=1)})
 

@@ -16,7 +16,9 @@ new file can be checked against the digests of the old ones; the
 entropy-formula grower grows the trees from before split scores came from
 the c * log2(c) table, so the digests taken then can be checked again.
 The evaluations writer gives the bytes of evaluations.json, the evaluation
-record runs wrote before scores.csv. None of this runs in the pipeline.
+record runs wrote before scores.csv, and the one-shot MLP scorer the scores
+from before the network scored in row blocks. None of this runs in the
+pipeline.
 """
 
 import csv
@@ -469,6 +471,23 @@ def reference_step(w1, w2, x, target):
     d2 = (nerr * nout) * (1.0 + nout)
     d1 = (np.matmul(w2[:, :h].T, d2) * na1) * (1.0 + na1)
     return nerr, np.multiply(d1[:, None], x), np.multiply(d2[:, None], na1b)
+
+
+def reference_mlp_score_batch(model, features):
+    """The MLP scorer from before row blocks: both layers as one product over
+    the whole batch."""
+    a = np.asarray(features, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        for w in (model.w_hidden, model.w_output):
+            x = np.empty((len(a), a.shape[1] + 1))
+            np.clip(a, 0.0, 1.0, out=x[:, :-1])
+            x[:, -1] = 1.0
+            a = x @ w.T
+            np.negative(a, out=a)
+            np.exp(a, out=a)
+            np.add(1.0, a, out=a)
+            np.divide(1.0, a, out=a)
+    return a[:, 1] / a.sum(axis=1)
 
 
 def joint_oracle(net, assignment) -> float:

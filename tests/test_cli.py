@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import earlypd.cli
 import earlypd.data
 import earlypd.pipeline
 from earlypd.cli import main
@@ -178,6 +179,33 @@ def test_evaluate_subcommand(exp_dir, capsys):
     assert 0.0 <= payload["accuracy"] <= 1.0
     assert 0.0 <= payload["auc"] <= 1.0
     assert payload["confusion"]["tp"] + payload["confusion"]["fn"] == 40
+
+
+def _not_reached(*args, **kwargs):
+    raise AssertionError("the cohort was normalized or scored")
+
+
+@pytest.mark.parametrize("n_healthy, n_pd, lacks", [
+    (0, 10, "healthy (label 0)"), (10, 0, "PD (label 1)")])
+def test_evaluate_refuses_a_cohort_of_one_class(exp_dir, tmp_path, capsys, monkeypatch,
+                                               n_healthy, n_pd, lacks):
+    _config, out = exp_dir
+    cohort = tmp_path / "one_class.csv"
+    assert main(["generate", "--n-healthy", str(n_healthy), "--n-pd", str(n_pd),
+                 "--out", str(cohort)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(earlypd.cli, "normalize_apply", _not_reached)
+    monkeypatch.setattr(earlypd.cli, "score_batch", _not_reached)
+    rc = main(["evaluate", "--model", str(out / "models" / "forest.json"),
+               "--input", str(cohort), "--preprocess", str(out / "preprocess.json")])
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert rc == 1
+    assert len(lines) == 1, lines  # one JSON line, no traceback
+    assert json.loads(lines[0]) == {
+        "error": "data", "kind": "DataError", "message":
+        f"evaluate needs both classes, and {cohort} is a cohort without a {lacks} record"}
+    assert captured.out == ""
 
 
 def test_bayesnet_file_with_a_strategy_scores_the_same(exp_dir, tmp_path, capsys):
@@ -585,6 +613,26 @@ def test_malformed_scores_file_exits_2(exp_dir, tmp_path, capsys, command, case)
     err = json.loads(lines[0])
     assert err["error"] == "config"
     assert str(bad) in err["message"]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("split, label, lacks", [
+    ("testing", 0, "healthy (label 0)"), ("training", 1, "PD (label 1)")])
+@pytest.mark.parametrize("command", SCORES_COMMANDS)
+def test_scores_split_of_one_class_exits_1(exp_dir, tmp_path, capsys, command, split, label,
+                                           lacks):
+    _config, run = exp_dir
+    lines = (run / "scores.csv").read_text().splitlines()
+    bad = tmp_path / "scores.csv"
+    bad.write_text("\n".join(line for line in lines if f",{split},{label}," not in line) + "\n")
+    rc = main([str(arg) for arg in SCORES_COMMANDS[command](bad)])
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert rc == 1
+    assert len(lines) == 1, lines  # one JSON line, no traceback
+    assert json.loads(lines[0]) == {
+        "error": "data", "kind": "DataError",
+        "message": f"{bad} has its {split} split without a {lacks} record"}
     assert captured.out == ""
 
 

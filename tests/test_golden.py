@@ -64,7 +64,9 @@ made. ENTROPY_GOLDEN and the last triple of each FOREST_GOLDEN case keep the
 digests from before that: with tree_grow replaced by entropy_tree_grow, the
 old grower, the same runs give those bytes again, so only the forest moved.
 test_forest_file_is_the_same_on_other_hosts shows that the forest file no
-longer depends on numpy's SIMD level or the BLAS kernel.
+longer depends on numpy's SIMD level or the BLAS kernel, and
+test_mlp_scores_are_the_same_with_one_blas_thread that the MLP's scores do
+not depend on how many threads OpenBLAS runs.
 
 A run's evaluation record moved from evaluations.json, which held only numbers
 derived from the scores (confusion counts, measures and ROC corners), to
@@ -90,13 +92,15 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import earlypd.forest
 from earlypd import metrics
 from earlypd.cli import main
-from earlypd.data import export_csv
+from earlypd.data import N_FEATURES, export_csv
 from earlypd.jsontext import json_text
+from earlypd.mlp import MlpConfig, MlpModel, mlp_score_batch
 from earlypd.pipeline import (
     PipelineConfig,
     acquire_dataset,
@@ -109,6 +113,7 @@ from earlypd.pipeline import (
     train_models,
     write_artifacts,
 )
+from earlypd.preprocess import normalize_apply
 from earlypd.synth import GenerateConfig, generate
 
 from reference import (
@@ -481,15 +486,59 @@ OTHER_HOSTS = {
 }
 
 
-@pytest.mark.parametrize("host", OTHER_HOSTS)
-def test_forest_file_is_the_same_on_other_hosts(host, tmp_path):
+def _child_env(variables: dict) -> dict:
+    """This process's environment with the package's source on PYTHONPATH,
+    without OPENBLAS_NUM_THREADS, and with variables set."""
     src = Path(__file__).resolve().parent.parent / "src"
     path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), **OTHER_HOSTS[host])
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    return {**env, "PYTHONPATH": os.pathsep.join(path), **variables}
+
+
+@pytest.mark.parametrize("host", OTHER_HOSTS)
+def test_forest_file_is_the_same_on_other_hosts(host, tmp_path):
     done = subprocess.run(
         [sys.executable, "-m", "earlypd", "train", "--seed", "42", "--models", "forest",
          "--out", str(tmp_path / "run")],
-        capture_output=True, text=True, env=env, timeout=300)
+        capture_output=True, text=True, env=_child_env(OTHER_HOSTS[host]), timeout=300)
     assert done.returncode == 0, done.stderr
     forest = (tmp_path / "run" / "models" / "forest.json").read_bytes()
     assert hashlib.sha256(forest).hexdigest() == GOLDEN["models/forest.json"]
+
+
+# Scores the MLP files in the directory argv[1] on its features.npy, to stdout
+# as the bytes of each model's scores, one model after another.
+SCORE_CHILD = """
+import sys
+import numpy as np
+from earlypd.mlp import mlp_score_batch
+from earlypd.pipeline import load_model_file
+features = np.load(sys.argv[1] + "/features.npy")
+for name in ("default", "wide"):
+    model = load_model_file(f"{sys.argv[1]}/{name}.json")[1]
+    sys.stdout.buffer.write(mlp_score_batch(model, features).tobytes())
+"""
+
+
+def test_mlp_scores_are_the_same_with_one_blas_thread(default_run, tmp_path):
+    # the default network's products stay on one thread, and a 40-unit
+    # network's first layer is split across OpenBLAS's pool
+    rng = np.random.default_rng(40)
+    wide = MlpModel(rng.uniform(-2.0, 2.0, (40, N_FEATURES + 1)),
+                    rng.uniform(-2.0, 2.0, (2, 41)), MlpConfig(hidden_units=40),
+                    seed=0, epoch_mse=())
+    models = {"default": default_run.models["mlp"], "wide": wide}
+    for name, model in models.items():
+        save_model_file(model, tmp_path / f"{name}.json")
+    cohort = generate(GenerateConfig(n_healthy=6000, n_pd=14000), 43)
+    features = normalize_apply(cohort, default_run.stats).features
+    np.save(tmp_path / "features.npy", features)
+    outputs = []
+    for variables in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        done = subprocess.run([sys.executable, "-c", SCORE_CHILD, str(tmp_path)],
+                              capture_output=True, env=_child_env(variables), timeout=300)
+        assert done.returncode == 0, done.stderr.decode()
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0] == b"".join(mlp_score_batch(model, features).tobytes()
+                                  for model in models.values())

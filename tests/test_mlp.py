@@ -1,4 +1,5 @@
-"""Perceptron training, hand-checked forward math, and the gradient oracle."""
+"""Perceptron training, hand-checked forward math, the gradient oracle, and
+the row-blocked scorer against the one-shot one."""
 
 import math
 import warnings
@@ -6,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from earlypd.data import PD
+from earlypd.data import BLOCK_ROWS, N_FEATURES, PD
 from earlypd.errors import DataError
 from earlypd.mlp import (
     MlpConfig,
@@ -20,7 +21,7 @@ from earlypd.preprocess import normalize_fit_transform
 from earlypd.synth import GenerateConfig, generate
 
 from conftest import make_dataset
-from reference import reference_mlp_train, reference_step
+from reference import reference_mlp_score_batch, reference_mlp_train, reference_step
 
 
 def _sig(z: float) -> float:
@@ -187,6 +188,47 @@ def test_score_overflows_the_hidden_products_without_a_warning(small_split):
         scores = mlp_score_batch(extreme, test.features)
     out_h, out_p = (_sig(b) for b in extreme.w_output[:, -1])
     assert scores == pytest.approx([out_p / (out_h + out_p)] * len(test), abs=1e-15)
+
+
+def _scoring_case(hidden: int, n: int):
+    """A net of hidden units whose first unit's first two weights are -1e308,
+    so its product overflows on records with large first features, and n
+    records in [-0.2, 1.2) with NaN and -0.0 cells; drawn from (hidden, n)."""
+    rng = np.random.default_rng([hidden, n])
+    w1 = rng.uniform(-2.0, 2.0, (hidden, N_FEATURES + 1))
+    w1[0, :2] = -1e308
+    w2 = rng.uniform(-2.0, 2.0, (2, hidden + 1))
+    features = rng.uniform(-0.2, 1.2, (n, N_FEATURES))
+    features[rng.random(features.shape) < 0.01] = np.nan
+    features[rng.random(features.shape) < 0.05] = -0.0
+    return MlpModel(w1, w2, MlpConfig(hidden_units=hidden), seed=0, epoch_mse=()), features
+
+
+def _blocks(n: int) -> list:
+    """(start, stop) of the scorer's row blocks: BLOCK_ROWS rows from row 0,
+    a one-row remainder in the block before it."""
+    stops = [*range(BLOCK_ROWS, n - 1, BLOCK_ROWS), n]
+    return list(zip([0, *stops[:-1]], stops))
+
+
+@pytest.mark.parametrize("n", [1, 2, 1023, 1024, 1025, 2049, 20_001])
+@pytest.mark.parametrize("hidden", [1, 2, 3, 7, 8, 16, 30])
+def test_blocks_give_the_one_shot_bits(hidden, n):
+    model, features = _scoring_case(hidden, n)
+    assert mlp_score_batch(model, features).tobytes() == reference_mlp_score_batch(
+        model, features).tobytes()
+
+
+@pytest.mark.parametrize("n", [2049, 20_001])
+@pytest.mark.parametrize("hidden", [31, 40])
+def test_wide_nets_score_each_block_as_a_batch_of_its_own(hidden, n):
+    # from 31 hidden units the output layer's kernel depends on the number of
+    # rows, so a block's bits are those of the block scored alone
+    model, features = _scoring_case(hidden, n)
+    scores = mlp_score_batch(model, features)
+    for start, stop in _blocks(n):
+        assert scores[start:stop].tobytes() == reference_mlp_score_batch(
+            model, features[start:stop]).tobytes(), (start, stop)
 
 
 @pytest.fixture()

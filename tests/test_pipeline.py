@@ -274,6 +274,20 @@ def test_batch_scorers_peak_below_two_and_a_half_inputs(default_run):
         assert peak < 2.5 * features.nbytes, (name, peak / features.nbytes)
 
 
+def test_mlp_scorer_peak_below_half_its_input(default_run):
+    # the network scores BLOCK_ROWS records at a time: it holds one block's
+    # layers and the shares of the blocks before it, never a matrix of all
+    cohort = generate(GenerateConfig(n_healthy=1300, n_pd=2700), 43)
+    features = normalize_apply(cohort, default_run.stats).features
+    tracemalloc.start()
+    try:
+        score_batch("mlp", default_run.models["mlp"], features)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * features.nbytes, peak / features.nbytes
+
+
 def test_save_model_file_peak_below_twice_its_bytes(tmp_path):
     # the file is written as it is encoded, so besides the model's dict the
     # writer holds a few pieces of text, never the whole of it
